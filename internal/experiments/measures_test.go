@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
+	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -30,39 +34,110 @@ func TestAdversarialSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestEveryMeasureByteIdentical pins, for every registered measure, that
-// (a) two runs of the same grid are byte-identical and (b) the worker
-// count does not leak into the bytes — the per-measure determinism
-// contract the README advertises. This is the regression net for new
-// measures: registering a measure that draws randomness outside the cell
-// RNG, or that reads workspace state across cells, fails here.
+// measureDigestsPath holds one SHA-256 per (execution path, measure):
+// the output bytes every measure produced when the file was generated.
+const measureDigestsPath = "testdata/measure_digests.txt"
+
+// measurePath is one way the engine can execute a measure's grid.
+type measurePath struct {
+	name string
+	spec *sweep.Spec
+}
+
+// measurePaths lists the execution paths a measure's bytes are pinned
+// on: the serial trial fold, trial-parallel blocks (trial_block 1 with
+// 2 trials, so every cell folds 2 blocks), and — for measures with a
+// coupled implementation — the coupled rate mode.
+func measurePaths(measure string) []measurePath {
+	serial := specForMeasure(measure)
+	serial.Trials = 2
+	blocks := specForMeasure(measure)
+	blocks.Trials = 2
+	blocks.TrialParallel = true
+	blocks.TrialBlock = 1
+	paths := []measurePath{{"serial", serial}, {"blocks", blocks}}
+	if _, ok := sweep.LookupCoupled(measure); ok {
+		coupled := specForMeasure(measure)
+		coupled.Trials = 2
+		coupled.RateMode = sweep.RateModeCoupled
+		paths = append(paths, measurePath{"coupled", coupled})
+	}
+	return paths
+}
+
+// loadDigests reads measureDigestsPath into a "path/measure" → hex map.
+func loadDigests(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(measureDigestsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, ln := range strings.Split(string(data), "\n") {
+		if ln == "" {
+			continue
+		}
+		key, sum, ok := strings.Cut(ln, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", measureDigestsPath, ln)
+		}
+		out[key] = sum
+	}
+	return out
+}
+
+// TestEveryMeasureByteIdentical pins, for every registered measure and
+// every execution path, that (a) two runs of the same grid are
+// byte-identical, (b) the worker count does not leak into the bytes,
+// and (c) the bytes match the digest recorded in measureDigestsPath —
+// the per-measure determinism contract the README advertises. This is
+// the regression net for new measures (one that draws randomness
+// outside the cell RNG, or reads workspace state across cells, fails
+// (a) or (b)) and for engine refactors (a silent byte move on any path
+// fails (c)).
 func TestEveryMeasureByteIdentical(t *testing.T) {
 	if len(sweep.Measures()) < 17 {
 		t.Fatalf("only %d measures registered, want ≥ 17", len(sweep.Measures()))
 	}
+	want := loadDigests(t)
+	var got []string
 	for _, measure := range sweep.Measures() {
 		measure := measure
 		t.Run(measure, func(t *testing.T) {
-			spec := specForMeasure(measure)
-			spec.Trials = 2
-			ref := runJSONL(t, spec, 1)
-			if again := runJSONL(t, spec, 1); !bytes.Equal(again, ref) {
-				t.Errorf("re-run output differs (measure draws randomness outside the cell RNG?)")
-			}
-			if par := runJSONL(t, spec, 4); !bytes.Equal(par, ref) {
-				t.Errorf("workers=4 output differs from workers=1")
-			}
-			// Every line must be valid JSON carrying the measure name.
-			for _, ln := range bytes.Split(bytes.TrimSpace(ref), []byte("\n")) {
-				var r sweep.Result
-				if err := json.Unmarshal(ln, &r); err != nil {
-					t.Fatalf("bad JSONL %q: %v", ln, err)
+			for _, p := range measurePaths(measure) {
+				ref := runJSONL(t, p.spec, 1)
+				if again := runJSONL(t, p.spec, 1); !bytes.Equal(again, ref) {
+					t.Errorf("%s: re-run output differs (measure draws randomness outside the cell RNG?)", p.name)
 				}
-				if r.Measure != measure {
-					t.Fatalf("record for measure %q in %q's output", r.Measure, measure)
+				if par := runJSONL(t, p.spec, 4); !bytes.Equal(par, ref) {
+					t.Errorf("%s: workers=4 output differs from workers=1", p.name)
 				}
+				// Every line must be valid JSON carrying the measure name.
+				for _, ln := range bytes.Split(bytes.TrimSpace(ref), []byte("\n")) {
+					var r sweep.Result
+					if err := json.Unmarshal(ln, &r); err != nil {
+						t.Fatalf("%s: bad JSONL %q: %v", p.name, ln, err)
+					}
+					if r.Measure != measure {
+						t.Fatalf("%s: record for measure %q in %q's output", p.name, r.Measure, measure)
+					}
+				}
+				key := p.name + "/" + measure
+				sum := fmt.Sprintf("%x", sha256.Sum256(ref))
+				got = append(got, key+" "+sum)
+				if want[key] != sum {
+					t.Errorf("%s: output digest %s, want %q (%s)", key, sum, want[key], measureDigestsPath)
+				}
+				delete(want, key)
 			}
 		})
+	}
+	for key := range want {
+		t.Errorf("%s lists %s, which no registered measure produced", measureDigestsPath, key)
+	}
+	if t.Failed() {
+		sort.Strings(got)
+		t.Logf("digests of this run (the %s contents that would pass):\n%s", measureDigestsPath, strings.Join(got, "\n"))
 	}
 }
 
