@@ -2,9 +2,9 @@ package faultexp_test
 
 // The benchmark harness of deliverable (d): one benchmark per
 // reproduction experiment (the paper has no numbered tables/figures —
-// each theorem/claim maps to an experiment, see DESIGN.md §2). Each
-// benchmark regenerates the experiment's result tables in quick mode;
-// run with
+// each theorem/claim maps to an experiment, see internal/experiments).
+// Each benchmark regenerates the experiment's result tables in quick
+// mode; run with
 //
 //	go test -bench=Experiment -benchmem
 //
@@ -61,7 +61,7 @@ func BenchmarkExperimentE10(b *testing.B) { benchExperiment(b, "E10") } // span 
 func BenchmarkExperimentE11(b *testing.B) { benchExperiment(b, "E11") } // Upfal baseline
 func BenchmarkExperimentE12(b *testing.B) { benchExperiment(b, "E12") } // Claim 3.2
 
-// Extension experiments (see DESIGN.md §2).
+// Extension experiments (E13–E19; see internal/experiments.All).
 
 func BenchmarkExperimentE13(b *testing.B) { benchExperiment(b, "E13") } // §1.3 load balancing
 func BenchmarkExperimentE14(b *testing.B) { benchExperiment(b, "E14") } // Leighton–Maggs baseline
@@ -94,7 +94,7 @@ func benchSweepCell(b *testing.B, measure, model string, rate float64) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := sweep.Run(spec, discardWriter{}, sweep.Options{Workers: 1})
+		sum, err := runSweep(spec, discardWriter{}, faultexp.SweepJobWorkers(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func BenchmarkSweepTrialDiameterSampled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := sweep.Run(spec, discardWriter{}, sweep.Options{Workers: 1})
+		sum, err := runSweep(spec, discardWriter{}, faultexp.SweepJobWorkers(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func BenchmarkJobWideCellParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := sweep.Run(spec, discardWriter{}, sweep.Options{})
+		sum, err := runSweep(spec, discardWriter{})
 		if err != nil {
 			b.Fatal(err)
 		}

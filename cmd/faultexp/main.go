@@ -441,7 +441,7 @@ func cmdExperiment(ctx context.Context, args []string) error {
 	ctx, stop := signalContext(ctx)
 	defer stop()
 	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
-	full := fs.Bool("full", false, "full (EXPERIMENTS.md) sizes instead of quick")
+	full := fs.Bool("full", false, "full problem sizes instead of quick")
 	seed := fs.Uint64("seed", 20040627, "experiment seed")
 	// The experiment ID may precede or follow the flags.
 	var id string

@@ -40,7 +40,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 	rates := fs.String("rates", "", "comma list of fault rates in [0,1], e.g. 0,0.02,0.05,0.1")
 	trials := fs.Int("trials", 3, "Monte-Carlo trials per cell")
 	rateMode := fs.String("rate-mode", "", "rate-axis sampling: "+sweep.RateModeIndependent+" (default) or "+sweep.RateModeCoupled+" (one draw per element serves every rate; iid models and coupled-capable measures only)")
-	trialParallel := fs.Bool("trial-parallel", false, "split each cell's trial loop into blocks and run blocks on the worker pool (trial-grained measures only; output is byte-identical across -workers but differs from serial mode in the last ulp)")
+	trialParallel := fs.Bool("trial-parallel", false, "split each cell's trial loop into blocks and run blocks on the worker pool (output is byte-identical across -workers but differs from serial mode in the last ulp)")
 	trialBlock := fs.Int("trial-block", 0, "trials per block under -trial-parallel (0 = default "+strconv.Itoa(sweep.DefaultTrialBlock)+"); the block size is part of the output's byte contract")
 	precision := fs.String("precision", "", `measurement tier: "exact" (default) or "sampled:k" (k-sample kernels with error bars and raised size caps; sampled-capable measures: `+strings.Join(sweep.SampledMeasures(), ", ")+`)`)
 	seed := fs.Uint64("seed", 1, "grid seed (per-cell seeds are hash-split from it)")

@@ -494,7 +494,7 @@ func TestSweepTrialParallelCLI(t *testing.T) {
 	}
 
 	// Refusals: -trial-block without -trial-parallel, coupled rate mode,
-	// and a cell-grained measure.
+	// and an unknown measure.
 	for _, bad := range [][]string{
 		{"-families", "torus:4x4", "-rates", "0", "-trial-block", "4", "-quiet"},
 		{"-families", "torus:4x4", "-rates", "0,0.1", "-measures", "percolation", "-rate-mode", "coupled", "-trial-parallel", "-quiet"},

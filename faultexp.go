@@ -30,9 +30,10 @@
 //	res := faultexp.Prune2(faulty.G, 0.5, 0.125, rng)
 //	fmt.Println("survivor:", res.SurvivorSize(), "certified quotient:", res.CertifiedQuotient)
 //
-// See the examples/ directory for complete programs, DESIGN.md for the
-// system inventory, and EXPERIMENTS.md for the theorem-by-theorem
-// reproduction results.
+// See the examples/ directory for complete programs, README.md for the
+// sweep engine and its measures, and internal/experiments (one e*.go
+// file per theorem/claim, run by `faultexp experiment`) for the
+// theorem-by-theorem reproduction.
 package faultexp
 
 import (
@@ -368,10 +369,6 @@ func NewSweepJSONL(w io.Writer) SweepWriter { return sweep.NewJSONL(w) }
 // NewSweepCSV returns a streaming long-format CSV result writer.
 func NewSweepCSV(w io.Writer) SweepWriter { return sweep.NewCSV(w) }
 
-// SweepOptions tunes one sweep run: worker count, progress callback,
-// and the round-robin shard this process executes.
-type SweepOptions = sweep.Options
-
 // SweepShard selects the round-robin slice of a grid one process runs
 // (cell i runs on shard i mod Count); per-shard outputs merge back to
 // the unsharded bytes with MergeSweepShards.
@@ -380,25 +377,6 @@ type SweepShard = sweep.Shard
 // ParseSweepShard parses the CLI shard token "i/m" (0-based).
 func ParseSweepShard(tok string) (SweepShard, error) { return sweep.ParseShard(tok) }
 
-// RunSweep executes a grid on up to workers goroutines (0 = GOMAXPROCS),
-// streaming results to w in deterministic cell order.
-//
-// Deprecated: use NewSweepJob, which adds context cancellation,
-// mid-flight snapshots, and resumable interruption; RunSweep is a thin
-// synchronous wrapper kept for compatibility.
-func RunSweep(spec *SweepSpec, w SweepWriter, workers int) (SweepSummary, error) {
-	return sweep.Run(spec, w, sweep.Options{Workers: workers})
-}
-
-// RunSweepOpt is RunSweep with full options (shard, progress).
-//
-// Deprecated: use NewSweepJob with SweepJobShard/SweepJobSkipCells/
-// SweepJobProgress options; RunSweepOpt is a thin synchronous wrapper
-// kept for compatibility.
-func RunSweepOpt(spec *SweepSpec, w SweepWriter, opt SweepOptions) (SweepSummary, error) {
-	return sweep.Run(spec, w, opt)
-}
-
 // --- The context-aware Job API ---
 
 // SweepJob is one grid run as a first-class object: Start(ctx) launches
@@ -406,8 +384,9 @@ func RunSweepOpt(spec *SweepSpec, w SweepWriter, opt SweepOptions) (SweepSummary
 // cancelling ctx) drains the pool at a cell boundary — leaving JSONL
 // output that ScanSweepResume accepts and -resume completes to bytes
 // identical to an uninterrupted run — and Wait() collects the outcome.
-// This is the execution surface behind `faultexp sweep` and the
-// `faultexp serve` HTTP daemon.
+// It is the only way to run a grid: the execution surface behind
+// `faultexp sweep`, the `faultexp serve` HTTP daemon, and library
+// callers.
 type SweepJob = sweep.Job
 
 // SweepJobOption configures a SweepJob at construction (writer, worker
@@ -506,11 +485,6 @@ func SweepSampledMeasures() []string { return sweep.SampledMeasures() }
 // stream.
 const SweepDefaultTrialBlock = sweep.DefaultTrialBlock
 
-// SweepTrialMeasures lists the trial-grained measures — the subset of
-// SweepMeasures whose kernels run per trial and therefore support
-// trial-parallel execution (SweepSpec.TrialParallel).
-func SweepTrialMeasures() []string { return sweep.TrialMeasures() }
-
 // SweepUnitCost scores the relative execution cost of trials trials on
 // a graph with n vertices and m edges — the gen.EstimateFamily-derived
 // score the job scheduler dispatches largest-first and `sweep -dry-run`
@@ -540,8 +514,8 @@ type SweepResumeState = sweep.ResumeState
 // (sharded) cell sequence so the run can be resumed: records are pinned
 // to their exact cell position by seed and trial budget, mismatched
 // specs are refused, and a trailing mid-write partial record is marked
-// for truncation. Execute the remainder with SweepOptions.SkipCells =
-// state.Done; the resumed file is byte-identical to an uninterrupted
+// for truncation. Execute the remainder with SweepJobSkipCells(
+// state.Done); the resumed file is byte-identical to an uninterrupted
 // run.
 func ScanSweepResume(r io.Reader, spec *SweepSpec, shard SweepShard) (SweepResumeState, error) {
 	if err := spec.Validate(); err != nil {

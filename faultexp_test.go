@@ -16,6 +16,19 @@ import (
 	"faultexp"
 )
 
+// runSweep runs spec to completion through the Job API — the
+// synchronous form the tests in this package drive.
+func runSweep(spec *faultexp.SweepSpec, w faultexp.SweepWriter, opts ...faultexp.SweepJobOption) (faultexp.SweepSummary, error) {
+	j, err := faultexp.NewSweepJob(spec, append([]faultexp.SweepJobOption{faultexp.SweepJobWriter(w)}, opts...)...)
+	if err != nil {
+		return faultexp.SweepSummary{}, err
+	}
+	if err := j.Start(context.Background()); err != nil {
+		return faultexp.SweepSummary{}, err
+	}
+	return j.Wait()
+}
+
 func TestPublicQuickstartPipeline(t *testing.T) {
 	g := faultexp.Torus(12, 12)
 	rng := faultexp.NewRNG(42)
@@ -221,8 +234,8 @@ func TestPublicFamilyRegistryAndShardedSweep(t *testing.T) {
 		Seed:     11,
 	}
 	var want bytes.Buffer
-	if _, err := faultexp.RunSweep(spec, faultexp.NewSweepJSONL(&want), 2); err != nil {
-		t.Fatalf("RunSweep: %v", err)
+	if _, err := runSweep(spec, faultexp.NewSweepJSONL(&want), faultexp.SweepJobWorkers(2)); err != nil {
+		t.Fatalf("runSweep: %v", err)
 	}
 	const m = 2
 	shards := make([]bytes.Buffer, m)
@@ -231,9 +244,9 @@ func TestPublicFamilyRegistryAndShardedSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := faultexp.RunSweepOpt(spec, faultexp.NewSweepJSONL(&shards[i]),
-			faultexp.SweepOptions{Workers: 2, Shard: sh}); err != nil {
-			t.Fatalf("RunSweepOpt(shard %d): %v", i, err)
+		if _, err := runSweep(spec, faultexp.NewSweepJSONL(&shards[i]),
+			faultexp.SweepJobWorkers(2), faultexp.SweepJobShard(sh)); err != nil {
+			t.Fatalf("runSweep(shard %d): %v", i, err)
 		}
 	}
 	var got bytes.Buffer

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"runtime"
 	"testing"
@@ -26,16 +27,21 @@ func gridSpec(measures ...string) *sweep.Spec {
 	}
 }
 
+// runJSONL runs spec to completion through the Job API on workers
+// goroutines and returns its JSONL bytes, failing on any cell error.
 func runJSONL(t *testing.T, spec *sweep.Spec, workers int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := sweep.NewJSONL(&buf)
-	sum, err := sweep.Run(spec, w, sweep.Options{Workers: workers})
+	j, err := sweep.NewJob(spec, sweep.WithWriter(sweep.NewJSONL(&buf)), sweep.WithWorkers(workers))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("NewJob: %v", err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	if err := j.Start(context.Background()); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	sum, err := j.Wait()
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
 	}
 	if sum.Errors != 0 {
 		t.Fatalf("%d cells errored:\n%s", sum.Errors, buf.String())

@@ -1,8 +1,9 @@
 package experiments
 
 // E15 (extension) — ablation of the cut-finder suite that realises the
-// paper's existential "∃S_i" step (DESIGN.md §4 calls this substitution
-// out as the one place heuristic power matters). On benchmark graphs
+// paper's existential "∃S_i" step (the one place Prune substitutes a
+// heuristic for the paper's existential choice, so the one place
+// heuristic power matters). On benchmark graphs
 // with known-planted or exactly-solvable sparse cuts, we compare the
 // full finder against versions with the spectral sweep, the BFS balls,
 // or the local search disabled. The full suite must never be worse than
@@ -23,7 +24,7 @@ func E15() *harness.Experiment {
 	e := &harness.Experiment{
 		ID:          "E15",
 		Title:       "Cut-finder ablation (the ∃S_i realisation)",
-		PaperRef:    "DESIGN.md §4 substitution (extension experiment)",
+		PaperRef:    "∃S_i step of Prune/Prune2 (extension experiment)",
 		Expectation: "full suite ≤ every ablation on every instance; each layer wins somewhere",
 	}
 	e.Run = func(cfg harness.Config) *harness.Report {

@@ -38,7 +38,14 @@ func refBytes(t *testing.T, specJSON string) []byte {
 	t.Helper()
 	spec := loadSpec(t, specJSON)
 	var buf bytes.Buffer
-	if _, err := sweep.RunCtx(context.Background(), spec, sweep.NewJSONL(&buf), sweep.Options{}); err != nil {
+	j, err := sweep.NewJob(spec, sweep.WithWriter(sweep.NewJSONL(&buf)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -1,17 +1,15 @@
 // Package harness is the experiment framework: a registry of the paper's
-// reproduction experiments (E1–E12, one per theorem/claim — see
-// DESIGN.md §2), a configuration that scales workloads between quick
-// (CI/bench) and full (EXPERIMENTS.md) sizes, a bounded parallel runner
-// for Monte-Carlo sweeps, and a report type that couples result tables
-// with named pass/fail *shape checks* — the falsifiable statements each
-// experiment makes about the paper's predictions.
+// reproduction experiments (one per theorem/claim — the e*.go files of
+// internal/experiments, listed by `faultexp list`), a configuration that scales workloads between quick
+// (CI/bench) and full sizes, the ordered worker pool the sweep engine
+// streams through (RunOrdered), and a report type that couples result
+// tables with named pass/fail *shape checks* — the falsifiable
+// statements each experiment makes about the paper's predictions.
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -23,25 +21,15 @@ import (
 // Config controls an experiment run.
 type Config struct {
 	// Quick selects reduced problem sizes (used by go test and the
-	// benchmark suite); full sizes are the ones recorded in
-	// EXPERIMENTS.md.
+	// benchmark suite); full sizes are the ones `faultexp experiment
+	// -full` runs.
 	Quick bool
 	// Seed makes the entire experiment deterministic.
 	Seed uint64
-	// Workers bounds parallel Monte-Carlo fan-out (0 = GOMAXPROCS).
-	Workers int
 }
 
 // RNG derives the experiment's root generator from the seed.
 func (c Config) RNG() *xrand.RNG { return xrand.New(c.Seed ^ 0x9E3779B97F4A7C15) }
-
-// WorkerCount resolves the effective parallelism.
-func (c Config) WorkerCount() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // Pick returns q in quick mode and f otherwise — the standard size
 // switch used throughout the experiment implementations.
@@ -162,76 +150,4 @@ func (r *Registry) All() []*Experiment {
 		return a < b
 	})
 	return out
-}
-
-// ParallelFor runs fn(i) for i in [0, n) on up to workers goroutines.
-// Each invocation gets its own index; fn must not share mutable state
-// without synchronization. Used for Monte-Carlo trial fan-out.
-func ParallelFor(n, workers int, fn func(i int)) {
-	ParallelForWorkers(n, workers, func(_, i int) { fn(i) })
-}
-
-// ParallelForWorkers is ParallelFor with worker identity: fn additionally
-// receives the index of the worker goroutine running it, enabling
-// lock-free per-worker scratch state. Job-to-worker assignment is
-// scheduling-dependent; only per-worker memory reuse may depend on it,
-// never results.
-func ParallelForWorkers(n, workers int, fn func(worker, i int)) {
-	ParallelForWorkersCtx(context.Background(), n, workers, fn)
-}
-
-// ParallelForWorkersCtx is ParallelForWorkers with cooperative
-// cancellation: once ctx is cancelled no further indices are dispatched,
-// but every index a worker already received runs to completion before
-// the pool drains (a job boundary, never a mid-job tear). Dispatch is
-// strictly sequential, so the executed set is always the contiguous
-// prefix [0, d) for some d ≤ n. Returns ctx.Err() if cancellation
-// prevented any index from being dispatched, nil otherwise.
-func ParallelForWorkersCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			fn(0, i)
-		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for i := range next {
-				fn(worker, i)
-			}
-		}(w)
-	}
-	var err error
-	done := ctx.Done()
-dispatch:
-	for i := 0; i < n; i++ {
-		// The double select biases toward cancellation: when both the
-		// worker pool and ctx are ready, plain select would pick at
-		// random and could keep dispatching long after cancellation.
-		select {
-		case <-done:
-			err = ctx.Err()
-			break dispatch
-		default:
-		}
-		select {
-		case next <- i:
-		case <-done:
-			err = ctx.Err()
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	return err
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,12 +14,6 @@ func TestConfigHelpers(t *testing.T) {
 	f := Config{Quick: false, Seed: 1}
 	if q.Pick(10, 100) != 10 || f.Pick(10, 100) != 100 {
 		t.Fatal("Pick wrong")
-	}
-	if q.WorkerCount() < 1 {
-		t.Fatal("worker count must be positive")
-	}
-	if (Config{Workers: 3}).WorkerCount() != 3 {
-		t.Fatal("explicit workers ignored")
 	}
 	// RNG is deterministic per seed.
 	if (Config{Seed: 5}).RNG().Uint64() != (Config{Seed: 5}).RNG().Uint64() {
@@ -80,7 +75,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 func TestParallelForCoversAll(t *testing.T) {
 	const n = 1000
 	var hits [n]int32
-	ParallelFor(n, 8, func(i int) {
+	parallelFor(context.Background(), n, 8, func(_, i int) {
 		atomic.AddInt32(&hits[i], 1)
 	})
 	for i, h := range hits {
@@ -90,9 +85,9 @@ func TestParallelForCoversAll(t *testing.T) {
 	}
 	// Degenerate paths.
 	count := 0
-	ParallelFor(3, 1, func(i int) { count++ })
+	parallelFor(context.Background(), 3, 1, func(_, i int) { count++ })
 	if count != 3 {
 		t.Fatal("serial path wrong")
 	}
-	ParallelFor(0, 4, func(i int) { t.Fatal("should not run") })
+	parallelFor(context.Background(), 0, 4, func(_, i int) { t.Fatal("should not run") })
 }

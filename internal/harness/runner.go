@@ -1,85 +1,54 @@
 package harness
 
-// This file holds the parallel-execution primitives the experiment
-// harness and the sweep engine share. ParallelFor (harness.go) is the
-// unordered fan-out used inside single experiments; RunOrdered adds the
-// property the streaming sweep writers need — results are emitted in
-// job-index order, incrementally, no matter how the scheduler interleaves
-// the workers — so output files are byte-identical across worker counts.
+// This file holds the one parallel-execution primitive: RunOrdered,
+// the ordered worker pool the sweep engine streams through. Results are
+// emitted in job-index order, incrementally, no matter how the
+// scheduler interleaves the workers — so output files are
+// byte-identical across worker counts.
 //
-// The Ctx variants add cooperative cancellation with a hard invariant:
-// cancellation stops the *dispatch* of new jobs, never the emission of
-// dispatched ones. Every index handed to a worker runs to completion and
-// is emitted, so the emitted set is always the exact contiguous prefix
-// [0, d) of the job sequence — which is what lets a cancelled sweep's
-// output file serve as a valid -resume prefix.
+// Cancellation has a hard invariant: it stops the *dispatch* of new
+// jobs, never the emission of dispatched ones. Every index handed to a
+// worker runs to completion, and the emitted set is always an exact
+// contiguous prefix [0, d) of the job sequence — which is what lets a
+// cancelled sweep's output file serve as a valid -resume prefix.
 
 import (
 	"context"
 	"sync"
 )
 
-// RunOrdered executes run(i) for i in [0, n) on up to workers goroutines
-// and calls emit(i, v) for every job in strictly increasing index order,
-// streaming each completed prefix as soon as it is available rather than
-// waiting for the whole batch. emit is never called concurrently. run
-// must be safe for concurrent invocation; emit ordering is independent
-// of scheduling, which is what makes streamed sweep output deterministic
-// for any worker count.
-func RunOrdered[T any](n, workers int, run func(i int) T, emit func(i int, v T)) {
-	RunOrderedWorkers(n, workers, func(_, i int) T { return run(i) }, emit)
-}
-
-// RunOrderedWorkers is RunOrdered with worker identity: run receives the
-// index of the worker goroutine executing it (in [0, effective workers)),
-// so callers can thread per-worker state — scratch workspaces, arenas —
-// without locking. Worker identity must never influence results, only
-// which scratch memory computes them; the ordered emit path makes any
-// violation visible as a byte diff across -workers values.
-func RunOrderedWorkers[T any](n, workers int, run func(worker, i int) T, emit func(i int, v T)) {
-	RunOrderedWorkersCtx(context.Background(), n, workers, run, emit)
-}
-
-// RunOrderedCtx is RunOrdered with cooperative cancellation (see
-// RunOrderedWorkersCtx for the exact drain semantics).
-func RunOrderedCtx[T any](ctx context.Context, n, workers int, run func(i int) T, emit func(i int, v T)) error {
-	return RunOrderedWorkersCtx(ctx, n, workers, func(_, i int) T { return run(i) }, emit)
-}
-
-// RunOrderedWorkersCtx is RunOrderedWorkers with cooperative
-// cancellation. When ctx is cancelled, no further jobs are dispatched,
-// but every job already handed to a worker runs to completion and is
-// emitted — the pool drains at a job boundary rather than tearing mid-
-// job. Because dispatch is strictly sequential, the emitted set after
-// cancellation is always the exact contiguous prefix [0, d) of the job
-// sequence for some d ≤ n, never a prefix with holes. Returns ctx.Err()
-// if cancellation prevented any job from being dispatched, nil if all n
-// jobs ran (even if ctx was cancelled after the last dispatch).
-func RunOrderedWorkersCtx[T any](ctx context.Context, n, workers int, run func(worker, i int) T, emit func(i int, v T)) error {
-	return RunOrderedDispatchCtx(ctx, n, workers, nil, run, emit)
-}
-
-// RunOrderedDispatchCtx is RunOrderedWorkersCtx with an explicit
-// dispatch order: order[k] is the k-th job index handed to the pool, so
-// a scheduler can dispatch expensive jobs first (killing tail latency)
-// while emit still runs in strictly increasing *index* order — the
-// dispatch permutation can therefore never change the emitted bytes,
-// only the wall clock. A nil order means identity dispatch; a non-nil
-// order must be a permutation of [0, n) (length mismatches panic — a
-// wiring bug, not a runtime condition).
+// RunOrdered executes run(worker, i) for i in [0, n) on up to workers
+// goroutines and calls emit(i, v) for every job in strictly increasing
+// index order, streaming each completed prefix as soon as it is
+// available rather than waiting for the whole batch. emit is never
+// called concurrently. run must be safe for concurrent invocation; it
+// receives the index of the worker goroutine executing it (in [0,
+// effective workers)), so callers can thread per-worker state — scratch
+// workspaces, arenas — without locking. Worker identity must never
+// influence results, only which scratch memory computes them; the
+// ordered emit path makes any violation visible as a byte diff across
+// -workers values.
 //
-// The serial path (workers ≤ 1 or n == 1) ignores the permutation:
-// nothing overlaps, so index-order dispatch is both legal and strictly
-// better under cancellation (every completed job is emitted, none is
-// discarded).
+// order sets the dispatch order: order[k] is the k-th job index handed
+// to the pool, so a scheduler can dispatch expensive jobs first
+// (killing tail latency) while emit still runs in strictly increasing
+// *index* order — the dispatch permutation can therefore never change
+// the emitted bytes, only the wall clock. A nil order means identity
+// dispatch; a non-nil order must be a permutation of [0, n) (length
+// mismatches panic — a wiring bug, not a runtime condition). The serial
+// path (workers ≤ 1 or n == 1) ignores the permutation: nothing
+// overlaps, so index-order dispatch is both legal and strictly better
+// under cancellation (every completed job is emitted, none discarded).
 //
-// Cancellation drains at a job boundary, as in RunOrderedWorkersCtx,
-// but with a permuted dispatch the completed set is a prefix of the
-// *dispatch* sequence, not of the index sequence: the emitted set is
-// then the longest contiguous index prefix [0, d) inside the completed
-// set, and completed jobs beyond d are discarded. The output invariant
-// — always an exact contiguous, resumable prefix — is unchanged.
-func RunOrderedDispatchCtx[T any](ctx context.Context, n, workers int, order []int, run func(worker, i int) T, emit func(i int, v T)) error {
+// When ctx is cancelled, no further jobs are dispatched, but every job
+// already handed to a worker runs to completion — the pool drains at a
+// job boundary rather than tearing mid-job. The completed set is a
+// prefix of the *dispatch* sequence; the emitted set is the longest
+// contiguous index prefix [0, d) inside it, and completed jobs beyond d
+// are discarded. Returns ctx.Err() if cancellation prevented any job
+// from being dispatched, nil if all n jobs ran (even if ctx was
+// cancelled after the last dispatch).
+func RunOrdered[T any](ctx context.Context, n, workers int, order []int, run func(worker, i int) T, emit func(i int, v T)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -101,7 +70,7 @@ func RunOrderedDispatchCtx[T any](ctx context.Context, n, workers int, order []i
 		vals = make([]T, n)
 		next int
 	)
-	return ParallelForWorkersCtx(ctx, n, workers, func(worker, k int) {
+	return parallelFor(ctx, n, workers, func(worker, k int) {
 		i := k
 		if order != nil {
 			i = order[k]
@@ -117,4 +86,61 @@ func RunOrderedDispatchCtx[T any](ctx context.Context, n, workers int, order []i
 			next++
 		}
 	})
+}
+
+// parallelFor runs fn(worker, i) for i in [0, n) on up to workers
+// goroutines; fn additionally receives the index of the worker
+// goroutine running it. Once ctx is cancelled no further indices are
+// dispatched, but every index a worker already received runs to
+// completion before the pool drains. Dispatch is strictly sequential,
+// so the executed set is always the contiguous prefix [0, d) for some
+// d ≤ n. Returns ctx.Err() if cancellation prevented any index from
+// being dispatched, nil otherwise.
+func parallelFor(ctx context.Context, n, workers int, fn func(worker, i int)) error {
+	if workers <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			fn(0, i)
+		}
+		return nil
+	}
+	if workers > n {
+		workers = n
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(worker int) {
+			defer wg.Done()
+			for i := range next {
+				fn(worker, i)
+			}
+		}(w)
+	}
+	var err error
+	done := ctx.Done()
+dispatch:
+	for i := 0; i < n; i++ {
+		// The double select biases toward cancellation: when both the
+		// worker pool and ctx are ready, plain select would pick at
+		// random and could keep dispatching long after cancellation.
+		select {
+		case <-done:
+			err = ctx.Err()
+			break dispatch
+		default:
+		}
+		select {
+		case next <- i:
+		case <-done:
+			err = ctx.Err()
+			break dispatch
+		}
+	}
+	close(next)
+	wg.Wait()
+	return err
 }

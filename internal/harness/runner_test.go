@@ -12,8 +12,8 @@ func TestRunOrderedEmitsInOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0) + 2} {
 		const n = 50
 		var got []int
-		RunOrdered(n, workers,
-			func(i int) int {
+		RunOrdered(context.Background(), n, workers, nil,
+			func(_, i int) int {
 				// Scramble completion order: later jobs finish sooner.
 				time.Sleep(time.Duration((n-i)%7) * 100 * time.Microsecond)
 				return i * 3
@@ -45,8 +45,8 @@ func TestRunOrderedStreamsPrefixes(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		RunOrdered(n, 4,
-			func(i int) int {
+		RunOrdered(context.Background(), n, 4, nil,
+			func(_, i int) int {
 				if i == 0 {
 					<-release
 				}
@@ -67,11 +67,11 @@ func TestRunOrderedStreamsPrefixes(t *testing.T) {
 
 func TestRunOrderedZeroAndOne(t *testing.T) {
 	calls := 0
-	RunOrdered(0, 4, func(i int) int { return i }, func(i, v int) { calls++ })
+	RunOrdered(context.Background(), 0, 4, nil, func(_, i int) int { return i }, func(i, v int) { calls++ })
 	if calls != 0 {
 		t.Fatalf("n=0 emitted %d", calls)
 	}
-	RunOrdered(1, 4, func(i int) int { return 9 }, func(i, v int) {
+	RunOrdered(context.Background(), 1, 4, nil, func(_, i int) int { return 9 }, func(i, v int) {
 		if i != 0 || v != 9 {
 			t.Fatalf("n=1 emitted (%d,%d)", i, v)
 		}
@@ -92,8 +92,8 @@ func TestRunOrderedCtxCancelEmitsContiguousPrefix(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var got []int
 		var ran atomic.Int32
-		err := RunOrderedCtx(ctx, n, workers,
-			func(i int) int {
+		err := RunOrdered(ctx, n, workers, nil,
+			func(_, i int) int {
 				ran.Add(1)
 				if i == 20 {
 					cancel()
@@ -131,10 +131,10 @@ func TestRunOrderedCtxCancelEmitsContiguousPrefix(t *testing.T) {
 func TestRunOrderedCtxUncancelledMatchesRunOrdered(t *testing.T) {
 	const n = 40
 	var got []int
-	if err := RunOrderedCtx(context.Background(), n, 4,
-		func(i int) int { return i * 2 },
+	if err := RunOrdered(context.Background(), n, 4, nil,
+		func(_, i int) int { return i * 2 },
 		func(i, v int) { got = append(got, v) }); err != nil {
-		t.Fatalf("RunOrderedCtx: %v", err)
+		t.Fatalf("RunOrdered: %v", err)
 	}
 	if len(got) != n {
 		t.Fatalf("emitted %d of %d", len(got), n)
@@ -151,8 +151,8 @@ func TestRunOrderedCtxPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		calls := 0
-		err := RunOrderedCtx(ctx, 10, workers,
-			func(i int) int { return i },
+		err := RunOrdered(ctx, 10, workers, nil,
+			func(_, i int) int { return i },
 			func(i, v int) { calls++ })
 		if err == nil {
 			t.Fatalf("workers=%d: pre-cancelled run returned nil", workers)
@@ -166,7 +166,7 @@ func TestRunOrderedCtxPreCancelled(t *testing.T) {
 func TestParallelForWorkersCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
-	err := ParallelForWorkersCtx(ctx, 500, 4, func(worker, i int) {
+	err := parallelFor(ctx, 500, 4, func(worker, i int) {
 		if i == 10 {
 			cancel()
 		}
@@ -174,7 +174,7 @@ func TestParallelForWorkersCtxCancel(t *testing.T) {
 		time.Sleep(20 * time.Microsecond)
 	})
 	if err == nil {
-		t.Fatal("cancelled ParallelForWorkersCtx returned nil")
+		t.Fatal("cancelled parallelFor returned nil")
 	}
 	if g := ran.Load(); g == 0 || g >= 500 {
 		t.Fatalf("ran %d of 500 jobs, want a proper nonempty prefix", g)
@@ -197,7 +197,7 @@ func TestRunOrderedDispatchEmitsInIndexOrder(t *testing.T) {
 	for _, order := range [][]int{nil, reverse, shuffled} {
 		for _, workers := range []int{1, 2, 4} {
 			var got []int
-			err := RunOrderedDispatchCtx(context.Background(), n, workers, order,
+			err := RunOrdered(context.Background(), n, workers, order,
 				func(_, i int) int {
 					time.Sleep(time.Duration(i%5) * 50 * time.Microsecond)
 					return i * 7
@@ -235,7 +235,7 @@ func TestRunOrderedDispatchCancelStillContiguousPrefix(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var got []int
 	var ran atomic.Int32
-	err := RunOrderedDispatchCtx(ctx, n, 4, order,
+	err := RunOrdered(ctx, n, 4, order,
 		func(_, i int) int {
 			if ran.Add(1) == 30 {
 				cancel()
@@ -264,6 +264,6 @@ func TestRunOrderedDispatchBadOrderPanics(t *testing.T) {
 			t.Fatal("length-mismatched dispatch order did not panic")
 		}
 	}()
-	RunOrderedDispatchCtx(context.Background(), 5, 2, []int{0, 1},
+	RunOrdered(context.Background(), 5, 2, []int{0, 1},
 		func(_, i int) int { return i }, func(int, int) {})
 }

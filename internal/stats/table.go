@@ -6,8 +6,7 @@ import (
 )
 
 // Table is a simple column-aligned text table used by the experiment
-// harness to render paper-style result tables to stdout and to
-// EXPERIMENTS.md.
+// harness to render paper-style result tables (`faultexp experiment`).
 type Table struct {
 	Title   string
 	Header  []string

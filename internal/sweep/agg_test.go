@@ -15,7 +15,7 @@ import (
 func aggInput(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := Run(toySpec(), NewJSONL(&buf), Options{Workers: 2}); err != nil {
+	if _, err := runSpec(toySpec(), NewJSONL(&buf), WithWorkers(2)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

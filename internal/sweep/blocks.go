@@ -1,7 +1,8 @@
 package sweep
 
-// Trial-parallel execution: the block layer that makes the TRIAL the
-// schedulable unit instead of the cell. A cell's [0, Trials) loop
+// The block layer: every independent cell runs as trial blocks. A
+// serial cell is one block covering [0, Trials), folded into its Result
+// on the worker that ran it. In trial-parallel mode a cell's loop
 // splits into fixed-size blocks of Cell.TrialBlock trials; each block
 // runs on a pool worker with its own Recorder, and the (single-
 // threaded) emit path folds the blocks back together in block-index
@@ -18,9 +19,9 @@ package sweep
 // partition on every Result (trial_block).
 //
 // Each block replays the cell's TrialSetup from the same setup seed
-// (xrand.New(c.Seed), exactly as runCell does), so per-cell baselines
-// and constants are recomputed identically per block; the setup cost is
-// amortized over the block's trials.
+// (xrand.New(c.Seed)), so per-cell baselines and constants are
+// recomputed identically per block; the setup cost is amortized over
+// the block's trials.
 
 import (
 	"fmt"
@@ -74,10 +75,10 @@ type blockOut struct {
 }
 
 // runTrialBlock executes trials [lo, hi) of one cell: it replays the
-// cell's TrialSetup (same c.Seed root as runCell, so baselines and
+// cell's TrialSetup (same c.Seed root for every block, so baselines and
 // constants reproduce identically per block) and drives the block's
 // slice of the trial loop into a private recorder. Panics are contained
-// per block, as runCell contains them per cell.
+// per block, so a single pathological cell cannot kill a grid.
 func runTrialBlock(g *graph.Graph, c Cell, ws *graph.Workspace, lo, hi int) (out *blockOut) {
 	out = &blockOut{n: g.N(), m: g.M()}
 	rec := recorderPool.Get().(*Recorder)
@@ -91,9 +92,9 @@ func runTrialBlock(g *graph.Graph, c Cell, ws *graph.Workspace, lo, hi int) (out
 	}()
 	setup, ok := LookupTrials(c.Measure)
 	if !ok {
-		// Validate refuses cell-grained measures before a job starts;
-		// this guards hand-built Cells in tests and tools.
-		out.errMsg = fmt.Sprintf("measure %q is not trial-grained", c.Measure)
+		// Validate refuses unknown measures before a job starts; this
+		// guards hand-built Cells in tests and tools.
+		out.errMsg = fmt.Sprintf("unknown measure %q", c.Measure)
 		return out
 	}
 	run, err := setup(g, c, ws, xrand.New(c.Seed), rec)
@@ -113,26 +114,11 @@ func runTrialBlock(g *graph.Graph, c Cell, ws *graph.Workspace, lo, hi int) (out
 	return out
 }
 
-// foldCell renders a cell's merged block state into its Result — the
-// trial-parallel counterpart of runCell's tail (finisher, metric
-// rendering, non-finite filtering, panic containment). rec is recycled
-// here whatever path returns.
+// foldCell renders a cell's (merged) block state into its Result: the
+// finisher, metric rendering, non-finite filtering, and panic
+// containment. rec is recycled here whatever path returns.
 func foldCell(c Cell, rec *Recorder, finish FinishFunc, errMsg string, n, m int) (res *Result) {
-	res = &Result{
-		Family:     c.Family.Family,
-		Size:       c.Family.Size,
-		N:          n,
-		M:          m,
-		Measure:    c.Measure,
-		Model:      c.Model,
-		Rate:       c.Rate,
-		Trials:     c.Trials,
-		Seed:       c.Seed,
-		TrialBlock: c.TrialBlock,
-	}
-	if c.Precision.Sampled {
-		res.Precision = c.Precision.String()
-	}
+	res = newResult(c, n, m)
 	defer func() {
 		if rec != nil {
 			recorderPool.Put(rec)

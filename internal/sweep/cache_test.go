@@ -25,14 +25,17 @@ func init() {
 	// ctoy gives the cache tests a coupled measure without importing the
 	// real kernels: one coupling draw per node per trial, survivors
 	// counted per rate (monotone in rate, as the coupled contract wants).
-	Register("ctoy", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG) (map[string]float64, error) {
-		alive := 0
-		for i := 0; i < g.N(); i++ {
-			if rng.Float64() >= c.Rate {
-				alive++
+	RegisterTrials("ctoy", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
+		return TrialRun{Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) error {
+			alive := 0
+			for i := 0; i < g.N(); i++ {
+				if rng.Float64() >= c.Rate {
+					alive++
+				}
 			}
-		}
-		return map[string]float64{"alive_frac": float64(alive) / float64(g.N())}, nil
+			rec.Observe("alive_frac", float64(alive)/float64(g.N()))
+			return nil
+		}}, nil
 	})
 	RegisterCoupled("ctoy", func(g *graph.Graph, cells []Cell, ws *graph.Workspace, rng *xrand.RNG, recs []*Recorder) (CoupledRun, error) {
 		n := g.N()
@@ -225,7 +228,7 @@ func TestCacheStaleKernelVersion(t *testing.T) {
 // TestCacheShardResumeComposition exercises the cache against the other
 // two execution axes at once: sharded runs fill one shared cache, the
 // merged output matches the golden bytes, a warm unsharded run is all
-// hits, and a resume (SkipCells) on a warm cache completes the suffix
+// hits, and a resume (WithSkipCells) on a warm cache completes the suffix
 // byte-identically.
 func TestCacheShardResumeComposition(t *testing.T) {
 	spec := multiModelSpec()

@@ -95,21 +95,11 @@ func CoupledMeasures() []string {
 // runCoupledGroup executes one coupled cell group on the worker's
 // workspace and returns one Result per rate cell, in grid order. Panics
 // and errors land in the Err field of every rate whose metrics were not
-// yet finalized, mirroring runCell's containment.
+// yet finalized, mirroring runTrialBlock's containment.
 func runCoupledGroup(g *graph.Graph, cells []Cell, ws *graph.Workspace, groupSeed uint64) (out []*Result) {
 	out = make([]*Result, len(cells))
 	for i, c := range cells {
-		out[i] = &Result{
-			Family:  c.Family.Family,
-			Size:    c.Family.Size,
-			N:       g.N(),
-			M:       g.M(),
-			Measure: c.Measure,
-			Model:   c.Model,
-			Rate:    c.Rate,
-			Trials:  c.Trials,
-			Seed:    c.Seed,
-		}
+		out[i] = newResult(c, g.N(), g.M())
 	}
 	fail := func(msg string) []*Result {
 		for _, r := range out {

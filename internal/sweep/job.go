@@ -10,7 +10,7 @@ package sweep
 //
 // Cancellation drains, never tears: the pool stops dispatching new cells
 // but every cell already handed to a worker completes and is emitted
-// (harness.RunOrderedWorkersCtx), so the JSONL output after a cancel is
+// (harness.RunOrdered), so the JSONL output after a cancel is
 // always the exact contiguous prefix of the run's cell sequence — a
 // valid `-resume` input that completes to bytes identical to an
 // uninterrupted run.
@@ -69,10 +69,9 @@ type Snapshot struct {
 	CellsTotal   int `json:"cells_total"`
 	CellsSkipped int `json:"cells_skipped,omitempty"`
 	// TrialsDone counts completed trial executions. It advances as
-	// compute finishes — per trial block in trial-parallel mode, per
-	// cell (or coupled group) otherwise — so it can run ahead of the
-	// durable output by the in-flight window; CellsDone stays
-	// write-confirmed.
+	// compute finishes — per trial block (a serial cell is one block)
+	// or per coupled group — so it can run ahead of the durable output
+	// by the in-flight window; CellsDone stays write-confirmed.
 	TrialsDone int64 `json:"trials_done"`
 	// GraphsBuilt / GraphsTotal track the lazy family-graph lifecycle:
 	// Total is how many distinct family graphs this run needs, Built
@@ -150,8 +149,9 @@ func WithCache(rc *cache.Cache) JobOption { return func(c *jobConfig) { c.cache 
 // WithFlight attaches a single-flight group shared across jobs (nil =
 // none): when another job is computing a cell with the same cache key,
 // this job waits for its bytes instead of recomputing — the serve
-// daemon's cross-job dedup. Applies to plain cells (coupled groups and
-// trial blocks always compute locally on a probe miss).
+// daemon's cross-job dedup. Applies to every unit that completes one
+// whole cell on its worker (coupled groups and the blocks of a
+// multi-block cell always compute locally on a probe miss).
 func WithFlight(f *cache.Flight) JobOption { return func(c *jobConfig) { c.flight = f } }
 
 // discardWriter is the default sink when no WithWriter option is given.
@@ -413,14 +413,13 @@ func (e *graphEntry) release() {
 type unitKind uint8
 
 const (
-	unitCell  unitKind = iota // one independent cell
+	unitBlock unitKind = iota // one trial block of an independent cell
 	unitGroup                 // one coupled rate group (contiguous cells)
-	unitBlock                 // one trial block of a trial-parallel cell
 )
 
 // unit is one schedulable piece of work. Units are built in cell-major
 // order, so emitting them in unit-index order reproduces the cell
-// order — and, within a trial-parallel cell, block order.
+// order — and, within a multi-block cell, block order.
 type unit struct {
 	kind unitKind
 	cell int // index into j.cells (first cell of the group for unitGroup)
@@ -433,19 +432,22 @@ type unit struct {
 	cost float64
 }
 
+// wholeCell reports whether the unit is one block covering its entire
+// cell — the unit that folds on its worker and can join a flight.
+func (u *unit) wholeCell() bool { return u.kind == unitBlock && u.lo == 0 && u.last }
+
 // unitOut is what one scheduled unit yields to the ordered emit path.
 type unitOut struct {
-	res  *Result   // unitCell
-	grp  []*Result // unitGroup
-	blk  *blockOut // unitBlock
+	rs   []*Result // whole cells, folded on the worker (one cell or a coupled group)
+	blk  *blockOut // one block of a multi-block cell, folded at emit
 	skip bool      // dropped: writer already failed or a graph build failed
 }
 
 // run executes the job: plan every family up front (fail before any
 // output), build graphs lazily and ref-counted on the pool, execute
-// the schedulable units — cells, coupled groups, or trial blocks —
-// with cost-ordered dispatch and ordered emission, stream to the
-// writer, flush.
+// the schedulable units — trial blocks or coupled groups — with
+// cost-ordered dispatch and ordered emission, stream to the writer,
+// flush.
 func (j *Job) run(parent context.Context) {
 	// An internal cancel layer lets a mid-run graph-build failure stop
 	// dispatch the same way a user cancel does (drain, flush, then
@@ -530,13 +532,13 @@ func (j *Job) run(parent context.Context) {
 	j.graphsTotal.Store(int64(len(entries)))
 
 	// Expand the cell sequence into schedulable units, cell-major: the
-	// coupled group (every rate of one family × measure × model), the
-	// trial block, or the plain cell. Emission in unit order therefore
-	// reproduces cell order, and a trial-parallel cell's blocks arrive
-	// at the fold consecutively, in block order.
+	// coupled group (every rate of one family × measure × model) or the
+	// trial block (a serial cell is one block covering [0, Trials)).
+	// Emission in unit order therefore reproduces cell order, and a
+	// multi-block cell's blocks arrive at the fold consecutively, in
+	// block order.
 	var units []unit
-	switch {
-	case j.spec.Coupled():
+	if j.spec.Coupled() {
 		per := len(j.spec.Rates)
 		for s := 0; s < len(j.cells); s += per {
 			// probeCache guarantees group granularity: the first cell's
@@ -551,7 +553,7 @@ func (j *Job) run(parent context.Context) {
 				cost: UnitCost(e.estN, e.estM, c.Trials*per, c.Precision),
 			})
 		}
-	case j.spec.TrialParallel:
+	} else {
 		for i := range j.cells {
 			if isHit(i) {
 				continue
@@ -560,28 +562,16 @@ func (j *Job) run(parent context.Context) {
 			e := entries[c.Family.String()]
 			nb := blockCount(c.Trials, c.TrialBlock)
 			for b := 0; b < nb; b++ {
-				lo := b * c.TrialBlock
-				hi := min(lo+c.TrialBlock, c.Trials)
-				if nb == 1 {
-					lo, hi = 0, c.Trials
+				lo, hi := 0, c.Trials
+				if nb > 1 {
+					lo = b * c.TrialBlock
+					hi = min(lo+c.TrialBlock, c.Trials)
 				}
 				units = append(units, unit{
 					kind: unitBlock, cell: i, lo: lo, hi: hi, last: b == nb-1, fam: e,
 					cost: UnitCost(e.estN, e.estM, hi-lo, c.Precision),
 				})
 			}
-		}
-	default:
-		for i := range j.cells {
-			if isHit(i) {
-				continue
-			}
-			c := &j.cells[i]
-			e := entries[c.Family.String()]
-			units = append(units, unit{
-				kind: unitCell, cell: i, fam: e,
-				cost: UnitCost(e.estN, e.estM, c.Trials, c.Precision),
-			})
 		}
 	}
 	// Preset the ref counts before any dispatch: release() relies on
@@ -610,8 +600,8 @@ func (j *Job) run(parent context.Context) {
 	// Cost-aware dispatch: hand the most expensive units to the pool
 	// first (stable sort — ties keep cell order, so same-family units
 	// stay contiguous and the in-flight graph set stays small). The
-	// permutation affects wall-clock only: RunOrderedDispatchCtx emits
-	// in unit-index order regardless, so output bytes are untouched.
+	// permutation affects wall-clock only: RunOrdered emits in
+	// unit-index order regardless, so output bytes are untouched.
 	var order []int
 	if workers > 1 {
 		order = make([]int, len(units))
@@ -624,8 +614,8 @@ func (j *Job) run(parent context.Context) {
 	}
 
 	// One private Workspace per worker goroutine (never shared, never
-	// locked): the trial loops inside cell functions reuse its buffers,
-	// which is what makes the steady-state sweep path allocation-free.
+	// locked): the trial loops reuse its buffers, which is what makes
+	// the steady-state sweep path allocation-free.
 	workspaces := make([]*graph.Workspace, workers)
 	for i := range workspaces {
 		workspaces[i] = graph.NewWorkspace()
@@ -708,19 +698,19 @@ func (j *Job) run(parent context.Context) {
 			u.fam.release()
 			return unitOut{skip: true}
 		}
-		// Cross-job single-flight (plain cells only): if another job is
-		// already computing this exact cell, wait for its bytes instead
+		// Cross-job single-flight (whole-cell units only): if another job
+		// is already computing this exact cell, wait for its bytes instead
 		// of acquiring the graph at all. A leader election obliges this
 		// worker to Finish or Abort on every exit path below.
 		var flightLeader bool
-		if j.cfg.flight != nil && u.kind == unitCell {
+		if j.cfg.flight != nil && u.wholeCell() {
 			leader, p := j.cfg.flight.Begin(keys[u.cell])
 			if !leader {
 				if payload, ok := p.Wait(ctx); ok {
 					if r, ok := CachedResult(payload, &j.cells[u.cell]); ok {
 						u.fam.release()
 						j.cacheInflight.Add(1)
-						return unitOut{res: r}
+						return unitOut{rs: []*Result{r}}
 					}
 				}
 				// Leader aborted (error cell, cancellation) or the bytes
@@ -740,55 +730,55 @@ func (j *Job) run(parent context.Context) {
 		}
 		defer u.fam.release()
 		ws := workspaces[worker]
-		switch u.kind {
-		case unitGroup:
+		var rs []*Result
+		if u.kind == unitGroup {
 			group := j.cells[u.cell : u.cell+len(j.spec.Rates)]
 			c0 := group[0]
 			seed := CoupledGroupSeed(j.spec.Seed, c0.Family, c0.Measure, c0.Model)
-			rs := runCoupledGroup(g, group, ws, seed)
+			rs = runCoupledGroup(g, group, ws, seed)
 			j.trialsDone.Add(int64(c0.Trials) * int64(len(group)))
-			if cacheOn {
-				j.cacheMisses.Add(int64(len(rs)))
-				for k, r := range rs {
-					writeBack(u.cell+k, r)
-				}
-			}
-			return unitOut{grp: rs}
-		case unitBlock:
-			blk := runTrialBlock(g, j.cells[u.cell], ws, u.lo, u.hi)
+		} else {
+			c := j.cells[u.cell]
+			blk := runTrialBlock(g, c, ws, u.lo, u.hi)
 			j.trialsDone.Add(int64(u.hi - u.lo))
-			if cacheOn && u.lo == 0 {
-				// One miss per cell, counted at its first block; the
-				// write-back waits for the fold on the emit path.
-				j.cacheMisses.Add(1)
-			}
-			return unitOut{blk: blk}
-		default:
-			r := runCell(g, j.cells[u.cell], ws)
-			j.trialsDone.Add(int64(r.Trials))
-			var payload []byte
-			if cacheOn {
-				j.cacheMisses.Add(1)
-				payload = writeBack(u.cell, r)
-			}
-			if flightLeader {
-				if payload != nil {
-					j.cfg.flight.Finish(keys[u.cell], payload)
-				} else {
-					j.cfg.flight.Abort(keys[u.cell])
+			if !u.wholeCell() {
+				if cacheOn && u.lo == 0 {
+					// One miss per cell, counted at its first block; the
+					// write-back waits for the fold on the emit path.
+					j.cacheMisses.Add(1)
 				}
+				return unitOut{blk: blk}
 			}
-			return unitOut{res: r}
+			rs = []*Result{foldCell(c, blk.rec, blk.finish, blk.errMsg, blk.n, blk.m)}
 		}
+		// The unit completed whole cells: write them back here, on the
+		// worker, so encoding and the cache write stay off the serialized
+		// emit path.
+		var payload []byte
+		if cacheOn {
+			j.cacheMisses.Add(int64(len(rs)))
+			for k, r := range rs {
+				payload = writeBack(u.cell+k, r)
+			}
+		}
+		if flightLeader {
+			// A flight leader is a whole-cell unit: payload is its cell's.
+			if payload != nil {
+				j.cfg.flight.Finish(keys[u.cell], payload)
+			} else {
+				j.cfg.flight.Abort(keys[u.cell])
+			}
+		}
+		return unitOut{rs: rs}
 	}
 
-	// Trial-block fold state. RunOrderedDispatchCtx emits units in
-	// index order on one goroutine and units are cell-major, so a
-	// cell's blocks arrive here consecutively, in block order — the
-	// fold needs no locking and no out-of-order buffering beyond what
-	// the harness already does. The merge order is therefore fixed by
-	// the block partition, never by scheduling: that is the whole
-	// byte-determinism argument for trial-parallel mode.
+	// Multi-block fold state. RunOrdered emits units in index order on
+	// one goroutine and units are cell-major, so a cell's blocks arrive
+	// here consecutively, in block order — the fold needs no locking and
+	// no out-of-order buffering beyond what the harness already does.
+	// The merge order is therefore fixed by the block partition, never
+	// by scheduling: that is the whole byte-determinism argument for
+	// trial-parallel mode.
 	var (
 		accRec     *Recorder
 		accFinish  FinishFunc
@@ -826,47 +816,43 @@ func (j *Job) run(parent context.Context) {
 		}
 		u := &units[ui]
 		flushHits(u.cell)
-		switch {
-		case out.grp != nil:
-			for _, r := range out.grp {
+		if out.blk == nil {
+			for _, r := range out.rs {
 				emitOne(r)
 			}
-			nextEmit = u.cell + len(out.grp)
-		case out.blk != nil:
-			b := out.blk
-			if u.lo == 0 {
-				accRec, accFinish, accErr, accN, accM = b.rec, b.finish, b.errMsg, b.n, b.m
-			} else {
-				if accErr == "" {
-					accErr = b.errMsg
-				}
-				if b.rec != nil {
-					if accRec == nil {
-						accRec = b.rec
-					} else {
-						accRec.MergeFrom(b.rec)
-						recorderPool.Put(b.rec)
-					}
+			nextEmit = u.cell + len(out.rs)
+			return
+		}
+		b := out.blk
+		if u.lo == 0 {
+			accRec, accFinish, accErr, accN, accM = b.rec, b.finish, b.errMsg, b.n, b.m
+		} else {
+			if accErr == "" {
+				accErr = b.errMsg
+			}
+			if b.rec != nil {
+				if accRec == nil {
+					accRec = b.rec
+				} else {
+					accRec.MergeFrom(b.rec)
+					recorderPool.Put(b.rec)
 				}
 			}
-			if u.last {
-				r := foldCell(j.cells[u.cell], accRec, accFinish, accErr, accN, accM)
-				accRec, accFinish, accErr = nil, nil, ""
-				if cacheOn {
-					// Trial-parallel write-back happens here, where the
-					// folded record first exists.
-					writeBack(u.cell, r)
-				}
-				emitOne(r)
-				nextEmit = u.cell + 1
+		}
+		if u.last {
+			r := foldCell(j.cells[u.cell], accRec, accFinish, accErr, accN, accM)
+			accRec, accFinish, accErr = nil, nil, ""
+			if cacheOn {
+				// A multi-block cell writes back here, where its folded
+				// record first exists.
+				writeBack(u.cell, r)
 			}
-		default:
-			emitOne(out.res)
+			emitOne(r)
 			nextEmit = u.cell + 1
 		}
 	}
 
-	ctxErr := harness.RunOrderedDispatchCtx(ctx, len(units), workers, order, runUnit, emitUnit)
+	ctxErr := harness.RunOrdered(ctx, len(units), workers, order, runUnit, emitUnit)
 	if writeErr == nil && buildErr.Load() == nil && ctxErr == nil {
 		// Every scheduled unit emitted: flush the cached cells past the
 		// last one (on an all-hit run, that is the entire grid — no
@@ -890,35 +876,4 @@ func (j *Job) run(parent context.Context) {
 	default:
 		j.finish(stDone, nil)
 	}
-}
-
-// Run expands the spec, builds each family graph once, executes every
-// cell on a bounded worker pool, and streams results to w in cell order.
-// Per-cell measurement failures are recorded in the cell's Result (and
-// counted in the summary), not fatal; spec, graph-construction, and
-// writer errors abort the run. Run is the synchronous wrapper over the
-// Job API: use NewJob directly for cancellation, mid-flight snapshots,
-// or resumable interruption.
-func Run(spec *Spec, w Writer, opt Options) (Summary, error) {
-	return RunCtx(context.Background(), spec, w, opt)
-}
-
-// RunCtx is Run bound to a context: cancelling ctx stops the run at a
-// cell boundary and leaves the output a valid resume prefix, returning
-// the cells emitted so far plus a context.Canceled-wrapping error.
-func RunCtx(ctx context.Context, spec *Spec, w Writer, opt Options) (Summary, error) {
-	j, err := NewJob(spec,
-		WithWriter(w),
-		WithWorkers(opt.Workers),
-		WithShard(opt.Shard),
-		WithSkipCells(opt.SkipCells),
-		WithProgress(opt.Progress),
-	)
-	if err != nil {
-		return Summary{}, err
-	}
-	if err := j.Start(ctx); err != nil {
-		return Summary{}, err
-	}
-	return j.Wait()
 }

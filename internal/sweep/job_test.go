@@ -38,19 +38,21 @@ func jobRef(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// TestJobCleanRunMatchesRun: two clean runs of one grid on different
+// pool sizes emit identical bytes.
 func TestJobCleanRunMatchesRun(t *testing.T) {
 	var runBuf bytes.Buffer
-	if _, err := Run(toySpec(), NewJSONL(&runBuf), Options{Workers: 3}); err != nil {
-		t.Fatalf("Run: %v", err)
+	if _, err := runSpec(toySpec(), NewJSONL(&runBuf), WithWorkers(3)); err != nil {
+		t.Fatalf("run: %v", err)
 	}
 	if got := jobRef(t); !bytes.Equal(got, runBuf.Bytes()) {
-		t.Errorf("Job output differs from Run output:\n--- job ---\n%s--- run ---\n%s", got, runBuf.Bytes())
+		t.Errorf("workers=2 output differs from workers=3:\n--- 2 ---\n%s--- 3 ---\n%s", got, runBuf.Bytes())
 	}
 }
 
 // TestJobCancelResumesByteIdentical is the acceptance-criteria test:
 // cancel a job mid-run, verify the output is a clean prefix ScanResume
-// accepts, resume with SkipCells, and require the final bytes to equal
+// accepts, resume with WithSkipCells, and require the final bytes to equal
 // the uninterrupted run exactly.
 func TestJobCancelResumesByteIdentical(t *testing.T) {
 	want := jobRef(t)

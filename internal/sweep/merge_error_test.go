@@ -20,8 +20,8 @@ func mergeFixture(t *testing.T, m int) []string {
 	outs := make([]string, m)
 	for i := 0; i < m; i++ {
 		var buf bytes.Buffer
-		if _, err := Run(spec, NewJSONL(&buf), Options{Shard: Shard{Index: i, Count: m}}); err != nil {
-			t.Fatalf("Run(shard %d/%d): %v", i, m, err)
+		if _, err := runSpec(spec, NewJSONL(&buf), WithShard(Shard{Index: i, Count: m})); err != nil {
+			t.Fatalf("run(shard %d/%d): %v", i, m, err)
 		}
 		outs[i] = buf.String()
 	}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,15 +43,8 @@ func trialParSpec() *Spec {
 func runJobToBytes(t *testing.T, spec *Spec, workers int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	j, err := NewJob(spec, WithWriter(NewJSONL(&buf)), WithWorkers(workers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Wait(); err != nil {
-		t.Fatalf("Wait(workers=%d): %v", workers, err)
+	if _, err := runSpec(spec, NewJSONL(&buf), WithWorkers(workers)); err != nil {
+		t.Fatalf("run(workers=%d): %v", workers, err)
 	}
 	return buf.Bytes()
 }
@@ -274,13 +268,6 @@ func TestTrialParallelValidate(t *testing.T) {
 	}
 
 	s = trialParSpec()
-	s.Measures = []string{"toy"} // cell-grained
-	s.TrialBlock = 0
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "trial-grained") {
-		t.Errorf("cell-grained measure accepted under trial-parallel: %v", err)
-	}
-
-	s = trialParSpec()
 	s.RateMode = RateModeCoupled
 	if err := s.Validate(); err == nil {
 		t.Error("coupled rate mode accepted under trial-parallel")
@@ -303,22 +290,24 @@ func TestTrialParallelValidate(t *testing.T) {
 }
 
 // TestTrialMeasuresLists checks the registry view the validator names in
-// its error messages.
+// its error messages: Measures lists every trial registration, sorted,
+// and every listed name resolves through LookupTrials.
 func TestTrialMeasuresLists(t *testing.T) {
-	names := TrialMeasures()
-	has := func(want string) bool {
-		for _, n := range names {
-			if n == want {
-				return true
-			}
+	names := Measures()
+	if !sort.StringsAreSorted(names) {
+		t.Errorf("Measures() = %v, not sorted", names)
+	}
+	has := map[string]bool{}
+	for _, n := range names {
+		has[n] = true
+		if _, ok := LookupTrials(n); !ok {
+			t.Errorf("Measures() lists %q, which LookupTrials cannot resolve", n)
 		}
-		return false
 	}
-	if !has("trialtoy") {
-		t.Errorf("TrialMeasures() = %v, missing trialtoy", names)
-	}
-	if has("toy") {
-		t.Errorf("TrialMeasures() = %v, contains cell-grained toy", names)
+	for _, want := range []string{"trialtoy", "toy", "ctoy"} {
+		if !has[want] {
+			t.Errorf("Measures() = %v, missing %s", names, want)
+		}
 	}
 }
 

@@ -53,15 +53,15 @@ func ParsePrecision(s string) (Precision, error) {
 }
 
 // sampledCapable records which measures have a sampled-precision
-// kernel. It is a capability mark over the main measure registry, not a
-// second registry: the measure's registered CellFunc handles both tiers
-// and dispatches on Cell.Precision.
+// kernel. It is a capability mark over the measure registry, not a
+// second registry: the measure's registered TrialSetup handles both
+// tiers and dispatches on Cell.Precision.
 var sampledCapable = map[string]bool{}
 
 // MarkSampled declares that the named measure's kernel understands
 // Cell.Precision and implements the sampled tier. Duplicate marks
-// panic (a wiring bug, mirroring Register). The mark is independent of
-// registration order.
+// panic (a wiring bug, mirroring RegisterTrials). The mark is
+// independent of registration order.
 func MarkSampled(name string) {
 	regMu.Lock()
 	defer regMu.Unlock()

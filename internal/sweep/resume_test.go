@@ -12,7 +12,7 @@ func resumeRef(t *testing.T, sh Shard) ([]byte, []Cell) {
 	t.Helper()
 	spec := toySpec()
 	var buf bytes.Buffer
-	if _, err := Run(spec, NewJSONL(&buf), Options{Workers: 2, Shard: sh}); err != nil {
+	if _, err := runSpec(spec, NewJSONL(&buf), WithWorkers(2), WithShard(sh)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), toySpec().ShardCells(sh)
@@ -96,7 +96,7 @@ func TestScanResumeRefusesMismatches(t *testing.T) {
 
 // TestResumeByteIdentity is the acceptance criterion: killing a run at
 // any cell boundary (with or without a partial trailing record) and
-// resuming with SkipCells produces output byte-identical to the
+// resuming with WithSkipCells produces output byte-identical to the
 // uninterrupted run — including under sharding.
 func TestResumeByteIdentity(t *testing.T) {
 	for _, sh := range []Shard{{}, {Index: 0, Count: 3}, {Index: 2, Count: 3}} {
@@ -112,7 +112,7 @@ func TestResumeByteIdentity(t *testing.T) {
 			}
 			// Truncate to the verified prefix, then append the remainder.
 			resumed := bytes.NewBuffer(append([]byte(nil), file[:st.Offset]...))
-			if _, err := Run(toySpec(), NewJSONL(resumed), Options{Workers: 2, Shard: sh, SkipCells: st.Done}); err != nil {
+			if _, err := runSpec(toySpec(), NewJSONL(resumed), WithWorkers(2), WithShard(sh), WithSkipCells(st.Done)); err != nil {
 				t.Fatalf("shard %v cut %+v: resume run: %v", sh, cut, err)
 			}
 			if !bytes.Equal(resumed.Bytes(), ref) {
@@ -125,7 +125,7 @@ func TestResumeByteIdentity(t *testing.T) {
 func TestRunRejectsBadSkip(t *testing.T) {
 	for _, skip := range []int{-1, len(toySpec().Cells()) + 1} {
 		var buf bytes.Buffer
-		if _, err := Run(toySpec(), NewJSONL(&buf), Options{SkipCells: skip}); err == nil {
+		if _, err := runSpec(toySpec(), NewJSONL(&buf), WithSkipCells(skip)); err == nil {
 			t.Errorf("SkipCells=%d accepted", skip)
 		}
 	}

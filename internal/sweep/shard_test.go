@@ -53,9 +53,9 @@ func TestShardPartition(t *testing.T) {
 	const m = 3
 	for i := 0; i < m; i++ {
 		var buf bytes.Buffer
-		sum, err := Run(spec, NewJSONL(&buf), Options{Workers: 2, Shard: Shard{Index: i, Count: m}})
+		sum, err := runSpec(spec, NewJSONL(&buf), WithWorkers(2), WithShard(Shard{Index: i, Count: m}))
 		if err != nil {
-			t.Fatalf("Run(shard %d/%d): %v", i, m, err)
+			t.Fatalf("run(shard %d/%d): %v", i, m, err)
 		}
 		if want := shardLineCount(len(all), i, m); sum.Cells != want {
 			t.Errorf("shard %d/%d ran %d cells, want %d", i, m, sum.Cells, want)
@@ -85,15 +85,15 @@ func TestShardPartition(t *testing.T) {
 func TestShardMergeByteIdentity(t *testing.T) {
 	spec := multiModelSpec()
 	var wantJSONL, wantCSV bytes.Buffer
-	if _, err := Run(spec, MultiWriter{NewJSONL(&wantJSONL), NewCSV(&wantCSV)}, Options{Workers: 3}); err != nil {
+	if _, err := runSpec(spec, MultiWriter{NewJSONL(&wantJSONL), NewCSV(&wantCSV)}, WithWorkers(3)); err != nil {
 		t.Fatalf("unsharded Run: %v", err)
 	}
 	for _, m := range []int{1, 2, 3, 5} {
 		shards := make([]bytes.Buffer, m)
 		readers := make([]io.Reader, m)
 		for i := 0; i < m; i++ {
-			if _, err := Run(spec, NewJSONL(&shards[i]), Options{Workers: 2, Shard: Shard{Index: i, Count: m}}); err != nil {
-				t.Fatalf("Run(shard %d/%d): %v", i, m, err)
+			if _, err := runSpec(spec, NewJSONL(&shards[i]), WithWorkers(2), WithShard(Shard{Index: i, Count: m})); err != nil {
+				t.Fatalf("run(shard %d/%d): %v", i, m, err)
 			}
 			readers[i] = bytes.NewReader(shards[i].Bytes())
 		}
@@ -128,7 +128,7 @@ func TestMergeShardsRejectsBadInput(t *testing.T) {
 	outs := make([]string, m)
 	for i := 0; i < m; i++ {
 		var buf bytes.Buffer
-		if _, err := Run(spec, NewJSONL(&buf), Options{Shard: Shard{Index: i, Count: m}}); err != nil {
+		if _, err := runSpec(spec, NewJSONL(&buf), WithShard(Shard{Index: i, Count: m})); err != nil {
 			t.Fatal(err)
 		}
 		outs[i] = buf.String()
@@ -173,7 +173,7 @@ func TestMergeShardsRejectsBadInput(t *testing.T) {
 	outs4 := make([]string, 4)
 	for i := 0; i < 4; i++ {
 		var buf bytes.Buffer
-		if _, err := Run(spec, NewJSONL(&buf), Options{Shard: Shard{Index: i, Count: 4}}); err != nil {
+		if _, err := runSpec(spec, NewJSONL(&buf), WithShard(Shard{Index: i, Count: 4})); err != nil {
 			t.Fatal(err)
 		}
 		outs4[i] = buf.String()
@@ -195,7 +195,7 @@ func TestMergeShardsRejectsBadInput(t *testing.T) {
 // TestRunRejectsInvalidShard pins the Options-level validation.
 func TestRunRejectsInvalidShard(t *testing.T) {
 	for _, sh := range []Shard{{Index: 3, Count: 3}, {Index: -1, Count: 2}, {Index: 0, Count: -1}} {
-		if _, err := Run(multiModelSpec(), NewJSONL(&bytes.Buffer{}), Options{Shard: sh}); err == nil {
+		if _, err := runSpec(multiModelSpec(), NewJSONL(&bytes.Buffer{}), WithShard(sh)); err == nil {
 			t.Errorf("Run accepted invalid shard %+v", sh)
 		}
 	}

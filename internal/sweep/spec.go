@@ -213,10 +213,9 @@ type Spec struct {
 	// TrialBlock) — never on worker count, sharding, or resume — but
 	// the _mean/_std companions can differ from the serial fold in the
 	// last ulp, which is why the mode is opt-in and every Result
-	// records its partition (trial_block). Requires every measure in
-	// the grid to be trial-grained and is incompatible with the coupled
-	// rate mode (a coupled group's incremental rate pass is sequential
-	// by construction).
+	// records its partition (trial_block). Incompatible with the
+	// coupled rate mode (a coupled group's incremental rate pass is
+	// sequential by construction).
 	TrialParallel bool `json:"trial_parallel,omitempty"`
 	// TrialBlock is the trial-block size of the trial-parallel mode
 	// (0 = DefaultTrialBlock; Validate normalizes). Part of the output
@@ -296,7 +295,7 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("sweep: no measures")
 	}
 	for _, m := range s.Measures {
-		if _, ok := Lookup(m); !ok {
+		if _, ok := LookupTrials(m); !ok {
 			return fmt.Errorf("sweep: unknown measure %q (have %s)", m, strings.Join(Measures(), ", "))
 		}
 	}
@@ -366,11 +365,6 @@ func (s *Spec) Validate() error {
 		}
 		if s.TrialBlock == 0 {
 			s.TrialBlock = DefaultTrialBlock
-		}
-		for _, m := range s.Measures {
-			if _, ok := LookupTrials(m); !ok {
-				return fmt.Errorf("sweep: measure %q is cell-grained; trial_parallel needs trial-grained measures (have %s)", m, strings.Join(TrialMeasures(), ", "))
-			}
 		}
 	}
 	return nil

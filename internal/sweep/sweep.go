@@ -1,75 +1,29 @@
 package sweep
 
-// This file is the execution substrate: the measure registry (cell
-// functions are registered by internal/experiments, or by tests), the
-// shared fault-injection helper, and the per-cell execution kernel
-// (runCell). The run loop itself — expand, execute on a bounded pool,
-// stream in cell order — lives on the Job type (job.go); Run is its
-// synchronous wrapper.
+// This file holds the record side of the engine: the shared
+// fault-injection helper, the streamed Result and its header
+// (newResult), and the metric filter every path ends in (finishResult).
+// The measure registries and the trial loop live in trials.go and
+// coupled.go; the run loop itself — expand, execute on a bounded pool,
+// stream in cell order — lives on the Job type (job.go).
 
 import (
 	"fmt"
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"faultexp/internal/faults"
 	"faultexp/internal/graph"
 	"faultexp/internal/xrand"
 )
 
-// CellFunc runs one grid cell's measurement on graph g (the fault-free
-// family instance) and returns named metrics. It must derive all
-// randomness from rng and must not retain g. ws is the executing
-// worker's private scratch workspace: trial loops should route fault
-// injection and subgraph work through it (ApplyFaultsWs, the graph
-// *Into methods) so the steady-state path does not allocate. Nothing
-// built in ws may be referenced after the function returns.
-type CellFunc func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG) (map[string]float64, error)
-
-var (
-	regMu    sync.Mutex
-	registry = map[string]CellFunc{}
-)
-
-// Register adds a measure to the global registry; duplicate names panic
-// (a wiring bug, mirroring harness.Registry).
-func Register(name string, fn CellFunc) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("sweep: duplicate measure " + name)
-	}
-	registry[name] = fn
-}
-
-// Lookup returns the registered cell function for a measure name.
-func Lookup(name string) (CellFunc, bool) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	fn, ok := registry[name]
-	return fn, ok
-}
-
-// Measures returns the registered measure names, sorted.
-func Measures() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ApplyFaultsWs injects one fault pattern of the given model at the
 // given rate into ws-owned buffers and returns the surviving subgraph
 // (with provenance) and the number of failed elements. For
 // ModelAdversarial the rate is the node budget as a fraction of n. The
 // returned Sub lives in workspace memory — any later build on ws may
-// clobber it, and it must not outlive the enclosing CellFunc.
+// clobber it, and it must not outlive the enclosing trial.
 func ApplyFaultsWs(g *graph.Graph, model string, rate float64, ws *graph.Workspace, rng *xrand.RNG) (*graph.Sub, int, error) {
 	m, ok := faults.ModelByName(model)
 	if !ok {
@@ -89,15 +43,15 @@ func ApplyFaults(g *graph.Graph, model string, rate float64, rng *xrand.RNG) (*g
 // measured metrics. Field order (and sorted metric keys) make the JSON
 // encoding byte-stable.
 type Result struct {
-	Family  string             `json:"family"`
-	Size    string             `json:"size"`
-	N       int                `json:"n"`
-	M       int                `json:"m"`
-	Measure string             `json:"measure"`
-	Model   string             `json:"model"`
-	Rate    float64            `json:"rate"`
-	Trials  int                `json:"trials"`
-	Seed    uint64             `json:"seed"`
+	Family  string  `json:"family"`
+	Size    string  `json:"size"`
+	N       int     `json:"n"`
+	M       int     `json:"m"`
+	Measure string  `json:"measure"`
+	Model   string  `json:"model"`
+	Rate    float64 `json:"rate"`
+	Trials  int     `json:"trials"`
+	Seed    uint64  `json:"seed"`
 	// Precision is the measurement tier ("sampled:k"); empty (omitted)
 	// for exact cells, so historical output is byte-identical.
 	Precision string `json:"precision,omitempty"`
@@ -133,32 +87,15 @@ type Summary struct {
 	Errors int // cells whose Result carries an Err
 }
 
-// Options tunes one Run invocation.
-type Options struct {
-	// Workers overrides Spec.Workers (0 = use spec, then GOMAXPROCS).
-	Workers int
-	// Progress, when non-nil, is called after each cell is emitted.
-	Progress func(done, total int)
-	// Shard restricts the run to one round-robin slice of the grid (the
-	// zero value runs everything). Per-shard outputs merge back to the
-	// unsharded bytes with MergeShards.
-	Shard Shard
-	// SkipCells skips the first SkipCells cells of the (sharded) cell
-	// sequence — the resume path: those records already sit in the
-	// output (verified by ScanResume), so the run appends only the
-	// remainder. Skipped cells do not appear in the Summary or Progress.
-	SkipCells int
-}
-
-// runCell executes one cell on the worker's workspace, converting panics
-// and errors into the result's Err field so a single pathological cell
-// cannot kill a grid.
-func runCell(g *graph.Graph, c Cell, ws *graph.Workspace) (res *Result) {
-	res = &Result{
+// newResult builds a record's header — the cell's coordinates and the
+// graph's size — shared by every path that renders a Result (foldCell
+// and runCoupledGroup); metrics or an error are filled in after.
+func newResult(c Cell, n, m int) *Result {
+	res := &Result{
 		Family:     c.Family.Family,
 		Size:       c.Family.Size,
-		N:          g.N(),
-		M:          g.M(),
+		N:          n,
+		M:          m,
 		Measure:    c.Measure,
 		Model:      c.Model,
 		Rate:       c.Rate,
@@ -169,28 +106,11 @@ func runCell(g *graph.Graph, c Cell, ws *graph.Workspace) (res *Result) {
 	if c.Precision.Sampled {
 		res.Precision = c.Precision.String()
 	}
-	defer func() {
-		if p := recover(); p != nil {
-			res.Metrics = nil
-			res.Err = fmt.Sprintf("panic: %v", p)
-		}
-	}()
-	fn, ok := Lookup(c.Measure)
-	if !ok {
-		res.Err = fmt.Sprintf("unknown measure %q", c.Measure)
-		return res
-	}
-	metrics, err := fn(g, c, ws, xrand.New(c.Seed))
-	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	finishResult(res, metrics)
 	return res
 }
 
 // finishResult installs a metric map on a result, shared by the
-// independent (runCell) and coupled (runCoupledGroup) paths. Non-finite
+// independent (foldCell) and coupled (runCoupledGroup) paths. Non-finite
 // values cannot ride in JSON, so they are dropped from Metrics — but
 // their *names* are recorded in Nonfinite, so a cell where one measure
 // overflowed is distinguishable from a clean one. A result with no

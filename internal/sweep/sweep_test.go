@@ -2,8 +2,10 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -20,40 +22,57 @@ var counted atomic.Int32
 // exercised without depending on the real pipelines (those are covered
 // in internal/experiments/cells_test.go).
 func init() {
-	// toy draws from the cell RNG and sleeps a scheduling-dependent
+	// toy draws from the trial RNG and sleeps a scheduling-dependent
 	// amount, so any ordering or seeding leak shows up as a byte diff.
-	Register("toy", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG) (map[string]float64, error) {
+	RegisterTrials("toy", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
 		time.Sleep(time.Duration(c.Index%5) * 200 * time.Microsecond)
-		sum := 0.0
-		for t := 0; t < c.Trials; t++ {
-			sum += rng.Split().Float64()
+		rec.Const("rate_echo", c.Rate)
+		inf := 1.0
+		if c.Rate == 0 {
+			inf = math.Inf(1) // must be stripped
 		}
-		return map[string]float64{
-			"draw_mean": sum / float64(c.Trials),
-			"rate_echo": c.Rate,
-			"inf_gets_dropped": func() float64 {
-				if c.Rate == 0 {
-					return 1 / (c.Rate * 0) // +Inf: must be stripped
-				}
-				return 1
-			}(),
-		}, nil
+		rec.Const("inf_gets_dropped", inf)
+		return TrialRun{Trial: observeDraw}, nil
 	})
 	// counting tracks how many cells actually execute.
-	Register("counting", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG) (map[string]float64, error) {
+	RegisterTrials("counting", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
 		counted.Add(1)
-		return map[string]float64{"ok": 1}, nil
+		rec.Const("ok", 1)
+		return TrialRun{Trial: noTrial}, nil
 	})
 	// toyerr fails on one rate and panics on another.
-	Register("toyerr", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG) (map[string]float64, error) {
+	RegisterTrials("toyerr", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
 		switch {
 		case c.Rate == 0.5:
-			return nil, fmt.Errorf("synthetic failure")
+			return TrialRun{}, fmt.Errorf("synthetic failure")
 		case c.Rate == 1:
 			panic("synthetic panic")
 		}
-		return map[string]float64{"ok": 1}, nil
+		rec.Const("ok", 1)
+		return TrialRun{Trial: noTrial}, nil
 	})
+}
+
+// observeDraw is the toy trial body: one uniform draw per trial.
+func observeDraw(t int, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) error {
+	rec.Observe("draw", rng.Float64())
+	return nil
+}
+
+// noTrial is the trial body of toys whose metrics are all constants.
+func noTrial(int, *graph.Workspace, *xrand.RNG, *Recorder) error { return nil }
+
+// runSpec runs spec to completion through the Job API — the synchronous
+// form every test in this package drives.
+func runSpec(spec *Spec, w Writer, opts ...JobOption) (Summary, error) {
+	j, err := NewJob(spec, append([]JobOption{WithWriter(w)}, opts...)...)
+	if err != nil {
+		return Summary{}, err
+	}
+	if err := j.Start(context.Background()); err != nil {
+		return Summary{}, err
+	}
+	return j.Wait()
 }
 
 func toySpec() *Spec {
@@ -75,16 +94,16 @@ func runToBytes(t *testing.T, spec *Spec, workers int) (jsonl, csv []byte) {
 	t.Helper()
 	var jb, cb bytes.Buffer
 	w := MultiWriter{NewJSONL(&jb), NewCSV(&cb)}
-	sum, err := Run(spec, w, Options{Workers: workers})
+	sum, err := runSpec(spec, w, WithWorkers(workers))
 	if err != nil {
-		t.Fatalf("Run(workers=%d): %v", workers, err)
+		t.Fatalf("run(workers=%d): %v", workers, err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	want := len(spec.Families) * len(spec.Measures) * len(spec.Rates)
 	if sum.Cells != want {
-		t.Fatalf("Run(workers=%d): %d cells, want %d", workers, sum.Cells, want)
+		t.Fatalf("run(workers=%d): %d cells, want %d", workers, sum.Cells, want)
 	}
 	return jb.Bytes(), cb.Bytes()
 }
@@ -158,9 +177,11 @@ func TestJSONLShapeAndInfStripping(t *testing.T) {
 // keys are sorted and comma-joined in JSONL, surface as a "nonfinite"
 // CSV row, and an all-nonfinite cell keeps both the error and the list.
 func TestNonfiniteKeysRecorded(t *testing.T) {
-	Register("allnan", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG) (map[string]float64, error) {
-		nan := 0.0 / func() float64 { return 0 }()
-		return map[string]float64{"b_bad": nan, "a_bad": nan, "ok": c.Rate}, nil
+	RegisterTrials("allnan", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
+		rec.Const("b_bad", math.NaN())
+		rec.Const("a_bad", math.NaN())
+		rec.Const("ok", c.Rate)
+		return TrialRun{Trial: noTrial}, nil
 	})
 	spec := toySpec()
 	spec.Measures = []string{"allnan"}
@@ -168,7 +189,7 @@ func TestNonfiniteKeysRecorded(t *testing.T) {
 	spec.Rates = []float64{0, 0.5}
 	var jb, cb bytes.Buffer
 	w := MultiWriter{NewJSONL(&jb), NewCSV(&cb)}
-	if _, err := Run(spec, w, Options{Workers: 1}); err != nil {
+	if _, err := runSpec(spec, w, WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(jb.Bytes()), []byte("\n"))
@@ -190,15 +211,16 @@ func TestNonfiniteKeysRecorded(t *testing.T) {
 		t.Errorf("CSV missing nonfinite row:\n%s", cb.String())
 	}
 	// An all-nonfinite cell keeps both the error and the key list.
-	Register("allnan2", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG) (map[string]float64, error) {
-		return map[string]float64{"only": 1 / func() float64 { return 0 }()}, nil
+	RegisterTrials("allnan2", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
+		rec.Const("only", math.Inf(1))
+		return TrialRun{Trial: noTrial}, nil
 	})
 	spec2 := toySpec()
 	spec2.Measures = []string{"allnan2"}
 	spec2.Families = spec2.Families[:1]
 	spec2.Rates = []float64{0}
 	var jb2 bytes.Buffer
-	sum, err := Run(spec2, NewJSONL(&jb2), Options{Workers: 1})
+	sum, err := runSpec(spec2, NewJSONL(&jb2), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,9 +271,9 @@ func TestCellErrorsAreRecordedNotFatal(t *testing.T) {
 	spec.Families = spec.Families[:1]
 	var jb bytes.Buffer
 	w := NewJSONL(&jb)
-	sum, err := Run(spec, w, Options{Workers: 2})
+	sum, err := runSpec(spec, w, WithWorkers(2))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	if sum.Cells != 3 || sum.Errors != 2 {
 		t.Fatalf("summary %+v, want 3 cells with 2 errors", sum)
@@ -452,16 +474,16 @@ func (f *failWriter) Write(r *Result) error {
 func (f *failWriter) Flush() error { return nil }
 
 func TestWriterErrorAbortsRun(t *testing.T) {
-	_, err := Run(toySpec(), &failWriter{left: 2}, Options{Workers: 2})
+	_, err := runSpec(toySpec(), &failWriter{left: 2}, WithWorkers(2))
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("Run = %v, want writer error", err)
+		t.Fatalf("run = %v, want writer error", err)
 	}
 	// A dead sink must also stop the computation, not just the writes.
 	counted.Store(0)
 	spec := toySpec()
 	spec.Measures = []string{"counting"}
-	if _, err := Run(spec, &failWriter{left: 1}, Options{Workers: 1}); err == nil {
-		t.Fatal("Run with failing writer succeeded")
+	if _, err := runSpec(spec, &failWriter{left: 1}, WithWorkers(1)); err == nil {
+		t.Fatal("run with failing writer succeeded")
 	}
 	if got, total := counted.Load(), int32(len(spec.Cells())); got >= total {
 		t.Errorf("all %d cells computed after the writer died (want an early stop)", got)
@@ -477,15 +499,13 @@ func TestAbortStopsSummaryAndProgress(t *testing.T) {
 	spec := toySpec() // 12 cells
 	var progress int
 	lastDone := -1
-	sum, err := Run(spec, &failWriter{left: 2}, Options{
-		Workers: 2,
-		Progress: func(done, total int) {
+	sum, err := runSpec(spec, &failWriter{left: 2}, WithWorkers(2),
+		WithProgress(func(done, total int) {
 			progress++
 			lastDone = done
-		},
-	})
+		}))
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("Run = %v, want writer error", err)
+		t.Fatalf("run = %v, want writer error", err)
 	}
 	// Writes 0 and 1 succeed, write 2 fails: exactly 3 cells entered the
 	// outcome (the third died at the sink), progress fired for the 2
@@ -502,12 +522,12 @@ func TestAbortStopsSummaryAndProgress(t *testing.T) {
 	}
 }
 
-// TestRunFlushesWriter pins the library-user path: Run itself must leave
-// the sink fully flushed (cmd/faultexp no longer flushes manually).
+// TestRunFlushesWriter pins the library-user path: a job itself must
+// leave the sink fully flushed (cmd/faultexp no longer flushes manually).
 func TestRunFlushesWriter(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := Run(toySpec(), NewJSONL(&buf), Options{Workers: 2}); err != nil {
-		t.Fatalf("Run: %v", err)
+	if _, err := runSpec(toySpec(), NewJSONL(&buf), WithWorkers(2)); err != nil {
+		t.Fatalf("run: %v", err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
 	if len(lines) != len(toySpec().Cells()) {

@@ -58,26 +58,29 @@ type TrialRun struct {
 // hot path.
 type TrialSetup func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error)
 
-// RegisterTrials adds a trial-grained measure to the registry: the
-// engine wraps setup in the standard per-trial loop (RunTrials) and
-// metric rendering (Recorder.Metrics). The name becomes visible in
-// Measures() like any cell-grained registration.
+// regMu guards the measure registries (trial and coupled).
+var regMu sync.Mutex
+
+// trialRegistry maps every measure name to its TrialSetup — the one
+// measure registry a grid's measure axis resolves against.
+var trialRegistry = map[string]TrialSetup{}
+
+// RegisterTrials adds a measure to the registry: the engine wraps setup
+// in the standard per-trial loop (RunTrials) and metric rendering
+// (Recorder.Metrics). Duplicate names panic (a wiring bug, mirroring
+// harness.Registry).
 func RegisterTrials(name string, setup TrialSetup) {
 	regMu.Lock()
+	defer regMu.Unlock()
 	if _, dup := trialRegistry[name]; dup {
-		regMu.Unlock()
 		panic("sweep: duplicate trial measure " + name)
 	}
 	trialRegistry[name] = setup
-	regMu.Unlock()
-	Register(name, trialCellFunc(setup))
 }
 
-var trialRegistry = map[string]TrialSetup{}
-
-// LookupTrials returns the registered TrialSetup for a trial-grained
-// measure, for callers (benchmarks, tests) that need to drive the bare
-// trial path without the cell wrapper.
+// LookupTrials returns the registered TrialSetup for a measure, for
+// the engine and for callers (benchmarks, tests) that drive the bare
+// trial path without a job.
 func LookupTrials(name string) (TrialSetup, bool) {
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -85,9 +88,8 @@ func LookupTrials(name string) (TrialSetup, bool) {
 	return setup, ok
 }
 
-// TrialMeasures returns the trial-grained measure names, sorted — the
-// measures a trial_parallel grid accepts.
-func TrialMeasures() []string {
+// Measures returns the registered measure names, sorted.
+func Measures() []string {
 	regMu.Lock()
 	defer regMu.Unlock()
 	out := make([]string, 0, len(trialRegistry))
@@ -104,31 +106,6 @@ func TrialMeasures() []string {
 // streams per cell. Which recorder a cell draws never affects output —
 // Reset clears every observation and constant.
 var recorderPool = sync.Pool{New: func() any { return NewRecorder() }}
-
-// trialCellFunc adapts a TrialSetup to the CellFunc registry contract.
-func trialCellFunc(setup TrialSetup) CellFunc {
-	return func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG) (map[string]float64, error) {
-		rec := recorderPool.Get().(*Recorder)
-		rec.Reset()
-		defer recorderPool.Put(rec)
-		run, err := setup(g, c, ws, rng, rec)
-		if err != nil {
-			return nil, err
-		}
-		if run.Trial == nil {
-			return nil, fmt.Errorf("trial measure returned no trial function")
-		}
-		if err := RunTrials(c, ws, rec, run.Trial); err != nil {
-			return nil, err
-		}
-		if run.Finish != nil {
-			if err := run.Finish(rec); err != nil {
-				return nil, err
-			}
-		}
-		return rec.Metrics()
-	}
-}
 
 // RunTrials owns the per-trial loop: for t in [0, c.Trials) it reseeds
 // one pre-owned generator from TrialSeed(c.Seed, t) and invokes fn. The

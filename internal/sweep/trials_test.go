@@ -171,7 +171,7 @@ func TestTrialMeasureEndToEnd(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	w := NewJSONL(&buf)
-	sum, err := Run(spec, w, Options{Workers: 1})
+	sum, err := runSpec(spec, w, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestTrialMeasureEndToEnd(t *testing.T) {
 	if _, ok := LookupTrials("trialtoy"); !ok {
 		t.Error("LookupTrials(trialtoy) not found")
 	}
-	if _, ok := LookupTrials("toy"); ok {
-		t.Error("LookupTrials(toy) found a cell-grained measure")
+	if _, ok := LookupTrials("nosuch"); ok {
+		t.Error("LookupTrials(nosuch) found an unregistered measure")
 	}
 }

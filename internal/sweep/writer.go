@@ -15,7 +15,7 @@ import (
 )
 
 // Writer consumes streamed sweep results. Write is called once per cell,
-// in cell order, never concurrently; Run calls Flush once at the end
+// in cell order, never concurrently; a job calls Flush once at the end
 // (Flush must be idempotent).
 type Writer interface {
 	Write(r *Result) error

@@ -37,13 +37,13 @@ func sampledSpec() *faultexp.SweepSpec {
 func TestSampledPrecisionDeterminism(t *testing.T) {
 	spec := sampledSpec()
 	var want bytes.Buffer
-	if _, err := faultexp.RunSweep(spec, faultexp.NewSweepJSONL(&want), 1); err != nil {
-		t.Fatalf("RunSweep(workers=1): %v", err)
+	if _, err := runSweep(spec, faultexp.NewSweepJSONL(&want), faultexp.SweepJobWorkers(1)); err != nil {
+		t.Fatalf("runSweep(workers=1): %v", err)
 	}
 	for _, workers := range []int{2, 4} {
 		var got bytes.Buffer
-		if _, err := faultexp.RunSweep(sampledSpec(), faultexp.NewSweepJSONL(&got), workers); err != nil {
-			t.Fatalf("RunSweep(workers=%d): %v", workers, err)
+		if _, err := runSweep(sampledSpec(), faultexp.NewSweepJSONL(&got), faultexp.SweepJobWorkers(workers)); err != nil {
+			t.Fatalf("runSweep(workers=%d): %v", workers, err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Errorf("workers=%d output differs from workers=1", workers)
@@ -58,9 +58,9 @@ func TestSampledPrecisionDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := faultexp.RunSweepOpt(sampledSpec(), faultexp.NewSweepJSONL(&shards[i]),
-			faultexp.SweepOptions{Workers: 2, Shard: sh}); err != nil {
-			t.Fatalf("RunSweepOpt(shard %d): %v", i, err)
+		if _, err := runSweep(sampledSpec(), faultexp.NewSweepJSONL(&shards[i]),
+			faultexp.SweepJobWorkers(2), faultexp.SweepJobShard(sh)); err != nil {
+			t.Fatalf("runSweep(shard %d): %v", i, err)
 		}
 	}
 	var merged bytes.Buffer
@@ -84,9 +84,9 @@ func TestSampledPrecisionDeterminism(t *testing.T) {
 		t.Fatalf("resume verified %d cells, want 5", st.Done)
 	}
 	var tail bytes.Buffer
-	if _, err := faultexp.RunSweepOpt(sampledSpec(), faultexp.NewSweepJSONL(&tail),
-		faultexp.SweepOptions{Workers: 3, SkipCells: st.Done}); err != nil {
-		t.Fatalf("RunSweepOpt(resume): %v", err)
+	if _, err := runSweep(sampledSpec(), faultexp.NewSweepJSONL(&tail),
+		faultexp.SweepJobWorkers(3), faultexp.SweepJobSkipCells(st.Done)); err != nil {
+		t.Fatalf("runSweep(resume): %v", err)
 	}
 	resumed := append(append([]byte(nil), prefix...), tail.Bytes()...)
 	if !bytes.Equal(resumed, want.Bytes()) {
@@ -98,8 +98,8 @@ func TestSampledPrecisionDeterminism(t *testing.T) {
 // tag and the sampled kernels' error-bar metrics.
 func TestSampledPrecisionRecords(t *testing.T) {
 	var out bytes.Buffer
-	if _, err := faultexp.RunSweep(sampledSpec(), faultexp.NewSweepJSONL(&out), 2); err != nil {
-		t.Fatalf("RunSweep: %v", err)
+	if _, err := runSweep(sampledSpec(), faultexp.NewSweepJSONL(&out), faultexp.SweepJobWorkers(2)); err != nil {
+		t.Fatalf("runSweep: %v", err)
 	}
 	wantMetrics := map[string][]string{
 		"diameter": {"diameter_lb_mean", "ecc_std", "measured_frac"},
@@ -130,8 +130,8 @@ func TestSampledPrecisionRecords(t *testing.T) {
 	exact.Precision = ""
 	exact.Measures = []string{"gamma"}
 	var exactOut bytes.Buffer
-	if _, err := faultexp.RunSweep(exact, faultexp.NewSweepJSONL(&exactOut), 1); err != nil {
-		t.Fatalf("RunSweep(exact): %v", err)
+	if _, err := runSweep(exact, faultexp.NewSweepJSONL(&exactOut), faultexp.SweepJobWorkers(1)); err != nil {
+		t.Fatalf("runSweep(exact): %v", err)
 	}
 	if bytes.Contains(exactOut.Bytes(), []byte(`"precision"`)) {
 		t.Errorf("exact run emitted a precision field")

@@ -197,11 +197,8 @@ func TestREADMEDocumentsJobAPI(t *testing.T) {
 			t.Errorf("README's Job API docs do not mention %q", want)
 		}
 	}
-	// The deprecations the Job API supersedes are called out.
-	for _, want := range []string{"RunSweep", "deprecated"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("README does not document the %s deprecation", want)
-		}
+	if !strings.Contains(s, "The job is the only entry point") {
+		t.Error("README does not state that the job is the only entry point")
 	}
 }
 
@@ -319,7 +316,7 @@ func TestREADMEDocumentsParallelismModel(t *testing.T) {
 		`"trial_block"`, "-trial-block",
 		"block-index",
 		"last\n  ulp",
-		"SweepTrialMeasures",
+		"one trial block covering `[0, trials)`",
 		"ref-counted",
 		"`graphs_built` / `graphs_total`",
 		"largest\nfirst",
