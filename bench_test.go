@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"faultexp"
+	"faultexp/internal/cache"
 	"faultexp/internal/experiments"
 	"faultexp/internal/gen"
 	"faultexp/internal/graph"
@@ -379,11 +380,11 @@ func BenchmarkCacheKeyHash(b *testing.B) {
 		Seed:     7,
 	}
 	c := spec.Cells()[0]
-	var h faultexp.CacheHasher
+	var h cache.Hasher
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = faultexp.SweepCellCacheKey(&h, spec.RateMode, c)
+		_ = sweep.CellCacheKey(&h, spec.RateMode, c)
 	}
 }
 
@@ -401,7 +402,7 @@ func cacheBenchSpec() *sweep.Spec {
 	}
 }
 
-func runCacheBenchJob(b *testing.B, rc *faultexp.ResultCache) *sweep.Job {
+func runCacheBenchJob(b *testing.B, rc *cache.Cache) *sweep.Job {
 	j, err := sweep.NewJob(cacheBenchSpec(), sweep.WithWriter(discardWriter{}), sweep.WithCache(rc))
 	if err != nil {
 		b.Fatal(err)
@@ -420,7 +421,7 @@ func runCacheBenchJob(b *testing.B, rc *faultexp.ResultCache) *sweep.Job {
 // no trials. Compare against BenchmarkJobCacheColdPath for the speedup
 // a warm cache buys (the PR's ≥10× acceptance criterion).
 func BenchmarkJobCacheHitPath(b *testing.B) {
-	rc, err := faultexp.OpenResultCache(b.TempDir())
+	rc, err := cache.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -444,7 +445,7 @@ func BenchmarkJobCacheColdPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		rc, err := faultexp.OpenResultCache(filepath.Join(dir, fmt.Sprint(i)))
+		rc, err := cache.Open(filepath.Join(dir, fmt.Sprint(i)))
 		if err != nil {
 			b.Fatal(err)
 		}

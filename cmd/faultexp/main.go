@@ -1,7 +1,7 @@
 // Command faultexp is the command-line interface to the fault-expansion
 // library: generate graph families, measure expansion and span, inject
 // faults, run the pruning algorithms, sweep percolation curves, and
-// reproduce the paper's experiments (E1–E12).
+// reproduce the paper's experiments (E1–E19).
 //
 // Usage:
 //
@@ -455,7 +455,7 @@ func cmdExperiment(ctx context.Context, args []string) error {
 		id = fs.Arg(0)
 	}
 	if id == "" {
-		return fmt.Errorf("usage: faultexp experiment <E1..E12|all> [-full] [-seed N]")
+		return fmt.Errorf("usage: faultexp experiment <E1..E19|all> [-full] [-seed N]")
 	}
 	cfg := harness.Config{Quick: !*full, Seed: *seed}
 	reg := experiments.Registry()

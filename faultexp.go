@@ -37,17 +37,14 @@
 package faultexp
 
 import (
-	"context"
 	"io"
 
 	"faultexp/internal/agree"
 	"faultexp/internal/balance"
-	"faultexp/internal/cache"
 	"faultexp/internal/core"
 	"faultexp/internal/cuts"
 	"faultexp/internal/embed"
 	"faultexp/internal/expansion"
-	"faultexp/internal/fabric"
 	"faultexp/internal/faults"
 	"faultexp/internal/gen"
 	"faultexp/internal/graph"
@@ -343,6 +340,11 @@ func RoutePermutation(g *Graph, rng *RNG) RouteResult {
 }
 
 // --- Parameter sweeps (package sweep) ---
+//
+// The library exposes the core of the sweep engine: a grid spec run as a
+// job into a streaming writer. Sharding, resume, merge, aggregation, the
+// result cache and the serve/worker/coordinator fleet are driven through
+// the faultexp command and its HTTP API (see README.md).
 
 // SweepSpec is a declarative parameter grid: graph families × measures
 // × fault models × fault rates, with per-cell trials. Cell seeds are
@@ -354,60 +356,23 @@ type SweepSpec = sweep.Spec
 // SweepFamily names one graph family entry of a sweep grid.
 type SweepFamily = sweep.FamilySpec
 
-// SweepResult is one streamed sweep record.
-type SweepResult = sweep.Result
-
 // SweepWriter consumes streamed sweep results.
 type SweepWriter = sweep.Writer
-
-// SweepSummary is the aggregate outcome of a sweep run.
-type SweepSummary = sweep.Summary
 
 // NewSweepJSONL returns a streaming JSONL result writer.
 func NewSweepJSONL(w io.Writer) SweepWriter { return sweep.NewJSONL(w) }
 
-// NewSweepCSV returns a streaming long-format CSV result writer.
-func NewSweepCSV(w io.Writer) SweepWriter { return sweep.NewCSV(w) }
-
-// SweepShard selects the round-robin slice of a grid one process runs
-// (cell i runs on shard i mod Count); per-shard outputs merge back to
-// the unsharded bytes with MergeSweepShards.
-type SweepShard = sweep.Shard
-
-// ParseSweepShard parses the CLI shard token "i/m" (0-based).
-func ParseSweepShard(tok string) (SweepShard, error) { return sweep.ParseShard(tok) }
-
-// --- The context-aware Job API ---
-
 // SweepJob is one grid run as a first-class object: Start(ctx) launches
 // it, Snapshot() observes it lock-free mid-flight, Cancel() (or
 // cancelling ctx) drains the pool at a cell boundary — leaving JSONL
-// output that ScanSweepResume accepts and -resume completes to bytes
-// identical to an uninterrupted run — and Wait() collects the outcome.
-// It is the only way to run a grid: the execution surface behind
-// `faultexp sweep`, the `faultexp serve` HTTP daemon, and library
-// callers.
+// output that `faultexp sweep -resume` completes to bytes identical to
+// an uninterrupted run — and Wait() collects the outcome. It is the
+// only way to run a grid: the execution surface behind `faultexp
+// sweep`, the `faultexp serve` HTTP daemon, and library callers.
 type SweepJob = sweep.Job
 
-// SweepJobOption configures a SweepJob at construction (writer, worker
-// count, shard, skip, progress callback).
+// SweepJobOption configures a SweepJob at construction.
 type SweepJobOption = sweep.JobOption
-
-// SweepSnapshot is a point-in-time, lock-free view of a job: state,
-// cells done/total, trials done, errors, wall-clock, shard.
-type SweepSnapshot = sweep.Snapshot
-
-// SweepJobState is a job's lifecycle phase as reported by snapshots.
-type SweepJobState = sweep.JobState
-
-// The SweepJob lifecycle states.
-const (
-	SweepJobPending   = sweep.JobPending
-	SweepJobRunning   = sweep.JobRunning
-	SweepJobDone      = sweep.JobDone
-	SweepJobCancelled = sweep.JobCancelled
-	SweepJobFailed    = sweep.JobFailed
-)
 
 // NewSweepJob validates the spec and options and returns a ready-to-
 // Start job; the expensive work happens after Start, on the job's own
@@ -422,187 +387,6 @@ func SweepJobWriter(w SweepWriter) SweepJobOption { return sweep.WithWriter(w) }
 // SweepJobWorkers overrides the job's worker-pool size (0 = the spec's
 // Workers, then GOMAXPROCS). Worker count never affects output bytes.
 func SweepJobWorkers(n int) SweepJobOption { return sweep.WithWorkers(n) }
-
-// SweepJobShard restricts the job to one round-robin slice of the grid.
-func SweepJobShard(sh SweepShard) SweepJobOption { return sweep.WithShard(sh) }
-
-// SweepJobSkipCells skips the job's first n cells — the resume path
-// (pair with ScanSweepResume).
-func SweepJobSkipCells(n int) SweepJobOption { return sweep.WithSkipCells(n) }
-
-// SweepJobProgress installs a per-cell progress callback.
-func SweepJobProgress(fn func(done, total int)) SweepJobOption { return sweep.WithProgress(fn) }
-
-// MergeSweepShards reassembles per-shard JSONL streams (in shard order)
-// into unsharded cell order: jsonl receives the original lines
-// byte-for-byte, and w (e.g. NewSweepCSV) receives every decoded record
-// — both optional. Pass the grid spec to additionally verify every
-// record lands at its exact cell position (seed check), which catches
-// equal-length shards supplied in the wrong order; nil skips it.
-// Returns the number of merged records.
-func MergeSweepShards(shards []io.Reader, jsonl io.Writer, w SweepWriter, spec *SweepSpec) (int, error) {
-	return sweep.MergeShards(shards, jsonl, w, spec)
-}
-
-// SweepMeasures lists the registered sweep measures.
-func SweepMeasures() []string { return sweep.Measures() }
-
-// SweepFaultModels lists the fault-model names a sweep grid accepts.
-func SweepFaultModels() []string { return sweep.Models() }
-
-// Rate-mode tokens for SweepSpec.RateMode: independent (the default —
-// every cell draws its own fault sets) or coupled (one uniform draw per
-// element serves the whole rate axis, making fault sets monotone in the
-// rate and letting union-find measures sweep the axis in one
-// incremental pass per trial).
-const (
-	SweepRateModeIndependent = sweep.RateModeIndependent
-	SweepRateModeCoupled     = sweep.RateModeCoupled
-)
-
-// SweepCoupledMeasures lists the measures that implement coupled rate
-// mode (a subset of SweepMeasures; coupled grids accept only these).
-func SweepCoupledMeasures() []string { return sweep.CoupledMeasures() }
-
-// SweepPrecisionExact is the default precision token for
-// SweepSpec.Precision: exact kernels under the standard size caps.
-// "sampled:k" selects the k-sample estimator tier instead — error bars
-// through _std companions plus explicit bound metrics, raised size
-// caps, and deterministic output just like exact.
-const SweepPrecisionExact = "exact"
-
-// SweepSampledMeasures lists the measures with a sampled-precision
-// kernel (a subset of SweepMeasures; "sampled:k" grids accept only
-// these).
-func SweepSampledMeasures() []string { return sweep.SampledMeasures() }
-
-// SweepDefaultTrialBlock is the trial-block size a trial-parallel spec
-// gets when SweepSpec.TrialBlock is zero. Under trial-parallel mode a
-// cell's trial loop splits into blocks of this many trials, each a
-// schedulable unit on the worker pool; the block partition is part of
-// the output's byte contract (Result.TrialBlock), so changing it — like
-// changing the seed — produces a different, internally consistent
-// stream.
-const SweepDefaultTrialBlock = sweep.DefaultTrialBlock
-
-// SweepUnitCost scores the relative execution cost of trials trials on
-// a graph with n vertices and m edges — the gen.EstimateFamily-derived
-// score the job scheduler dispatches largest-first and `sweep -dry-run`
-// prints per cell (SweepPlan's FamilyPlan.CellCost). sampledK is 0 for
-// exact kernels, the sample count for "sampled:k" kernels. The score
-// orders units; it does not predict seconds.
-func SweepUnitCost(n, m int64, trials, sampledK int) float64 {
-	p := sweep.Precision{}
-	if sampledK > 0 {
-		p = sweep.Precision{Sampled: true, K: sampledK}
-	}
-	return sweep.UnitCost(n, m, trials, p)
-}
-
-// SweepPlan describes what a run would execute — cells before and after
-// shard selection, trial volume, and the family graphs to build —
-// without executing anything (the `faultexp sweep -dry-run` surface).
-// Obtain one with spec.Plan(shard).
-type SweepPlan = sweep.Plan
-
-// SweepResumeState is the verified prefix of an interrupted sweep's
-// JSONL output: how many leading cells are complete and the byte offset
-// appending must start from.
-type SweepResumeState = sweep.ResumeState
-
-// ScanSweepResume validates an existing JSONL output against the grid's
-// (sharded) cell sequence so the run can be resumed: records are pinned
-// to their exact cell position by seed and trial budget, mismatched
-// specs are refused, and a trailing mid-write partial record is marked
-// for truncation. Execute the remainder with SweepJobSkipCells(
-// state.Done); the resumed file is byte-identical to an uninterrupted
-// run.
-func ScanSweepResume(r io.Reader, spec *SweepSpec, shard SweepShard) (SweepResumeState, error) {
-	if err := spec.Validate(); err != nil {
-		return SweepResumeState{}, err
-	}
-	if err := shard.Validate(); err != nil {
-		return SweepResumeState{}, err
-	}
-	return sweep.ScanResume(r, spec.ShardCells(shard))
-}
-
-// SweepTrialSeed derives the deterministic RNG root for trial t of a
-// cell: it depends only on (cell seed, t), so any single trial of any
-// cell can be replayed in isolation, and growing a cell's trial budget
-// never changes its earlier trials.
-func SweepTrialSeed(cellSeed uint64, t int) uint64 { return sweep.TrialSeed(cellSeed, t) }
-
-// SweepAggregator groups sweep records by chosen dimensions and reduces
-// every metric to n/mean/std/min/max/median summary rows, streaming —
-// O(groups × metrics) memory however large the input (the `faultexp
-// agg` surface).
-type SweepAggregator = sweep.Aggregator
-
-// NewSweepAggregator returns an aggregator grouping by the given
-// dimensions (see SweepAggDims; empty = one global group), keeping only
-// the named metrics (nil = all).
-func NewSweepAggregator(by, metrics []string) (*SweepAggregator, error) {
-	return sweep.NewAggregator(by, metrics)
-}
-
-// SweepAggDims lists the record dimensions a summary can group by.
-func SweepAggDims() []string { return append([]string(nil), sweep.AggDims...) }
-
-// --- The content-addressed result cache (package cache) ---
-
-// ResultCache is an on-disk content-addressed store of sweep records:
-// each entry is one cell's exact JSONL bytes under a key derived from
-// everything that could change them (SweepCellCacheKey). Entries are
-// written atomically (temp file + rename) and read back only if their
-// length+CRC-32C header verifies — a torn or corrupt entry is a miss,
-// never a payload. Safe for concurrent use by any number of processes
-// sharing the directory (the `faultexp sweep/serve -cache DIR` surface).
-type ResultCache = cache.Cache
-
-// CacheKey is a 32-byte content address (SHA-256 of an injective
-// field encoding).
-type CacheKey = cache.Key
-
-// CacheHasher derives CacheKeys from typed fields; Reset lets one
-// hasher serve a whole grid without allocating (see
-// BenchmarkCacheKeyHash).
-type CacheHasher = cache.Hasher
-
-// CacheFlight coordinates single-flight computation of cache misses:
-// concurrent jobs wanting the same key elect one leader to compute it,
-// and followers reuse its bytes (the `faultexp serve -cache` dedup).
-type CacheFlight = cache.Flight
-
-// OpenResultCache opens (creating if needed) a result cache directory.
-func OpenResultCache(dir string) (*ResultCache, error) { return cache.Open(dir) }
-
-// NewCacheFlight returns an empty single-flight group.
-func NewCacheFlight() *CacheFlight { return cache.NewFlight() }
-
-// SweepKernelVersion stamps every cache key with the generation of the
-// measurement kernels; bumping it orphans all existing entries, which
-// is how cache invalidation works — stale results are never found, so
-// a version bump costs one cold run, never a wrong byte.
-const SweepKernelVersion = sweep.KernelVersion
-
-// SweepCellCacheKey derives the content address of one cell's output
-// record: the kernel version, the spec's rate mode ("" = independent),
-// and the cell's full identity (family, size, k, measure, model, exact
-// rate bits, trials, derived seed, precision tier, trial block).
-func SweepCellCacheKey(h *CacheHasher, rateMode string, c sweep.Cell) CacheKey {
-	return sweep.CellCacheKey(h, rateMode, c)
-}
-
-// SweepWithCache routes a job through a result cache: cells whose
-// verified records are already stored emit those exact bytes (skipping
-// graph build and trials), misses compute and write back. Snapshots
-// report the accounting in CacheHits/CacheMisses/CacheInflight.
-func SweepWithCache(rc *ResultCache) SweepJobOption { return sweep.WithCache(rc) }
-
-// SweepWithFlight dedups identical in-flight cells across jobs sharing
-// the flight group (pair with SweepWithCache; the serve configuration).
-func SweepWithFlight(f *CacheFlight) SweepJobOption { return sweep.WithFlight(f) }
 
 // --- Embedding / emulation (package embed, §1.2) ---
 
@@ -619,76 +403,3 @@ type EmbedMetrics = embed.Metrics
 func Emulate(ideal *Graph, survivor *Sub) (*Embedding, error) {
 	return embed.EmulateFaultyMesh(ideal, survivor)
 }
-
-// --- Distributed sweep fabric (package fabric) ---
-
-// FabricServer is the HTTP job daemon behind `faultexp serve` and
-// `faultexp worker`: a bounded pool of sweep jobs behind POST /v1/jobs,
-// live JSONL result streams, and a /healthz reporting the build and
-// kernel-version stamps a fleet matches on.
-type FabricServer = fabric.Server
-
-// FabricConfig sizes a FabricServer (pool bounds, result retention cap,
-// shared result cache and single-flight group).
-type FabricConfig = fabric.Config
-
-// NewFabricServer builds a job server whose jobs run under ctx.
-func NewFabricServer(ctx context.Context, cfg FabricConfig) *FabricServer {
-	return fabric.NewServer(ctx, cfg)
-}
-
-// FabricClient drives one worker daemon over its /v1 job surface —
-// submit (with shard/skip restriction), stream, snapshot, delete.
-type FabricClient = fabric.Client
-
-// NewFabricClient normalizes addr ("host:port" or URL) into a client.
-func NewFabricClient(addr string) *FabricClient { return fabric.NewClient(addr) }
-
-// FabricHealth is the GET /healthz body of serve and worker daemons.
-type FabricHealth = fabric.Health
-
-// FabricStore is the coordinator's durable job store: one append-only
-// directory per job (spec, meta, per-shard JSONL), so a SIGKILLed
-// coordinator rebuilds every job and resumes from exact output
-// prefixes.
-type FabricStore = fabric.Store
-
-// OpenFabricStore opens (creating if needed) a store rooted at dir.
-func OpenFabricStore(dir string) (*FabricStore, error) { return fabric.OpenStore(dir) }
-
-// FabricCoordinator fans a grid spec out over a worker fleet as
-// round-robin shards and streams back the merged interleave —
-// byte-identical to a single-node run, with dead workers' shards
-// reassigned mid-stream via the verified-prefix resume.
-type FabricCoordinator = fabric.Coordinator
-
-// FabricCoordinatorConfig wires a coordinator: the fleet, the durable
-// store, concurrency and backpressure bounds, health-check cadence.
-type FabricCoordinatorConfig = fabric.CoordinatorConfig
-
-// NewFabricCoordinator rebuilds every stored job and starts the fleet
-// health loop.
-func NewFabricCoordinator(ctx context.Context, cfg FabricCoordinatorConfig) (*FabricCoordinator, error) {
-	return fabric.NewCoordinator(ctx, cfg)
-}
-
-// FabricJobView / FabricCoordJobView / FabricWorkerView are the JSON
-// shapes of jobs and workers in fabric HTTP responses.
-type (
-	FabricJobView      = fabric.JobView
-	FabricCoordJobView = fabric.CoordJobView
-	FabricWorkerView   = fabric.WorkerView
-)
-
-// SweepShardFileName is the canonical on-disk name of one shard's JSONL
-// output ("shard-<i>-of-<m>.jsonl") — the durable job store layout and
-// what `faultexp merge -dir` discovers.
-func SweepShardFileName(sh SweepShard) string { return sweep.ShardFileName(sh) }
-
-// SweepShardFiles discovers a complete shard file set in dir, in shard
-// order, ready for MergeSweepShards.
-func SweepShardFiles(dir string) ([]string, error) { return sweep.ShardFiles(dir) }
-
-// SweepShardLineCount is the exact line count of one shard's complete
-// output for a grid of total cells.
-func SweepShardLineCount(total int, sh SweepShard) int { return sweep.ShardLineCount(total, sh) }

@@ -14,17 +14,18 @@ import (
 	"testing"
 
 	"faultexp"
+	"faultexp/internal/sweep"
 )
 
 // runSweep runs spec to completion through the Job API — the
 // synchronous form the tests in this package drive.
-func runSweep(spec *faultexp.SweepSpec, w faultexp.SweepWriter, opts ...faultexp.SweepJobOption) (faultexp.SweepSummary, error) {
+func runSweep(spec *faultexp.SweepSpec, w faultexp.SweepWriter, opts ...faultexp.SweepJobOption) (sweep.Summary, error) {
 	j, err := faultexp.NewSweepJob(spec, append([]faultexp.SweepJobOption{faultexp.SweepJobWriter(w)}, opts...)...)
 	if err != nil {
-		return faultexp.SweepSummary{}, err
+		return sweep.Summary{}, err
 	}
 	if err := j.Start(context.Background()); err != nil {
-		return faultexp.SweepSummary{}, err
+		return sweep.Summary{}, err
 	}
 	return j.Wait()
 }
@@ -240,20 +241,20 @@ func TestPublicFamilyRegistryAndShardedSweep(t *testing.T) {
 	const m = 2
 	shards := make([]bytes.Buffer, m)
 	for i := 0; i < m; i++ {
-		sh, err := faultexp.ParseSweepShard(fmt.Sprintf("%d/%d", i, m))
+		sh, err := sweep.ParseShard(fmt.Sprintf("%d/%d", i, m))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := runSweep(spec, faultexp.NewSweepJSONL(&shards[i]),
-			faultexp.SweepJobWorkers(2), faultexp.SweepJobShard(sh)); err != nil {
+			faultexp.SweepJobWorkers(2), sweep.WithShard(sh)); err != nil {
 			t.Fatalf("runSweep(shard %d): %v", i, err)
 		}
 	}
 	var got bytes.Buffer
-	n, err := faultexp.MergeSweepShards(
+	n, err := sweep.MergeShards(
 		[]io.Reader{bytes.NewReader(shards[0].Bytes()), bytes.NewReader(shards[1].Bytes())}, &got, nil, spec)
 	if err != nil || n != 8 {
-		t.Fatalf("MergeSweepShards = %d, %v; want 8 records", n, err)
+		t.Fatalf("MergeShards = %d, %v; want 8 records", n, err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Errorf("merged shards differ from unsharded run:\n--- want ---\n%s\n--- got ---\n%s", want.Bytes(), got.Bytes())
@@ -284,7 +285,7 @@ func TestPublicSweepJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSweepJob: %v", err)
 	}
-	if s := job.Snapshot(); s.State != faultexp.SweepJobPending || s.CellsTotal != 8 {
+	if s := job.Snapshot(); s.State != sweep.JobPending || s.CellsTotal != 8 {
 		t.Fatalf("pending snapshot = %+v", s)
 	}
 	if err := job.Start(context.Background()); err != nil {
@@ -293,7 +294,7 @@ func TestPublicSweepJob(t *testing.T) {
 	if _, err := job.Wait(); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	if s := job.Snapshot(); s.State != faultexp.SweepJobDone || s.CellsDone != 8 || s.TrialsDone != 40 {
+	if s := job.Snapshot(); s.State != sweep.JobDone || s.CellsDone != 8 || s.TrialsDone != 40 {
 		t.Fatalf("done snapshot = %+v", s)
 	}
 
@@ -304,7 +305,7 @@ func TestPublicSweepJob(t *testing.T) {
 	cj, err = faultexp.NewSweepJob(spec(),
 		faultexp.SweepJobWriter(faultexp.NewSweepJSONL(&buf)),
 		faultexp.SweepJobWorkers(1),
-		faultexp.SweepJobProgress(func(done, total int) {
+		sweep.WithProgress(func(done, total int) {
 			if done >= 2 {
 				once.Do(cj.Cancel)
 			}
@@ -319,16 +320,16 @@ func TestPublicSweepJob(t *testing.T) {
 	if werr == nil || !errors.Is(werr, context.Canceled) {
 		t.Fatalf("cancelled Wait = %v, want context.Canceled", werr)
 	}
-	if s := cj.Snapshot(); s.State != faultexp.SweepJobCancelled {
+	if s := cj.Snapshot(); s.State != sweep.JobCancelled {
 		t.Fatalf("cancelled snapshot = %+v", s)
 	}
-	st, err := faultexp.ScanSweepResume(bytes.NewReader(buf.Bytes()), spec(), faultexp.SweepShard{})
+	st, err := sweep.ScanResume(bytes.NewReader(buf.Bytes()), spec().Cells())
 	if err != nil || st.Done != sum.Cells {
-		t.Fatalf("ScanSweepResume = %+v, %v (want %d clean cells)", st, err, sum.Cells)
+		t.Fatalf("ScanResume = %+v, %v (want %d clean cells)", st, err, sum.Cells)
 	}
 	rj, err := faultexp.NewSweepJob(spec(),
 		faultexp.SweepJobWriter(faultexp.NewSweepJSONL(&buf)),
-		faultexp.SweepJobSkipCells(st.Done))
+		sweep.WithSkipCells(st.Done))
 	if err != nil {
 		t.Fatalf("NewSweepJob(resume): %v", err)
 	}

@@ -14,11 +14,12 @@
 // Durability model: writes are atomic (temp file + rename in the same
 // directory), so concurrent writers to one key are safe — each rename
 // installs a complete entry, last one wins, and every winner holds the
-// same bytes when keys are content-derived. Reads validate a
-// length+checksum header; a torn, truncated, or bit-flipped entry is
-// reported as a miss (never returned), and the next write-back repairs
-// it. Corruption can therefore cost a recomputation, never a wrong
-// byte.
+// same bytes when keys are content-derived. Nothing is fsynced, so that
+// atomicity holds against the death of the writing process, not an OS
+// crash or power loss. Reads validate a length+checksum header; a torn,
+// truncated, or bit-flipped entry is reported as a miss (never
+// returned), and the next write-back repairs it. Corruption can
+// therefore cost a recomputation, never a wrong byte.
 package cache
 
 import (
@@ -153,8 +154,8 @@ func (c *Cache) Get(k Key) (payload []byte, ok bool) {
 // Put stores payload under k, atomically: the entry is written to a
 // temp file in the destination directory and renamed into place, so a
 // reader (or a concurrent writer) never observes a half-written entry
-// under the final name. A crash mid-write leaves at worst an orphan
-// temp file, never a torn entry.
+// under the final name. A writer killed mid-write leaves at worst an
+// orphan temp file, never a torn entry.
 func (c *Cache) Put(k Key, payload []byte) error {
 	dir, file := c.path(k)
 	if err := os.MkdirAll(dir, 0o755); err != nil {

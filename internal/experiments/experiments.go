@@ -1,8 +1,8 @@
-// Package experiments implements the reproduction experiments E1–E12
-// (one per theorem/claim of the paper — the full index is All below,
-// one e*.go file per experiment, printed by `faultexp list`). Each
-// experiment produces result tables and a list of
-// falsifiable shape checks against the paper's prediction; `go test`
+// Package experiments implements the reproduction experiments E1–E19
+// (E1–E12 one per theorem/claim of the paper, E13–E19 extensions — the
+// full index is All below, one e*.go file per experiment, printed by
+// `faultexp list`). Each experiment produces result tables and a list
+// of falsifiable shape checks against the paper's prediction; `go test`
 // runs every experiment in quick mode and asserts all checks pass, and
 // the benchmark suite regenerates every table.
 package experiments

@@ -891,9 +891,8 @@ func (c *Coordinator) runShardAttempt(cj *coordJob, i int, w *workerRef, down <-
 			// cap): not cell output, don't persist it.
 			return fmt.Errorf("worker %s reported: %s", w.base, res.Err)
 		}
-		if res.Seed != want.Seed || res.Trials != want.Trials || res.TrialBlock != want.TrialBlock {
-			return permErr("worker %s: shard %s record %d has seed %d/trials %d/block %d, want %d/%d/%d — output from a different spec or kernel",
-				w.base, sh, idx, res.Seed, res.Trials, res.TrialBlock, want.Seed, want.Trials, want.TrialBlock)
+		if err := sweep.CheckRecord(&res, &want); err != nil {
+			return permErr("worker %s: shard %s record %d %v", w.base, sh, idx, err)
 		}
 		if err := cj.appendShard(i, line); err != nil {
 			return &permanentError{err}

@@ -325,7 +325,7 @@ func TestCoordinatorRestartResumesFromPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := sweep.ShardLineCount(24, sweep.Shard{Index: i, Count: m}); bytes.Count(b, []byte("\n")) != want {
+		if want := len(spec.ShardCells(sweep.Shard{Index: i, Count: m})); bytes.Count(b, []byte("\n")) != want {
 			t.Errorf("shard %d holds %d lines, want %d", i, bytes.Count(b, []byte("\n")), want)
 		}
 	}

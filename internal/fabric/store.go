@@ -11,13 +11,15 @@ package fabric
 //	job-<n>/cancelled               marker: don't resume this job
 //
 // Creation is atomic (write into a ".tmp-" dir, then rename), so a
-// crash mid-create leaves at worst an ignored temp dir, never a
-// half-job. On startup the coordinator rescans the root: each job's
-// shard files are verified record-by-record with sweep.ScanResume —
-// which also truncates a torn final line, the signature of a mid-write
-// kill — and execution resumes exactly where each prefix ends. The
-// shard files use the sweep.ShardFileName naming, so a finished job
-// directory is directly consumable by `faultexp merge -dir`.
+// coordinator killed mid-create leaves at worst an ignored temp dir,
+// never a half-job. Nothing is fsynced: the store survives the death of
+// the process, not an OS crash or power loss. On startup the
+// coordinator rescans the root: each job's shard files are verified
+// record-by-record with sweep.ScanResume — which also truncates a torn
+// final line, the signature of a mid-write kill — and execution resumes
+// exactly where each prefix ends. The shard files use the
+// sweep.ShardFileName naming, so a finished job directory is directly
+// consumable by `faultexp merge -dir`.
 
 import (
 	"encoding/json"

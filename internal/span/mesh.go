@@ -63,4 +63,3 @@ func l1(a, b []int) int {
 	}
 	return s
 }
-

@@ -2,8 +2,9 @@ package sweep
 
 // Error-path coverage for MergeShards beyond the ordering/profile cases
 // in shard_test.go: a missing shard file, a duplicated record inside a
-// shard, and a shard truncated mid-record (a torn write) — each must be
-// refused with a diagnostic, not merged into silently-wrong output.
+// shard, shards run with another trial budget or block partition than
+// the spec, and a shard truncated mid-record (a torn write) — each must
+// be refused with a diagnostic, not merged into silently-wrong output.
 
 import (
 	"bytes"
@@ -84,6 +85,37 @@ func TestMergeShardsDuplicateRecord(t *testing.T) {
 	dupLast := outs[1] + lines[len(lines)-2]
 	if _, err := mergeStrings([]string{outs[0], dupLast, outs[2]}, spec); err == nil {
 		t.Error("merge accepted a shard with its final record duplicated")
+	}
+}
+
+// TestMergeShardsRefusesTrialAndBlockMismatch: shards run with another
+// trial budget or block partition keep every cell seed, so the seed
+// check alone passes them; the spec-backed merge must refuse both, with
+// the same diagnostics as resume.
+func TestMergeShardsRefusesTrialAndBlockMismatch(t *testing.T) {
+	outs := mergeFixture(t, 3) // multiModelSpec: 2 trials, serial
+	moreTrials := multiModelSpec()
+	moreTrials.Trials = 3
+	if _, err := mergeStrings(outs, moreTrials); err == nil || !strings.Contains(err.Error(), "trial budget") {
+		t.Errorf("2-trial shards merged against a 3-trial spec: %v", err)
+	}
+
+	blocked := multiModelSpec()
+	blocked.TrialParallel = true
+	blocked.TrialBlock = 1
+	blockedOuts := make([]string, 3)
+	for i := range blockedOuts {
+		var buf bytes.Buffer
+		if _, err := runSpec(blocked, NewJSONL(&buf), WithShard(Shard{Index: i, Count: 3})); err != nil {
+			t.Fatalf("run(blocked shard %d/3): %v", i, err)
+		}
+		blockedOuts[i] = buf.String()
+	}
+	if _, err := mergeStrings(blockedOuts, multiModelSpec()); err == nil || !strings.Contains(err.Error(), "do not splice") {
+		t.Errorf("trial_block 1 shards merged against a serial spec: %v", err)
+	}
+	if _, err := mergeStrings(outs, blocked); err == nil || !strings.Contains(err.Error(), "do not splice") {
+		t.Errorf("serial shards merged against a trial_block 1 spec: %v", err)
 	}
 }
 

@@ -4,7 +4,7 @@ package sweep
 // deterministic cell order, and every record carries its cell's
 // semantic seed — so an interrupted run can be picked up by scanning
 // the file, verifying each leading record against the run's cell
-// sequence (seed + trial budget pin a record to its exact position),
+// sequence (CheckRecord pins a record to its exact position),
 // truncating any mid-write partial line, and executing only the
 // remainder. Because a cell's bytes depend solely on (grid seed, cell
 // key), the resumed file is byte-identical to an uninterrupted run;
@@ -34,18 +34,43 @@ type ResumeState struct {
 	Truncated bool
 }
 
+// CheckRecord reports whether res is the record of cell c, returning
+// nil if it is and an error naming the first differing field if not.
+// The seed pins every semantic coordinate (family, measure, model,
+// rate, precision tier) but neither the trial budget nor the
+// trial-parallel block partition, and both change a record's bytes, so
+// all three are compared. This is the identity rule every consumer of
+// a record stream applies — resume, merge, and the fleet coordinator's
+// online check; the error leaves the record's position to the caller.
+func CheckRecord(res *Result, c *Cell) error {
+	switch {
+	case res.Seed != c.Seed:
+		return fmt.Errorf("is %s/%s/%s rate %s seed %d, want seed %d — output from a different spec, seed, or shard, or shard files out of order",
+			res.Family, res.Measure, res.Model, rateToken(res.Rate), res.Seed, c.Seed)
+	case res.Trials != c.Trials:
+		// Growing -trials keeps every seed, so this is what stops cheap
+		// old cells from splicing into an expensive new run.
+		return fmt.Errorf("ran %d trials, spec wants %d — output from a different trial budget", res.Trials, c.Trials)
+	case res.TrialBlock != c.TrialBlock:
+		// Blocked stream merges differ from the serial fold in the last
+		// ulp, so the partition is part of the record's byte contract.
+		return fmt.Errorf("used trial blocks of %d, spec wants %d — serial and trial-parallel output do not splice", res.TrialBlock, c.TrialBlock)
+	}
+	return nil
+}
+
 // ScanResume validates an existing JSONL output stream against the
 // run's cell sequence (the spec expanded, shard already applied — see
 // Spec.ShardCells) and returns how many leading cells are already
 // complete and where appending must start.
 //
-// The scan refuses mismatches rather than guessing: a record whose seed
-// or trial budget differs from its cell position means the file was
-// produced by a different spec, seed, or shard; a malformed record in
-// the interior means corruption; more records than cells means the
-// wrong spec. Only a trailing line without its newline — the signature
-// of a killed write — is treated as incomplete and marked for
-// truncation.
+// The scan refuses mismatches rather than guessing: a record that
+// fails CheckRecord against its cell position means the file was
+// produced by a different spec, seed, shard, trial budget, or block
+// partition; a malformed record in the interior means corruption; more
+// records than cells means the wrong spec. Only a trailing line without
+// its newline — the signature of a killed write — is treated as
+// incomplete and marked for truncation.
 func ScanResume(r io.Reader, cells []Cell) (ResumeState, error) {
 	br := bufio.NewReaderSize(r, 64*1024)
 	var st ResumeState
@@ -62,25 +87,8 @@ func ScanResume(r io.Reader, cells []Cell) (ResumeState, error) {
 			if st.Done >= len(cells) {
 				return st, fmt.Errorf("sweep: resume: output holds more than the run's %d cells — wrong spec or shard", len(cells))
 			}
-			c := cells[st.Done]
-			if res.Seed != c.Seed {
-				return st, fmt.Errorf("sweep: resume: record %d is %s/%s/%s rate %s seed %d, want seed %d — output from a different spec, seed, or shard",
-					st.Done, res.Family, res.Measure, res.Model, rateToken(res.Rate), res.Seed, c.Seed)
-			}
-			// The seed pins every semantic coordinate except the trial
-			// budget; check it explicitly so growing -trials can't splice
-			// cheap old cells into an expensive new run.
-			if res.Trials != c.Trials {
-				return st, fmt.Errorf("sweep: resume: record %d ran %d trials, spec wants %d — output from a different trial budget",
-					st.Done, res.Trials, c.Trials)
-			}
-			// The trial-parallel block partition is part of a record's
-			// byte contract (blocked stream merges differ from the serial
-			// fold in the last ulp), so serial and trial-parallel output
-			// must never splice into one stream.
-			if res.TrialBlock != c.TrialBlock {
-				return st, fmt.Errorf("sweep: resume: record %d used trial blocks of %d, spec wants %d — serial and trial-parallel output do not splice",
-					st.Done, res.TrialBlock, c.TrialBlock)
+			if err := CheckRecord(&res, &cells[st.Done]); err != nil {
+				return st, fmt.Errorf("sweep: resume: record %d %w", st.Done, err)
 			}
 			st.Done++
 			st.Offset += int64(len(line))

@@ -66,17 +66,6 @@ func shardLineCount(total, i, m int) int {
 	return (total - i + m - 1) / m
 }
 
-// ShardLineCount returns how many of total round-robin-assigned records
-// land on the given shard — the exact line count of that shard's
-// complete JSONL output. A disabled shard (Count ≤ 1) holds every
-// record.
-func ShardLineCount(total int, sh Shard) int {
-	if !sh.Enabled() {
-		return total
-	}
-	return shardLineCount(total, sh.Index, sh.Count)
-}
-
 // ShardFileName is the canonical on-disk name for one shard's JSONL
 // output: "shard-<i>-of-<m>.jsonl". The durable job store writes this
 // layout and `faultexp merge -dir` reads it back; keeping the name in
@@ -200,8 +189,10 @@ func (s *shardStream) next() (line []byte, ok bool, err error) {
 // in the wrong order are refused. The profile check alone cannot catch
 // equal-length files swapped or an equal-length subset of the shards —
 // pass the grid spec (nil to skip) and the merge additionally checks
-// every record's seed against its exact cell position, which catches
-// both. Output may be partially written when an error is returned.
+// every record against its exact cell position (CheckRecord: seed,
+// trial budget, block partition), which catches both, as well as shards
+// run with a different trial budget or block partition than the spec.
+// Output may be partially written when an error is returned.
 func MergeShards(shards []io.Reader, jsonl io.Writer, w Writer, spec *Spec) (merged int, err error) {
 	if len(shards) == 0 {
 		return 0, fmt.Errorf("sweep: merge needs at least one shard")
@@ -254,11 +245,8 @@ func MergeShards(shards []io.Reader, jsonl io.Writer, w Writer, spec *Spec) (mer
 				return fmt.Errorf("sweep: shard %d record %d: %w", shard, merged, err)
 			}
 			if cells != nil {
-				// Cell seeds are unique per semantic key, so a seed match
-				// pins the record to its exact grid position.
-				if c := cells[merged]; res.Seed != c.Seed {
-					return fmt.Errorf("sweep: record %d (shard %d) is cell %s/%s/%s rate %s seed %d, want seed %d — shard files out of order or from a different grid",
-						merged, shard, res.Family, res.Measure, res.Model, rateToken(res.Rate), res.Seed, c.Seed)
+				if err := CheckRecord(&res, &cells[merged]); err != nil {
+					return fmt.Errorf("sweep: record %d (shard %d) %w", merged, shard, err)
 				}
 			}
 			if w != nil {

@@ -231,12 +231,12 @@ func TestShardFileNameRoundTrip(t *testing.T) {
 }
 
 func TestShardLineCountExported(t *testing.T) {
-	if got := ShardLineCount(10, Shard{}); got != 10 {
-		t.Errorf("disabled shard holds %d lines, want all 10", got)
+	if got := shardLineCount(10, 0, 1); got != 10 {
+		t.Errorf("1-way split holds %d lines, want all 10", got)
 	}
 	total := 0
 	for i := 0; i < 3; i++ {
-		total += ShardLineCount(10, Shard{Index: i, Count: 3})
+		total += shardLineCount(10, i, 3)
 	}
 	if total != 10 {
 		t.Errorf("3-way split of 10 sums to %d", total)

@@ -13,14 +13,14 @@ func TestSeedForDeterministic(t *testing.T) {
 func TestSeedForDistinguishesKeys(t *testing.T) {
 	base := SeedFor(42, "torus:8x8", "gamma")
 	variants := []uint64{
-		SeedFor(43, "torus:8x8", "gamma"),    // different root
-		SeedFor(42, "torus:8x9", "gamma"),    // different component
-		SeedFor(42, "torus:8x8", "gamma2"),   // different component
-		SeedFor(42, "torus:8x8g", "amma"),    // shifted component boundary
-		SeedFor(42, "torus:8x8", "gamma", ""),// extra empty component
-		SeedFor(42, "torus:8x8gamma"),        // joined components
-		SeedFor(42, "torus:8x8\xff", "gamma"),// 0xFF at a boundary
-		SeedFor(42, "torus:8x8", "\xffgamma"),// 0xFF moved across it
+		SeedFor(43, "torus:8x8", "gamma"),     // different root
+		SeedFor(42, "torus:8x9", "gamma"),     // different component
+		SeedFor(42, "torus:8x8", "gamma2"),    // different component
+		SeedFor(42, "torus:8x8g", "amma"),     // shifted component boundary
+		SeedFor(42, "torus:8x8", "gamma", ""), // extra empty component
+		SeedFor(42, "torus:8x8gamma"),         // joined components
+		SeedFor(42, "torus:8x8\xff", "gamma"), // 0xFF at a boundary
+		SeedFor(42, "torus:8x8", "\xffgamma"), // 0xFF moved across it
 	}
 	seen := map[uint64]bool{base: true}
 	for i, v := range variants {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"faultexp"
+	"faultexp/internal/sweep"
 )
 
 func sampledSpec() *faultexp.SweepSpec {
@@ -54,20 +55,20 @@ func TestSampledPrecisionDeterminism(t *testing.T) {
 	const m = 2
 	shards := make([]bytes.Buffer, m)
 	for i := 0; i < m; i++ {
-		sh, err := faultexp.ParseSweepShard(fmt.Sprintf("%d/%d", i, m))
+		sh, err := sweep.ParseShard(fmt.Sprintf("%d/%d", i, m))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := runSweep(sampledSpec(), faultexp.NewSweepJSONL(&shards[i]),
-			faultexp.SweepJobWorkers(2), faultexp.SweepJobShard(sh)); err != nil {
+			faultexp.SweepJobWorkers(2), sweep.WithShard(sh)); err != nil {
 			t.Fatalf("runSweep(shard %d): %v", i, err)
 		}
 	}
 	var merged bytes.Buffer
-	if _, err := faultexp.MergeSweepShards(
+	if _, err := sweep.MergeShards(
 		[]io.Reader{bytes.NewReader(shards[0].Bytes()), bytes.NewReader(shards[1].Bytes())},
 		&merged, nil, spec); err != nil {
-		t.Fatalf("MergeSweepShards: %v", err)
+		t.Fatalf("MergeShards: %v", err)
 	}
 	if !bytes.Equal(merged.Bytes(), want.Bytes()) {
 		t.Errorf("merged sampled shards differ from unsharded run")
@@ -76,16 +77,16 @@ func TestSampledPrecisionDeterminism(t *testing.T) {
 	// Resume: keep the first 5 complete records, rerun the rest.
 	lines := bytes.SplitAfter(want.Bytes(), []byte("\n"))
 	prefix := bytes.Join(lines[:5], nil)
-	st, err := faultexp.ScanSweepResume(bytes.NewReader(prefix), spec, faultexp.SweepShard{})
+	st, err := sweep.ScanResume(bytes.NewReader(prefix), spec.Cells())
 	if err != nil {
-		t.Fatalf("ScanSweepResume: %v", err)
+		t.Fatalf("ScanResume: %v", err)
 	}
 	if st.Done != 5 {
 		t.Fatalf("resume verified %d cells, want 5", st.Done)
 	}
 	var tail bytes.Buffer
 	if _, err := runSweep(sampledSpec(), faultexp.NewSweepJSONL(&tail),
-		faultexp.SweepJobWorkers(3), faultexp.SweepJobSkipCells(st.Done)); err != nil {
+		faultexp.SweepJobWorkers(3), sweep.WithSkipCells(st.Done)); err != nil {
 		t.Fatalf("runSweep(resume): %v", err)
 	}
 	resumed := append(append([]byte(nil), prefix...), tail.Bytes()...)
@@ -110,7 +111,7 @@ func TestSampledPrecisionRecords(t *testing.T) {
 		if !bytes.Contains(ln, []byte(`"precision":"sampled:3"`)) {
 			t.Fatalf("record %d lacks the precision tag: %s", i, ln)
 		}
-		var res faultexp.SweepResult
+		var res sweep.Result
 		if err := json.Unmarshal(ln, &res); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -154,7 +155,7 @@ func TestSampledPrecisionValidation(t *testing.T) {
 	}
 
 	coupled := base()
-	coupled.RateMode = faultexp.SweepRateModeCoupled
+	coupled.RateMode = sweep.RateModeCoupled
 	coupled.Precision = "sampled:2"
 	if err := coupled.Validate(); err == nil || !strings.Contains(err.Error(), "does not compose") {
 		t.Errorf("coupled+sampled validated, err=%v", err)
@@ -162,8 +163,8 @@ func TestSampledPrecisionValidation(t *testing.T) {
 
 	exactCoupled := base()
 	exactCoupled.Measures = []string{"percolation"}
-	exactCoupled.RateMode = faultexp.SweepRateModeCoupled
-	exactCoupled.Precision = faultexp.SweepPrecisionExact
+	exactCoupled.RateMode = sweep.RateModeCoupled
+	exactCoupled.Precision = sweep.PrecisionExact.String()
 	if err := exactCoupled.Validate(); err != nil {
 		t.Errorf("coupled+exact refused: %v", err)
 	}
@@ -183,17 +184,17 @@ func TestSampledPrecisionValidation(t *testing.T) {
 		}
 	}
 
-	sampled := faultexp.SweepSampledMeasures()
+	sampled := sweep.SampledMeasures()
 	if len(sampled) < 4 {
-		t.Fatalf("SweepSampledMeasures() = %v, want ≥ 4 entries", sampled)
+		t.Fatalf("SampledMeasures() = %v, want ≥ 4 entries", sampled)
 	}
 	all := map[string]bool{}
-	for _, m := range faultexp.SweepMeasures() {
+	for _, m := range sweep.Measures() {
 		all[m] = true
 	}
 	for _, m := range sampled {
 		if !all[m] {
-			t.Errorf("sampled measure %q not in SweepMeasures", m)
+			t.Errorf("sampled measure %q not in Measures", m)
 		}
 	}
 }

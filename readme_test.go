@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"faultexp"
+	"faultexp/internal/sweep"
 )
 
 // readmeMeasures extracts the backticked measure names from the
@@ -39,7 +40,7 @@ func readmeMeasures(t *testing.T) []string {
 }
 
 func TestREADMEMeasuresInSync(t *testing.T) {
-	want := faultexp.SweepMeasures() // sorted by contract
+	want := sweep.Measures() // sorted by contract
 	got := readmeMeasures(t)
 	inREADME := map[string]bool{}
 	for _, m := range got {
@@ -136,7 +137,7 @@ func TestREADMEAggDimsInSync(t *testing.T) {
 	for _, m := range regexp.MustCompile("`([a-z]+)`").FindAllStringSubmatch(section, -1) {
 		got = append(got, m[1])
 	}
-	want := faultexp.SweepAggDims()
+	want := sweep.AggDims
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("README agg dims %v, registry says %v", got, want)
 	}
@@ -169,7 +170,7 @@ func TestREADMEModelsListed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading README.md: %v", err)
 	}
-	for _, m := range faultexp.SweepFaultModels() {
+	for _, m := range sweep.Models() {
 		if !strings.Contains(string(b), "`"+m+"`") {
 			t.Errorf("README does not mention fault model `%s`", m)
 		}
@@ -263,7 +264,7 @@ func TestREADMECoupledMeasuresInSync(t *testing.T) {
 		got = append(got, m[1])
 	}
 	sort.Strings(got)
-	want := faultexp.SweepCoupledMeasures() // sorted by contract
+	want := sweep.CoupledMeasures() // sorted by contract
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("README coupled measures %v, registry says %v", got, want)
 	}
@@ -284,8 +285,8 @@ func TestREADMEDocumentsRateModeAndKernelScratch(t *testing.T) {
 	s := string(b)
 	for _, want := range []string{
 		"### Coupled rate sweeps",
-		`"rate_mode": "` + faultexp.SweepRateModeCoupled + `"`,
-		`"rate_mode": "` + faultexp.SweepRateModeIndependent + `"`,
+		`"rate_mode": "` + sweep.RateModeCoupled + `"`,
+		`"rate_mode": "` + sweep.RateModeIndependent + `"`,
 		"-rate-mode",
 		"monotone in r",
 		"`cuts.Workspace`", "`span.Workspace`",
@@ -320,15 +321,15 @@ func TestREADMEDocumentsParallelismModel(t *testing.T) {
 		"ref-counted",
 		"`graphs_built` / `graphs_total`",
 		"largest\nfirst",
-		"cost~", "SweepUnitCost",
+		"cost~", "sweep.UnitCost",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("README's parallelism docs do not mention %q", want)
 		}
 	}
 	// The documented default must be the real one.
-	if faultexp.SweepDefaultTrialBlock != 64 {
-		t.Errorf("README documents a default trial block of 64, code says %d", faultexp.SweepDefaultTrialBlock)
+	if sweep.DefaultTrialBlock != 64 {
+		t.Errorf("README documents a default trial block of 64, code says %d", sweep.DefaultTrialBlock)
 	}
 }
 
@@ -352,7 +353,7 @@ func TestREADMESampledMeasuresInSync(t *testing.T) {
 		got = append(got, m[1])
 	}
 	sort.Strings(got)
-	want := faultexp.SweepSampledMeasures() // sorted by contract
+	want := sweep.SampledMeasures() // sorted by contract
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("README sampled measures %v, registry says %v", got, want)
 	}
@@ -374,7 +375,7 @@ func TestREADMEDocumentsPrecision(t *testing.T) {
 	for _, want := range []string{
 		"### Precision tiers",
 		`"precision": "sampled:k"`,
-		`"` + faultexp.SweepPrecisionExact + `"`,
+		`"` + sweep.PrecisionExact.String() + `"`,
 		"-precision",
 		"diameter_lb",
 		"residual",
@@ -419,18 +420,18 @@ func TestREADMEDocumentsResultCache(t *testing.T) {
 		"`cache_misses`",
 		"`cache_inflight`",
 		"cells cached",
-		"OpenResultCache",
-		"SweepWithCache",
-		"SweepWithFlight",
-		"SweepCellCacheKey",
+		"cache.Open",
+		"sweep.WithCache",
+		"sweep.WithFlight",
+		"sweep.CellCacheKey",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("README's result-cache docs do not mention %q", want)
 		}
 	}
-	// The documented kernel-version stamp export exists and is non-empty.
-	if faultexp.SweepKernelVersion == "" {
-		t.Error("SweepKernelVersion is empty")
+	// The documented kernel-version stamp exists and is non-empty.
+	if sweep.KernelVersion == "" {
+		t.Error("KernelVersion is empty")
 	}
 }
 
@@ -465,7 +466,7 @@ func TestREADMEDocumentsDistributedSweeps(t *testing.T) {
 		// Kernel-skew discipline.
 		"kernel-version stamp",
 		"refuses to\ndispatch",
-		"SweepKernelVersion",
+		"sweep.KernelVersion",
 		"GET /v1/workers",
 	} {
 		if !strings.Contains(s, want) {
