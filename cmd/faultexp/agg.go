@@ -11,7 +11,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -77,16 +76,6 @@ func cmdAgg(ctx context.Context, args []string) error {
 	if *csvOut == "" && *jsonlOut == "" {
 		*csvOut = "-"
 	}
-	open := func(path string) (io.Writer, func() error, error) {
-		if path == "-" {
-			return os.Stdout, func() error { return nil }, nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return f, f.Close, nil
-	}
 	var closers []func() error
 	defer func() {
 		for _, c := range closers {
@@ -94,7 +83,7 @@ func cmdAgg(ctx context.Context, args []string) error {
 		}
 	}()
 	if *csvOut != "" {
-		w, cl, err := open(*csvOut)
+		w, cl, err := openOutput(*csvOut)
 		if err != nil {
 			return err
 		}
@@ -104,7 +93,7 @@ func cmdAgg(ctx context.Context, args []string) error {
 		}
 	}
 	if *jsonlOut != "" {
-		w, cl, err := open(*jsonlOut)
+		w, cl, err := openOutput(*jsonlOut)
 		if err != nil {
 			return err
 		}

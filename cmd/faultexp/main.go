@@ -140,6 +140,19 @@ func (c ctxReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
+// openOutput opens an output destination flag's value: "-" is stdout
+// (whose closer does nothing), anything else a created file.
+func openOutput(path string) (io.Writer, func() error, error) {
+	if path == "-" {
+		return os.Stdout, func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, f.Close, nil
+}
+
 func usage() {
 	fmt.Fprintln(os.Stderr, `faultexp — fault-tolerant network expansion toolkit (SPAA'04 reproduction)
 

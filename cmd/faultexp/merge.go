@@ -69,16 +69,6 @@ func cmdMerge(ctx context.Context, args []string) error {
 	if *jsonlOut == "" && *csvOut == "" {
 		*jsonlOut = "-"
 	}
-	open := func(path string) (io.Writer, func() error, error) {
-		if path == "-" {
-			return os.Stdout, func() error { return nil }, nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return f, f.Close, nil
-	}
 	var closers []func() error
 	defer func() {
 		for _, c := range closers {
@@ -87,7 +77,7 @@ func cmdMerge(ctx context.Context, args []string) error {
 	}()
 	var jsonlW io.Writer
 	if *jsonlOut != "" {
-		w, cl, err := open(*jsonlOut)
+		w, cl, err := openOutput(*jsonlOut)
 		if err != nil {
 			return err
 		}
@@ -96,7 +86,7 @@ func cmdMerge(ctx context.Context, args []string) error {
 	}
 	var csvW sweep.Writer
 	if *csvOut != "" {
-		w, cl, err := open(*csvOut)
+		w, cl, err := openOutput(*csvOut)
 		if err != nil {
 			return err
 		}

@@ -117,16 +117,6 @@ func cmdSweep(ctx context.Context, args []string) error {
 		*jsonlOut = "-"
 	}
 	var writers sweep.MultiWriter
-	open := func(path string) (io.Writer, func() error, error) {
-		if path == "-" {
-			return os.Stdout, func() error { return nil }, nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return f, f.Close, nil
-	}
 	var closers []func() error
 	defer func() {
 		for _, c := range closers {
@@ -139,7 +129,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 		writers = append(writers, sweep.NewJSONL(resumeFile))
 	default:
 		if *jsonlOut != "" {
-			w, cl, err := open(*jsonlOut)
+			w, cl, err := openOutput(*jsonlOut)
 			if err != nil {
 				return err
 			}
@@ -147,7 +137,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 			writers = append(writers, sweep.NewJSONL(w))
 		}
 		if *csvOut != "" {
-			w, cl, err := open(*csvOut)
+			w, cl, err := openOutput(*csvOut)
 			if err != nil {
 				return err
 			}

@@ -9,6 +9,7 @@ package fabric
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 
@@ -122,18 +123,7 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	for ci := from; ; ci++ {
-		line, ok := cj.logs[ci%cj.m].next(r.Context(), ci/cj.m)
-		if !ok {
-			return
-		}
-		if _, err := w.Write(line); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	streamLog(w, r, from, func(ctx context.Context, ci int) ([]byte, bool) {
+		return cj.logs[ci%cj.m].next(ctx, ci/cj.m)
+	})
 }

@@ -577,7 +577,7 @@ func (m *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	streamLog(w, r, sj.log, from)
+	streamLog(w, r, from, sj.log.next)
 }
 
 // parseFrom reads the ?from=K re-attach parameter, writing the error
@@ -595,13 +595,15 @@ func parseFrom(w http.ResponseWriter, r *http.Request) (int, bool) {
 	return n, true
 }
 
-// streamLog follows one resultLog from line `from` until it finishes,
-// flushing each line as it lands.
-func streamLog(w http.ResponseWriter, r *http.Request, log *resultLog, from int) {
+// streamLog follows a record stream from line `from` until next
+// reports its end, flushing each line as it lands. next blocks until
+// line i exists or the stream is over (ctx cancelled, run finished) —
+// resultLog.next for a serve job, the shard interleave for a fleet job.
+func streamLog(w http.ResponseWriter, r *http.Request, from int, next func(ctx context.Context, i int) ([]byte, bool)) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	for i := from; ; i++ {
-		line, ok := log.next(r.Context(), i)
+		line, ok := next(r.Context(), i)
 		if !ok {
 			return
 		}

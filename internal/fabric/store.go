@@ -29,6 +29,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"faultexp/internal/sweep"
@@ -37,6 +38,9 @@ import (
 // Store is the on-disk root holding every job's directory.
 type Store struct {
 	dir string
+	// createMu serializes Create from the id scan through the rename, so
+	// concurrent submits never race for the same next id.
+	createMu sync.Mutex
 }
 
 // OpenStore opens (creating if needed) a store rooted at dir.
@@ -108,11 +112,13 @@ func jobSeq(name string) (int, bool) {
 // Create durably registers a new job before any cell runs: spec and
 // meta are written into a temp dir and renamed into place, so the job
 // either exists completely or not at all. IDs continue the store's
-// sequence ("job-<n>"), surviving restarts.
+// sequence ("job-<n>"), surviving restarts. Safe for concurrent use.
 func (st *Store) Create(spec *sweep.Spec, specJSON []byte, shards int) (*StoredJob, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("fabric: job needs ≥ 1 shard, got %d", shards)
 	}
+	st.createMu.Lock()
+	defer st.createMu.Unlock()
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
 		return nil, err

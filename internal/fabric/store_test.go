@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"faultexp/internal/sweep"
@@ -26,6 +27,50 @@ func loadSpec(t *testing.T, specJSON string) *sweep.Spec {
 		t.Fatal(err)
 	}
 	return spec
+}
+
+// TestStoreConcurrentCreate: the coordinator calls Create from
+// concurrent HTTP handlers, so simultaneous creates must each succeed
+// under their own job id rather than race for the same next id.
+func TestStoreConcurrentCreate(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := loadSpec(t, storeSpecJSON)
+	const n = 16
+	ids := make([]string, n)
+	errs := make([]error, n)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start.Wait()
+			sj, err := st.Create(spec, []byte(storeSpecJSON), 1)
+			if err == nil {
+				ids[i] = sj.ID
+			}
+			errs[i] = err
+		}(i)
+	}
+	start.Done()
+	wg.Wait()
+	seen := map[string]bool{}
+	for i, id := range ids {
+		if errs[i] != nil {
+			t.Errorf("create %d: %v", i, errs[i])
+			continue
+		}
+		if seen[id] {
+			t.Errorf("job id %s handed out twice", id)
+		}
+		seen[id] = true
+	}
+	if jobs, err := st.Jobs(); err != nil || len(jobs) != n {
+		t.Fatalf("store holds %d jobs (err %v), want %d", len(jobs), err, n)
+	}
 }
 
 func TestStoreCreateLoadRoundTrip(t *testing.T) {

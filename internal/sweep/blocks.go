@@ -4,9 +4,9 @@ package sweep
 // serial cell is one block covering [0, Trials), folded into its Result
 // on the worker that ran it. In trial-parallel mode a cell's loop
 // splits into fixed-size blocks of Cell.TrialBlock trials; each block
-// runs on a pool worker with its own Recorder, and the (single-
-// threaded) emit path folds the blocks back together in block-index
-// order via Recorder.MergeFrom / stats.Stream.Merge.
+// runs on a pool worker with its own Recorder, and the worker that
+// finishes the cell's last block folds them all back together in
+// block-index order via Recorder.MergeFrom / stats.Stream.Merge.
 //
 // The determinism contract: trial t's draws come from TrialSeed(c.Seed,
 // t) whether the loop is whole or blocked, so every individual trial is
@@ -54,10 +54,11 @@ func blockCount(trials, block int) int {
 }
 
 // blockOut is one trial block's computed state, carried from the worker
-// that ran it to the emit path that folds it into the cell's Result.
+// that ran it to the worker that folds the cell's blocks into its
+// Result.
 type blockOut struct {
 	// rec holds the block's accumulated streams and constants; the fold
-	// path owns it once emitted (merged then recycled to recorderPool).
+	// owns it (merged then recycled to recorderPool).
 	rec *Recorder
 	// finish is the cell's post-loop finisher. Setup is deterministic,
 	// so every block carries the same finisher; the fold runs the one
@@ -114,15 +115,27 @@ func runTrialBlock(g *graph.Graph, c Cell, ws *graph.Workspace, lo, hi int) (out
 	return out
 }
 
-// foldCell renders a cell's (merged) block state into its Result: the
-// finisher, metric rendering, non-finite filtering, and panic
-// containment. rec is recycled here whatever path returns.
-func foldCell(c Cell, rec *Recorder, finish FinishFunc, errMsg string, n, m int) (res *Result) {
-	res = newResult(c, n, m)
-	defer func() {
-		if rec != nil {
-			recorderPool.Put(rec)
+// foldBlocks renders a cell's blocks, given in block-index order, into
+// its Result. Block 0 contributes the recorder, the finisher and the
+// graph size; later blocks merge into that recorder in block-index
+// order, so the fold order is fixed by the block partition, never by
+// scheduling — the whole byte-determinism argument for trial-parallel
+// mode. The first non-empty block error becomes the cell's Err. The
+// finisher, metric rendering and non-finite filtering follow, under
+// panic containment; every recorder is recycled whatever path returns.
+func foldBlocks(c Cell, blocks []*blockOut) (res *Result) {
+	first := blocks[0]
+	rec, errMsg := first.rec, first.errMsg
+	for _, b := range blocks[1:] {
+		if errMsg == "" {
+			errMsg = b.errMsg
 		}
+		rec.MergeFrom(b.rec)
+		recorderPool.Put(b.rec)
+	}
+	res = newResult(c, first.n, first.m)
+	defer func() {
+		recorderPool.Put(rec)
 		if p := recover(); p != nil {
 			res.Metrics = nil
 			res.Err = fmt.Sprintf("panic: %v", p)
@@ -132,8 +145,8 @@ func foldCell(c Cell, rec *Recorder, finish FinishFunc, errMsg string, n, m int)
 		res.Err = errMsg
 		return res
 	}
-	if finish != nil {
-		if err := finish(rec); err != nil {
+	if first.finish != nil {
+		if err := first.finish(rec); err != nil {
 			res.Err = err.Error()
 			return res
 		}

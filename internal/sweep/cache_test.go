@@ -10,6 +10,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -377,6 +378,51 @@ func TestCacheTrialParallelWarm(t *testing.T) {
 		t.Fatal("warm trial-parallel run differs")
 	}
 	checkCounters(t, s, cells, 0)
+
+	// Partial warm: evict every other cell, so hits interleave with
+	// multi-block cells that fold on their workers; the rerun must
+	// recompute exactly the evicted half, serially and in parallel.
+	for _, workers := range []int{1, 4} {
+		for i := 0; i < int(cells); i += 2 {
+			if err := os.Remove(cellEntryPath(rc, spec, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, s := runCached(t, spec, rc, WithWorkers(workers))
+		if !bytes.Equal(got, cold) {
+			t.Fatalf("workers=%d: partially warm trial-parallel run differs from cold", workers)
+		}
+		checkCounters(t, s, cells-cells/2, cells/2)
+	}
+}
+
+// TestCacheWarmJobCancelledBeforeStart: a job cancelled before Start
+// must end cancelled with zero records even when every cell is a cache
+// hit — a hit is a unit like any other, and a cancelled dispatch hands
+// none of them out.
+func TestCacheWarmJobCancelledBeforeStart(t *testing.T) {
+	spec := toySpec()
+	rc, _ := cache.Open(t.TempDir())
+	runCached(t, spec, rc)
+	for _, workers := range []int{1, 3} {
+		var buf bytes.Buffer
+		j, err := NewJob(spec, WithWriter(NewJSONL(&buf)), WithWorkers(workers), WithCache(rc))
+		if err != nil {
+			t.Fatalf("NewJob: %v", err)
+		}
+		j.Cancel()
+		if err := j.Start(context.Background()); err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		sum, err := j.Wait()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: Wait = %v, want context.Canceled", workers, err)
+		}
+		if s := j.Snapshot(); s.State != JobCancelled || s.CellsDone != 0 || sum.Cells != 0 || buf.Len() != 0 {
+			t.Errorf("workers=%d: state %s, %d cells done, %d summarized, %d bytes written; want cancelled with none",
+				workers, s.State, s.CellsDone, sum.Cells, buf.Len())
+		}
+	}
 }
 
 // TestCacheErrorCellsNotCached: error records must never be cached — an

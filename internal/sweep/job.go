@@ -8,18 +8,20 @@ package sweep
 // stop it with Cancel (or by cancelling ctx), and collect the outcome
 // with Wait.
 //
-// Cancellation drains, never tears: the pool stops dispatching new cells
-// but every cell already handed to a worker completes and is emitted
-// (harness.RunOrdered), so the JSONL output after a cancel is
-// always the exact contiguous prefix of the run's cell sequence — a
-// valid `-resume` input that completes to bytes identical to an
-// uninterrupted run.
+// Cancellation drains, never tears: the pool stops dispatching new
+// units but every unit already handed to a worker completes and its
+// records are emitted in order (harness.RunOrdered), so the JSONL
+// output after a cancel is always the exact contiguous prefix of the
+// run's cell sequence — a valid `-resume` input that completes to bytes
+// identical to an uninterrupted run. Cache hits are units too: a job
+// cancelled before Start writes nothing, however warm its cache.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -68,10 +70,11 @@ type Snapshot struct {
 	CellsDone    int `json:"cells_done"`
 	CellsTotal   int `json:"cells_total"`
 	CellsSkipped int `json:"cells_skipped,omitempty"`
-	// TrialsDone counts completed trial executions. It advances as
-	// compute finishes — per trial block (a serial cell is one block)
-	// or per coupled group — so it can run ahead of the durable output
-	// by the in-flight window; CellsDone stays write-confirmed.
+	// TrialsDone counts completed trial executions. It advances on the
+	// worker as each unit finishes — per trial block (a serial cell is
+	// one block) or per coupled group; cache hits run no trials — so it
+	// can run ahead of the durable output by the in-flight window;
+	// CellsDone stays write-confirmed.
 	TrialsDone int64 `json:"trials_done"`
 	// GraphsBuilt / GraphsTotal track the lazy family-graph lifecycle:
 	// Total is how many distinct family graphs this run needs, Built
@@ -83,10 +86,12 @@ type Snapshot struct {
 	Errors int `json:"errors"`
 	// Cache accounting, present only on cache/flight-enabled jobs:
 	// CacheHits counts cells emitted from the content-addressed cache
-	// without any computation, CacheMisses cells this job computed, and
-	// CacheInflight cells satisfied by another job's in-flight
-	// computation (single-flight dedup). At completion the three sum to
-	// CellsTotal.
+	// without any computation (tallied at the probe, before any unit
+	// runs), CacheMisses cells this job computed (tallied on the worker
+	// that finishes the cell's record — for a multi-block cell, the one
+	// that folds its last block), and CacheInflight cells satisfied by
+	// another job's in-flight computation (single-flight dedup). At
+	// completion the three sum to CellsTotal.
 	CacheHits     int64 `json:"cache_hits,omitempty"`
 	CacheMisses   int64 `json:"cache_misses,omitempty"`
 	CacheInflight int64 `json:"cache_inflight,omitempty"`
@@ -132,26 +137,28 @@ func WithShard(sh Shard) JobOption { return func(c *jobConfig) { c.shard = sh } 
 func WithSkipCells(n int) JobOption { return func(c *jobConfig) { c.skip = n } }
 
 // WithProgress installs a callback invoked after each cell is emitted
-// (on the emit goroutine — keep it fast).
+// (serialized with every other emit — keep it fast).
 func WithProgress(fn func(done, total int)) JobOption {
 	return func(c *jobConfig) { c.progress = fn }
 }
 
 // WithCache attaches a content-addressed result cache (nil = none).
 // Before scheduling, every cell is probed under its CellCacheKey: a
-// verified hit is emitted on the ordered emit path without building the
-// cell's graph or running a single trial, and a miss computes then
-// writes its record back (atomically, temp file + rename). Error
-// records are never cached. Output bytes are identical with or without
-// a cache — CachedResult proves it per record before emitting.
+// verified hit becomes a unit that returns the stored record without
+// building the cell's graph or running a single trial, and a miss
+// computes, then writes its record back (atomically, temp file +
+// rename) from the worker that finished it. Error records are never
+// cached. Output bytes are identical with or without a cache —
+// CachedResult proves it per record before emitting.
 func WithCache(rc *cache.Cache) JobOption { return func(c *jobConfig) { c.cache = rc } }
 
 // WithFlight attaches a single-flight group shared across jobs (nil =
 // none): when another job is computing a cell with the same cache key,
 // this job waits for its bytes instead of recomputing — the serve
-// daemon's cross-job dedup. Applies to every unit that completes one
-// whole cell on its worker (coupled groups and the blocks of a
-// multi-block cell always compute locally on a probe miss).
+// daemon's cross-job dedup. Applies to one-block cells, the units that
+// are a whole cell (coupled groups and the blocks of a multi-block
+// cell always compute locally on a probe miss, the latter folding on
+// the worker that finishes the cell's last block).
 func WithFlight(f *cache.Flight) JobOption { return func(c *jobConfig) { c.flight = f } }
 
 // discardWriter is the default sink when no WithWriter option is given.
@@ -409,61 +416,77 @@ func (e *graphEntry) release() {
 	}
 }
 
-// unitKind discriminates the schedulable unit shapes.
-type unitKind uint8
-
-const (
-	unitBlock unitKind = iota // one trial block of an independent cell
-	unitGroup                 // one coupled rate group (contiguous cells)
-)
-
-// unit is one schedulable piece of work. Units are built in cell-major
-// order, so emitting them in unit-index order reproduces the cell
-// order — and, within a multi-block cell, block order.
+// unit is one schedulable piece of work: a cache hit, a coupled rate
+// group, or one trial block of an independent cell (a serial cell is
+// one block covering [0, Trials)). Every unit returns finished records
+// from the worker that ran it, and units are built in cell-major order,
+// so emitting them in unit-index order reproduces the cell order.
 type unit struct {
-	kind unitKind
-	cell int // index into j.cells (first cell of the group for unitGroup)
-	// lo/hi bound the trial range and last marks the cell's final
-	// block; unitBlock only.
-	lo, hi int
-	last   bool
-	fam    *graphEntry
-	// cost is the EstimateFamily-derived dispatch priority (UnitCost).
+	cell   int // the unit's first cell (a coupled group spans len(Rates))
+	lo, hi int // trial range of a block; [0, Trials) for a group
+	// fam is the unit's family graph; nil marks a cache hit.
+	fam *graphEntry
+	// fold gathers the blocks of a multi-block cell; nil otherwise.
+	fold *cellFold
+	// cost is the dispatch priority: UnitCost, or +Inf for a hit.
 	cost float64
 }
 
-// wholeCell reports whether the unit is one block covering its entire
-// cell — the unit that folds on its worker and can join a flight.
-func (u *unit) wholeCell() bool { return u.kind == unitBlock && u.lo == 0 && u.last }
-
-// unitOut is what one scheduled unit yields to the ordered emit path.
-type unitOut struct {
-	rs   []*Result // whole cells, folded on the worker (one cell or a coupled group)
-	blk  *blockOut // one block of a multi-block cell, folded at emit
-	skip bool      // dropped: writer already failed or a graph build failed
+// cellFold gathers one multi-block cell's blocks. Each block fills its
+// slot and then counts left down; the worker that takes left to zero
+// folds the cell.
+type cellFold struct {
+	left   atomic.Int32
+	blocks []*blockOut
 }
 
-// run executes the job: plan every family up front (fail before any
-// output), build graphs lazily and ref-counted on the pool, execute
-// the schedulable units — trial blocks or coupled groups — with
-// cost-ordered dispatch and ordered emission, stream to the writer,
-// flush.
+// add stores block b's output and returns the cell's blocks, in
+// block-index order, once every block has landed (nil before that),
+// clearing the slots for the fold that now owns them. The slot writes
+// are race-free: each happens-before its own decrement, and the
+// decrement that reaches zero observes every earlier one.
+func (f *cellFold) add(b int, out *blockOut) []*blockOut {
+	f.blocks[b] = out
+	if f.left.Add(-1) != 0 {
+		return nil
+	}
+	blocks := f.blocks
+	f.blocks = nil
+	return blocks
+}
+
+// run executes the job: probe the cache, plan every family up front
+// (fail before any output), build graphs lazily and ref-counted on the
+// pool, execute the units with cost-ordered dispatch, stream their
+// records to the writer in unit order, flush.
 func (j *Job) run(parent context.Context) {
-	// An internal cancel layer lets a mid-run graph-build failure stop
-	// dispatch the same way a user cancel does (drain, flush, then
-	// report stFailed instead of stCancelled).
+	// An internal cancel layer lets a mid-run failure — a graph build or
+	// a write — stop dispatch the way a user cancel does (drain, flush,
+	// then report stFailed instead of stCancelled). fail keeps the first.
 	ctx, cancelRun := context.WithCancel(parent)
 	defer cancelRun()
+	var failed atomic.Pointer[error]
+	fail := func(err error) {
+		if failed.CompareAndSwap(nil, &err) {
+			cancelRun()
+		}
+	}
+
+	// per is how many cells one unit of work covers: a coupled rate group
+	// (every rate of one family × measure × model) or a single cell.
+	per := 1
+	if j.spec.Coupled() {
+		per = len(j.spec.Rates)
+	}
 
 	// Content-addressed cache probe, before any planning: every cell's
 	// key is derived once (one reused hasher — the key path allocates
 	// nothing), and cells whose stored record verifies under
-	// CachedResult are excluded from scheduling entirely — no graph
-	// entry, no unit, no trial. Their records re-enter on the ordered
-	// emit path below, interleaved back into exact cell order, so the
-	// output bytes are identical to a cold run's. In coupled mode the
-	// rate group computes all-or-nothing (probeCache masks partial
-	// groups), matching the group being the unit of work.
+	// CachedResult become hit units — no graph entry, no trial — that
+	// return the stored records in place, so the output bytes are
+	// identical to a cold run's. In coupled mode the rate group
+	// computes all-or-nothing (probeCache masks partial groups), so a
+	// group's first cell speaks for the whole group.
 	var (
 		cacheOn bool // any cache machinery attached
 		keys    []cache.Key
@@ -478,107 +501,71 @@ func (j *Job) run(parent context.Context) {
 		}
 	}
 	if j.cfg.cache != nil {
-		group := 1
-		if j.spec.Coupled() {
-			group = len(j.spec.Rates)
-		}
-		hits = probeCache(j.cfg.cache, j.cells, keys, group)
+		hits = probeCache(j.cfg.cache, j.cells, keys, per)
 		for _, r := range hits {
 			if r != nil {
 				j.cacheHits.Add(1)
 			}
 		}
 	}
-	isHit := func(i int) bool { return hits != nil && hits[i] != nil }
 
-	// Plan (not build) each distinct family up front: a bad family spec
-	// — malformed size token, over-budget graph — still fails before
-	// any output is written, exactly as the old eager build did, and
-	// the plan's size estimates price the dispatch order. Construction
-	// itself is deferred to first use on the pool. The graph seed is
-	// semantic (GraphSeed), so every shard that builds a family builds
-	// the identical instance. Fully-cached families are skipped: a warm
-	// run builds no graphs at all (GraphsTotal counts only families
-	// with at least one scheduled cell).
+	// Expand the cell sequence into units, cell-major, planning (not
+	// building) each distinct family at its first scheduled cell: a bad
+	// family spec — malformed size token, over-budget graph — still
+	// fails before any output is written, and the plan's size estimates
+	// price the dispatch order. Construction itself is deferred to first
+	// use on the pool. The graph seed is semantic (GraphSeed), so every
+	// shard that builds a family builds the identical instance. A warm
+	// run builds no graphs at all: GraphsTotal counts only families with
+	// at least one scheduled cell.
 	entries := map[string]*graphEntry{}
-	for i := range j.cells {
-		c := &j.cells[i]
-		if isHit(i) {
+	var units []unit
+	for s := 0; s < len(j.cells); s += per {
+		c := &j.cells[s]
+		if hits != nil && hits[s] != nil {
+			units = append(units, unit{cell: s, cost: math.Inf(1)})
 			continue
 		}
 		key := c.Family.String()
-		if _, ok := entries[key]; ok {
-			continue
+		e := entries[key]
+		if e == nil {
+			// Sampled-precision cells measure in O(k·(n+m)), so they get
+			// the raised size budget; exact cells keep the default OOM
+			// guard.
+			budget := gen.DefaultBudget
+			if c.Precision.Sampled {
+				budget = gen.SampledBudget
+			}
+			n, m, err := gen.EstimateFamilyBudget(c.Family.Family, c.Family.Size, c.Family.K, budget)
+			if err != nil {
+				j.finish(stFailed, fmt.Errorf("sweep: building %s: %w", key, err))
+				return
+			}
+			e = &graphEntry{fam: c.Family, budget: budget, seed: GraphSeed(j.spec.Seed, c.Family), estN: n, estM: m}
+			entries[key] = e
 		}
-		// Sampled-precision cells measure in O(k·(n+m)), so they get the
-		// raised size budget; exact cells keep the default OOM guard.
-		budget := gen.DefaultBudget
-		if c.Precision.Sampled {
-			budget = gen.SampledBudget
+		// A coupled group (TrialBlock 0) and a serial cell are one unit;
+		// a trial-parallel cell is one unit per block, in block order.
+		nb := blockCount(c.Trials, c.TrialBlock)
+		var fold *cellFold
+		if nb > 1 {
+			fold = &cellFold{blocks: make([]*blockOut, nb)}
+			fold.left.Store(int32(nb))
 		}
-		n, m, err := gen.EstimateFamilyBudget(c.Family.Family, c.Family.Size, c.Family.K, budget)
-		if err != nil {
-			j.finish(stFailed, fmt.Errorf("sweep: building %s: %w", key, err))
-			return
-		}
-		entries[key] = &graphEntry{
-			fam:    c.Family,
-			budget: budget,
-			seed:   GraphSeed(j.spec.Seed, c.Family),
-			estN:   n,
-			estM:   m,
+		for b := 0; b < nb; b++ {
+			lo, hi := 0, c.Trials
+			if nb > 1 {
+				lo = b * c.TrialBlock
+				hi = min(lo+c.TrialBlock, c.Trials)
+			}
+			// Preset the ref counts before any dispatch: release() relies
+			// on refs only ever reaching zero after the final unit is done.
+			e.refs.Add(1)
+			units = append(units, unit{cell: s, lo: lo, hi: hi, fam: e, fold: fold,
+				cost: UnitCost(e.estN, e.estM, (hi-lo)*per, c.Precision)})
 		}
 	}
 	j.graphsTotal.Store(int64(len(entries)))
-
-	// Expand the cell sequence into schedulable units, cell-major: the
-	// coupled group (every rate of one family × measure × model) or the
-	// trial block (a serial cell is one block covering [0, Trials)).
-	// Emission in unit order therefore reproduces cell order, and a
-	// multi-block cell's blocks arrive at the fold consecutively, in
-	// block order.
-	var units []unit
-	if j.spec.Coupled() {
-		per := len(j.spec.Rates)
-		for s := 0; s < len(j.cells); s += per {
-			// probeCache guarantees group granularity: the first cell's
-			// hit status speaks for the whole group.
-			if isHit(s) {
-				continue
-			}
-			c := &j.cells[s]
-			e := entries[c.Family.String()]
-			units = append(units, unit{
-				kind: unitGroup, cell: s, fam: e,
-				cost: UnitCost(e.estN, e.estM, c.Trials*per, c.Precision),
-			})
-		}
-	} else {
-		for i := range j.cells {
-			if isHit(i) {
-				continue
-			}
-			c := &j.cells[i]
-			e := entries[c.Family.String()]
-			nb := blockCount(c.Trials, c.TrialBlock)
-			for b := 0; b < nb; b++ {
-				lo, hi := 0, c.Trials
-				if nb > 1 {
-					lo = b * c.TrialBlock
-					hi = min(lo+c.TrialBlock, c.Trials)
-				}
-				units = append(units, unit{
-					kind: unitBlock, cell: i, lo: lo, hi: hi, last: b == nb-1, fam: e,
-					cost: UnitCost(e.estN, e.estM, hi-lo, c.Precision),
-				})
-			}
-		}
-	}
-	// Preset the ref counts before any dispatch: release() relies on
-	// refs only ever reaching zero after the final unit is done.
-	for i := range units {
-		units[i].fam.refs.Add(1)
-	}
 
 	workers := j.cfg.workers
 	if workers == 0 {
@@ -598,8 +585,9 @@ func (j *Job) run(parent context.Context) {
 	}
 
 	// Cost-aware dispatch: hand the most expensive units to the pool
-	// first (stable sort — ties keep cell order, so same-family units
-	// stay contiguous and the in-flight graph set stays small). The
+	// first, after the hits, which cost nothing and unblock emission
+	// (stable sort — ties keep cell order, so same-family units stay
+	// contiguous and the in-flight graph set stays small). The
 	// permutation affects wall-clock only: RunOrdered emits in
 	// unit-index order regardless, so output bytes are untouched.
 	var order []int
@@ -621,52 +609,6 @@ func (j *Job) run(parent context.Context) {
 		workspaces[i] = graph.NewWorkspace()
 	}
 
-	var (
-		writeErr error
-		aborted  atomic.Bool
-		// buildErr records the first mid-run graph construction failure
-		// (rare: the plan above admits the size, so only randomized
-		// feasibility checks can fail here). It cancels dispatch; the
-		// terminal state is stFailed.
-		buildErr atomic.Pointer[error]
-	)
-	failBuild := func(key string, err error) {
-		werr := fmt.Errorf("sweep: building %s: %w", key, err)
-		if buildErr.CompareAndSwap(nil, &werr) {
-			cancelRun()
-		}
-	}
-
-	// emitOne streams one cell result, shared by every unit shape.
-	emitOne := func(r *Result) {
-		if writeErr != nil {
-			// The sink already failed: the remaining results — any real
-			// cells that were in flight — can never be written, so they
-			// are not part of the run's outcome. Counting them would
-			// inflate the summary, and reporting progress for them would
-			// show a run marching on after its output died.
-			return
-		}
-		// The Summary counts every cell that reached the sink — the
-		// one whose write fails included (it died *at* the sink, not
-		// before it). The lock-free Snapshot counters below advance
-		// only after a successful write, so Snapshot.CellsDone always
-		// matches what -resume will find durably in the output.
-		j.sum.Cells++
-		if r.Err != "" {
-			j.sum.Errors++
-		}
-		if writeErr = j.cfg.w.Write(r); writeErr != nil {
-			aborted.Store(true)
-			return
-		}
-		j.cellsDone.Store(int64(j.sum.Cells))
-		j.errCells.Store(int64(j.sum.Errors))
-		if j.cfg.progress != nil {
-			j.cfg.progress(j.sum.Cells, len(j.cells))
-		}
-	}
-
 	// writeBack stores one computed record in the cache (best-effort:
 	// a full disk degrades to cold-run behavior, never to an error) and
 	// returns the encoded payload for the single-flight publish. Error
@@ -686,31 +628,37 @@ func (j *Job) run(parent context.Context) {
 		return payload
 	}
 
-	// runUnit computes one unit on a pool worker. Every unit acquires
-	// its family's graph (building it on first use) and releases it on
-	// the way out, so a family's graph lives exactly as long as it has
-	// in-flight or pending units.
-	runUnit := func(worker, ui int) unitOut {
+	// runUnit computes one unit on a pool worker and returns its finished
+	// records: a hit's stored records, a coupled group's, a one-block
+	// cell's, or — from whichever of a multi-block cell's blocks lands
+	// last — the folded cell (its other blocks return none). Every
+	// computing unit acquires its family's graph (building it on first
+	// use) and releases it on the way out, so a family's graph lives
+	// exactly as long as it has in-flight or pending units.
+	runUnit := func(worker, ui int) []*Result {
 		u := &units[ui]
-		if aborted.Load() || buildErr.Load() != nil {
-			// Don't burn hours computing units whose results can never
+		if u.fam == nil {
+			return hits[u.cell : u.cell+per]
+		}
+		if failed.Load() != nil {
+			// Don't burn hours computing units whose records can never
 			// be written; still release the ref so counts stay balanced.
 			u.fam.release()
-			return unitOut{skip: true}
+			return nil
 		}
-		// Cross-job single-flight (whole-cell units only): if another job
+		// Cross-job single-flight (one-block cells only): if another job
 		// is already computing this exact cell, wait for its bytes instead
 		// of acquiring the graph at all. A leader election obliges this
 		// worker to Finish or Abort on every exit path below.
 		var flightLeader bool
-		if j.cfg.flight != nil && u.wholeCell() {
+		if j.cfg.flight != nil && !j.spec.Coupled() && u.fold == nil {
 			leader, p := j.cfg.flight.Begin(keys[u.cell])
 			if !leader {
 				if payload, ok := p.Wait(ctx); ok {
 					if r, ok := CachedResult(payload, &j.cells[u.cell]); ok {
 						u.fam.release()
 						j.cacheInflight.Add(1)
-						return unitOut{rs: []*Result{r}}
+						return []*Result{r}
 					}
 				}
 				// Leader aborted (error cell, cancellation) or the bytes
@@ -725,35 +673,29 @@ func (j *Job) run(parent context.Context) {
 				j.cfg.flight.Abort(keys[u.cell])
 			}
 			u.fam.release()
-			failBuild(u.fam.fam.String(), err)
-			return unitOut{skip: true}
+			fail(fmt.Errorf("sweep: building %s: %w", u.fam.fam.String(), err))
+			return nil
 		}
 		defer u.fam.release()
 		ws := workspaces[worker]
+		cells := j.cells[u.cell : u.cell+per]
 		var rs []*Result
-		if u.kind == unitGroup {
-			group := j.cells[u.cell : u.cell+len(j.spec.Rates)]
-			c0 := group[0]
-			seed := CoupledGroupSeed(j.spec.Seed, c0.Family, c0.Measure, c0.Model)
-			rs = runCoupledGroup(g, group, ws, seed)
-			j.trialsDone.Add(int64(c0.Trials) * int64(len(group)))
+		if j.spec.Coupled() {
+			c0 := cells[0]
+			rs = runCoupledGroup(g, cells, ws, CoupledGroupSeed(j.spec.Seed, c0.Family, c0.Measure, c0.Model))
 		} else {
-			c := j.cells[u.cell]
-			blk := runTrialBlock(g, c, ws, u.lo, u.hi)
-			j.trialsDone.Add(int64(u.hi - u.lo))
-			if !u.wholeCell() {
-				if cacheOn && u.lo == 0 {
-					// One miss per cell, counted at its first block; the
-					// write-back waits for the fold on the emit path.
-					j.cacheMisses.Add(1)
-				}
-				return unitOut{blk: blk}
+			c := cells[0]
+			blocks := []*blockOut{runTrialBlock(g, c, ws, u.lo, u.hi)}
+			if u.fold != nil {
+				blocks = u.fold.add(u.lo/c.TrialBlock, blocks[0])
 			}
-			rs = []*Result{foldCell(c, blk.rec, blk.finish, blk.errMsg, blk.n, blk.m)}
+			if blocks != nil {
+				rs = []*Result{foldBlocks(c, blocks)}
+			}
 		}
-		// The unit completed whole cells: write them back here, on the
-		// worker, so encoding and the cache write stay off the serialized
-		// emit path.
+		j.trialsDone.Add(int64(u.hi-u.lo) * int64(per))
+		// Write finished records back here, on the worker, so encoding
+		// and the cache write stay off the serialized emit path.
 		var payload []byte
 		if cacheOn {
 			j.cacheMisses.Add(int64(len(rs)))
@@ -762,113 +704,55 @@ func (j *Job) run(parent context.Context) {
 			}
 		}
 		if flightLeader {
-			// A flight leader is a whole-cell unit: payload is its cell's.
+			// A flight leader is a one-block cell: payload is its cell's.
 			if payload != nil {
 				j.cfg.flight.Finish(keys[u.cell], payload)
 			} else {
 				j.cfg.flight.Abort(keys[u.cell])
 			}
 		}
-		return unitOut{rs: rs}
+		return rs
 	}
 
-	// Multi-block fold state. RunOrdered emits units in index order on
-	// one goroutine and units are cell-major, so a cell's blocks arrive
-	// here consecutively, in block order — the fold needs no locking and
-	// no out-of-order buffering beyond what the harness already does.
-	// The merge order is therefore fixed by the block partition, never
-	// by scheduling: that is the whole byte-determinism argument for
-	// trial-parallel mode.
-	var (
-		accRec     *Recorder
-		accFinish  FinishFunc
-		accErr     string
-		accN, accM int
-	)
-	// flushHits interleaves cached records back into cell order: before
-	// a scheduled unit's cell emits, every cached cell below it emits
-	// first, and after the last unit the trailing cached cells follow.
-	// Units are cell-major and the harness emits them in unit order, so
-	// every cell in [nextEmit, limit) that has no unit is a cache hit —
-	// the invariant that keeps the output an exact contiguous cell
-	// sequence, byte-identical to a cold run.
-	nextEmit := 0
-	flushHits := func(limit int) {
-		if hits == nil {
-			nextEmit = limit
-			return
-		}
-		for nextEmit < limit {
-			if r := hits[nextEmit]; r != nil {
-				emitOne(r)
+	// emit streams each unit's records in unit order — cell order.
+	emit := func(_ int, rs []*Result) {
+		for _, r := range rs {
+			if failed.Load() != nil {
+				// The run already failed: the remaining records can never
+				// be written in order, so they are not part of its outcome.
+				// Counting them would inflate the summary, and reporting
+				// progress for them would show a run marching on after its
+				// output died.
+				return
 			}
-			nextEmit++
-		}
-	}
-	emitUnit := func(ui int, out unitOut) {
-		if out.skip || writeErr != nil || buildErr.Load() != nil {
-			// Recycle a dropped block's recorder; the fold for its cell
-			// will never complete (the run is ending).
-			if out.blk != nil && out.blk.rec != nil {
-				recorderPool.Put(out.blk.rec)
+			// The Summary counts every cell that reached the sink — the
+			// one whose write fails included (it died *at* the sink, not
+			// before it). The lock-free Snapshot counters below advance
+			// only after a successful write, so Snapshot.CellsDone always
+			// matches what -resume will find durably in the output.
+			j.sum.Cells++
+			if r.Err != "" {
+				j.sum.Errors++
 			}
-			return
-		}
-		u := &units[ui]
-		flushHits(u.cell)
-		if out.blk == nil {
-			for _, r := range out.rs {
-				emitOne(r)
+			if err := j.cfg.w.Write(r); err != nil {
+				fail(fmt.Errorf("sweep: writing results: %w", err))
+				return
 			}
-			nextEmit = u.cell + len(out.rs)
-			return
-		}
-		b := out.blk
-		if u.lo == 0 {
-			accRec, accFinish, accErr, accN, accM = b.rec, b.finish, b.errMsg, b.n, b.m
-		} else {
-			if accErr == "" {
-				accErr = b.errMsg
+			j.cellsDone.Store(int64(j.sum.Cells))
+			j.errCells.Store(int64(j.sum.Errors))
+			if j.cfg.progress != nil {
+				j.cfg.progress(j.sum.Cells, len(j.cells))
 			}
-			if b.rec != nil {
-				if accRec == nil {
-					accRec = b.rec
-				} else {
-					accRec.MergeFrom(b.rec)
-					recorderPool.Put(b.rec)
-				}
-			}
-		}
-		if u.last {
-			r := foldCell(j.cells[u.cell], accRec, accFinish, accErr, accN, accM)
-			accRec, accFinish, accErr = nil, nil, ""
-			if cacheOn {
-				// A multi-block cell writes back here, where its folded
-				// record first exists.
-				writeBack(u.cell, r)
-			}
-			emitOne(r)
-			nextEmit = u.cell + 1
 		}
 	}
 
-	ctxErr := harness.RunOrdered(ctx, len(units), workers, order, runUnit, emitUnit)
-	if writeErr == nil && buildErr.Load() == nil && ctxErr == nil {
-		// Every scheduled unit emitted: flush the cached cells past the
-		// last one (on an all-hit run, that is the entire grid — no
-		// graph was built and no trial ran). Skipped on any abort path,
-		// so a cancelled run's output stays the contiguous prefix ending
-		// at its last computed cell.
-		flushHits(len(j.cells))
-	}
+	ctxErr := harness.RunOrdered(ctx, len(units), workers, order, runUnit, emit)
 	// Flush regardless of how the run ended: a cancelled job's prefix
 	// must be durable for -resume to pick up.
 	flushErr := j.cfg.w.Flush()
 	switch {
-	case writeErr != nil:
-		j.finish(stFailed, fmt.Errorf("sweep: writing results: %w", writeErr))
-	case buildErr.Load() != nil:
-		j.finish(stFailed, *buildErr.Load())
+	case failed.Load() != nil:
+		j.finish(stFailed, *failed.Load())
 	case ctxErr != nil:
 		j.finish(stCancelled, fmt.Errorf("sweep: cancelled after %d of %d cells: %w", j.sum.Cells, len(j.cells), ctxErr))
 	case flushErr != nil:

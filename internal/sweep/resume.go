@@ -13,7 +13,6 @@ package sweep
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -78,10 +77,11 @@ func ScanResume(r io.Reader, cells []Cell) (ResumeState, error) {
 		line, err := br.ReadBytes('\n')
 		switch {
 		case err == nil:
-			// A complete, newline-terminated record.
-			trimmed := bytes.TrimSpace(line)
+			// A complete, newline-terminated record. Decoding the raw
+			// line admits exactly JSON's whitespace around it — the rule
+			// merge and the fleet apply — and refuses a blank line.
 			var res Result
-			if len(trimmed) == 0 || json.Unmarshal(trimmed, &res) != nil {
+			if json.Unmarshal(line, &res) != nil {
 				return st, fmt.Errorf("sweep: resume: record %d is malformed — output corrupt, refusing to resume", st.Done)
 			}
 			if st.Done >= len(cells) {

@@ -88,7 +88,7 @@ type Summary struct {
 }
 
 // newResult builds a record's header — the cell's coordinates and the
-// graph's size — shared by every path that renders a Result (foldCell
+// graph's size — shared by every path that renders a Result (foldBlocks
 // and runCoupledGroup); metrics or an error are filled in after.
 func newResult(c Cell, n, m int) *Result {
 	res := &Result{
@@ -110,7 +110,7 @@ func newResult(c Cell, n, m int) *Result {
 }
 
 // finishResult installs a metric map on a result, shared by the
-// independent (foldCell) and coupled (runCoupledGroup) paths. Non-finite
+// independent (foldBlocks) and coupled (runCoupledGroup) paths. Non-finite
 // values cannot ride in JSON, so they are dropped from Metrics — but
 // their *names* are recorded in Nonfinite, so a cell where one measure
 // overflowed is distinguishable from a clean one. A result with no
