@@ -1,11 +1,19 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
 	"faultexp/internal/harness"
 )
+
+// reportDigestsPath holds one SHA-256 per experiment: the bytes of its
+// quick-mode Report.Render at runQuick's seed when the file was
+// generated. It pins that a refactor of a kernel the experiments run
+// moves no byte of the paper-facing tables and checks.
+const reportDigestsPath = "testdata/report_digests.txt"
 
 func runQuick(t *testing.T, id string) *harness.Report {
 	t.Helper()
@@ -19,15 +27,19 @@ func runQuick(t *testing.T, id string) *harness.Report {
 	if rep == nil {
 		t.Fatalf("%s returned nil report", id)
 	}
+	var b strings.Builder
+	rep.Render(&b)
 	for _, c := range rep.Checks {
 		if !c.OK {
-			var b strings.Builder
-			rep.Render(&b)
 			t.Errorf("%s check %q failed: %s\nfull report:\n%s", id, c.Name, c.Detail, b.String())
 		}
 	}
 	if len(rep.Tables) == 0 {
 		t.Errorf("%s produced no tables", id)
+	}
+	sum := fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
+	if want := loadDigests(t, reportDigestsPath)[id]; sum != want {
+		t.Errorf("report digest %s, want %q (%s line %q)", sum, want, reportDigestsPath, id+" "+sum)
 	}
 	return rep
 }

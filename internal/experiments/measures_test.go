@@ -65,10 +65,11 @@ func measurePaths(measure string) []measurePath {
 	return paths
 }
 
-// loadDigests reads measureDigestsPath into a "path/measure" → hex map.
-func loadDigests(t *testing.T) map[string]string {
+// loadDigests reads a digest file of "key hex" lines into a key → hex
+// map.
+func loadDigests(t *testing.T, path string) map[string]string {
 	t.Helper()
-	data, err := os.ReadFile(measureDigestsPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func loadDigests(t *testing.T) map[string]string {
 		}
 		key, sum, ok := strings.Cut(ln, " ")
 		if !ok {
-			t.Fatalf("%s: malformed line %q", measureDigestsPath, ln)
+			t.Fatalf("%s: malformed line %q", path, ln)
 		}
 		out[key] = sum
 	}
@@ -99,7 +100,7 @@ func TestEveryMeasureByteIdentical(t *testing.T) {
 	if len(sweep.Measures()) < 17 {
 		t.Fatalf("only %d measures registered, want ≥ 17", len(sweep.Measures()))
 	}
-	want := loadDigests(t)
+	want := loadDigests(t, measureDigestsPath)
 	var got []string
 	for _, measure := range sweep.Measures() {
 		measure := measure
