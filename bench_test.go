@@ -32,8 +32,7 @@ import (
 )
 
 func benchExperiment(b *testing.B, id string) {
-	reg := experiments.Registry()
-	exp, ok := reg.Get(id)
+	exp, ok := experiments.Lookup(id)
 	if !ok {
 		b.Fatalf("experiment %s not registered", id)
 	}

@@ -471,12 +471,11 @@ func cmdExperiment(ctx context.Context, args []string) error {
 		return fmt.Errorf("usage: faultexp experiment <E1..E19|all> [-full] [-seed N]")
 	}
 	cfg := harness.Config{Quick: !*full, Seed: *seed}
-	reg := experiments.Registry()
 	var exps []*harness.Experiment
 	if strings.EqualFold(id, "all") {
-		exps = reg.All()
+		exps = experiments.All()
 	} else {
-		e, ok := reg.Get(id)
+		e, ok := experiments.Lookup(id)
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (try 'faultexp list')", id)
 		}

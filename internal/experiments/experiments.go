@@ -10,21 +10,13 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"faultexp/internal/cuts"
 	"faultexp/internal/graph"
 	"faultexp/internal/harness"
 	"faultexp/internal/xrand"
 )
-
-// Registry returns a fresh registry with every experiment registered.
-func Registry() *harness.Registry {
-	r := harness.NewRegistry()
-	for _, e := range All() {
-		r.Register(e)
-	}
-	return r
-}
 
 // All returns the experiments in ID order: E1–E12 reproduce the paper's
 // theorems and claims; E13–E19 are extension experiments (the §1.3
@@ -38,6 +30,16 @@ func All() []*harness.Experiment {
 		E7(), E8(), E9(), E10(), E11(), E12(),
 		E13(), E14(), E15(), E16(), E17(), E18(), E19(),
 	}
+}
+
+// Lookup returns the experiment with the given ID, ignoring case.
+func Lookup(id string) (*harness.Experiment, bool) {
+	for _, e := range All() {
+		if strings.EqualFold(e.ID, id) {
+			return e, true
+		}
+	}
+	return nil, false
 }
 
 // measuredNodeAlpha estimates a graph's node expansion (exact for small

@@ -17,8 +17,7 @@ const reportDigestsPath = "testdata/report_digests.txt"
 
 func runQuick(t *testing.T, id string) *harness.Report {
 	t.Helper()
-	reg := Registry()
-	exp, ok := reg.Get(id)
+	exp, ok := Lookup(id)
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
 	}
@@ -70,7 +69,7 @@ func TestRegistryComplete(t *testing.T) {
 		t.Fatalf("expected 19 experiments, got %d", len(all))
 	}
 	seen := map[string]bool{}
-	for _, e := range all {
+	for i, e := range all {
 		if e.ID == "" || e.Title == "" || e.PaperRef == "" || e.Expectation == "" || e.Run == nil {
 			t.Errorf("experiment %q incompletely specified", e.ID)
 		}
@@ -78,20 +77,21 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("duplicate ID %s", e.ID)
 		}
 		seen[e.ID] = true
+		if want := fmt.Sprintf("E%d", i+1); e.ID != want {
+			t.Errorf("All()[%d] has ID %s, want %s (IDs run E1…E19 in order)", i, e.ID, want)
+		}
 	}
-	reg := Registry()
-	if got := len(reg.All()); got != 19 {
-		t.Fatalf("registry holds %d experiments", got)
-	}
-	if _, ok := reg.Get("e7"); !ok {
+	if e, ok := Lookup("e7"); !ok || e.ID != "E7" {
 		t.Fatal("lookup should be case-insensitive")
+	}
+	if _, ok := Lookup("E99"); ok {
+		t.Fatal("unknown ID should miss")
 	}
 }
 
 func TestDeterministicReports(t *testing.T) {
 	// Same seed → identical tables (the whole pipeline is deterministic).
-	reg := Registry()
-	exp, _ := reg.Get("E2")
+	exp, _ := Lookup("E2")
 	cfg := harness.Config{Quick: true, Seed: 7}
 	a := exp.Run(cfg)
 	b := exp.Run(cfg)

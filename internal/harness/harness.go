@@ -1,6 +1,7 @@
-// Package harness is the experiment framework: a registry of the paper's
-// reproduction experiments (one per theorem/claim — the e*.go files of
-// internal/experiments, listed by `faultexp list`), a configuration that scales workloads between quick
+// Package harness is the experiment framework: the Experiment type the
+// paper's reproduction experiments are written against (one per
+// theorem/claim — the e*.go files of internal/experiments, listed by
+// `faultexp list`), a configuration that scales workloads between quick
 // (CI/bench) and full sizes, the ordered worker pool the sweep engine
 // streams through (RunOrdered), and a report type that couples result
 // tables with named pass/fail *shape checks* — the falsifiable
@@ -10,9 +11,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strings"
-	"sync"
 
 	"faultexp/internal/stats"
 	"faultexp/internal/xrand"
@@ -103,51 +101,4 @@ type Experiment struct {
 // NewReport initializes a report labelled with the experiment identity.
 func (e *Experiment) NewReport() *Report {
 	return &Report{ID: e.ID, Title: e.Title}
-}
-
-// Registry holds experiments keyed by ID.
-type Registry struct {
-	mu   sync.Mutex
-	exps map[string]*Experiment
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{exps: map[string]*Experiment{}}
-}
-
-// Register adds an experiment; duplicate IDs panic (a wiring bug).
-func (r *Registry) Register(e *Experiment) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.exps[e.ID]; dup {
-		panic("harness: duplicate experiment " + e.ID)
-	}
-	r.exps[e.ID] = e
-}
-
-// Get looks up an experiment by (case-insensitive) ID.
-func (r *Registry) Get(id string) (*Experiment, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.exps[strings.ToUpper(id)]
-	return e, ok
-}
-
-// All returns the experiments sorted by numeric ID.
-func (r *Registry) All() []*Experiment {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*Experiment, 0, len(r.exps))
-	for _, e := range r.exps {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].ID, out[j].ID
-		if len(a) != len(b) {
-			return len(a) < len(b)
-		}
-		return a < b
-	})
-	return out
 }

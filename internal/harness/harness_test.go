@@ -40,38 +40,6 @@ func TestReportChecksAndRender(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Register(&Experiment{ID: "E2"})
-	r.Register(&Experiment{ID: "E10"})
-	r.Register(&Experiment{ID: "E1"})
-	all := r.All()
-	if len(all) != 3 {
-		t.Fatalf("All returned %d", len(all))
-	}
-	// numeric-ish sort: E1, E2, E10
-	if all[0].ID != "E1" || all[1].ID != "E2" || all[2].ID != "E10" {
-		t.Fatalf("sort order wrong: %s %s %s", all[0].ID, all[1].ID, all[2].ID)
-	}
-	if _, ok := r.Get("e10"); !ok {
-		t.Fatal("case-insensitive lookup failed")
-	}
-	if _, ok := r.Get("E99"); ok {
-		t.Fatal("unknown ID should miss")
-	}
-}
-
-func TestRegistryDuplicatePanics(t *testing.T) {
-	r := NewRegistry()
-	r.Register(&Experiment{ID: "E1"})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration should panic")
-		}
-	}()
-	r.Register(&Experiment{ID: "E1"})
-}
-
 func TestParallelForCoversAll(t *testing.T) {
 	const n = 1000
 	var hits [n]int32
