@@ -308,6 +308,12 @@ func cmdPrune(args []string) error {
 	seed := fs.Uint64("seed", 1, "seed")
 	adv := fs.String("adversary", "bottleneck", "adversary: bottleneck|random|degree")
 	fs.Parse(args)
+	if *f < 0 {
+		return fmt.Errorf("-faults %d: must be at least 0", *f)
+	}
+	if !(*eps > 0 && *eps < 1) {
+		return fmt.Errorf("-eps %g: must be in (0, 1)", *eps)
+	}
 	g, _, err := load()
 	if err != nil {
 		return err
@@ -352,6 +358,12 @@ func cmdPrune2(args []string) error {
 	eps := fs.Float64("eps", 0, "degradation ε (0 = Theorem 3.4 maximum 1/(2δ))")
 	seed := fs.Uint64("seed", 1, "seed")
 	fs.Parse(args)
+	if !(*p >= 0 && *p <= 1) {
+		return fmt.Errorf("-p %g: must be in [0, 1]", *p)
+	}
+	if !(*eps >= 0) {
+		return fmt.Errorf("-eps %g: must be at least 0", *eps)
+	}
 	g, _, err := load()
 	if err != nil {
 		return err
@@ -388,13 +400,24 @@ func cmdPercolate(args []string) error {
 	seed := fs.Uint64("seed", 1, "seed")
 	points := fs.Int("points", 11, "curve points to print")
 	fs.Parse(args)
+	var m perc.Mode
+	switch *mode {
+	case "site":
+		m = perc.Site
+	case "bond":
+		m = perc.Bond
+	default:
+		return fmt.Errorf("-mode %q: want site or bond", *mode)
+	}
+	if *trials < 1 {
+		return fmt.Errorf("-trials %d: must be at least 1", *trials)
+	}
+	if *points < 2 {
+		return fmt.Errorf("-points %d: must be at least 2", *points)
+	}
 	g, _, err := load()
 	if err != nil {
 		return err
-	}
-	m := perc.Site
-	if *mode == "bond" {
-		m = perc.Bond
 	}
 	rng := xrand.New(*seed)
 	curve := perc.Sweep(g, m, *trials, rng)

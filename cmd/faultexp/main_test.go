@@ -47,3 +47,39 @@ func TestListPrintsMeasuresAndModels(t *testing.T) {
 		}
 	}
 }
+
+// TestOneOffCommandsRejectOutOfRangeFlags pins that percolate, prune and
+// prune2 refuse flag values outside the range the computation is
+// defined on, instead of printing NaN curves, -Inf bounds or silently
+// falling back to a default.
+func TestOneOffCommandsRejectOutOfRangeFlags(t *testing.T) {
+	family := []string{"-family", "torus", "-size", "4x4"}
+	cases := []struct {
+		cmd  func([]string) error
+		name string
+		flag string
+		args []string
+	}{
+		{cmdPercolate, "percolate", "-mode", []string{"-mode", "bnd"}},
+		{cmdPercolate, "percolate", "-trials", []string{"-trials", "0"}},
+		{cmdPercolate, "percolate", "-points", []string{"-points", "1"}},
+		{cmdPrune, "prune", "-faults", []string{"-faults", "-3"}},
+		{cmdPrune, "prune", "-eps", []string{"-eps", "1"}},
+		{cmdPrune, "prune", "-eps", []string{"-eps", "0"}},
+		{cmdPrune, "prune", "-eps", []string{"-eps", "NaN"}},
+		{cmdPrune2, "prune2", "-p", []string{"-p", "1.5"}},
+		{cmdPrune2, "prune2", "-p", []string{"-p", "-0.1"}},
+		{cmdPrune2, "prune2", "-eps", []string{"-eps", "-0.5"}},
+	}
+	for _, c := range cases {
+		args := append(append([]string(nil), family...), c.args...)
+		err := c.cmd(args)
+		if err == nil {
+			t.Errorf("%s %v: accepted, want an error", c.name, c.args)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%s %v: error %q does not name %s", c.name, c.args, err, c.flag)
+		}
+	}
+}
