@@ -31,15 +31,6 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// FromSlice returns a set of capacity n containing the given elements.
-func FromSlice(n int, elems []int) *Set {
-	s := New(n)
-	for _, e := range elems {
-		s.Add(e)
-	}
-	return s
-}
-
 // Len returns the capacity (universe size) of the set.
 func (s *Set) Len() int { return s.n }
 
@@ -47,12 +38,6 @@ func (s *Set) Len() int { return s.n }
 func (s *Set) Add(i int) {
 	s.check(i)
 	s.words[i/wordBits] |= 1 << uint(i%wordBits)
-}
-
-// Remove deletes element i.
-func (s *Set) Remove(i int) {
-	s.check(i)
-	s.words[i/wordBits] &^= 1 << uint(i%wordBits)
 }
 
 // Flip toggles element i and reports whether it is now present.
@@ -85,16 +70,6 @@ func (s *Set) Count() int {
 	return c
 }
 
-// Empty reports whether the set has no elements.
-func (s *Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ClearAll removes every element in one word-level pass — the reset the
 // frontier-BFS hot path performs between levels.
 func (s *Set) ClearAll() {
@@ -102,9 +77,6 @@ func (s *Set) ClearAll() {
 		s.words[i] = 0
 	}
 }
-
-// Clear removes all elements. It is the historical name for ClearAll.
-func (s *Set) Clear() { s.ClearAll() }
 
 // Resize changes the universe size to n, reusing the word storage when
 // capacity allows. The set is empty after a Resize — it is the
@@ -147,12 +119,6 @@ func (s *Set) Clone() *Set {
 	return &Set{words: w, n: s.n}
 }
 
-// CopyFrom overwrites s with the contents of t.
-func (s *Set) CopyFrom(t *Set) {
-	s.compat(t)
-	copy(s.words, t.words)
-}
-
 func (s *Set) compat(t *Set) {
 	if s.n != t.n {
 		panic(fmt.Sprintf("bitset: capacity mismatch %d vs %d", s.n, t.n))
@@ -175,14 +141,6 @@ func (s *Set) And(t *Set) {
 	}
 }
 
-// AndNot sets s to s \ t.
-func (s *Set) AndNot(t *Set) {
-	s.compat(t)
-	for i, w := range t.words {
-		s.words[i] &^= w
-	}
-}
-
 // Xor sets s to the symmetric difference of s and t.
 func (s *Set) Xor(t *Set) {
 	s.compat(t)
@@ -199,28 +157,6 @@ func (s *Set) Complement() {
 	s.trim()
 }
 
-// Intersects reports whether s and t share at least one element.
-func (s *Set) Intersects(t *Set) bool {
-	s.compat(t)
-	for i, w := range t.words {
-		if s.words[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// SubsetOf reports whether every element of s is in t.
-func (s *Set) SubsetOf(t *Set) bool {
-	s.compat(t)
-	for i, w := range s.words {
-		if w&^t.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether s and t contain exactly the same elements.
 func (s *Set) Equal(t *Set) bool {
 	if s.n != t.n {
@@ -232,16 +168,6 @@ func (s *Set) Equal(t *Set) bool {
 		}
 	}
 	return true
-}
-
-// IntersectionCount returns |s ∩ t| without materializing the intersection.
-func (s *Set) IntersectionCount(t *Set) int {
-	s.compat(t)
-	c := 0
-	for i, w := range t.words {
-		c += bits.OnesCount64(s.words[i] & w)
-	}
-	return c
 }
 
 // DifferenceCount returns |s \ t| without materializing the difference.
@@ -268,16 +194,6 @@ func (s *Set) ForEach(fn func(i int) bool) {
 	}
 }
 
-// Slice returns the elements of s in increasing order.
-func (s *Set) Slice() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) bool {
-		out = append(out, i)
-		return true
-	})
-	return out
-}
-
 // NextSet returns the smallest set element ≥ i, or -1 if none exists:
 // the word-skipping iterator the frontier BFS walks sparse frontiers
 // with (a per-bit scan would touch every position between hits).
@@ -300,10 +216,6 @@ func (s *Set) NextSet(i int) int {
 	}
 	return -1
 }
-
-// Next returns the smallest element ≥ i, or -1 if none exists. It is
-// the historical name for NextSet.
-func (s *Set) Next(i int) int { return s.NextSet(i) }
 
 // NextClear returns the smallest UNSET position ≥ i within the
 // universe, or -1 if every position from i on is set — the complement

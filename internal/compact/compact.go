@@ -300,18 +300,11 @@ func complementComponentsScratch(g *graph.Graph, inU []bool, scr *Scratch) (labe
 	return labels, sizes
 }
 
-// Compactify implements Lemma 3.3: given a connected S ⊂ V with
+// CompactifyScratch implements Lemma 3.3: given a connected S ⊂ V with
 // |S| < n/2, it returns a compact set K_G(S) whose edge-expansion
 // quotient is at most S's. The returned set is S itself when S is
-// already compact. It is a thin wrapper over CompactifyScratch on a
-// throwaway scratch, so the result is uniquely owned.
-func Compactify(g *graph.Graph, set []int) []int {
-	var scr Scratch
-	return CompactifyScratch(g, set, &scr)
-}
-
-// CompactifyScratch is Compactify on caller-owned scratch; the returned
-// set aliases scr.out and is invalidated by the next call on the same
+// already compact. It runs on caller-owned scratch; the returned set
+// aliases scr.out and is invalidated by the next call on the same
 // scratch.
 func CompactifyScratch(g *graph.Graph, set []int, scr *Scratch) []int {
 	n := g.N()

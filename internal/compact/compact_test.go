@@ -132,7 +132,7 @@ func TestRandomOnDisconnected(t *testing.T) {
 func TestCompactifyIdentityOnCompact(t *testing.T) {
 	g := gen.Cycle(8)
 	in := []int{0, 1, 2}
-	out := Compactify(g, in)
+	out := CompactifyScratch(g, in, &Scratch{})
 	if len(out) != 3 || out[0] != 0 || out[1] != 1 || out[2] != 2 {
 		t.Fatalf("compactify changed an already-compact set: %v", out)
 	}
@@ -156,7 +156,7 @@ func TestCompactifyLemma33(t *testing.T) {
 			if len(set) == 0 || len(set) >= (n+1)/2 {
 				continue
 			}
-			k := Compactify(g, set)
+			k := CompactifyScratch(g, set, &Scratch{})
 			if !IsCompact(g, k) {
 				t.Fatalf("graph %d: K_G(S) not compact for S=%v → %v", gi, set, k)
 			}
@@ -246,6 +246,6 @@ func BenchmarkCompactify(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Compactify(g, sets[i%len(sets)])
+		_ = CompactifyScratch(g, sets[i%len(sets)], &Scratch{})
 	}
 }

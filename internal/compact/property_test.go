@@ -37,7 +37,7 @@ func TestQuickCompactifyLemma(t *testing.T) {
 		if len(set) == 0 || 2*len(set) >= n {
 			return true
 		}
-		k := Compactify(g, set)
+		k := CompactifyScratch(g, set, &Scratch{})
 		if !IsCompact(g, k) {
 			return false
 		}

@@ -32,7 +32,6 @@ import (
 
 	"faultexp/internal/compact"
 	"faultexp/internal/cuts"
-	"faultexp/internal/expansion"
 	"faultexp/internal/graph"
 	"faultexp/internal/xrand"
 )
@@ -46,20 +45,21 @@ type Options struct {
 	// MaxIterations bounds the culling loop (0 = unbounded; the loop
 	// always terminates because each cull strictly shrinks the graph).
 	MaxIterations int
-	// Ws, when non-nil, is the caller's per-worker scratch workspace:
-	// each culling round builds G_{i+1} into it instead of allocating.
-	// The returned Result.H then lives in workspace memory and may be
-	// clobbered by any later workspace build (the culling rounds also
+	// Ws is the workspace each culling round builds G_{i+1} into; nil
+	// runs the rounds on a throwaway workspace. The returned Result.H
+	// lives in workspace memory, so with a caller-owned Ws it may be
+	// clobbered by any later build on it (the culling rounds also
 	// invalidate every workspace-built graph the caller still holds,
 	// except the input gf itself) — trial loops must extract their
 	// scalars before the next injection.
 	Ws *graph.Workspace
-	// Scratch, when non-nil, supplies reusable pruning-loop scratch: the
-	// Result itself, the provenance array, and the cut-finder and
-	// compactification workspaces all live in it, so a warm trial loop
-	// (combined with Ws and DiscardCulled) allocates nothing. The
-	// returned Result is then scratch memory, invalidated by the next
-	// pruning call on the same scratch.
+	// Scratch holds the pruning loop's reusable state: the Result
+	// itself, the provenance array, and the cut-finder and
+	// compactification workspaces; nil runs on a throwaway Scratch. A
+	// warm trial loop that passes its own Scratch and Ws with
+	// DiscardCulled allocates nothing; the returned Result is then
+	// scratch memory, invalidated by the next pruning call on the same
+	// scratch.
 	Scratch *Scratch
 	// DiscardCulled skips materializing Result.Culled (CulledTotal and
 	// Iterations still count every cull) — the per-cull coordinate
@@ -121,28 +121,25 @@ func Prune2(gf *graph.Graph, alphaE, eps float64, opt Options) *Result {
 }
 
 func pruneLoop(gf *graph.Graph, threshold float64, opt Options, edgeMode bool) *Result {
-	scr := opt.Scratch
-	var res *Result
-	var cur *graph.Sub
-	if scr != nil {
-		res = &scr.res
-		*res = Result{Threshold: threshold, CertifiedQuotient: math.Inf(1), Culled: res.Culled[:0]}
-		// Identity provenance on the retained array.
-		n := gf.N()
-		if cap(scr.orig) < n {
-			scr.orig = make([]int32, n)
-		}
-		orig := scr.orig[:n]
-		for i := range orig {
-			orig[i] = int32(i)
-		}
-		scr.orig = orig
-		scr.sub = graph.Sub{G: gf, Orig: orig}
-		cur = &scr.sub
-	} else {
-		res = &Result{Threshold: threshold, CertifiedQuotient: math.Inf(1)}
-		cur = graph.Identity(gf)
+	ws, scr := opt.Ws, opt.Scratch
+	if ws == nil {
+		ws = graph.NewWorkspace()
 	}
+	if scr == nil {
+		scr = &Scratch{}
+	}
+	res := &scr.res
+	*res = Result{Threshold: threshold, CertifiedQuotient: math.Inf(1), Culled: res.Culled[:0]}
+	// Identity provenance on the retained array.
+	if cap(scr.orig) < gf.N() {
+		scr.orig = make([]int32, gf.N())
+	}
+	scr.orig = scr.orig[:gf.N()]
+	for i := range scr.orig {
+		scr.orig[i] = int32(i)
+	}
+	scr.sub = graph.Sub{G: gf, Orig: scr.orig}
+	cur := &scr.sub
 	mode := cuts.NodeMode
 	connected := false
 	if edgeMode {
@@ -157,13 +154,7 @@ func pruneLoop(gf *graph.Graph, threshold float64, opt Options, edgeMode bool) *
 		if n < 2 {
 			break
 		}
-		var best expansion.Result
-		var ok bool
-		if scr != nil {
-			best, ok = cuts.FindBestWs(cur.G, mode, n/2, connected, opt.Finder, &scr.finder)
-		} else {
-			best, ok = cuts.FindBest(cur.G, mode, n/2, connected, opt.Finder)
-		}
+		best, ok := cuts.FindBestWs(cur.G, mode, n/2, connected, opt.Finder, &scr.finder)
 		if !ok {
 			break
 		}
@@ -181,11 +172,7 @@ func pruneLoop(gf *graph.Graph, threshold float64, opt Options, edgeMode bool) *
 			// Figure 2 line 3: K_i ← K_{G_i}(S_i). Compactification
 			// never increases the edge quotient (Lemma 3.3), so the
 			// predicate still holds for the culled set.
-			if scr != nil {
-				cullSet = compact.CompactifyScratch(cur.G, cullSet, &scr.comp)
-			} else {
-				cullSet = compact.Compactify(cur.G, cullSet)
-			}
+			cullSet = compact.CompactifyScratch(cur.G, cullSet, &scr.comp)
 		}
 		// Record the cull in input coordinates.
 		if !opt.DiscardCulled {
@@ -198,35 +185,19 @@ func pruneLoop(gf *graph.Graph, threshold float64, opt Options, edgeMode bool) *
 		res.CulledTotal += len(cullSet)
 		res.Iterations++
 		// G_{i+1} ← G_i ∖ K_i, composed with provenance.
-		if opt.Ws != nil {
-			keep := opt.Ws.Mask(cur.G.N())
-			for i := range keep {
-				keep[i] = true
-			}
-			for _, v := range cullSet {
-				keep[v] = false
-			}
-			next := cur.G.InduceInto(opt.Ws, keep)
-			// Compose provenance in place (next.Orig is slot-owned).
-			for i, mid := range next.Orig {
-				next.Orig[i] = cur.Orig[mid]
-			}
-			cur = next
-		} else {
-			keep := make([]bool, cur.G.N())
-			for i := range keep {
-				keep[i] = true
-			}
-			for _, v := range cullSet {
-				keep[v] = false
-			}
-			next := cur.G.Induce(keep)
-			comp := make([]int32, next.G.N())
-			for i, mid := range next.Orig {
-				comp[i] = cur.Orig[mid]
-			}
-			cur = &graph.Sub{G: next.G, Orig: comp}
+		keep := ws.Mask(cur.G.N())
+		for i := range keep {
+			keep[i] = true
 		}
+		for _, v := range cullSet {
+			keep[v] = false
+		}
+		next := cur.G.InduceInto(ws, keep)
+		// Compose provenance in place (next.Orig is slot-owned).
+		for i, mid := range next.Orig {
+			next.Orig[i] = cur.Orig[mid]
+		}
+		cur = next
 	}
 	res.H = cur
 	return res
@@ -323,17 +294,6 @@ func Theorem34MaxFaultProb(delta int, sigma float64) float64 {
 // admitted by Theorem 3.4.
 func Theorem34MaxEps(delta int) float64 {
 	return 1 / (2 * float64(delta))
-}
-
-// Theorem34MinEdgeExpansion returns the minimum fault-free edge
-// expansion 6δ²·log³_δ(n)/n required by Theorem 3.4.
-func Theorem34MinEdgeExpansion(n, delta int) float64 {
-	if delta < 2 || n < 2 {
-		return math.Inf(1)
-	}
-	logd := math.Log(float64(n)) / math.Log(float64(delta))
-	d := float64(delta)
-	return 6 * d * d * logd * logd * logd / float64(n)
 }
 
 // Theorem31FaultProb returns the disintegration fault probability of

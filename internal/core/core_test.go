@@ -293,10 +293,6 @@ func TestTheoryCalculators(t *testing.T) {
 	if got := Theorem31FaultProb(8, 16); math.Abs(got-4*math.Log(8)/16) > 1e-12 {
 		t.Fatalf("theorem 3.1 p = %v", got)
 	}
-	// Minimum edge expansion decreases in n.
-	if Theorem34MinEdgeExpansion(1000, 4) <= Theorem34MinEdgeExpansion(10000, 4) {
-		t.Fatal("min αe should decrease with n")
-	}
 }
 
 func TestMeasureResidualDegenerate(t *testing.T) {

@@ -451,10 +451,3 @@ func localImprove(g *graph.Graph, set []int, mode Mode, maxSize int, passes int,
 	ws.localOut = out
 	return out
 }
-
-func isConnectedSet(g *graph.Graph, set []int) bool {
-	if len(set) <= 1 {
-		return len(set) == 1
-	}
-	return g.InduceVertices(set).G.IsConnected()
-}

@@ -94,7 +94,7 @@ func TestHeuristicMatchesExactOnMediumMesh(t *testing.T) {
 func TestBallCandidatesConnected(t *testing.T) {
 	g := gen.Torus(8, 8)
 	o := opts(6).withDefaults(g.N())
-	ws := NewWorkspace()
+	ws := &Workspace{}
 	f := finder{g: g, mode: NodeMode, maxSize: 20, ws: ws}
 	seen := 0
 	f.observe = func(set []int) {
@@ -102,7 +102,7 @@ func TestBallCandidatesConnected(t *testing.T) {
 		if len(set) == 0 || len(set) > 20 {
 			t.Fatalf("ball candidate size %d out of range", len(set))
 		}
-		if !isConnectedSet(g, set) {
+		if !g.InduceVertices(set).G.IsConnected() {
 			t.Fatalf("ball candidate %v not connected", set)
 		}
 	}
@@ -114,7 +114,7 @@ func TestBallCandidatesConnected(t *testing.T) {
 
 func TestSweepCandidatesRespectMaxSize(t *testing.T) {
 	g := gen.Torus(6, 6)
-	ws := NewWorkspace()
+	ws := &Workspace{}
 	f := finder{g: g, mode: EdgeMode, maxSize: 10, ws: ws}
 	seen := 0
 	f.observe = func(set []int) {
@@ -134,7 +134,7 @@ func TestLocalImproveNeverWorsens(t *testing.T) {
 	rng := xrand.New(8)
 	start := []int{0, 1, 2, 8, 9}
 	before := expansion.Evaluate(g, start)
-	improved := localImprove(g, start, EdgeMode, 32, 4, rng, NewWorkspace())
+	improved := localImprove(g, start, EdgeMode, 32, 4, rng, &Workspace{})
 	after := expansion.Evaluate(g, improved)
 	if after.EdgeAlpha > before.EdgeAlpha+1e-12 {
 		t.Fatalf("local search worsened quotient: %v -> %v", before.EdgeAlpha, after.EdgeAlpha)

@@ -46,10 +46,6 @@ type Workspace struct {
 	gws *graph.Workspace // private: induced-subgraph connectivity checks
 }
 
-// NewWorkspace returns an empty Workspace. The zero value is also valid;
-// the constructor exists for call-site clarity.
-func NewWorkspace() *Workspace { return &Workspace{} }
-
 // gw returns the private graph workspace, creating it on first use. It
 // is deliberately separate from any caller-owned graph.Workspace so the
 // finder's induced-subgraph builds can never clobber the caller's slot
@@ -242,8 +238,9 @@ func bestComponentOfWs(g *graph.Graph, set []int, ws *Workspace, f *finder) {
 	}
 }
 
-// isConnectedSetWs is isConnectedSet on the workspace's private graph
-// scratch.
+// isConnectedSetWs reports whether set is non-empty and induces a
+// connected subgraph of g, building the induced subgraph in the
+// workspace's private graph scratch.
 func isConnectedSetWs(g *graph.Graph, set []int, ws *Workspace) bool {
 	if len(set) <= 1 {
 		return len(set) == 1

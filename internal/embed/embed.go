@@ -99,19 +99,6 @@ func (e *Embedding) Validate() error {
 	return nil
 }
 
-// Identity embeds a graph into itself (or a supergraph with identical
-// vertex ids): map = id, paths = guest edges. Useful as a baseline.
-func Identity(g *graph.Graph) *Embedding {
-	e := &Embedding{Guest: g, Host: g, NodeMap: make([]int32, g.N())}
-	for v := range e.NodeMap {
-		e.NodeMap[v] = int32(v)
-	}
-	for _, ge := range g.Edges() {
-		e.Paths = append(e.Paths, []int32{ge[0], ge[1]})
-	}
-	return e
-}
-
 // IntoHost embeds guest into host using the given node map, routing each
 // guest edge along a BFS shortest path in host. Returns an error if any
 // mapped pair is disconnected in host.

@@ -9,9 +9,24 @@ import (
 	"faultexp/internal/xrand"
 )
 
+// identity embeds g into itself: map = id, so IntoHost routes every
+// guest edge along the host edge itself.
+func identity(t *testing.T, g *graph.Graph) *Embedding {
+	t.Helper()
+	ids := make([]int32, g.N())
+	for v := range ids {
+		ids[v] = int32(v)
+	}
+	e, err := IntoHost(g, g, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestIdentityEmbedding(t *testing.T) {
 	g := gen.Torus(4, 4)
-	e := Identity(g)
+	e := identity(t, g)
 	if err := e.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +75,7 @@ func TestIntoHostBadMapLength(t *testing.T) {
 
 func TestValidateCatchesBrokenPath(t *testing.T) {
 	g := gen.Cycle(6)
-	e := Identity(g)
+	e := identity(t, g)
 	e.Paths[0] = []int32{0, 3} // not an edge
 	if err := e.Validate(); err == nil {
 		t.Fatal("Validate must reject non-edge hops")

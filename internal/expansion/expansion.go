@@ -90,42 +90,6 @@ func NodeExpansionOf(g *graph.Graph, inU []bool) float64 {
 	return float64(BoundarySize(g, inU)) / float64(size)
 }
 
-// EdgeExpansionOf returns cut(U)/min(|U|, |V\U|). It panics if either
-// side is empty.
-func EdgeExpansionOf(g *graph.Graph, inU []bool) float64 {
-	size := 0
-	for _, b := range inU {
-		if b {
-			size++
-		}
-	}
-	other := g.N() - size
-	if size == 0 || other == 0 {
-		panic("expansion: degenerate cut")
-	}
-	min := size
-	if other < min {
-		min = other
-	}
-	return float64(EdgeBoundarySize(g, inU)) / float64(min)
-}
-
-// QuotientEdgeExpansionOf returns cut(U)/|U| — the one-sided quotient
-// used by Prune2's culling predicate |(S, G\S)| ≤ αe·ε·|S| (the culled
-// side S is always the small side, so this equals EdgeExpansionOf there).
-func QuotientEdgeExpansionOf(g *graph.Graph, inU []bool) float64 {
-	size := 0
-	for _, b := range inU {
-		if b {
-			size++
-		}
-	}
-	if size == 0 {
-		panic("expansion: empty set")
-	}
-	return float64(EdgeBoundarySize(g, inU)) / float64(size)
-}
-
 // EvalScratch holds the reusable mark arrays of scratch-based witness
 // evaluation. The zero value is ready to use; arrays grow on demand and
 // every use restores them to all-false, so the steady-state path

@@ -43,19 +43,6 @@ func TestBoundaryNoDoubleCount(t *testing.T) {
 	}
 }
 
-func TestEdgeExpansionSymmetricDefinition(t *testing.T) {
-	g := gen.Cycle(8)
-	// U = arc of 5 (the big side): cut = 2, min side = 3.
-	inU := Mask(8, []int{0, 1, 2, 3, 4})
-	if got := EdgeExpansionOf(g, inU); !almost(got, 2.0/3.0, 1e-12) {
-		t.Fatalf("edge expansion = %v, want 2/3", got)
-	}
-	// Quotient version divides by |U| itself.
-	if got := QuotientEdgeExpansionOf(g, inU); !almost(got, 2.0/5.0, 1e-12) {
-		t.Fatalf("quotient = %v, want 2/5", got)
-	}
-}
-
 func TestEvaluate(t *testing.T) {
 	g := gen.Cycle(6)
 	r := Evaluate(g, []int{0, 1, 2})

@@ -51,9 +51,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store root.
-func (st *Store) Dir() string { return st.dir }
-
 // storedMeta is the meta.json shape.
 type storedMeta struct {
 	ID     string `json:"id"`

@@ -96,19 +96,6 @@ func ExactRandomNodes(g *graph.Graph, f int, rng *xrand.RNG) Pattern {
 	return NewPattern(rng.SampleK(g.N(), f))
 }
 
-// IIDEdges returns the edges that fail when each edge fails independently
-// with probability prob (i.e. survives with probability 1−prob), drawing
-// one variate per undirected edge in ForEachEdge order.
-func IIDEdges(g *graph.Graph, prob float64, rng *xrand.RNG) [][2]int32 {
-	out := make([][2]int32, 0, expectedFaults(g.M(), prob))
-	g.ForEachEdge(func(u, v int) {
-		if rng.Bool(prob) {
-			out = append(out, [2]int32{int32(u), int32(v)})
-		}
-	})
-	return out
-}
-
 // Adversary selects up to f nodes to fail on a given graph.
 type Adversary interface {
 	// Name identifies the strategy in experiment tables.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"faultexp/internal/gen"
+	"faultexp/internal/graph"
 	"faultexp/internal/xrand"
 )
 
@@ -59,13 +60,12 @@ func TestApply(t *testing.T) {
 
 func TestIIDEdges(t *testing.T) {
 	g := gen.Torus(8, 8)
-	dead := IIDEdges(g, 0.25, xrand.New(9))
-	if len(dead) < g.M()/8 || len(dead) > g.M()/2 {
-		t.Fatalf("edge fault count %d implausible for p=0.25, m=%d", len(dead), g.M())
+	sub, dead := IIDEdgeModel{}.Inject(g, 0.25, graph.NewWorkspace(), xrand.New(9))
+	if dead < g.M()/8 || dead > g.M()/2 {
+		t.Fatalf("edge fault count %d implausible for p=0.25, m=%d", dead, g.M())
 	}
-	g2 := g.RemoveEdges(dead)
-	if g2.M() != g.M()-len(dead) {
-		t.Fatalf("edge removal mismatch: %d vs %d-%d", g2.M(), g.M(), len(dead))
+	if sub.G.M() != g.M()-dead || sub.G.N() != g.N() {
+		t.Fatalf("edge removal mismatch: n=%d m=%d vs n=%d m=%d-%d", sub.G.N(), sub.G.M(), g.N(), g.M(), dead)
 	}
 }
 

@@ -66,9 +66,8 @@ func (IIDNodeModel) Inject(g *graph.Graph, rate float64, ws *graph.Workspace, rn
 }
 
 // IIDEdgeModel fails each edge independently with probability rate,
-// drawing one Bernoulli variate per undirected edge in ForEachEdge order
-// — the same sequence as IIDEdges. The vertex set is unchanged
-// (identity provenance).
+// drawing one Bernoulli variate per undirected edge in ForEachEdge
+// order. The vertex set is unchanged (identity provenance).
 type IIDEdgeModel struct{}
 
 // Name implements Model.

@@ -33,7 +33,7 @@ import (
 // before building and reject anything over the caller's budget.
 const (
 	// MaxVertices caps the vertex count of any family built through the
-	// registry (and the product of any ParseDims size token) at the
+	// registry (and the product of any ParseDimsBudget size token) at the
 	// default, exact-precision tier.
 	MaxVertices = 1 << 24
 	// MaxEdges caps the (estimated) undirected edge count at the
@@ -178,17 +178,12 @@ func FamilyNames() []string {
 	return out
 }
 
-// ParseDims parses a size token such as "16x16" or "4x4x4" into its
-// dimension list under the default budget. Components must be positive
-// integers, and the product of all components must not exceed
-// MaxVertices — a typo'd "100000x100000" fails here with a clear error
+// ParseDimsBudget parses a size token such as "16x16" or "4x4x4" into
+// its dimension list under the vertex cap of b, so sampled-precision
+// builds can parse sizes the exact tier refuses. Components must be
+// positive integers, and the product of all components must not exceed
+// the cap — a typo'd "100000x100000" fails here with a clear error
 // instead of an OOM.
-func ParseDims(s string) ([]int, error) {
-	return ParseDimsBudget(s, DefaultBudget)
-}
-
-// ParseDimsBudget is ParseDims with an explicit vertex cap, so
-// sampled-precision builds can parse sizes the exact tier refuses.
 func ParseDimsBudget(s string, b Budget) ([]int, error) {
 	if s == "" {
 		return nil, fmt.Errorf("need -size")

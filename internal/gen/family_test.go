@@ -24,24 +24,24 @@ func TestParseDims(t *testing.T) {
 		{"-1", nil, true},
 	}
 	for _, c := range cases {
-		got, err := ParseDims(c.in)
+		got, err := ParseDimsBudget(c.in, DefaultBudget)
 		if c.err {
 			if err == nil {
-				t.Errorf("ParseDims(%q): expected error", c.in)
+				t.Errorf("ParseDimsBudget(%q): expected error", c.in)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("ParseDims(%q): %v", c.in, err)
+			t.Errorf("ParseDimsBudget(%q): %v", c.in, err)
 			continue
 		}
 		if len(got) != len(c.want) {
-			t.Errorf("ParseDims(%q) = %v, want %v", c.in, got, c.want)
+			t.Errorf("ParseDimsBudget(%q) = %v, want %v", c.in, got, c.want)
 			continue
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Errorf("ParseDims(%q) = %v, want %v", c.in, got, c.want)
+				t.Errorf("ParseDimsBudget(%q) = %v, want %v", c.in, got, c.want)
 			}
 		}
 	}
@@ -210,14 +210,14 @@ func TestFamilyErrorPaths(t *testing.T) {
 // an error, not allocate.
 func TestSizeCaps(t *testing.T) {
 	rng := xrand.New(1)
-	if _, err := ParseDims("100000x100000"); err == nil {
-		t.Error("ParseDims(100000x100000) should exceed the vertex cap")
+	if _, err := ParseDimsBudget("100000x100000", DefaultBudget); err == nil {
+		t.Error("ParseDimsBudget(100000x100000) should exceed the vertex cap")
 	}
-	if _, err := ParseDims("99999999999999999999"); err == nil {
-		t.Error("ParseDims with an overflowing component should error")
+	if _, err := ParseDimsBudget("99999999999999999999", DefaultBudget); err == nil {
+		t.Error("ParseDimsBudget with an overflowing component should error")
 	}
-	if dims, err := ParseDims("1024x1024"); err != nil || len(dims) != 2 {
-		t.Errorf("ParseDims(1024x1024) = %v, %v; want accepted", dims, err)
+	if dims, err := ParseDimsBudget("1024x1024", DefaultBudget); err != nil || len(dims) != 2 {
+		t.Errorf("ParseDimsBudget(1024x1024) = %v, %v; want accepted", dims, err)
 	}
 	for _, c := range []struct{ family, size string }{
 		{"mesh", "100000x100000"},

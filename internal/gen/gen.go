@@ -209,18 +209,6 @@ func Star(n int) *graph.Graph {
 	return b.Build()
 }
 
-// CompleteBipartite returns K_{a,b}: vertices [0,a) on one side and
-// [a, a+b) on the other.
-func CompleteBipartite(a, b int) *graph.Graph {
-	bld := graph.NewBuilder(a + b)
-	for u := 0; u < a; u++ {
-		for v := 0; v < b; v++ {
-			bld.AddEdge(u, a+v)
-		}
-	}
-	return bld.Build()
-}
-
 // Barbell returns two K_k cliques joined by a single bridge edge — the
 // canonical planted-bottleneck graph used to test cut finders and the
 // Upfal-baseline experiment (E11).

@@ -130,9 +130,6 @@ func TestBasicFamilies(t *testing.T) {
 	if g := Star(5); g.M() != 4 || g.Degree(0) != 4 {
 		t.Fatalf("star wrong: %v", g)
 	}
-	if g := CompleteBipartite(3, 4); g.M() != 12 || g.Degree(0) != 4 || g.Degree(3) != 3 {
-		t.Fatalf("K34 wrong: %v", g)
-	}
 }
 
 func TestBarbell(t *testing.T) {

@@ -95,9 +95,3 @@ func (g *Graph) EccentricityFrontierInto(ws *Workspace, src int) (ecc, far int) 
 		frontier, visited = produced, visited+produced
 	}
 }
-
-// EccentricityFrontier is EccentricityFrontierInto on a throwaway
-// Workspace, for callers outside a trial loop.
-func (g *Graph) EccentricityFrontier(src int) (ecc, far int) {
-	return g.EccentricityFrontierInto(NewWorkspace(), src)
-}

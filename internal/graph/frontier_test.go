@@ -86,10 +86,11 @@ func TestEccentricityFrontierMatchesBFS(t *testing.T) {
 // eccentricity 0 with itself as the farthest vertex.
 func TestEccentricityFrontierDisconnected(t *testing.T) {
 	g := FromEdges(5, [][2]int{{0, 1}, {1, 2}}) // 3 and 4 isolated
-	if ecc, far := g.EccentricityFrontier(3); ecc != 0 || far != 3 {
+	ws := NewWorkspace()
+	if ecc, far := g.EccentricityFrontierInto(ws, 3); ecc != 0 || far != 3 {
 		t.Fatalf("isolated vertex: (ecc,far)=(%d,%d), want (0,3)", ecc, far)
 	}
-	if ecc, far := g.EccentricityFrontier(0); ecc != 2 || far != 2 {
+	if ecc, far := g.EccentricityFrontierInto(ws, 0); ecc != 2 || far != 2 {
 		t.Fatalf("path component: (ecc,far)=(%d,%d), want (2,2)", ecc, far)
 	}
 }

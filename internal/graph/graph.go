@@ -124,9 +124,6 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
 }
 
-// N returns the number of vertices the builder was created with.
-func (b *Builder) N() int { return b.n }
-
 // AddEdge records the undirected edge {u, v}. Self-loops are ignored.
 func (b *Builder) AddEdge(u, v int) {
 	if u == v {

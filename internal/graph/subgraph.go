@@ -56,15 +56,6 @@ func (g *Graph) RemoveEdges(edges [][2]int32) *Graph {
 	return b.Build()
 }
 
-// OrigSet converts a set of subgraph vertex IDs to parent-graph IDs.
-func (s *Sub) OrigSet(vs []int) []int {
-	out := make([]int, len(vs))
-	for i, v := range vs {
-		out[i] = int(s.Orig[v])
-	}
-	return out
-}
-
 // LargestComponentSub returns the subgraph induced (within s) by the
 // largest connected component of s.G, with provenance composed back to
 // the original graph.

@@ -5,33 +5,6 @@ package graph
 // immutable CSR representation and allocates its own scratch space, so
 // concurrent traversals of the same graph are safe.
 
-// BFSFrom performs a breadth-first search from src and calls visit for
-// every reached vertex with its hop distance. If visit returns false the
-// search stops early.
-func (g *Graph) BFSFrom(src int, visit func(v, dist int) bool) {
-	seen := make([]bool, g.N())
-	queue := make([]int32, 0, 64)
-	queue = append(queue, int32(src))
-	seen[src] = true
-	dist := 0
-	for len(queue) > 0 {
-		var next []int32
-		for _, u := range queue {
-			if !visit(int(u), dist) {
-				return
-			}
-			for _, w := range g.Neighbors(int(u)) {
-				if !seen[w] {
-					seen[w] = true
-					next = append(next, w)
-				}
-			}
-		}
-		queue = next
-		dist++
-	}
-}
-
 // BFSDistances returns hop distances from src; unreachable vertices get -1.
 // Thin wrapper over BFSDistancesInto on a throwaway Workspace.
 func (g *Graph) BFSDistances(src int) []int32 {
@@ -53,28 +26,6 @@ func (g *Graph) IsConnected() bool {
 	}
 	_, sizes := g.Components()
 	return len(sizes) == 1
-}
-
-// LargestComponent returns the vertex set of a largest connected
-// component (ties broken by lowest component id) and its size.
-func (g *Graph) LargestComponent() (members []int, size int) {
-	labels, sizes := g.Components()
-	best := 0
-	for i, s := range sizes {
-		if s > sizes[best] {
-			best = i
-		}
-	}
-	if len(sizes) == 0 {
-		return nil, 0
-	}
-	members = make([]int, 0, sizes[best])
-	for v, l := range labels {
-		if int(l) == best {
-			members = append(members, v)
-		}
-	}
-	return members, sizes[best]
 }
 
 // GammaLargest returns the fraction of all n vertices contained in the

@@ -67,7 +67,8 @@ func TestQuickWitnessConsistent(t *testing.T) {
 		if est.Sets == 0 || len(est.ArgSet) == 0 {
 			return true
 		}
-		r, tree, boundary, _ := ratioFor(g, est.ArgSet)
+		var ws Workspace
+		r, tree, boundary, _ := ratioForWs(g, est.ArgSet, &ws)
 		return r == est.Sigma && tree == est.TreeNodes && boundary == est.BoundaryNodes
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

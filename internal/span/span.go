@@ -20,9 +20,7 @@ package span
 
 import (
 	"faultexp/internal/compact"
-	"faultexp/internal/expansion"
 	"faultexp/internal/graph"
-	"faultexp/internal/steiner"
 	"faultexp/internal/xrand"
 )
 
@@ -41,36 +39,15 @@ type Estimate struct {
 	BoundaryNodes int
 }
 
-// ratioFor computes |P(U)|/|Γ(U)| for one compact set, using the exact
-// Steiner DP when the boundary is small and the 2-approximation
-// otherwise. Returns the ratio, tree node count, boundary size, and
-// whether the tree was exact.
-func ratioFor(g *graph.Graph, set []int) (ratio float64, tree, boundary int, exact bool) {
-	inU := expansion.Mask(g.N(), set)
-	b := expansion.Boundary(g, inU)
-	if len(b) == 0 {
-		return 0, 0, 0, true
-	}
-	if len(b) == 1 {
-		return 1, 1, 1, true
-	}
-	if len(b) <= steiner.MaxExactTerminals {
-		edges := steiner.ExactTreeEdges(g, b)
-		nodes := edges + 1
-		return float64(nodes) / float64(len(b)), nodes, len(b), true
-	}
-	nodes := len(steiner.ApproxTree(g, b))
-	return float64(nodes) / float64(len(b)), nodes, len(b), false
-}
-
 // Exact computes the true span of a small connected graph by exhaustive
 // compact-set enumeration. The Exact flag in the result is false if any
 // boundary exceeded the exact-Steiner terminal budget (Sigma is then an
 // upper estimate for those sets). Panics if g.N() > compact.MaxEnumN.
 func Exact(g *graph.Graph) Estimate {
+	var ws Workspace
 	est := Estimate{Exact: true}
 	compact.Enumerate(g, func(set []int) bool {
-		r, tree, b, exact := ratioFor(g, set)
+		r, tree, b, exact := ratioForWs(g, set, &ws)
 		est.Sets++
 		if !exact {
 			est.Exact = false

@@ -75,8 +75,10 @@ func (ws *Workspace) boundary(g *graph.Graph, set []int) []int {
 	return out
 }
 
-// ratioForWs is ratioFor on caller-owned scratch: identical values, no
-// per-set allocation once warm.
+// ratioForWs computes |P(U)|/|Γ(U)| for one compact set on
+// caller-owned scratch, using the exact Steiner DP when the boundary is
+// small and the 2-approximation otherwise. Returns the ratio, tree node
+// count, boundary size, and whether the tree was exact.
 func ratioForWs(g *graph.Graph, set []int, ws *Workspace) (ratio float64, tree, boundary int, exact bool) {
 	b := ws.boundary(g, set)
 	if len(b) == 0 {

@@ -31,19 +31,13 @@ type BudgetResult struct {
 	Residual float64
 }
 
-// Lambda2Budget estimates λ₂ with an explicit Lanczos iteration budget
-// on a throwaway scratch. iters ≤ 0 falls back to the automatic
+// Lambda2BudgetScratch estimates λ₂ with an explicit Lanczos iteration
+// budget on caller-owned scratch. iters ≤ 0 falls back to the automatic
 // (full-convergence) budget; the estimate then matches Lambda2 exactly
-// for the same rng state.
-func Lambda2Budget(g *graph.Graph, iters int, rng *xrand.RNG) BudgetResult {
-	return Lambda2BudgetScratch(g, iters, rng, &Scratch{})
-}
-
-// Lambda2BudgetScratch is Lambda2Budget on caller-owned scratch. For
-// equal iteration budgets and rng state it performs the identical
-// iteration sequence as FiedlerScratch, so its Lambda2 agrees bit for
-// bit; it additionally computes the residual error bar from the Ritz
-// pair.
+// for the same rng state. For equal iteration budgets and rng state it
+// performs the identical iteration sequence as FiedlerScratch, so its
+// Lambda2 agrees bit for bit; it additionally computes the residual
+// error bar from the Ritz pair.
 func Lambda2BudgetScratch(g *graph.Graph, iters int, rng *xrand.RNG, scr *Scratch) BudgetResult {
 	n := g.N()
 	if n <= 1 {

@@ -24,7 +24,7 @@ func TestLambda2BudgetMatchesExactSmall(t *testing.T) {
 		{gen.Hypercube(4), "hypercube4"},
 	} {
 		exact := Lambda2(g.g, xrand.New(7))
-		got := Lambda2Budget(g.g, g.g.N(), xrand.New(7))
+		got := Lambda2BudgetScratch(g.g, g.g.N(), xrand.New(7), &Scratch{})
 		if got.Lambda2 != exact {
 			t.Errorf("%s: budget λ₂ = %v, exact = %v", g.name, got.Lambda2, exact)
 		}
@@ -42,8 +42,8 @@ func TestLambda2BudgetMatchesExactSmall(t *testing.T) {
 // reports a visibly nonzero one on a slow-mixing graph.
 func TestLambda2BudgetResidualShrinks(t *testing.T) {
 	g := gen.Torus(40, 40) // λ₂ small, slow convergence
-	small := Lambda2Budget(g, 6, xrand.New(3))
-	large := Lambda2Budget(g, 120, xrand.New(3))
+	small := Lambda2BudgetScratch(g, 6, xrand.New(3), &Scratch{})
+	large := Lambda2BudgetScratch(g, 120, xrand.New(3), &Scratch{})
 	if small.Residual <= 0 {
 		t.Errorf("6-iteration run on torus40x40 reports residual %v, want > 0", small.Residual)
 	}
@@ -62,11 +62,11 @@ func TestLambda2BudgetResidualShrinks(t *testing.T) {
 }
 
 // TestLambda2BudgetScratchReuse runs differently-sized graphs through
-// one scratch.
+// one scratch and compares each against a fresh scratch.
 func TestLambda2BudgetScratchReuse(t *testing.T) {
 	scr := &Scratch{}
 	for _, g := range []*graph.Graph{gen.Torus(8, 8), gen.Path(5), gen.Complete(12)} {
-		fresh := Lambda2Budget(g, 30, xrand.New(5))
+		fresh := Lambda2BudgetScratch(g, 30, xrand.New(5), &Scratch{})
 		reused := Lambda2BudgetScratch(g, 30, xrand.New(5), scr)
 		if fresh.Lambda2 != reused.Lambda2 || fresh.Residual != reused.Residual {
 			t.Errorf("%v: scratch reuse changed the result: %+v vs %+v", g, reused, fresh)

@@ -18,9 +18,9 @@ import (
 
 // tridiagLargestValue returns only the largest eigenvalue of the
 // symmetric tridiagonal matrix, skipping eigenvector accumulation — the
-// m×m rotation matrix tridiagLargest builds dominates the allocation
-// profile of the pruning hot path, and convergence checks never read the
-// vector. dScr/eScr are caller-owned scratch reused across checks.
+// m×m rotation matrix tridiagLargestScratch accumulates dominates the
+// cost of a solve, and convergence checks never read the vector.
+// dScr/eScr are caller-owned scratch reused across checks.
 func tridiagLargestValue(diag, off []float64, dScr, eScr *[]float64) float64 {
 	m := len(diag)
 	if m == 0 {

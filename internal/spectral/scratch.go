@@ -1,11 +1,12 @@
 package spectral
 
-// Scratch-based Fiedler/Lanczos: the same computation as Fiedler and
-// lanczosLargest, with every intermediate — the Laplacian scale vector,
-// the Krylov basis (a flat arena), the tridiagonal solves and the Ritz
-// vector — living in caller-owned buffers. The pruning hot path calls
-// Fiedler once per culling round, and the basis copies dominated its
-// allocation profile.
+// Scratch-based Fiedler/Lanczos: FiedlerScratch and the Lanczos
+// iteration behind it keep every intermediate — the Laplacian scale
+// vector, the Krylov basis (a flat arena), the tridiagonal solves and
+// the Ritz vector — in caller-owned buffers, and Fiedler runs the same
+// code on a throwaway Scratch. The pruning hot path calls Fiedler once
+// per culling round, and the basis copies dominated its allocation
+// profile.
 
 import (
 	"math"
@@ -100,10 +101,11 @@ func FiedlerScratch(g *graph.Graph, maxIter int, rng *xrand.RNG, scr *Scratch) F
 	return FiedlerResult{Lambda2: lambda2, Vector: vec, Iters: iters}
 }
 
-// lanczosLargestScratch is lanczosLargest specialized to the shifted
-// Laplacian operator, with the Krylov basis stored in a flat arena and
-// every vector buffer reused from scr. The iteration sequence (and hence
-// the result) is identical to lanczosLargest(l.ApplyShifted, …).
+// lanczosLargestScratch runs at most maxIter Lanczos steps on the
+// shifted Laplacian operator (l.ApplyShifted) from a random start
+// vector orthogonal to deflate, and returns the largest Ritz value, its
+// unit Ritz vector and the number of steps taken. The Krylov basis is
+// stored in a flat arena and every vector buffer is reused from scr.
 func lanczosLargestScratch(l *Laplacian, n, maxIter int, deflate [][]float64, rng *xrand.RNG, scr *Scratch) (float64, []float64, int) {
 	if maxIter > n {
 		maxIter = n
@@ -183,8 +185,9 @@ func lanczosLargestScratch(l *Laplacian, n, maxIter int, deflate [][]float64, rn
 	return theta, x, iters
 }
 
-// tridiagLargestScratch is tridiagLargest with the eigenvector rotation
-// matrix stored in a flat m×m arena from scr.
+// tridiagLargestScratch returns the largest eigenvalue of the symmetric
+// tridiagonal matrix (diag, off) and its eigenvector, with the
+// eigenvector rotation matrix stored in a flat m×m arena from scr.
 func tridiagLargestScratch(diag, off []float64, scr *Scratch) (float64, []float64) {
 	m := len(diag)
 	if m == 0 {

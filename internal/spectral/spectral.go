@@ -36,9 +36,6 @@ func NewLaplacian(g *graph.Graph) *Laplacian {
 	return &Laplacian{g: g, invSqrt: inv}
 }
 
-// N returns the dimension of the operator.
-func (l *Laplacian) N() int { return l.g.N() }
-
 // Apply computes dst = L·src.
 func (l *Laplacian) Apply(dst, src []float64) {
 	n := l.g.N()

@@ -1,12 +1,11 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: summary statistics with confidence intervals, quantiles,
-// ordinary and log–log least squares (for extracting scaling exponents
-// from finite-size sweeps), and monotone threshold location (for
-// percolation critical-probability estimation).
+// harness needs: summary statistics, quantiles, ordinary and log–log
+// least squares (for extracting scaling exponents from finite-size
+// sweeps), and monotone threshold location (for percolation
+// critical-probability estimation).
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -70,27 +69,6 @@ func Summarize(xs []float64) Summary {
 		s.StdErr = s.Std / math.Sqrt(float64(s.N))
 	}
 	return s
-}
-
-// CI95 returns the half-width of a normal-approximation 95% confidence
-// interval for the mean.
-func (s Summary) CI95() float64 { return 1.96 * s.StdErr }
-
-// String renders the summary as "mean ± ci95 (n=N)".
-func (s Summary) String() string {
-	return fmt.Sprintf("%.4g ± %.2g (n=%d)", s.Mean, s.CI95(), s.N)
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
@@ -199,29 +177,4 @@ func MonotoneThreshold(lo, hi, target float64, iters int, f func(x float64) floa
 		}
 	}
 	return (lo + hi) / 2
-}
-
-// Histogram counts xs into nbins equal-width bins over [min,max] and
-// returns the bin edges (nbins+1 values) and counts (nbins values).
-func Histogram(xs []float64, nbins int, min, max float64) (edges []float64, counts []int) {
-	if nbins <= 0 || max <= min {
-		panic("stats: bad Histogram parameters")
-	}
-	edges = make([]float64, nbins+1)
-	for i := range edges {
-		edges[i] = min + (max-min)*float64(i)/float64(nbins)
-	}
-	counts = make([]int, nbins)
-	w := (max - min) / float64(nbins)
-	for _, x := range xs {
-		if x < min || x > max {
-			continue
-		}
-		b := int((x - min) / w)
-		if b == nbins {
-			b--
-		}
-		counts[b]++
-	}
-	return edges, counts
 }

@@ -158,12 +158,6 @@ func NewP2(p float64) P2Quantile {
 	}
 }
 
-// P returns the target quantile.
-func (e *P2Quantile) P() float64 { return e.p }
-
-// N returns the number of observations.
-func (e *P2Quantile) N() int64 { return e.n }
-
 // Add folds one observation into the estimator.
 func (e *P2Quantile) Add(x float64) {
 	if e.n < 5 {

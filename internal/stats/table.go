@@ -28,11 +28,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddRowf appends a row built from formatted values.
-func (t *Table) AddRowf(format string, args ...any) {
-	t.AddRow(strings.Fields(fmt.Sprintf(format, args...))...)
-}
-
 // AddNote appends a free-text footnote rendered below the table.
 func (t *Table) AddNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
@@ -83,51 +78,6 @@ func (t *Table) String() string {
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
-	}
-	return b.String()
-}
-
-// Markdown renders the table as GitHub-flavored markdown.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	row := func(cells []string) {
-		b.WriteString("|")
-		for i := 0; i < t.maxCols; i++ {
-			c := ""
-			if i < len(cells) {
-				c = cells[i]
-			}
-			b.WriteString(" " + c + " |")
-		}
-		b.WriteByte('\n')
-	}
-	row(t.Header)
-	b.WriteString("|")
-	for i := 0; i < t.maxCols; i++ {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		row(r)
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "\n*%s*\n", n)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values (quotes are not
-// escaped; experiment cells never contain commas).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Header, ","))
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		b.WriteString(strings.Join(r, ","))
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

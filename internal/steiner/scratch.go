@@ -1,11 +1,10 @@
 package steiner
 
-// Scratch-based Steiner kernels: the same computations as ExactTreeEdges
-// and ApproxTree, with every intermediate — the per-terminal BFS rows,
-// the 2^t×n Dreyfus–Wagner table, the relaxation buckets, the metric-MST
-// state and the leaf-peeling buffers — living in caller-owned arenas.
-// The span sampler runs one Steiner solve per sampled compact set, and
-// the dp table plus BFS rows dominated its allocation profile.
+// Scratch-based Steiner kernels: every intermediate — the per-terminal
+// BFS rows, the 2^t×n Dreyfus–Wagner table, the relaxation buckets, the
+// metric-MST state and the leaf-peeling buffers — lives in caller-owned
+// arenas. The span sampler runs one Steiner solve per sampled compact
+// set, and the dp table plus BFS rows dominated its allocation profile.
 
 import (
 	"math"
@@ -90,7 +89,9 @@ func (scr *Scratch) bfsInto(g *graph.Graph, src int, dist []int32) {
 	scr.queue = q[:0]
 }
 
-// bfsParentsInto is bfsWithParents on caller-owned rows.
+// bfsParentsInto fills dist with BFS distances from src (-1
+// unreachable) and parent with each reached vertex's BFS parent (-1 for
+// src and unreachable vertices).
 func (scr *Scratch) bfsParentsInto(g *graph.Graph, src int, dist, parent []int32) {
 	for i := range dist {
 		dist[i] = -1
@@ -112,9 +113,12 @@ func (scr *Scratch) bfsParentsInto(g *graph.Graph, src int, dist, parent []int32
 	scr.queue = q[:0]
 }
 
-// ExactTreeEdgesScratch is ExactTreeEdges on caller-owned scratch: the
-// identical dynamic program with the dp table and BFS rows drawn from
-// reusable arenas.
+// ExactTreeEdgesScratch returns the number of edges of a minimum
+// Steiner tree connecting the given terminals (Dreyfus–Wagner), with the
+// dp table and BFS rows drawn from scr. A tree with e edges has e+1
+// nodes, which is the |P(U)| convention used by package span. Panics if
+// terminals are empty, duplicated, disconnected from each other, or more
+// numerous than MaxExactTerminals.
 func ExactTreeEdgesScratch(g *graph.Graph, terminals []int, scr *Scratch) int {
 	t := len(terminals)
 	if t == 0 {
@@ -181,7 +185,8 @@ func ExactTreeEdgesScratch(g *graph.Graph, terminals []int, scr *Scratch) int {
 	return int(best)
 }
 
-// relaxUnitScratch is relaxUnit with the bucket queue's inner slices
+// relaxUnitScratch lowers every d[v] to min over u of d[u] + dist(u, v)
+// on the unit-weight graph g, with a bucket queue whose inner slices are
 // reused across calls.
 func relaxUnitScratch(g *graph.Graph, d []int32, scr *Scratch) {
 	n := g.N()
@@ -222,9 +227,12 @@ func relaxUnitScratch(g *graph.Graph, d []int32, scr *Scratch) {
 	}
 }
 
-// ApproxTreeScratch is ApproxTree on caller-owned scratch. The returned
-// vertex set is identical (ascending order) and aliases scr; it is
-// invalidated by the next call on the same scratch.
+// ApproxTreeScratch computes a Steiner tree by the metric-closure MST
+// 2-approximation and returns the vertex set of the resulting tree (a
+// connected subgraph containing all terminals, pruned to a tree) in
+// ascending order. The edge count is len(nodes)-1; the tree size is
+// within a factor 2(1−1/t) of optimal. The returned set aliases scr and
+// is invalidated by the next call on the same scratch.
 func ApproxTreeScratch(g *graph.Graph, terminals []int, scr *Scratch) []int {
 	t := len(terminals)
 	if t == 0 {
@@ -311,8 +319,9 @@ func ApproxTreeScratch(g *graph.Graph, terminals []int, scr *Scratch) []int {
 	return pruneToSteinerScratch(g, nodes, terminals, scr)
 }
 
-// pruneToSteinerScratch is pruneToSteiner on caller-owned scratch; the
-// returned set aliases scr.out.
+// pruneToSteinerScratch prunes the connected subgraph induced by nodes
+// to a tree on the terminals: it builds a BFS spanning tree and peels
+// non-terminal leaves. The returned set aliases scr.out.
 func pruneToSteinerScratch(g *graph.Graph, nodes, terminals []int, scr *Scratch) []int {
 	if scr.gws == nil {
 		scr.gws = graph.NewWorkspace()

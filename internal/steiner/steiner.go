@@ -12,27 +12,12 @@
 // ratios).
 //
 // Both solvers live in scratch.go as scratch-threaded kernels
-// (ExactTreeEdgesScratch, ApproxTreeScratch); the entry points here run
-// them on a throwaway Scratch.
+// (ExactTreeEdgesScratch, ApproxTreeScratch).
 package steiner
-
-import (
-	"faultexp/internal/graph"
-)
 
 // MaxExactTerminals bounds the Dreyfus–Wagner terminal count: the DP
 // costs O(3^t·n + 2^t·n²), practical to t ≈ 12.
 const MaxExactTerminals = 12
-
-// ExactTreeEdges returns the number of edges of a minimum Steiner tree
-// connecting the given terminals (Dreyfus–Wagner). A tree with e edges
-// has e+1 nodes, which is the |P(U)| convention used by package span.
-// Panics if terminals are empty, duplicated, disconnected from each
-// other, or more numerous than MaxExactTerminals.
-func ExactTreeEdges(g *graph.Graph, terminals []int) int {
-	var scr Scratch
-	return ExactTreeEdgesScratch(g, terminals, &scr)
-}
 
 func trailingZeros(x int) int {
 	c := 0
@@ -41,15 +26,4 @@ func trailingZeros(x int) int {
 		c++
 	}
 	return c
-}
-
-// ApproxTree computes a Steiner tree by the metric-closure MST
-// 2-approximation and returns the set of vertices of the resulting tree
-// (a connected subgraph containing all terminals, pruned to a tree). The
-// edge count is len(nodes)-1; the tree size is within a factor 2(1−1/t)
-// of optimal. It is a thin wrapper over ApproxTreeScratch on a throwaway
-// scratch, so the returned set is uniquely owned.
-func ApproxTree(g *graph.Graph, terminals []int) []int {
-	var scr Scratch
-	return ApproxTreeScratch(g, terminals, &scr)
 }

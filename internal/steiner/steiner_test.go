@@ -12,13 +12,13 @@ func TestExactTwoTerminalsIsShortestPath(t *testing.T) {
 	// (0,0) and (4,4): shortest path length 8.
 	a := gen.MeshIndex([]int{0, 0}, []int{5, 5})
 	b := gen.MeshIndex([]int{4, 4}, []int{5, 5})
-	if got := ExactTreeEdges(g, []int{a, b}); got != 8 {
+	if got := ExactTreeEdgesScratch(g, []int{a, b}, &Scratch{}); got != 8 {
 		t.Fatalf("two-terminal Steiner = %d, want 8", got)
 	}
 }
 
 func TestExactSingleTerminal(t *testing.T) {
-	if got := ExactTreeEdges(gen.Cycle(5), []int{3}); got != 0 {
+	if got := ExactTreeEdgesScratch(gen.Cycle(5), []int{3}, &Scratch{}); got != 0 {
 		t.Fatalf("single terminal = %d, want 0", got)
 	}
 }
@@ -26,7 +26,7 @@ func TestExactSingleTerminal(t *testing.T) {
 func TestExactStarCenter(t *testing.T) {
 	// Star: terminals = all leaves; tree must use hub: edges = #leaves.
 	g := gen.Star(6)
-	if got := ExactTreeEdges(g, []int{1, 2, 3, 4, 5}); got != 5 {
+	if got := ExactTreeEdgesScratch(g, []int{1, 2, 3, 4, 5}, &Scratch{}); got != 5 {
 		t.Fatalf("star Steiner = %d, want 5", got)
 	}
 }
@@ -43,7 +43,7 @@ func TestExactSteinerPointUsed(t *testing.T) {
 	b.AddEdge(0, 5)
 	b.AddEdge(5, 6)
 	g := b.Build()
-	if got := ExactTreeEdges(g, []int{2, 4, 6}); got != 6 {
+	if got := ExactTreeEdgesScratch(g, []int{2, 4, 6}, &Scratch{}); got != 6 {
 		t.Fatalf("spider Steiner = %d, want 6", got)
 	}
 }
@@ -59,7 +59,7 @@ func TestExactOnMeshCorners(t *testing.T) {
 		gen.MeshIndex([]int{0, 2}, dims),
 		gen.MeshIndex([]int{2, 2}, dims),
 	}
-	if got := ExactTreeEdges(g, corners); got != 6 {
+	if got := ExactTreeEdgesScratch(g, corners, &Scratch{}); got != 6 {
 		t.Fatalf("corner Steiner = %d, want 6", got)
 	}
 }
@@ -75,7 +75,7 @@ func TestExactPanicsOnTooManyTerminals(t *testing.T) {
 			t.Fatal("should panic above terminal budget")
 		}
 	}()
-	ExactTreeEdges(g, terms)
+	ExactTreeEdgesScratch(g, terms, &Scratch{})
 }
 
 func TestExactPanicsDisconnected(t *testing.T) {
@@ -85,13 +85,13 @@ func TestExactPanicsDisconnected(t *testing.T) {
 			t.Fatal("should panic on disconnected terminals")
 		}
 	}()
-	ExactTreeEdges(g, []int{0, 2})
+	ExactTreeEdgesScratch(g, []int{0, 2}, &Scratch{})
 }
 
 func TestApproxContainsTerminalsAndIsTree(t *testing.T) {
 	g := gen.Mesh(6, 6)
 	terms := []int{0, 5, 30, 35, 14}
-	nodes := ApproxTree(g, terms)
+	nodes := ApproxTreeScratch(g, terms, &Scratch{})
 	inSet := map[int]bool{}
 	for _, v := range nodes {
 		inSet[v] = true
@@ -116,8 +116,8 @@ func TestApproxWithinTwiceExact(t *testing.T) {
 		{0, 5, 10, 15, 3},
 	}
 	for i, terms := range cases {
-		exact := ExactTreeEdges(g, terms)
-		approxNodes := len(ApproxTree(g, terms))
+		exact := ExactTreeEdgesScratch(g, terms, &Scratch{})
+		approxNodes := len(ApproxTreeScratch(g, terms, &Scratch{}))
 		approxEdges := approxNodes - 1
 		if approxEdges < exact {
 			t.Fatalf("case %d: approx %d below exact %d (impossible)", i, approxEdges, exact)
@@ -129,7 +129,7 @@ func TestApproxWithinTwiceExact(t *testing.T) {
 }
 
 func TestApproxSingleTerminal(t *testing.T) {
-	nodes := ApproxTree(gen.Cycle(5), []int{2})
+	nodes := ApproxTreeScratch(gen.Cycle(5), []int{2}, &Scratch{})
 	if len(nodes) != 1 || nodes[0] != 2 {
 		t.Fatalf("single terminal approx = %v", nodes)
 	}
@@ -139,7 +139,7 @@ func TestApproxPrunesNonTerminalLeaves(t *testing.T) {
 	// Terminals adjacent on a path: tree should be exactly the segment
 	// between them.
 	g := gen.Path(10)
-	nodes := ApproxTree(g, []int{3, 6})
+	nodes := ApproxTreeScratch(g, []int{3, 6}, &Scratch{})
 	if len(nodes) != 4 {
 		t.Fatalf("path segment = %v, want {3,4,5,6}", nodes)
 	}
@@ -150,7 +150,7 @@ func BenchmarkExactSteiner8(b *testing.B) {
 	terms := []int{0, 5, 30, 35, 14, 21, 2, 33}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ExactTreeEdges(g, terms)
+		_ = ExactTreeEdgesScratch(g, terms, &Scratch{})
 	}
 }
 
@@ -159,6 +159,6 @@ func BenchmarkApproxSteiner(b *testing.B) {
 	terms := []int{0, 15, 240, 255, 100, 37, 200}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ApproxTree(g, terms)
+		_ = ApproxTreeScratch(g, terms, &Scratch{})
 	}
 }

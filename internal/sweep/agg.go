@@ -147,9 +147,6 @@ func NewAggregator(by []string, metrics []string) (*Aggregator, error) {
 	return a, nil
 }
 
-// By returns the grouping dimensions.
-func (a *Aggregator) By() []string { return a.by }
-
 // Add folds one record into the aggregation.
 func (a *Aggregator) Add(r *Result) error {
 	if r.Err != "" {

@@ -33,12 +33,6 @@ func ApplyFaultsWs(g *graph.Graph, model string, rate float64, ws *graph.Workspa
 	return sub, failed, nil
 }
 
-// ApplyFaults is ApplyFaultsWs on a throwaway workspace, for callers
-// outside a trial loop; the result is uniquely owned.
-func ApplyFaults(g *graph.Graph, model string, rate float64, rng *xrand.RNG) (*graph.Sub, int, error) {
-	return ApplyFaultsWs(g, model, rate, graph.NewWorkspace(), rng)
-}
-
 // Result is one streamed output record: the cell's coordinates plus its
 // measured metrics. Field order (and sorted metric keys) make the JSON
 // encoding byte-stable.

@@ -537,10 +537,11 @@ func TestRunFlushesWriter(t *testing.T) {
 
 func TestApplyFaultsModels(t *testing.T) {
 	g := graph.FromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
+	ws := graph.NewWorkspace()
 	for _, model := range Models() {
-		sub, nf, err := ApplyFaults(g, model, 0.5, xrand.New(5))
+		sub, nf, err := ApplyFaultsWs(g, model, 0.5, ws, xrand.New(5))
 		if err != nil {
-			t.Fatalf("ApplyFaults(%s): %v", model, err)
+			t.Fatalf("ApplyFaultsWs(%s): %v", model, err)
 		}
 		switch model {
 		case ModelIIDEdge:
@@ -556,7 +557,7 @@ func TestApplyFaultsModels(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := ApplyFaults(g, "nope", 0.5, xrand.New(5)); err == nil {
+	if _, _, err := ApplyFaultsWs(g, "nope", 0.5, ws, xrand.New(5)); err == nil {
 		t.Error("unknown model accepted")
 	}
 }

@@ -228,10 +228,6 @@ func (r *Recorder) Stream(name string) stats.Stream {
 	return stats.Stream{}
 }
 
-// companionSuffixes are the per-trial statistics every observed base
-// metric expands to.
-var companionSuffixes = [...]string{"_mean", "_std", "_min", "_max"}
-
 // Metrics renders the recorder into a flat metric map: every observed
 // base name expands to its _mean/_std/_min/_max companions and every
 // constant passes through unchanged. A name collision between a
@@ -258,11 +254,4 @@ func (r *Recorder) Metrics() (map[string]float64, error) {
 		return nil, fmt.Errorf("no metrics recorded")
 	}
 	return out, nil
-}
-
-// BaseNames returns the observed base metric names, sorted.
-func (r *Recorder) BaseNames() []string {
-	out := append([]string(nil), r.names...)
-	sort.Strings(out)
-	return out
 }

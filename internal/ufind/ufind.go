@@ -16,8 +16,7 @@ type DSU struct {
 	size    []int32
 	active  []bool
 	largest int32
-	count   int // number of active components
-	nActive int
+	count   int   // number of active components
 	sumSq   int64 // sum of squared component sizes over active components
 }
 
@@ -40,7 +39,6 @@ func (d *DSU) Reset(n int) {
 		d.active[i] = true
 	}
 	d.count = n
-	d.nActive = n
 	d.largest = 0
 	if n > 0 {
 		d.largest = 1
@@ -67,7 +65,6 @@ func (d *DSU) ResetInactive(n int) {
 		d.active[i] = false
 	}
 	d.count = 0
-	d.nActive = 0
 	d.largest = 0
 	d.sumSq = 0
 }
@@ -96,7 +93,6 @@ func (d *DSU) Activate(i int) {
 	d.parent[i] = int32(i)
 	d.size[i] = 1
 	d.count++
-	d.nActive++
 	d.sumSq++
 	if d.largest < 1 {
 		d.largest = 1
@@ -158,9 +154,6 @@ func (d *DSU) Largest() int { return int(d.largest) }
 
 // Components returns the number of active components.
 func (d *DSU) Components() int { return d.count }
-
-// ActiveCount returns the number of occupied elements.
-func (d *DSU) ActiveCount() int { return d.nActive }
 
 // SumSquares returns the sum of squared component sizes over the active
 // components, maintained incrementally — Σ s_i². Dividing by n² gives

@@ -8,8 +8,8 @@ import (
 
 func TestSingletons(t *testing.T) {
 	d := New(5)
-	if d.Components() != 5 || d.Largest() != 1 || d.ActiveCount() != 5 {
-		t.Fatalf("fresh DSU: comps=%d largest=%d active=%d", d.Components(), d.Largest(), d.ActiveCount())
+	if d.Components() != 5 || d.Largest() != 1 {
+		t.Fatalf("fresh DSU: comps=%d largest=%d", d.Components(), d.Largest())
 	}
 	for i := 0; i < 5; i++ {
 		if d.ComponentSize(i) != 1 {
@@ -42,7 +42,7 @@ func TestUnionChain(t *testing.T) {
 
 func TestInactiveActivation(t *testing.T) {
 	d := NewInactive(4)
-	if d.ActiveCount() != 0 || d.Largest() != 0 || d.Components() != 0 {
+	if d.Largest() != 0 || d.Components() != 0 {
 		t.Fatal("inactive DSU should start empty")
 	}
 	if d.Gamma() != 0 {
@@ -51,9 +51,8 @@ func TestInactiveActivation(t *testing.T) {
 	d.Activate(1)
 	d.Activate(2)
 	d.Activate(1) // idempotent
-	if d.ActiveCount() != 2 || d.Components() != 2 || d.Largest() != 1 {
-		t.Fatalf("after activations: active=%d comps=%d largest=%d",
-			d.ActiveCount(), d.Components(), d.Largest())
+	if d.Components() != 2 || d.Largest() != 1 {
+		t.Fatalf("after activations: comps=%d largest=%d", d.Components(), d.Largest())
 	}
 	d.Union(1, 2)
 	if d.Largest() != 2 || d.Components() != 1 {

@@ -145,11 +145,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -306,9 +301,4 @@ func (r *RNG) NormFloat64() float64 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
 	}
-}
-
-// Exp returns an exponential sample with rate 1.
-func (r *RNG) Exp() float64 {
-	return -math.Log(1 - r.Float64())
 }
