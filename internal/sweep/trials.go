@@ -67,8 +67,7 @@ var trialRegistry = map[string]TrialSetup{}
 
 // RegisterTrials adds a measure to the registry: the engine wraps setup
 // in the standard per-trial loop (RunTrials) and metric rendering
-// (Recorder.Metrics). Duplicate names panic (a wiring bug, mirroring
-// harness.Registry).
+// (Recorder.Metrics). Duplicate names panic (a wiring bug).
 func RegisterTrials(name string, setup TrialSetup) {
 	regMu.Lock()
 	defer regMu.Unlock()
