@@ -89,6 +89,24 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+func TestLookup(t *testing.T) {
+	// Every ID resolves, in any case, to the experiment All() lists under it.
+	for _, e := range All() {
+		for _, id := range []string{e.ID, strings.ToLower(e.ID), strings.ToUpper(e.ID)} {
+			got, ok := Lookup(id)
+			if !ok || got.ID != e.ID || got.Title != e.Title {
+				t.Errorf("Lookup(%q) missed the %s entry", id, e.ID)
+			}
+		}
+	}
+	// Only whole IDs match: no prefix, padding or leading-zero form.
+	for _, id := range []string{"", "E", "E0", "E20", "E01", " E1", "E1 ", "E1E2"} {
+		if got, ok := Lookup(id); ok {
+			t.Errorf("Lookup(%q) = %s, want a miss", id, got.ID)
+		}
+	}
+}
+
 func TestDeterministicReports(t *testing.T) {
 	// Same seed → identical tables (the whole pipeline is deterministic).
 	exp, _ := Lookup("E2")
