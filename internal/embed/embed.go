@@ -115,8 +115,10 @@ func IntoHost(guest, host *graph.Graph, nodeMap []int32) (*Embedding, error) {
 		bySrc[nodeMap[ge[0]]] = append(bySrc[nodeMap[ge[0]]], i)
 	}
 	e.Paths = make([][]int32, len(edges))
+	dist, parent := make([]int32, host.N()), make([]int32, host.N())
+	var queue []int32
 	for src, idxs := range bySrc {
-		dist, parent := bfsParents(host, int(src))
+		queue = host.BFS(int(src), dist, parent, queue)
 		for _, i := range idxs {
 			dst := nodeMap[edges[i][1]]
 			if dist[dst] < 0 {
@@ -138,30 +140,6 @@ func IntoHost(guest, host *graph.Graph, nodeMap []int32) (*Embedding, error) {
 		}
 	}
 	return e, nil
-}
-
-func bfsParents(g *graph.Graph, src int) (dist, parent []int32) {
-	n := g.N()
-	dist = make([]int32, n)
-	parent = make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-		parent[i] = -1
-	}
-	dist[src] = 0
-	queue := []int32{int32(src)}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(int(u)) {
-			if dist[w] < 0 {
-				dist[w] = dist[u] + 1
-				parent[w] = u
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist, parent
 }
 
 // NearestAliveMap builds the standard faulty-mesh remapping: for each

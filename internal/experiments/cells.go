@@ -3,12 +3,13 @@ package experiments
 // Sweep cell adapters: the prune / prune2 / span / percolation pipelines
 // repackaged as trial-grained sweep measures, so the declarative grid
 // engine can run the paper's pipelines over family × fault-model × rate
-// cross products. Each measure registers a sweep.TrialSetup: setup runs
-// once per cell (fault-free baselines, theorem constants — recorded as
-// constants), and the returned TrialFunc measures ONE fault realization,
-// drawing all randomness from the trial's private RNG (seeded
-// independently per trial by the engine) and routing fault injection and
-// component work through the worker's Workspace so the steady-state
+// cross products. Each measure's entry in the measure table
+// (measures.go) names a sweep.TrialSetup: setup runs once per cell
+// (fault-free baselines, theorem constants — recorded as constants),
+// and the returned TrialFunc measures ONE fault realization, drawing
+// all randomness from the trial's private RNG (seeded independently per
+// trial by the engine) and routing fault injection and component work
+// through the worker's Workspace so the steady-state
 // trial path allocates (near-)nothing. Every observed base metric gains
 // deterministic _mean/_std/_min/_max companions in the Result stream.
 // The extension measures extracted from the E1–E19 experiment kernels
@@ -29,14 +30,6 @@ import (
 // spanSamples is the compact-set sample budget the span measure spends
 // per trial.
 const spanSamples = 24
-
-func init() {
-	sweep.RegisterTrials("gamma", setupGamma)
-	sweep.RegisterTrials("prune", setupPrune)
-	sweep.RegisterTrials("prune2", setupPrune2)
-	sweep.RegisterTrials("span", setupSpan)
-	sweep.RegisterTrials("percolation", setupPercolation)
-}
 
 // setupGamma measures the largest-component fraction γ of the faulted
 // graph — the paper's connectivity baseline (what survives before any

@@ -1,10 +1,11 @@
 package experiments
 
 // Coupled-sampling implementations for the union-find-friendly measures
-// (sweep.RegisterCoupled). Each trial draws ONE uniform per element from
-// the group's coupling stream; an element survives at rate r iff its
-// draw ≥ r — marginally the iid fault law with failure probability r,
-// but monotone across the rate axis. Elements are sorted by draw
+// (the Coupled entries of the measure table in measures.go). Each trial
+// draws ONE uniform per element from the group's coupling stream; an
+// element survives at rate r iff its draw ≥ r — marginally the iid
+// fault law with failure probability r, but monotone across the rate
+// axis. Elements are sorted by draw
 // (largest first) and the rates walked from highest to lowest, so a
 // union–find structure activates each element exactly once for the
 // whole axis: percolation and shatter harvest every rate in one
@@ -24,22 +25,20 @@ import (
 	"faultexp/internal/xrand"
 )
 
-func init() {
-	sweep.RegisterCoupled("percolation", setupPercolationCoupled)
-	sweep.RegisterCoupled("shatter", setupShatterCoupled)
-	sweep.RegisterCoupled("residual", setupResidualCoupled)
-}
-
 // coupledSweep is the shared skeleton of one coupled trial: the rate
-// walk order (fixed per group) and the per-trial element draws.
+// walk order (fixed per group), the per-trial element draws, and the
+// union–find the incremental passes run on.
 type coupledSweep struct {
-	rateIdx []int     // rate positions, highest rate first (ties: grid order)
-	u       []float64 // one uniform per element, drawn in element order
-	order   []int     // element indices, largest draw first
+	cells   []sweep.Cell
+	rateIdx []int      // rate positions, highest rate first (ties: grid order)
+	u       []float64  // one uniform per element, drawn in element order
+	order   []int      // element indices, largest draw first
+	d       ufind.DSU  // the incremental pass's union–find over the vertices
+	edges   [][2]int32 // iid-edge groups: g.Edges(), in draw order (built on first use)
 }
 
 func newCoupledSweep(cells []sweep.Cell) *coupledSweep {
-	cs := &coupledSweep{rateIdx: make([]int, len(cells))}
+	cs := &coupledSweep{cells: cells, rateIdx: make([]int, len(cells))}
 	for i := range cs.rateIdx {
 		cs.rateIdx[i] = i
 	}
@@ -62,7 +61,7 @@ func newCoupledSweep(cells []sweep.Cell) *coupledSweep {
 // measuring. add(e) activates element e exactly once per trial;
 // measure(ri, alive) records at rate position ri with the first `alive`
 // sorted elements active.
-func (cs *coupledSweep) run(elements int, cells []sweep.Cell, crng *xrand.RNG, add func(e int), measure func(ri, alive int) error) error {
+func (cs *coupledSweep) run(elements int, crng *xrand.RNG, add func(e int), measure func(ri, alive int) error) error {
 	if cap(cs.u) < elements {
 		cs.u = make([]float64, elements)
 		cs.order = make([]int, elements)
@@ -89,7 +88,7 @@ func (cs *coupledSweep) run(elements int, cells []sweep.Cell, crng *xrand.RNG, a
 	})
 	k := 0
 	for _, ri := range cs.rateIdx {
-		r := cells[ri].Rate
+		r := cs.cells[ri].Rate
 		for k < elements && u[order[k]] >= r {
 			add(order[k])
 			k++
@@ -101,6 +100,26 @@ func (cs *coupledSweep) run(elements int, cells []sweep.Cell, crng *xrand.RNG, a
 	return nil
 }
 
+// unionFind runs one coupled trial as an incremental union–find pass
+// over cs.d: under iid-node faults the elements are vertices, each
+// occupied vertex joining its occupied neighbours (site percolation);
+// under iid-edge faults they are edges, each opened edge joining its
+// endpoints (bond percolation). measure(ri, alive) reads cs.d.
+func (cs *coupledSweep) unionFind(g *graph.Graph, crng *xrand.RNG, measure func(ri, alive int) error) error {
+	n := g.N()
+	if cs.cells[0].Model == sweep.ModelIIDNode {
+		cs.d.ResetInactive(n)
+		return cs.run(n, crng, func(v int) { cs.d.ActivateJoin(v, g.Neighbors(v)) }, measure)
+	}
+	if cs.edges == nil {
+		cs.edges = g.Edges()
+	}
+	cs.d.Reset(n)
+	return cs.run(len(cs.edges), crng, func(e int) {
+		cs.d.Union(int(cs.edges[e][0]), int(cs.edges[e][1]))
+	}, measure)
+}
+
 // setupPercolationCoupled sweeps γ over the whole rate axis with one
 // incremental union–find pass per trial — the Newman–Ziff idea applied
 // to the grid's own rate points.
@@ -108,37 +127,15 @@ func setupPercolationCoupled(g *graph.Graph, cells []sweep.Cell, ws *graph.Works
 	if g.N() == 0 {
 		return sweep.CoupledRun{}, fmt.Errorf("empty graph")
 	}
-	site := cells[0].Model == sweep.ModelIIDNode
 	for ri, c := range cells {
 		recs[ri].Const("p_survive", 1-c.Rate)
 	}
-	n := g.N()
 	cs := newCoupledSweep(cells)
-	var d ufind.DSU
-	var edges [][2]int32
-	if !site {
-		edges = g.Edges()
-	}
 	trial := func(t int, ws *graph.Workspace, crng *xrand.RNG, mrngs []*xrand.RNG, recs []*sweep.Recorder) error {
-		gamma := func(ri, _ int) error {
-			recs[ri].Observe("gamma", d.Gamma())
+		return cs.unionFind(g, crng, func(ri, _ int) error {
+			recs[ri].Observe("gamma", cs.d.Gamma())
 			return nil
-		}
-		if site {
-			d.ResetInactive(n)
-			return cs.run(n, cells, crng, func(v int) {
-				d.Activate(v)
-				for _, w := range g.Neighbors(v) {
-					if d.Active(int(w)) {
-						d.Union(v, int(w))
-					}
-				}
-			}, gamma)
-		}
-		d.Reset(n)
-		return cs.run(len(edges), cells, crng, func(e int) {
-			d.Union(int(edges[e][0]), int(edges[e][1]))
-		}, gamma)
+		})
 	}
 	return sweep.CoupledRun{Trial: trial}, nil
 }
@@ -151,43 +148,21 @@ func setupShatterCoupled(g *graph.Graph, cells []sweep.Cell, ws *graph.Workspace
 	if g.N() == 0 {
 		return sweep.CoupledRun{}, fmt.Errorf("empty graph")
 	}
-	site := cells[0].Model == sweep.ModelIIDNode
-	n := g.N()
-	nn := float64(n)
-	cs := newCoupledSweep(cells)
-	var d ufind.DSU
-	var edges [][2]int32
-	if !site {
-		edges = g.Edges()
+	nn := float64(g.N())
+	elements := g.N()
+	if cells[0].Model != sweep.ModelIIDNode {
+		elements = g.M()
 	}
+	cs := newCoupledSweep(cells)
 	trial := func(t int, ws *graph.Workspace, crng *xrand.RNG, mrngs []*xrand.RNG, recs []*sweep.Recorder) error {
-		elements := n
-		if !site {
-			elements = len(edges)
-		}
-		observe := func(ri, alive int) error {
+		return cs.unionFind(g, crng, func(ri, alive int) error {
 			rec := recs[ri]
 			rec.Observe("faults", float64(elements-alive))
-			rec.Observe("gamma", float64(d.Largest())/nn)
-			rec.Observe("comps", float64(d.Components()))
-			rec.Observe("frag", float64(d.SumSquares())/(nn*nn))
+			rec.Observe("gamma", float64(cs.d.Largest())/nn)
+			rec.Observe("comps", float64(cs.d.Components()))
+			rec.Observe("frag", float64(cs.d.SumSquares())/(nn*nn))
 			return nil
-		}
-		if site {
-			d.ResetInactive(n)
-			return cs.run(n, cells, crng, func(v int) {
-				d.Activate(v)
-				for _, w := range g.Neighbors(v) {
-					if d.Active(int(w)) {
-						d.Union(v, int(w))
-					}
-				}
-			}, observe)
-		}
-		d.Reset(n)
-		return cs.run(len(edges), cells, crng, func(e int) {
-			d.Union(int(edges[e][0]), int(edges[e][1]))
-		}, observe)
+		})
 	}
 	return sweep.CoupledRun{Trial: trial}, nil
 }
@@ -212,7 +187,6 @@ func setupResidualCoupled(g *graph.Graph, cells []sweep.Cell, ws *graph.Workspac
 	n := g.N()
 	nn := float64(n)
 	cs := newCoupledSweep(cells)
-	var d ufind.DSU
 	var finder cuts.Workspace
 	var members []int
 	observeComp := func(ri int, comp *graph.Graph, mrng *xrand.RNG) {
@@ -224,15 +198,8 @@ func setupResidualCoupled(g *graph.Graph, cells []sweep.Cell, ws *graph.Workspac
 	}
 	trial := func(t int, ws *graph.Workspace, crng *xrand.RNG, mrngs []*xrand.RNG, recs []*sweep.Recorder) error {
 		if site {
-			d.ResetInactive(n)
-			return cs.run(n, cells, crng, func(v int) {
-				d.Activate(v)
-				for _, w := range g.Neighbors(v) {
-					if d.Active(int(w)) {
-						d.Union(v, int(w))
-					}
-				}
-			}, func(ri, _ int) error {
+			return cs.unionFind(g, crng, func(ri, _ int) error {
+				d := &cs.d
 				if d.Largest() < 2 {
 					return nil
 				}
@@ -273,7 +240,7 @@ func setupResidualCoupled(g *graph.Graph, cells []sweep.Cell, ws *graph.Workspac
 		// measurement). FilterEdgesInto visits edges in ForEachEdge
 		// order — the order the coupling draws were made in — so a
 		// running index aligns draw and edge.
-		return cs.run(g.M(), cells, crng, func(int) {}, func(ri, _ int) error {
+		return cs.run(g.M(), crng, func(int) {}, func(ri, _ int) error {
 			r := cells[ri].Rate
 			ei := 0
 			sub, _ := g.FilterEdgesInto(ws, func(_, _ int) bool {

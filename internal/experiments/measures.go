@@ -45,21 +45,35 @@ const (
 	balanceMaxRounds = 100000 // diffusion round budget
 )
 
+// init registers every measure in one table: the trial setup each
+// measure has, the coupled implementation of the union-find-friendly
+// ones (coupled.go), and whether the setup also implements the sampled
+// tier (sampled.go; gamma's exact kernel is already O(n+m), so only its
+// seed tier changes).
 func init() {
-	sweep.RegisterTrials("shatter", setupShatter)
-	sweep.RegisterTrials("separator", setupSeparator)
-	sweep.RegisterTrials("dilation", setupDilation)
-	sweep.RegisterTrials("predictor", setupPredictor)
-	sweep.RegisterTrials("counting", setupCounting)
-	sweep.RegisterTrials("loadbalance", setupLoadBalance)
-	sweep.RegisterTrials("multibutterfly", setupMultibutterfly)
-	sweep.RegisterTrials("diameter", setupDiameter)
-	sweep.RegisterTrials("agreement", setupAgreement)
-	sweep.RegisterTrials("routing", setupRouting)
-	sweep.RegisterTrials("upfal", setupUpfal)
-	sweep.RegisterTrials("residual", setupResidual)
-	sweep.RegisterTrials("lambda2", setupLambda2)
-	sweep.RegisterTrials("conjecture", setupConjecture)
+	for name, m := range map[string]sweep.Measure{
+		"gamma":          {Trials: setupGamma, Sampled: true},
+		"prune":          {Trials: setupPrune},
+		"prune2":         {Trials: setupPrune2},
+		"span":           {Trials: setupSpan},
+		"percolation":    {Trials: setupPercolation, Coupled: setupPercolationCoupled},
+		"shatter":        {Trials: setupShatter, Coupled: setupShatterCoupled},
+		"separator":      {Trials: setupSeparator},
+		"dilation":       {Trials: setupDilation, Sampled: true},
+		"predictor":      {Trials: setupPredictor},
+		"counting":       {Trials: setupCounting},
+		"loadbalance":    {Trials: setupLoadBalance},
+		"multibutterfly": {Trials: setupMultibutterfly},
+		"diameter":       {Trials: setupDiameter, Sampled: true},
+		"agreement":      {Trials: setupAgreement},
+		"routing":        {Trials: setupRouting},
+		"upfal":          {Trials: setupUpfal},
+		"residual":       {Trials: setupResidual, Coupled: setupResidualCoupled},
+		"lambda2":        {Trials: setupLambda2, Sampled: true},
+		"conjecture":     {Trials: setupConjecture},
+	} {
+		sweep.Register(name, m)
+	}
 }
 
 // setupShatter measures how faults fragment the graph (the E3/E4 shape):

@@ -7,10 +7,12 @@ package experiments
 // runs in O(k·(n+m)) per trial and reports its own error bars through
 // the Recorder's _std companions plus explicit residual/bound metrics.
 // Dispatch happens inside the exact measures' setup functions: the
-// measure names are shared between tiers, and Cell.Precision selects
-// the kernel. Every sampled draw comes from the trial RNG in a fixed
-// order, so sampled cells are as deterministic (byte-identical across
-// -workers, resume, and shard) as exact ones.
+// measure names are shared between tiers, Cell.Precision selects the
+// kernel, and a measure's Sampled flag in the measure table
+// (measures.go) declares that it has one. Every sampled draw comes
+// from the trial RNG in a fixed order, so sampled cells are as
+// deterministic (byte-identical across -workers, resume, and shard) as
+// exact ones.
 
 import (
 	"fmt"
@@ -27,13 +29,6 @@ import (
 // iterations. One knob drives every sampled kernel, and the linear
 // scaling keeps "double k" meaning "double the work" across measures.
 const lanczosItersPerSample = 8
-
-func init() {
-	sweep.MarkSampled("gamma") // exact kernel already O(n+m); only the seed tier changes
-	sweep.MarkSampled("diameter")
-	sweep.MarkSampled("lambda2")
-	sweep.MarkSampled("dilation")
-}
 
 // setupDiameterSampled is the sampled tier of the diameter measure:
 // k iterated eccentricity sweeps over the faulted survivor's largest

@@ -17,14 +17,12 @@ import (
 	"faultexp/internal/sweep"
 )
 
-// Client talks to one worker daemon.
+// Client talks to one worker daemon. Requests go through
+// http.DefaultClient, which has no overall timeout — result streams are
+// long-lived — so every call is bounded by its context.
 type Client struct {
 	// Base is the worker's base URL ("http://host:port").
 	Base string
-	// HTTP is the client to use; nil means http.DefaultClient. The
-	// coordinator passes a client with no overall timeout — result
-	// streams are long-lived — and relies on context cancellation.
-	HTTP *http.Client
 }
 
 // NewClient normalizes addr ("host:port" or a full URL) into a Client.
@@ -33,13 +31,6 @@ func NewClient(addr string) *Client {
 		addr = "http://" + addr
 	}
 	return &Client{Base: strings.TrimRight(addr, "/")}
-}
-
-func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
 }
 
 // StatusError is a non-2xx response from a worker, carrying the HTTP
@@ -77,57 +68,63 @@ func decodeError(resp *http.Response) error {
 	return &StatusError{Status: resp.StatusCode, Msg: msg}
 }
 
+// do sends one request to the worker; a status other than want becomes
+// a StatusError. A non-nil body is sent as JSON. With a non-nil out the
+// JSON response is decoded into out and closed; otherwise the caller
+// owns the returned open body.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, want int, out any) (io.ReadCloser, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != want {
+		return nil, decodeError(resp)
+	}
+	if out == nil {
+		return resp.Body, nil
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(out); err != nil {
+		return nil, fmt.Errorf("decoding %s %s from %s: %w", method, path, c.Base, err)
+	}
+	return nil, nil
+}
+
 // Health fetches the worker's /healthz — build version, kernel-version
 // stamp, capacity.
 func (c *Client) Health(ctx context.Context) (Health, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/healthz", nil)
-	if err != nil {
-		return Health{}, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return Health{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return Health{}, decodeError(resp)
-	}
-	defer resp.Body.Close()
 	var h Health
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h); err != nil {
-		return Health{}, fmt.Errorf("decoding /healthz from %s: %w", c.Base, err)
-	}
-	return h, nil
+	_, err := c.do(ctx, http.MethodGet, "/healthz", nil, http.StatusOK, &h)
+	return h, err
 }
 
 // Submit posts specJSON as a new job restricted to shard sh (the whole
 // grid when sh.Count ≤ 1), skipping the shard's first skip cells — the
 // resume path after a reassignment. Returns the worker's job id.
 func (c *Client) Submit(ctx context.Context, specJSON []byte, sh sweep.Shard, skip int) (string, error) {
-	url := c.Base + "/v1/jobs"
+	path := "/v1/jobs"
 	sep := "?"
 	if sh.Enabled() {
-		url += sep + "shard=" + sh.String()
+		path += sep + "shard=" + sh.String()
 		sep = "&"
 	}
 	if skip > 0 {
-		url += sep + "skip=" + strconv.Itoa(skip)
+		path += sep + "skip=" + strconv.Itoa(skip)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(specJSON))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusCreated {
-		return "", decodeError(resp)
-	}
-	defer resp.Body.Close()
 	var v JobView
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&v); err != nil {
-		return "", fmt.Errorf("decoding job from %s: %w", c.Base, err)
+	if _, err := c.do(ctx, http.MethodPost, path, specJSON, http.StatusCreated, &v); err != nil {
+		return "", err
 	}
 	if v.ID == "" {
 		return "", fmt.Errorf("worker %s returned a job with no id", c.Base)
@@ -137,62 +134,29 @@ func (c *Client) Submit(ctx context.Context, specJSON []byte, sh sweep.Shard, sk
 
 // Job fetches one job's snapshot view.
 func (c *Client) Job(ctx context.Context, id string) (JobView, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return JobView{}, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return JobView{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return JobView{}, decodeError(resp)
-	}
-	defer resp.Body.Close()
 	var v JobView
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&v); err != nil {
-		return JobView{}, fmt.Errorf("decoding job from %s: %w", c.Base, err)
-	}
-	return v, nil
+	_, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, http.StatusOK, &v)
+	return v, err
 }
 
 // Results opens the job's live JSONL stream, skipping the first `from`
 // records. The stream ends when the job reaches a terminal state; the
 // caller owns closing the body.
 func (c *Client) Results(ctx context.Context, id string, from int) (io.ReadCloser, error) {
-	url := c.Base + "/v1/jobs/" + id + "/results"
+	path := "/v1/jobs/" + id + "/results"
 	if from > 0 {
-		url += "?from=" + strconv.Itoa(from)
+		path += "?from=" + strconv.Itoa(from)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	return resp.Body, nil
+	return c.do(ctx, http.MethodGet, path, nil, http.StatusOK, nil)
 }
 
 // Delete cancels a running job or removes a terminal one — the
 // coordinator's cleanup after each attempt, so worker memory doesn't
 // accumulate one held job per dispatch.
 func (c *Client) Delete(ctx context.Context, id string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.Base+"/v1/jobs/"+id, nil)
+	body, err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, http.StatusOK, nil)
 	if err != nil {
 		return err
 	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	resp.Body.Close()
-	return nil
+	return body.Close()
 }

@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"os"
 	"sync"
 	"time"
@@ -65,9 +64,6 @@ type CoordinatorConfig struct {
 	// the prefix reset the count — a worker death mid-stream never
 	// burns the budget as long as someone, somewhere, computes cells.
 	MaxAttempts int
-	// HTTP overrides the fleet HTTP client (no overall timeout:
-	// result streams are long-lived; cancellation is per-context).
-	HTTP *http.Client
 }
 
 func (cfg *CoordinatorConfig) fill() error {
@@ -88,9 +84,6 @@ func (cfg *CoordinatorConfig) fill() error {
 	}
 	if cfg.MaxAttempts < 1 {
 		cfg.MaxAttempts = 5
-	}
-	if cfg.HTTP == nil {
-		cfg.HTTP = &http.Client{}
 	}
 	return nil
 }
@@ -195,14 +188,15 @@ func (cj *coordJob) cancelRequested() bool {
 
 // cancel requests the job stop draining at line boundaries. durable=
 // true also writes the store's cancelled marker so a restart doesn't
-// resurrect the job.
-func (cj *coordJob) cancel(durable bool) {
-	cj.cancelOnce.Do(func() {
-		if durable {
-			cj.stored.MarkCancelled()
-		}
-		close(cj.cancelCh)
-	})
+// resurrect the job, and returns the error if that write fails; the
+// in-memory cancel happens either way.
+func (cj *coordJob) cancel(durable bool) error {
+	var err error
+	if durable {
+		err = cj.stored.MarkCancelled()
+	}
+	cj.cancelOnce.Do(func() { close(cj.cancelCh) })
+	return err
 }
 
 func (cj *coordJob) setState(s sweep.JobState) {
@@ -345,7 +339,6 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 	}
 	for _, addr := range cfg.Workers {
 		cl := NewClient(addr)
-		cl.HTTP = cfg.HTTP
 		c.workers = append(c.workers, &workerRef{base: cl.Base, client: cl, lastErr: "not probed yet"})
 	}
 	if err := c.rebuild(); err != nil {

@@ -104,7 +104,10 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, v)
 		return
 	}
-	cj.cancel(true)
+	if err := cj.cancel(true); err != nil {
+		httpError(w, http.StatusInternalServerError, "cancelled %s, but a restart would resume it: %v", cj.id, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, cj.view())
 }
 

@@ -445,6 +445,33 @@ func TestCoordinatorCancelIsDurable(t *testing.T) {
 	}
 }
 
+// TestCoordinatorCancelReportsMarkerFailure: when the durable cancel
+// marker cannot be written (here a directory already sits at its path),
+// DELETE answers 500 naming the failure, since a restart would resume
+// the job; the in-memory cancel still stops it.
+func TestCoordinatorCancelReportsMarkerFailure(t *testing.T) {
+	storeDir := t.TempDir()
+	// Zero workers: the job queues forever, deterministically active.
+	_, srv := startCoordinator(t, storeDir, nil, nil)
+	v := submitSpec(t, srv.URL, workerSpecJSON)
+	if err := os.Mkdir(filepath.Join(storeDir, v.ID, "cancelled"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs/"+v.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(b), filepath.Join(v.ID, "cancelled")) {
+		t.Fatalf("DELETE with an unwritable marker = %d %s, want 500 naming the marker", resp.StatusCode, b)
+	}
+	if fin := waitTerminal(t, srv.URL, v.ID); fin.Snapshot.State != sweep.JobCancelled {
+		t.Fatalf("after a failed durable cancel: %s, want cancelled in memory", fin.Snapshot.State)
+	}
+}
+
 func TestCoordinatorRejectsCoupledSpec(t *testing.T) {
 	_, srv := startCoordinator(t, t.TempDir(), nil, nil)
 	coupled := strings.Replace(workerSpecJSON, `"trials": 2,`, `"trials": 2, "rate_mode": "coupled",`, 1)

@@ -6,7 +6,7 @@ package gen
 // flags and the sweep grid specs. Keeping the registry here (rather
 // than in cmd/faultexp) lets every layer — CLI, sweep engine, tests —
 // build identical graphs from the same spec, and mirrors the measure
-// (sweep.RegisterTrials) and fault-model (faults.ModelByName)
+// (sweep.Register) and fault-model (faults.ModelByName)
 // registries: a new family is one RegisterFamily call away from every
 // grid axis.
 //
@@ -146,7 +146,7 @@ var (
 )
 
 // RegisterFamily adds a family to the global registry; duplicate or
-// empty names panic (a wiring bug, mirroring sweep.RegisterTrials).
+// empty names panic (a wiring bug, mirroring sweep.Register).
 func RegisterFamily(f Family) {
 	name := f.Name()
 	if name == "" {

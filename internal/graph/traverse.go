@@ -2,8 +2,40 @@ package graph
 
 // This file contains the traversal machinery: BFS, connected components,
 // distances, and eccentricity estimates. All of it operates on the
-// immutable CSR representation and allocates its own scratch space, so
-// concurrent traversals of the same graph are safe.
+// immutable CSR representation and writes only caller-owned or freshly
+// allocated scratch, so concurrent traversals of the same graph are
+// safe.
+
+// BFS is the one FIFO breadth-first search behind every hop-distance
+// and BFS-tree user: it fills dist with hop distances from src (-1 where
+// unreachable) and, when parent is non-nil, parent with each reached
+// vertex's BFS parent (-1 for src and unreachable vertices). dist and a
+// non-nil parent have length N; queue is scratch, returned emptied so
+// the caller keeps its grown capacity for the next call.
+func (g *Graph) BFS(src int, dist, parent, queue []int32) []int32 {
+	for i := range dist {
+		dist[i] = -1
+	}
+	for i := range parent {
+		parent[i] = -1
+	}
+	dist[src] = 0
+	queue = append(queue[:0], int32(src))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		du := dist[u] + 1
+		for _, w := range g.Neighbors(int(u)) {
+			if dist[w] < 0 {
+				dist[w] = du
+				if parent != nil {
+					parent[w] = u
+				}
+				queue = append(queue, w)
+			}
+		}
+	}
+	return queue[:0]
+}
 
 // BFSDistances returns hop distances from src; unreachable vertices get -1.
 // Thin wrapper over BFSDistancesInto on a throwaway Workspace.

@@ -325,26 +325,9 @@ func (g *Graph) GammaLargestInto(ws *Workspace) float64 {
 // BFSDistancesInto is BFSDistances into the ws-owned distance buffer;
 // the returned slice is valid until the next BFSDistancesInto call.
 func (g *Graph) BFSDistancesInto(ws *Workspace, src int) []int32 {
-	n := g.N()
-	dist := grow32(ws.dist, n)
-	ws.dist = dist
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := append(ws.queue[:0], int32(src))
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		for _, w := range g.Neighbors(int(u)) {
-			if dist[w] < 0 {
-				dist[w] = du + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	ws.queue = queue[:0]
-	return dist
+	ws.dist = grow32(ws.dist, g.N())
+	ws.queue = g.BFS(src, ws.dist, nil, ws.queue)
+	return ws.dist
 }
 
 // LargestComponentSubInto restricts s to its largest connected component

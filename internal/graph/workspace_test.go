@@ -147,17 +147,41 @@ func maxOf(xs []int) int {
 	return best
 }
 
-// TestBFSDistancesIntoMatches checks the distance buffer path.
+// TestBFSDistancesIntoMatches checks the distance buffer path, and the
+// BFS tree that BFS writes when asked for parents: src is the root,
+// and every other reached vertex hangs off a neighbour one hop closer.
 func TestBFSDistancesIntoMatches(t *testing.T) {
 	g := torusForTest(5)
 	sub := g.RemoveVertices([]int{7, 8, 9})
 	ws := NewWorkspace()
-	for src := 0; src < sub.G.N(); src += 5 {
+	n := sub.G.N()
+	dist, parent := make([]int32, n), make([]int32, n)
+	var queue []int32
+	for src := 0; src < n; src += 5 {
 		got := sub.G.BFSDistancesInto(ws, src)
 		want := sub.G.BFSDistances(src)
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("dist[%d] from %d = %d, want %d", v, src, got[v], want[v])
+			}
+		}
+		queue = sub.G.BFS(src, dist, parent, queue)
+		if parent[src] != -1 {
+			t.Fatalf("parent[src=%d] = %d, want -1", src, parent[src])
+		}
+		for v := range want {
+			if dist[v] != want[v] {
+				t.Fatalf("BFS dist[%d] from %d = %d, want %d", v, src, dist[v], want[v])
+			}
+			p := parent[v]
+			switch {
+			case v == src:
+			case dist[v] < 0:
+				if p != -1 {
+					t.Fatalf("unreached %d has parent %d", v, p)
+				}
+			case p < 0 || !sub.G.HasEdge(v, int(p)) || dist[p] != dist[v]-1:
+				t.Fatalf("from %d: parent[%d] = %d is not a neighbour one hop closer", src, v, p)
 			}
 		}
 	}

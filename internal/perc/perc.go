@@ -101,12 +101,7 @@ func sweepSite(g *graph.Graph, acc []float64, rng *xrand.RNG) {
 	order := rng.Perm(n)
 	invN := 1 / float64(n)
 	for k, v := range order {
-		d.Activate(v)
-		for _, w := range g.Neighbors(v) {
-			if d.Active(int(w)) {
-				d.Union(v, int(w))
-			}
-		}
+		d.ActivateJoin(v, g.Neighbors(v))
 		acc[k+1] += float64(d.Largest()) * invN
 	}
 }

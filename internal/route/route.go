@@ -61,8 +61,10 @@ func RandomPairs(g *graph.Graph, pairs int, rng *xrand.RNG) Result {
 		}
 		bySrc[s] = append(bySrc[s], d)
 	}
+	dist, parent := make([]int32, n), make([]int32, n)
+	var queue []int32
 	for src, dsts := range bySrc {
-		dist, parent := bfsParents(g, src)
+		queue = g.BFS(src, dist, parent, queue)
 		for _, dst := range dsts {
 			if dist[dst] < 0 {
 				res.Unreached++
@@ -103,13 +105,15 @@ func Permutation(g *graph.Graph, rng *xrand.RNG) Result {
 	}
 	perm := rng.Perm(n)
 	congestion := make(map[[2]int32]int)
+	dist, parent := make([]int32, n), make([]int32, n)
+	var queue []int32
 	for src := 0; src < n; src++ {
 		dst := perm[src]
 		if dst == src {
 			res.Pairs++
 			continue
 		}
-		dist, parent := bfsParents(g, src)
+		queue = g.BFS(src, dist, parent, queue)
 		if dist[dst] < 0 {
 			res.Unreached++
 			continue
@@ -134,30 +138,6 @@ func Permutation(g *graph.Graph, rng *xrand.RNG) Result {
 		}
 	}
 	return res
-}
-
-func bfsParents(g *graph.Graph, src int) (dist, parent []int32) {
-	n := g.N()
-	dist = make([]int32, n)
-	parent = make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-		parent[i] = -1
-	}
-	dist[src] = 0
-	queue := []int32{int32(src)}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(int(u)) {
-			if dist[w] < 0 {
-				dist[w] = dist[u] + 1
-				parent[w] = u
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist, parent
 }
 
 // String renders the result compactly.

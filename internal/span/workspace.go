@@ -35,8 +35,9 @@ type Workspace struct {
 	coords     [][]int
 	midBuf     []int
 	nodeMark   []bool
-	parent     []int
-	queue      []int
+	dist       []int32
+	parent     []int32
+	queue      []int32
 }
 
 // NewWorkspace returns an empty Workspace. The zero value is also valid;
@@ -172,7 +173,12 @@ func MeshBoundaryTreeWs(g *graph.Graph, dims []int, set []int, ws *Workspace) (M
 		return cert, fmt.Errorf("span: virtual boundary graph disconnected (|B|=%d)", len(b))
 	}
 	// BFS spanning tree of (B, Ev): |B|−1 virtual edges.
-	parent := bfsTreeParentsInto(vg, ws)
+	if cap(ws.parent) < len(b) {
+		ws.dist = make([]int32, len(b))
+		ws.parent = make([]int32, len(b))
+	}
+	parent := ws.parent[:len(b)]
+	ws.queue = vg.BFS(0, ws.dist[:len(b)], parent, ws.queue)
 	cert.VirtualEdges = len(b) - 1
 	// Simulate each tree edge with ≤ 2 mesh edges; count distinct nodes
 	// with a mark array over the mesh.
@@ -220,30 +226,4 @@ func MeshBoundaryTreeWs(g *graph.Graph, dims []int, set []int, ws *Workspace) (M
 	cert.Ratio = float64(cert.TreeNodes) / float64(cert.BoundarySize)
 	cert.WithinTwoCert = cert.TreeNodes <= 2*cert.BoundarySize-1
 	return cert, nil
-}
-
-// bfsTreeParentsInto is bfsTreeParents on ws-owned buffers.
-func bfsTreeParentsInto(g *graph.Graph, ws *Workspace) []int {
-	n := g.N()
-	if cap(ws.parent) < n {
-		ws.parent = make([]int, n)
-	}
-	parent := ws.parent[:n]
-	ws.parent = parent
-	for i := range parent {
-		parent[i] = -2
-	}
-	parent[0] = -1
-	queue := append(ws.queue[:0], 0)
-	for i := 0; i < len(queue); i++ {
-		u := queue[i]
-		for _, w := range g.Neighbors(u) {
-			if parent[w] == -2 {
-				parent[w] = u
-				queue = append(queue, int(w))
-			}
-		}
-	}
-	ws.queue = queue[:0]
-	return parent
 }

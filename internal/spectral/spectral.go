@@ -62,19 +62,6 @@ func (l *Laplacian) ApplyShifted(dst, src []float64) {
 	}
 }
 
-// KernelVector returns the (normalized) eigenvector of eigenvalue 0 of L
-// for a connected graph: the entries are proportional to sqrt(deg).
-func (l *Laplacian) KernelVector() []float64 {
-	v := make([]float64, l.g.N())
-	for i := range v {
-		if l.invSqrt[i] > 0 {
-			v[i] = 1 / l.invSqrt[i] // sqrt(deg)
-		}
-	}
-	normalize(v)
-	return v
-}
-
 // FiedlerResult is the outcome of an algebraic-connectivity computation.
 type FiedlerResult struct {
 	Lambda2 float64   // second-smallest eigenvalue of the normalized Laplacian
@@ -132,14 +119,6 @@ func Conductance(g *graph.Graph, mask []bool) float64 {
 //	λ₂/2 ≤ h(G) ≤ √(2·λ₂).
 func CheegerBounds(lambda2 float64) (lower, upper float64) {
 	return lambda2 / 2, math.Sqrt(2 * lambda2)
-}
-
-// EdgeExpansionBoundsFromLambda2 converts the Cheeger conductance bounds
-// into bounds on the paper's edge expansion αe = min cut(S)/min(|S|,|S̄|)
-// using δmin·h ≤ αe ≤ δmax·h (volumes are between δmin|S| and δmax|S|).
-func EdgeExpansionBoundsFromLambda2(g *graph.Graph, lambda2 float64) (lower, upper float64) {
-	lo, hi := CheegerBounds(lambda2)
-	return lo * float64(g.MinDegree()), hi * float64(g.MaxDegree())
 }
 
 func intSqrt(n int) int {

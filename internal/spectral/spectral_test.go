@@ -178,20 +178,6 @@ func TestCheegerInequalityHolds(t *testing.T) {
 	}
 }
 
-func TestEdgeExpansionBounds(t *testing.T) {
-	g := gen.Torus(4, 4)
-	l2 := ExactLambda2(g)
-	lo, hi := EdgeExpansionBoundsFromLambda2(g, l2)
-	if lo <= 0 || hi <= lo {
-		t.Fatalf("bounds %v %v malformed", lo, hi)
-	}
-	// True αe of the 4x4 torus: bisecting into two 2x4 halves cuts 8
-	// edges over side 8 → αe = 1. Must lie within bounds.
-	if lo > 1+1e-9 || hi < 1-1e-9 {
-		t.Fatalf("true αe=1 outside [%v, %v]", lo, hi)
-	}
-}
-
 func TestLaplacianApplyShiftedConsistent(t *testing.T) {
 	g := gen.Mesh(4, 4)
 	l := NewLaplacian(g)
@@ -208,17 +194,6 @@ func TestLaplacianApplyShiftedConsistent(t *testing.T) {
 		if !almost(a[i]+b[i], 2*x[i], 1e-12) {
 			t.Fatalf("L + (2I−L) ≠ 2I at %d", i)
 		}
-	}
-}
-
-func TestKernelVectorIsKernel(t *testing.T) {
-	g := gen.Torus(3, 5)
-	l := NewLaplacian(g)
-	k := l.KernelVector()
-	out := make([]float64, g.N())
-	l.Apply(out, k)
-	if nrm := norm(out); nrm > 1e-10 {
-		t.Fatalf("‖L·kernel‖ = %v, want ≈0", nrm)
 	}
 }
 

@@ -68,51 +68,6 @@ func growRows(arena *[]int32, rows *[][]int32, t, n int) [][]int32 {
 	return r
 }
 
-// bfsInto fills dist with BFS distances from src (-1 unreachable),
-// matching g.BFSDistances.
-func (scr *Scratch) bfsInto(g *graph.Graph, src int, dist []int32) {
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	q := append(scr.queue[:0], int32(src))
-	for i := 0; i < len(q); i++ {
-		u := q[i]
-		du := dist[u] + 1
-		for _, w := range g.Neighbors(int(u)) {
-			if dist[w] < 0 {
-				dist[w] = du
-				q = append(q, w)
-			}
-		}
-	}
-	scr.queue = q[:0]
-}
-
-// bfsParentsInto fills dist with BFS distances from src (-1
-// unreachable) and parent with each reached vertex's BFS parent (-1 for
-// src and unreachable vertices).
-func (scr *Scratch) bfsParentsInto(g *graph.Graph, src int, dist, parent []int32) {
-	for i := range dist {
-		dist[i] = -1
-		parent[i] = -1
-	}
-	dist[src] = 0
-	q := append(scr.queue[:0], int32(src))
-	for i := 0; i < len(q); i++ {
-		u := q[i]
-		du := dist[u] + 1
-		for _, w := range g.Neighbors(int(u)) {
-			if dist[w] < 0 {
-				dist[w] = du
-				parent[w] = u
-				q = append(q, w)
-			}
-		}
-	}
-	scr.queue = q[:0]
-}
-
 // ExactTreeEdgesScratch returns the number of edges of a minimum
 // Steiner tree connecting the given terminals (Dreyfus–Wagner), with the
 // dp table and BFS rows drawn from scr. A tree with e edges has e+1
@@ -133,7 +88,7 @@ func ExactTreeEdgesScratch(g *graph.Graph, terminals []int, scr *Scratch) int {
 	n := g.N()
 	dist := growRows(&scr.distArena, &scr.dist, t, n)
 	for i, term := range terminals {
-		scr.bfsInto(g, term, dist[i])
+		scr.queue = g.BFS(term, dist[i], nil, scr.queue)
 	}
 	const inf = math.MaxInt32 / 4
 	full := 1 << uint(t)
@@ -247,7 +202,7 @@ func ApproxTreeScratch(g *graph.Graph, terminals []int, scr *Scratch) []int {
 	dist := growRows(&scr.distArena, &scr.dist, t, n)
 	parent := growRows(&scr.parentArena, &scr.parent, t, n)
 	for i, term := range terminals {
-		scr.bfsParentsInto(g, term, dist[i], parent[i])
+		scr.queue = g.BFS(term, dist[i], parent[i], scr.queue)
 	}
 	// Prim's MST over the terminal metric closure.
 	if cap(scr.inTree) < t {

@@ -26,7 +26,7 @@ func init() {
 	// ctoy gives the cache tests a coupled measure without importing the
 	// real kernels: one coupling draw per node per trial, survivors
 	// counted per rate (monotone in rate, as the coupled contract wants).
-	RegisterTrials("ctoy", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
+	Register("ctoy", Measure{Trials: func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
 		return TrialRun{Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) error {
 			alive := 0
 			for i := 0; i < g.N(); i++ {
@@ -37,8 +37,7 @@ func init() {
 			rec.Observe("alive_frac", float64(alive)/float64(g.N()))
 			return nil
 		}}, nil
-	})
-	RegisterCoupled("ctoy", func(g *graph.Graph, cells []Cell, ws *graph.Workspace, rng *xrand.RNG, recs []*Recorder) (CoupledRun, error) {
+	}, Coupled: func(g *graph.Graph, cells []Cell, ws *graph.Workspace, rng *xrand.RNG, recs []*Recorder) (CoupledRun, error) {
 		n := g.N()
 		draws := make([]float64, n)
 		return CoupledRun{
@@ -58,7 +57,7 @@ func init() {
 				return nil
 			},
 		}, nil
-	})
+	}})
 }
 
 // runCached runs spec through the Job API with the given cache and

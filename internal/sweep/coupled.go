@@ -19,12 +19,12 @@ package sweep
 // innermost, a group is a contiguous run of the cell sequence, and
 // emitting groups in order reproduces exactly the independent cell
 // order. Each rate still gets its own Result (same coordinates, same
-// Seed) so downstream tooling (agg, plots, resume scanners) sees the
-// identical record schema.
+// Seed), rendered by foldBlocks as a one-block cell, so downstream
+// tooling (agg, plots, resume scanners) sees the identical record
+// schema. A measure opts in through its Measure.Coupled entry.
 
 import (
 	"fmt"
-	"sort"
 
 	"faultexp/internal/graph"
 	"faultexp/internal/xrand"
@@ -57,83 +57,60 @@ type CoupledRun struct {
 // trial function is the hot path.
 type CoupledSetup func(g *graph.Graph, cells []Cell, ws *graph.Workspace, rng *xrand.RNG, recs []*Recorder) (CoupledRun, error)
 
-var coupledRegistry = map[string]CoupledSetup{}
-
-// RegisterCoupled adds a coupled implementation for a measure. The name
-// should match an independently-registered measure (the coupled path is
-// an execution strategy, not a new observable); duplicates panic.
-func RegisterCoupled(name string, setup CoupledSetup) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := coupledRegistry[name]; dup {
-		panic("sweep: duplicate coupled measure " + name)
-	}
-	coupledRegistry[name] = setup
-}
-
 // LookupCoupled returns the registered coupled setup for a measure.
 func LookupCoupled(name string) (CoupledSetup, bool) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	setup, ok := coupledRegistry[name]
-	return setup, ok
+	m, _ := lookup(name)
+	return m.Coupled, m.Coupled != nil
 }
 
 // CoupledMeasures returns the measures with a coupled implementation,
 // sorted.
 func CoupledMeasures() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]string, 0, len(coupledRegistry))
-	for name := range coupledRegistry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return measureNames(func(m Measure) bool { return m.Coupled != nil })
 }
 
 // runCoupledGroup executes one coupled cell group on the worker's
-// workspace and returns one Result per rate cell, in grid order. Panics
-// and errors land in the Err field of every rate whose metrics were not
-// yet finalized, mirroring runTrialBlock's containment.
-func runCoupledGroup(g *graph.Graph, cells []Cell, ws *graph.Workspace, groupSeed uint64) (out []*Result) {
-	out = make([]*Result, len(cells))
-	for i, c := range cells {
-		out[i] = newResult(c, g.N(), g.M())
-	}
-	fail := func(msg string) []*Result {
-		for _, r := range out {
-			if r.Metrics == nil && r.Err == "" {
-				r.Err = msg
-			}
-		}
-		return out
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			fail(fmt.Sprintf("panic: %v", p))
-		}
-	}()
-	setup, ok := LookupCoupled(cells[0].Measure)
-	if !ok {
-		return fail(fmt.Sprintf("measure %q has no coupled implementation", cells[0].Measure))
-	}
+// workspace and returns one Result per rate cell, in grid order. A
+// setup or trial failure (error or panic) fails every rate; after the
+// trial loop each rate's recorder and finisher go through foldBlocks as
+// a one-block cell, so a finisher fails only its own rate's record.
+func runCoupledGroup(g *graph.Graph, cells []Cell, ws *graph.Workspace, groupSeed uint64) []*Result {
 	recs := make([]*Recorder, len(cells))
 	for i := range recs {
 		recs[i] = recorderPool.Get().(*Recorder)
 		recs[i].Reset()
 	}
+	run, errMsg := runCoupledTrials(g, cells, ws, groupSeed, recs)
+	out := make([]*Result, len(cells))
+	for ri, c := range cells {
+		b := &blockOut{rec: recs[ri], errMsg: errMsg, n: g.N(), m: g.M()}
+		if errMsg == "" && run.Finish != nil {
+			b.finish = func(rec *Recorder) error { return run.Finish(ri, rec) }
+		}
+		out[ri] = foldBlocks(c, []*blockOut{b})
+	}
+	return out
+}
+
+// runCoupledTrials runs the group's setup and trial loop into recs,
+// containing panics like runTrialBlock. A non-empty errMsg fails the
+// whole group.
+func runCoupledTrials(g *graph.Graph, cells []Cell, ws *graph.Workspace, groupSeed uint64, recs []*Recorder) (run CoupledRun, errMsg string) {
 	defer func() {
-		for _, rec := range recs {
-			recorderPool.Put(rec)
+		if p := recover(); p != nil {
+			errMsg = fmt.Sprintf("panic: %v", p)
 		}
 	}()
+	setup, ok := LookupCoupled(cells[0].Measure)
+	if !ok {
+		return run, fmt.Sprintf("measure %q has no coupled implementation", cells[0].Measure)
+	}
 	run, err := setup(g, cells, ws, xrand.New(xrand.SeedFor(groupSeed, "setup")), recs)
 	if err != nil {
-		return fail(err.Error())
+		return run, err.Error()
 	}
 	if run.Trial == nil {
-		return fail("coupled measure returned no trial function")
+		return run, "coupled measure returned no trial function"
 	}
 	var crng xrand.RNG
 	mr := make([]xrand.RNG, len(cells))
@@ -147,22 +124,8 @@ func runCoupledGroup(g *graph.Graph, cells []Cell, ws *graph.Workspace, groupSee
 			mrngs[ri].Reseed(TrialSeed(c.Seed, t))
 		}
 		if err := run.Trial(t, ws, &crng, mrngs, recs); err != nil {
-			return fail(err.Error())
+			return run, err.Error()
 		}
 	}
-	for ri := range cells {
-		if run.Finish != nil {
-			if err := run.Finish(ri, recs[ri]); err != nil {
-				out[ri].Err = err.Error()
-				continue
-			}
-		}
-		metrics, err := recs[ri].Metrics()
-		if err != nil {
-			out[ri].Err = err.Error()
-			continue
-		}
-		finishResult(out[ri], metrics)
-	}
-	return out
+	return run, ""
 }

@@ -1,10 +1,11 @@
 package sweep
 
-// Fuzz targets for the two record parsers that read bytes from outside
-// the process: ScanResume (a -resume output file, a fleet store's shard
+// Fuzz targets for the parsers that read bytes from outside the
+// process: Load (a -spec file, a job POSTed to serve or the
+// coordinator), ScanResume (a -resume output file, a fleet store's shard
 // files) and CachedResult (a cache entry's payload). The invariant for
-// both: an error or a valid state — never a panic, and never a wrong
-// record accepted. Both are seeded with real records of the toy grid.
+// all three: an error or a valid state — never a panic, and never a
+// wrong spec or record accepted. They are seeded with the toy grid.
 
 import (
 	"bytes"
@@ -101,6 +102,48 @@ func FuzzCachedResult(f *testing.F) {
 		}
 		if err := CheckRecord(r, &c); err != nil {
 			t.Fatalf("accepted a foreign record: %v", err)
+		}
+	})
+}
+
+// fuzzMaxCells caps the grids FuzzLoadSpec expands, so a spec with long
+// axes cannot exhaust the fuzzer's memory.
+const fuzzMaxCells = 1 << 14
+
+// FuzzLoadSpec loads arbitrary spec JSON. A spec Load accepts must
+// expand to cells with pairwise-distinct seeds — two cells sharing one
+// would emit identical records — and rates in [0,1]. Seeded with the
+// toy grid and the shapes of CI's spec files, on the toy measure (the
+// real measures are not registered in this package's tests).
+func FuzzLoadSpec(f *testing.F) {
+	toy, err := json.Marshal(toySpec())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(toy)
+	f.Add([]byte(`{"families": [{"family": "torus", "size": "8x8"}, {"family": "smallworld", "size": "64x4", "k": 6}],
+		"measures": ["toy"], "models": ["iid-node", "iid-edge"], "rates": [0, 0.1, 0.2], "trials": 2, "seed": 7}`))
+	f.Add([]byte(`{"families": [{"family": "torus", "size": "48x48"}], "measures": ["toy"], "model": "iid-node",
+		"rates": [0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45], "trials": 6000, "seed": 7}`))
+	f.Add([]byte(`{"families": [{"family": "torus", "size": "4x4"}], "measures": ["toy"], "model": "iid-node",
+		"rates": [0.1, 0.1], "trials": 1, "seed": 7}`)) // a repeated rate
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(s.Families)*len(s.Measures)*len(s.Models)*len(s.Rates) > fuzzMaxCells {
+			t.Skip("grid above the fuzz size cap")
+		}
+		seen := map[uint64]int{}
+		for _, c := range s.Cells() {
+			if !(c.Rate >= 0 && c.Rate <= 1) {
+				t.Fatalf("cell %d has rate %v outside [0,1]", c.Index, c.Rate)
+			}
+			if prev, dup := seen[c.Seed]; dup {
+				t.Fatalf("cells %d and %d share seed %d", prev, c.Index, c.Seed)
+			}
+			seen[c.Seed] = c.Index
 		}
 	})
 }

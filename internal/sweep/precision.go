@@ -8,11 +8,11 @@ package sweep
 // The tier is part of a cell's semantic identity: sampled cells fold it
 // into their seeds, so exact cells keep their historical seeds (and
 // byte-identical output), sampled output never collides with exact
-// output, and resume refuses to mix tiers.
+// output, and resume refuses to mix tiers. A measure declares that its
+// TrialSetup implements the sampled tier with its Measure.Sampled flag.
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -52,41 +52,14 @@ func ParsePrecision(s string) (Precision, error) {
 	}
 }
 
-// sampledCapable records which measures have a sampled-precision
-// kernel. It is a capability mark over the measure registry, not a
-// second registry: the measure's registered TrialSetup handles both
-// tiers and dispatches on Cell.Precision.
-var sampledCapable = map[string]bool{}
-
-// MarkSampled declares that the named measure's kernel understands
-// Cell.Precision and implements the sampled tier. Duplicate marks
-// panic (a wiring bug, mirroring RegisterTrials). The mark is
-// independent of registration order.
-func MarkSampled(name string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if sampledCapable[name] {
-		panic("sweep: duplicate MarkSampled " + name)
-	}
-	sampledCapable[name] = true
-}
-
 // SampledCapable reports whether the named measure supports the
-// sampled-precision tier.
+// sampled-precision tier (its Measure.Sampled).
 func SampledCapable(name string) bool {
-	regMu.Lock()
-	defer regMu.Unlock()
-	return sampledCapable[name]
+	m, _ := lookup(name)
+	return m.Sampled
 }
 
 // SampledMeasures lists the sampled-capable measures, sorted.
 func SampledMeasures() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]string, 0, len(sampledCapable))
-	for name := range sampledCapable {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return measureNames(func(m Measure) bool { return m.Sampled })
 }

@@ -280,24 +280,36 @@ func Load(r io.Reader) (*Spec, error) {
 
 // Validate checks the grid is well-formed: every family entry passes
 // the gen registry (known family, k only where meaningful), every
-// measure and fault model is registered, and the legacy scalar model
-// field is folded into the Models list.
+// measure and fault model is registered, every rate is a finite value
+// in [0,1], no axis repeats a value (a repeat would emit identical
+// records under one seed), and the legacy scalar model field is folded
+// into the Models list.
 func (s *Spec) Validate() error {
 	if len(s.Families) == 0 {
 		return fmt.Errorf("sweep: no families")
 	}
+	fams := make(map[string]bool, len(s.Families))
 	for _, f := range s.Families {
 		if err := f.Validate(); err != nil {
 			return err
 		}
+		if fams[f.String()] {
+			return fmt.Errorf("sweep: duplicate family %q", f.String())
+		}
+		fams[f.String()] = true
 	}
 	if len(s.Measures) == 0 {
 		return fmt.Errorf("sweep: no measures")
 	}
+	measures := make(map[string]bool, len(s.Measures))
 	for _, m := range s.Measures {
 		if _, ok := LookupTrials(m); !ok {
 			return fmt.Errorf("sweep: unknown measure %q (have %s)", m, strings.Join(Measures(), ", "))
 		}
+		if measures[m] {
+			return fmt.Errorf("sweep: duplicate measure %q", m)
+		}
+		measures[m] = true
 	}
 	if s.Model != "" && len(s.Models) > 0 {
 		return fmt.Errorf("sweep: spec sets both models and the legacy scalar model; use models")
@@ -311,10 +323,15 @@ func (s *Spec) Validate() error {
 	if len(s.Rates) == 0 {
 		return fmt.Errorf("sweep: no rates")
 	}
+	rates := make(map[float64]bool, len(s.Rates))
 	for _, r := range s.Rates {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) {
 			return fmt.Errorf("sweep: rate %v outside [0,1]", r)
 		}
+		if rates[r] {
+			return fmt.Errorf("sweep: duplicate rate %v", r)
+		}
+		rates[r] = true
 	}
 	if s.Trials < 1 {
 		return fmt.Errorf("sweep: trials must be ≥ 1")

@@ -3,9 +3,10 @@ package sweep
 // This file holds the record side of the engine: the shared
 // fault-injection helper, the streamed Result and its header
 // (newResult), and the metric filter every path ends in (finishResult).
-// The measure registries and the trial loop live in trials.go and
-// coupled.go; the run loop itself — expand, execute on a bounded pool,
-// stream in cell order — lives on the Job type (job.go).
+// The measure table and the trial loop live in trials.go, the coupled
+// rate-group loop in coupled.go; the run loop itself — expand, execute
+// on a bounded pool, stream in cell order — lives on the Job type
+// (job.go).
 
 import (
 	"fmt"
@@ -82,8 +83,9 @@ type Summary struct {
 }
 
 // newResult builds a record's header — the cell's coordinates and the
-// graph's size — shared by every path that renders a Result (foldBlocks
-// and runCoupledGroup); metrics or an error are filled in after.
+// graph's size — for foldBlocks, which renders every Result (an
+// independent cell's blocks and each rate of a coupled group); metrics
+// or an error are filled in after.
 func newResult(c Cell, n, m int) *Result {
 	res := &Result{
 		Family:     c.Family.Family,
@@ -103,9 +105,9 @@ func newResult(c Cell, n, m int) *Result {
 	return res
 }
 
-// finishResult installs a metric map on a result, shared by the
-// independent (foldBlocks) and coupled (runCoupledGroup) paths. Non-finite
-// values cannot ride in JSON, so they are dropped from Metrics — but
+// finishResult installs a metric map on a result (foldBlocks' last
+// step, on the independent and coupled paths alike). Non-finite values
+// cannot ride in JSON, so they are dropped from Metrics — but
 // their *names* are recorded in Nonfinite, so a cell where one measure
 // overflowed is distinguishable from a clean one. A result with no
 // finite metrics gets an Err instead, keeping the cell visible in every

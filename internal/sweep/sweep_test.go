@@ -24,7 +24,7 @@ var counted atomic.Int32
 func init() {
 	// toy draws from the trial RNG and sleeps a scheduling-dependent
 	// amount, so any ordering or seeding leak shows up as a byte diff.
-	RegisterTrials("toy", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
+	Register("toy", Measure{Trials: func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
 		time.Sleep(time.Duration(c.Index%5) * 200 * time.Microsecond)
 		rec.Const("rate_echo", c.Rate)
 		inf := 1.0
@@ -33,24 +33,41 @@ func init() {
 		}
 		rec.Const("inf_gets_dropped", inf)
 		return TrialRun{Trial: observeDraw}, nil
-	})
+	}})
 	// counting tracks how many cells actually execute.
-	RegisterTrials("counting", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
+	Register("counting", Measure{Trials: func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
 		counted.Add(1)
 		rec.Const("ok", 1)
 		return TrialRun{Trial: noTrial}, nil
-	})
-	// toyerr fails on one rate and panics on another.
-	RegisterTrials("toyerr", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
-		switch {
-		case c.Rate == 0.5:
-			return TrialRun{}, fmt.Errorf("synthetic failure")
-		case c.Rate == 1:
-			panic("synthetic panic")
+	}})
+	// toyerr fails on one rate and panics on another: in setup on the
+	// independent path, in the per-rate finisher on the coupled path.
+	Register("toyerr", Measure{Trials: func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
+		if err := toyErrAt(c.Rate, rec); err != nil {
+			return TrialRun{}, err
 		}
-		rec.Const("ok", 1)
 		return TrialRun{Trial: noTrial}, nil
-	})
+	}, Coupled: func(g *graph.Graph, cells []Cell, ws *graph.Workspace, rng *xrand.RNG, recs []*Recorder) (CoupledRun, error) {
+		return CoupledRun{
+			Trial: func(int, *graph.Workspace, *xrand.RNG, []*xrand.RNG, []*Recorder) error { return nil },
+			Finish: func(ri int, rec *Recorder) error {
+				return toyErrAt(cells[ri].Rate, rec)
+			},
+		}, nil
+	}})
+}
+
+// toyErrAt is toyerr's per-rate outcome: an error at rate 0.5, a panic
+// at rate 1, a constant otherwise.
+func toyErrAt(rate float64, rec *Recorder) error {
+	switch rate {
+	case 0.5:
+		return fmt.Errorf("synthetic failure")
+	case 1:
+		panic("synthetic panic")
+	}
+	rec.Const("ok", 1)
+	return nil
 }
 
 // observeDraw is the toy trial body: one uniform draw per trial.
@@ -177,12 +194,12 @@ func TestJSONLShapeAndInfStripping(t *testing.T) {
 // keys are sorted and comma-joined in JSONL, surface as a "nonfinite"
 // CSV row, and an all-nonfinite cell keeps both the error and the list.
 func TestNonfiniteKeysRecorded(t *testing.T) {
-	RegisterTrials("allnan", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
+	Register("allnan", Measure{Trials: func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
 		rec.Const("b_bad", math.NaN())
 		rec.Const("a_bad", math.NaN())
 		rec.Const("ok", c.Rate)
 		return TrialRun{Trial: noTrial}, nil
-	})
+	}})
 	spec := toySpec()
 	spec.Measures = []string{"allnan"}
 	spec.Families = spec.Families[:1]
@@ -211,10 +228,10 @@ func TestNonfiniteKeysRecorded(t *testing.T) {
 		t.Errorf("CSV missing nonfinite row:\n%s", cb.String())
 	}
 	// An all-nonfinite cell keeps both the error and the key list.
-	RegisterTrials("allnan2", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
+	Register("allnan2", Measure{Trials: func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
 		rec.Const("only", math.Inf(1))
 		return TrialRun{Trial: noTrial}, nil
-	})
+	}})
 	spec2 := toySpec()
 	spec2.Measures = []string{"allnan2"}
 	spec2.Families = spec2.Families[:1]
@@ -264,24 +281,31 @@ func TestCellSeedsIgnorePosition(t *testing.T) {
 	}
 }
 
+// TestCellErrorsAreRecordedNotFatal: a failing or panicking cell fails
+// only its own record, on the independent and the coupled path alike
+// (the panicking rate comes first, so it must not take later rates
+// down with it).
 func TestCellErrorsAreRecordedNotFatal(t *testing.T) {
-	spec := toySpec()
-	spec.Measures = []string{"toyerr"}
-	spec.Rates = []float64{0.25, 0.5, 1}
-	spec.Families = spec.Families[:1]
-	var jb bytes.Buffer
-	w := NewJSONL(&jb)
-	sum, err := runSpec(spec, w, WithWorkers(2))
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if sum.Cells != 3 || sum.Errors != 2 {
-		t.Fatalf("summary %+v, want 3 cells with 2 errors", sum)
-	}
-	w.Flush()
-	out := jb.String()
-	if !strings.Contains(out, "synthetic failure") || !strings.Contains(out, "panic: synthetic panic") {
-		t.Fatalf("error cells not streamed:\n%s", out)
+	for _, mode := range []string{RateModeIndependent, RateModeCoupled} {
+		spec := toySpec()
+		spec.Measures = []string{"toyerr"}
+		spec.Rates = []float64{1, 0.5, 0.25}
+		spec.Families = spec.Families[:1]
+		spec.RateMode = mode
+		var jb bytes.Buffer
+		w := NewJSONL(&jb)
+		sum, err := runSpec(spec, w, WithWorkers(2))
+		if err != nil {
+			t.Fatalf("%s run: %v", mode, err)
+		}
+		if sum.Cells != 3 || sum.Errors != 2 {
+			t.Fatalf("%s summary %+v, want 3 cells with 2 errors", mode, sum)
+		}
+		w.Flush()
+		out := jb.String()
+		if !strings.Contains(out, "synthetic failure") || !strings.Contains(out, "panic: synthetic panic") {
+			t.Fatalf("%s error cells not streamed:\n%s", mode, out)
+		}
 	}
 }
 
@@ -298,6 +322,14 @@ func TestSpecValidate(t *testing.T) {
 		{"bad-model", func(s *Spec) { s.Model = "meteor" }, "unknown fault model"},
 		{"no-rates", func(s *Spec) { s.Rates = nil }, "no rates"},
 		{"rate-range", func(s *Spec) { s.Rates = []float64{1.5} }, "outside [0,1]"},
+		{"rate-nan", func(s *Spec) { s.Rates = []float64{0.1, math.NaN()} }, "outside [0,1]"},
+		{"dup-rate", func(s *Spec) { s.Rates = []float64{0.1, 0.25, 0.1} }, "duplicate rate 0.1"},
+		{"dup-rate-signed-zero", func(s *Spec) { s.Rates = []float64{0, math.Copysign(0, -1)} }, "duplicate rate"},
+		{"dup-family", func(s *Spec) { s.Families = append(s.Families, FamilySpec{Family: "torus", Size: "4x4"}) }, `duplicate family "torus:4x4"`},
+		{"dup-family-token", func(s *Spec) {
+			s.Families = []FamilySpec{{Family: "chain", Size: "4", K: 3}, {Family: "chain", Size: "4:3"}}
+		}, `duplicate family "chain:4:3"`},
+		{"dup-measure", func(s *Spec) { s.Measures = []string{"toy", "counting", "toy"} }, `duplicate measure "toy"`},
 		{"bad-trials", func(s *Spec) { s.Trials = 0 }, "trials"},
 		{"missing-size", func(s *Spec) { s.Families[0].Size = "" }, "missing family or size"},
 	}

@@ -2,9 +2,9 @@ package sweep
 
 // The trial-grained execution layer. PR-4 moved the engine's unit of
 // work from the cell to the trial: measures no longer hand-roll
-// accumulation loops, they register a TrialSetup whose returned
-// TrialFunc measures ONE fault realization, and RunTrials — owned by
-// the engine — drives the loop, seeds trial t independently from the
+// accumulation loops, they Register a Measure whose TrialSetup returns
+// a TrialFunc measuring ONE fault realization, and RunTrials — owned
+// by the engine — drives the loop, seeds trial t independently from the
 // cell seed (xrand.SeedAt, so extending Trials never changes earlier
 // trials' numbers), and folds every observation into streaming
 // accumulators (stats.Stream). Each observed base metric then
@@ -58,46 +58,69 @@ type TrialRun struct {
 // hot path.
 type TrialSetup func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error)
 
-// regMu guards the measure registries (trial and coupled).
+// Measure is one registered measure: the one table entry that owns
+// every way the engine can run it. Trials is mandatory — the
+// independent trial path every measure has; Coupled is the optional
+// coupled-rate implementation (an execution strategy for the same
+// observable, not a new one); Sampled declares that Trials understands
+// Cell.Precision and implements the sampled tier.
+type Measure struct {
+	Trials  TrialSetup
+	Coupled CoupledSetup
+	Sampled bool
+}
+
+// regMu guards registry.
 var regMu sync.Mutex
 
-// trialRegistry maps every measure name to its TrialSetup — the one
-// measure registry a grid's measure axis resolves against.
-var trialRegistry = map[string]TrialSetup{}
+// registry maps every measure name to its Measure — the one table a
+// grid's measure axis, rate mode and precision tier resolve against.
+var registry = map[string]Measure{}
 
-// RegisterTrials adds a measure to the registry: the engine wraps setup
-// in the standard per-trial loop (RunTrials) and metric rendering
+// Register adds a measure to the table: the engine wraps m.Trials in
+// the standard per-trial loop (RunTrials) and metric rendering
 // (Recorder.Metrics). Duplicate names panic (a wiring bug).
-func RegisterTrials(name string, setup TrialSetup) {
+func Register(name string, m Measure) {
 	regMu.Lock()
 	defer regMu.Unlock()
-	if _, dup := trialRegistry[name]; dup {
-		panic("sweep: duplicate trial measure " + name)
+	if _, dup := registry[name]; dup {
+		panic("sweep: duplicate measure " + name)
 	}
-	trialRegistry[name] = setup
+	registry[name] = m
+}
+
+func lookup(name string) (Measure, bool) {
+	regMu.Lock()
+	defer regMu.Unlock()
+	m, ok := registry[name]
+	return m, ok
 }
 
 // LookupTrials returns the registered TrialSetup for a measure, for
 // the engine and for callers (benchmarks, tests) that drive the bare
 // trial path without a job.
 func LookupTrials(name string) (TrialSetup, bool) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	setup, ok := trialRegistry[name]
-	return setup, ok
+	m, ok := lookup(name)
+	return m.Trials, ok
 }
 
-// Measures returns the registered measure names, sorted.
-func Measures() []string {
+// measureNames returns the registered names whose entry passes keep,
+// sorted.
+func measureNames(keep func(Measure) bool) []string {
 	regMu.Lock()
 	defer regMu.Unlock()
-	out := make([]string, 0, len(trialRegistry))
-	for name := range trialRegistry {
-		out = append(out, name)
+	var out []string
+	for name, m := range registry {
+		if keep(m) {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
+
+// Measures returns the registered measure names, sorted.
+func Measures() []string { return measureNames(func(Measure) bool { return true }) }
 
 // recorderPool recycles Recorders across cells: a pooled recorder's
 // name slots survive Reset, so a worker grinding through cells of the

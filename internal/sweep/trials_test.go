@@ -14,8 +14,8 @@ import (
 
 func init() {
 	// trialtoy: a trial-grained toy measure — one uniform draw per
-	// trial plus a constant, exercising the full RegisterTrials path.
-	RegisterTrials("trialtoy", func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
+	// trial plus a constant, exercising the full Register path.
+	Register("trialtoy", Measure{Trials: func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
 		rec.Const("n_const", float64(g.N()))
 		return TrialRun{
 			Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) error {
@@ -27,7 +27,7 @@ func init() {
 				return nil
 			},
 		}, nil
-	})
+	}})
 }
 
 func TestRecorderCompanions(t *testing.T) {

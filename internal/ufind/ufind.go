@@ -99,6 +99,18 @@ func (d *DSU) Activate(i int) {
 	}
 }
 
+// ActivateJoin occupies v and joins it to every already-occupied
+// element of nbrs (v's neighbours) — one step of a site-percolation
+// sweep.
+func (d *DSU) ActivateJoin(v int, nbrs []int32) {
+	d.Activate(v)
+	for _, w := range nbrs {
+		if d.active[w] {
+			d.Union(v, int(w))
+		}
+	}
+}
+
 // Active reports whether element i is occupied.
 func (d *DSU) Active(i int) bool { return d.active[i] }
 
@@ -167,27 +179,4 @@ func (d *DSU) Gamma() float64 {
 		return 0
 	}
 	return float64(d.largest) / float64(len(d.parent))
-}
-
-// Roots returns the representative of every active component.
-func (d *DSU) Roots() []int {
-	var roots []int
-	for i := range d.parent {
-		if d.active[i] && d.Find(i) == i {
-			roots = append(roots, i)
-		}
-	}
-	return roots
-}
-
-// Groups returns the members of every active component keyed by root.
-func (d *DSU) Groups() map[int][]int {
-	g := make(map[int][]int)
-	for i := range d.parent {
-		if d.active[i] {
-			r := d.Find(i)
-			g[r] = append(g[r], i)
-		}
-	}
-	return g
 }

@@ -64,26 +64,10 @@ func TestInactiveActivation(t *testing.T) {
 	if d.Connected(1, 3) {
 		t.Fatal("inactive node must not be connected")
 	}
-}
-
-func TestGroupsAndRoots(t *testing.T) {
-	d := New(7)
-	d.Union(0, 1)
-	d.Union(2, 3)
-	d.Union(3, 4)
-	groups := d.Groups()
-	if len(groups) != 4 {
-		t.Fatalf("groups = %d, want 4", len(groups))
-	}
-	sizes := map[int]int{}
-	for _, g := range groups {
-		sizes[len(g)]++
-	}
-	if sizes[1] != 2 || sizes[2] != 1 || sizes[3] != 1 {
-		t.Fatalf("group size histogram wrong: %v", sizes)
-	}
-	if len(d.Roots()) != 4 {
-		t.Fatalf("roots = %d, want 4", len(d.Roots()))
+	// ActivateJoin joins the new element to its occupied neighbours only.
+	d.ActivateJoin(0, []int32{1, 3})
+	if d.Largest() != 3 || d.Components() != 1 || d.Active(3) {
+		t.Fatalf("after ActivateJoin(0, {1, 3}): comps=%d largest=%d", d.Components(), d.Largest())
 	}
 }
 
