@@ -46,8 +46,12 @@ type measurePath struct {
 
 // measurePaths lists the execution paths a measure's bytes are pinned
 // on: the serial trial fold, trial-parallel blocks (trial_block 1 with
-// 2 trials, so every cell folds 2 blocks), and — for measures with a
-// coupled implementation — the coupled rate mode.
+// 2 trials, so every cell folds 2 blocks), for measures with a coupled
+// implementation the coupled rate mode, the serial fold under iid-edge
+// faults for every measure that accepts them (all but agreement, whose
+// Byzantine parties are nodes), and the serial fold under the
+// adversarial model for the measures that count components without
+// building the survivor.
 func measurePaths(measure string) []measurePath {
 	serial := specForMeasure(measure)
 	serial.Trials = 2
@@ -61,6 +65,19 @@ func measurePaths(measure string) []measurePath {
 		coupled.Trials = 2
 		coupled.RateMode = sweep.RateModeCoupled
 		paths = append(paths, measurePath{"coupled", coupled})
+	}
+	if measure != "agreement" {
+		edge := specForMeasure(measure)
+		edge.Trials = 2
+		edge.Model = sweep.ModelIIDEdge
+		paths = append(paths, measurePath{"edge", edge})
+	}
+	switch measure {
+	case "gamma", "shatter", "predictor", "conjecture":
+		adv := specForMeasure(measure)
+		adv.Trials = 2
+		adv.Model = sweep.ModelAdversarial
+		paths = append(paths, measurePath{"adversarial", adv})
 	}
 	return paths
 }
