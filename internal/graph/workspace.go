@@ -88,10 +88,12 @@ func (ws *Workspace) beginVisit(n int) {
 	}
 	ws.visited = ws.visited[:n]
 	ws.epoch++
-	if ws.epoch == 0 { // wrapped after ~4G traversals: hard reset
-		for i := range ws.visited {
-			ws.visited[i] = 0
-		}
+	if ws.epoch == 0 {
+		// Wrapped after ~4G traversals: hard reset. Clear the whole
+		// capacity, not just [:n] — traversals over larger index spaces
+		// (FilterEdgesInto's 2m slots) left stamps past n that the
+		// restarted epoch would otherwise reach.
+		clear(ws.visited[:cap(ws.visited)])
 		ws.epoch = 1
 	}
 }

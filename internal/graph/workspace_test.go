@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 )
 
@@ -222,5 +223,34 @@ func TestEmptyGraphWorkspacePaths(t *testing.T) {
 	lc := sub.LargestComponentSubInto(ws)
 	if lc.G.N() != 0 {
 		t.Errorf("empty largest-component sub has %d vertices", lc.G.N())
+	}
+}
+
+// TestEpochWrapClearsWholeStampArray pins the wrap-around reset of the
+// epoch-stamped marks. FilterEdgesInto stamps over the 2m adjacency
+// slots, a component walk over only the n vertices; a wrap during the
+// walk must clear every stamp, or the restarted epoch reaches the old
+// slot stamps and a later FilterEdgesInto that drops nothing loses the
+// edges they mark.
+func TestEpochWrapClearsWholeStampArray(t *testing.T) {
+	b := NewBuilder(8)
+	for v := 0; v < 8; v++ {
+		b.AddEdge(v, (v+1)%8)
+	}
+	g := b.Build()
+	ws := NewWorkspace()
+	drop67 := func(u, v int) bool { return u == 6 && v == 7 }
+	for i := 0; i < 2; i++ {
+		if sub, dropped := g.FilterEdgesInto(ws, drop67); dropped != 1 || sub.G.M() != 7 {
+			t.Fatalf("dropping {6,7}: %d dropped, m = %d; want 1, 7", dropped, sub.G.M())
+		}
+	}
+	ws.epoch = math.MaxUint32
+	if got := g.GammaLargestInto(ws); got != 1 {
+		t.Fatalf("gamma of the 8-cycle = %v, want 1", got)
+	}
+	sub, dropped := g.FilterEdgesInto(ws, func(u, v int) bool { return false })
+	if dropped != 0 || sub.G.M() != 8 {
+		t.Fatalf("dropping nothing after the wrap: %d dropped, m = %d; want 0, 8", dropped, sub.G.M())
 	}
 }
