@@ -192,6 +192,9 @@ func BenchmarkTrialPathGammaEdge(b *testing.B) {
 func BenchmarkTrialPathShatter(b *testing.B) {
 	benchTrialPath(b, "shatter", sweep.ModelIIDNode, 0.05)
 }
+func BenchmarkTrialPathShatterEdge(b *testing.B) {
+	benchTrialPath(b, "shatter", sweep.ModelIIDEdge, 0.05)
+}
 func BenchmarkTrialPathPrune(b *testing.B)  { benchTrialPath(b, "prune", sweep.ModelIIDNode, 0.02) }
 func BenchmarkTrialPathPrune2(b *testing.B) { benchTrialPath(b, "prune2", sweep.ModelIIDNode, 0.02) }
 func BenchmarkTrialPathPercolation(b *testing.B) {

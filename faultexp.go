@@ -198,7 +198,9 @@ func NewFaultPattern(nodes []int) FaultPattern { return faults.NewPattern(nodes)
 type Adversary = faults.Adversary
 
 // FaultModel is the uniform fault-injection interface the sweep engine
-// drives: one faulted subgraph per Inject call, built into a Workspace.
+// drives: from the same draws, Inject builds the faulted subgraph into a
+// Workspace and Components returns only its component sizes, without
+// building it where the model allows.
 type FaultModel = faults.Model
 
 // FaultModels returns the built-in fault models (iid-node, iid-edge,

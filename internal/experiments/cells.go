@@ -33,22 +33,33 @@ const spanSamples = 24
 
 // setupGamma measures the largest-component fraction γ of the faulted
 // graph — the paper's connectivity baseline (what survives before any
-// pruning). The trial path is the zero-allocation reference: inject into
-// ws, size the largest component in ws, fold two scalars.
+// pruning). The trial path is the zero-allocation reference: draw the
+// faults and size the components in ws without building the survivor,
+// fold two scalars.
 func setupGamma(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) (sweep.TrialRun, error) {
 	if g.N() == 0 {
 		return sweep.TrialRun{}, fmt.Errorf("empty graph")
 	}
 	n := float64(g.N())
 	return sweep.TrialRun{Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, nf, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
+		sizes, nf, err := sweep.FaultComponentsWs(g, c.Model, c.Rate, ws, rng)
 		if err != nil {
 			return err
 		}
-		rec.Observe("gamma", float64(sub.G.LargestComponentSizeInto(ws))/n)
+		rec.Observe("gamma", float64(largest(sizes))/n)
 		rec.Observe("faults", float64(nf))
 		return nil
 	}}, nil
+}
+
+// largest returns the largest of the component sizes, 0 when every
+// vertex failed.
+func largest(sizes []int) int {
+	best := 0
+	for _, s := range sizes {
+		best = max(best, s)
+	}
+	return best
 }
 
 // setupPrune runs the Figure 1 pipeline (faults → Prune) with measured

@@ -86,21 +86,17 @@ func setupShatter(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xrand.
 	}
 	n := float64(g.N())
 	return sweep.TrialRun{Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, nf, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
+		sizes, nf, err := sweep.FaultComponentsWs(g, c.Model, c.Rate, ws, rng)
 		if err != nil {
 			return err
 		}
 		rec.Observe("faults", float64(nf))
-		_, sizes := sub.G.ComponentsInto(ws)
-		largest, frag := 0, 0.0
+		frag := 0.0
 		for _, s := range sizes {
-			if s > largest {
-				largest = s
-			}
 			f := float64(s) / n
 			frag += f * f
 		}
-		rec.Observe("gamma", float64(largest)/n)
+		rec.Observe("gamma", float64(largest(sizes))/n)
 		rec.Observe("comps", float64(len(sizes)))
 		rec.Observe("frag", frag)
 		return nil
@@ -207,11 +203,11 @@ func setupPredictor(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xran
 	rec.Const("pred_margin", pred-c.Rate)
 	n := float64(g.N())
 	return sweep.TrialRun{Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, _, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
+		sizes, _, err := sweep.FaultComponentsWs(g, c.Model, c.Rate, ws, rng)
 		if err != nil {
 			return err
 		}
-		rec.Observe("gamma", float64(sub.G.LargestComponentSizeInto(ws))/n)
+		rec.Observe("gamma", float64(largest(sizes))/n)
 		return nil
 	}}, nil
 }
@@ -619,11 +615,11 @@ func setupConjecture(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xra
 		rec.Const("above_pred", 0)
 	}
 	return sweep.TrialRun{Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, _, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
+		sizes, _, err := sweep.FaultComponentsWs(g, c.Model, c.Rate, ws, rng)
 		if err != nil {
 			return err
 		}
-		rec.Observe("gamma", float64(sub.G.LargestComponentSizeInto(ws))/n)
+		rec.Observe("gamma", float64(largest(sizes))/n)
 		return nil
 	}}, nil
 }

@@ -187,7 +187,7 @@ func TestMeasuresCountAndNames(t *testing.T) {
 
 // TestGammaTrialPathZeroAlloc pins the acceptance criterion directly:
 // with a warm workspace and recorder, the gamma measure's steady-state
-// trial path (inject → largest component → observe) allocates nothing.
+// trial path (draw → component sizes → observe) allocates nothing.
 func TestGammaTrialPathZeroAlloc(t *testing.T) {
 	setup, ok := sweep.LookupTrials("gamma")
 	if !ok {

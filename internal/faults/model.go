@@ -1,13 +1,16 @@
 package faults
 
 // This file defines the Model interface: the uniform fault-injection
-// abstraction the sweep engine's trial loop drives. A Model turns (graph,
-// rate, rng) into one faulted subgraph per call, writing every
-// intermediate (keep masks, dropped-edge marks, the surviving CSR) into
-// a per-worker graph.Workspace so the steady-state trial path allocates
-// nothing. The three built-in models mirror the paper's fault regimes:
-// iid node faults and iid edge faults (§3) and the adversarial
-// bottleneck attack (§2).
+// abstraction the sweep engine's trial loop drives. A Model draws one
+// fault pattern per call and either applies it — Inject builds the
+// faulted subgraph's CSR — or only counts what it leaves — Components
+// returns the faulted graph's component sizes, which is all the
+// component-only measures (gamma, shatter, predictor, conjecture) read.
+// Every intermediate (keep masks, dropped-edge marks, union–find, the
+// surviving CSR) lives in a per-worker graph.Workspace, so the
+// steady-state trial path allocates nothing. The three built-in models
+// mirror the paper's fault regimes: iid node faults and iid edge faults
+// (§3) and the adversarial bottleneck attack (§2).
 
 import (
 	"fmt"
@@ -26,13 +29,14 @@ const (
 	ModelAdversarial = "adversarial"
 )
 
-// Model generates one fault pattern per Inject call and applies it,
-// using ws-owned buffers for everything the pattern touches. The
-// returned Sub lives in workspace memory (see the Workspace ownership
-// rules): any later workspace build may clobber it, so callers that
-// need it past further workspace work must copy. The draw order of each
-// model is part of its contract — it is what makes a cell's output a
-// pure function of (seed, cell key).
+// Model generates one fault pattern per call, using ws-owned buffers
+// for everything the pattern touches. Inject and Components make the
+// same draws in the same order, so from one rng state they describe the
+// same faulted graph; that draw order is part of each model's contract —
+// it is what makes a cell's output a pure function of (seed, cell key).
+// What either returns lives in workspace memory (see the Workspace
+// ownership rules): any later workspace call may clobber it, so callers
+// that need it past further workspace work must copy.
 type Model interface {
 	// Name identifies the model in grid specs and output records.
 	Name() string
@@ -40,6 +44,12 @@ type Model interface {
 	// and returns the surviving subgraph (with provenance) plus the
 	// number of failed elements (nodes or edges).
 	Inject(g *graph.Graph, rate float64, ws *graph.Workspace, rng *xrand.RNG) (*graph.Sub, int)
+	// Components draws the pattern Inject would and returns the faulted
+	// graph's component sizes, in ascending order of each component's
+	// smallest vertex (the order ComponentsInto gives on Inject's
+	// survivor), plus the number of failed elements. The iid models
+	// count on g's own CSR without building the survivor.
+	Components(g *graph.Graph, rate float64, ws *graph.Workspace, rng *xrand.RNG) (sizes []int, failed int)
 }
 
 // IIDNodeModel fails each node independently with probability rate,
@@ -51,7 +61,20 @@ type IIDNodeModel struct{}
 func (IIDNodeModel) Name() string { return ModelIIDNode }
 
 // Inject implements Model.
-func (IIDNodeModel) Inject(g *graph.Graph, rate float64, ws *graph.Workspace, rng *xrand.RNG) (*graph.Sub, int) {
+func (m IIDNodeModel) Inject(g *graph.Graph, rate float64, ws *graph.Workspace, rng *xrand.RNG) (*graph.Sub, int) {
+	keep, failed := m.draw(g, rate, ws, rng)
+	return g.InduceInto(ws, keep), failed
+}
+
+// Components implements Model: it walks g under the keep mask.
+func (m IIDNodeModel) Components(g *graph.Graph, rate float64, ws *graph.Workspace, rng *xrand.RNG) ([]int, int) {
+	keep, failed := m.draw(g, rate, ws, rng)
+	return g.InducedComponentSizesInto(ws, keep), failed
+}
+
+// draw fills ws's keep mask with the survivors and returns it with the
+// number of failed nodes.
+func (IIDNodeModel) draw(g *graph.Graph, rate float64, ws *graph.Workspace, rng *xrand.RNG) ([]bool, int) {
 	keep := ws.Mask(g.N())
 	failed := 0
 	for v := range keep {
@@ -62,7 +85,7 @@ func (IIDNodeModel) Inject(g *graph.Graph, rate float64, ws *graph.Workspace, rn
 			keep[v] = true
 		}
 	}
-	return g.InduceInto(ws, keep), failed
+	return keep, failed
 }
 
 // IIDEdgeModel fails each edge independently with probability rate,
@@ -76,6 +99,11 @@ func (IIDEdgeModel) Name() string { return ModelIIDEdge }
 // Inject implements Model.
 func (IIDEdgeModel) Inject(g *graph.Graph, rate float64, ws *graph.Workspace, rng *xrand.RNG) (*graph.Sub, int) {
 	return g.FilterEdgesInto(ws, func(u, v int) bool { return rng.Bool(rate) })
+}
+
+// Components implements Model: it unions the kept edges in one pass.
+func (IIDEdgeModel) Components(g *graph.Graph, rate float64, ws *graph.Workspace, rng *xrand.RNG) ([]int, int) {
+	return g.FilteredComponentSizesInto(ws, func(u, v int) bool { return rng.Bool(rate) })
 }
 
 // AdversarialModel gives an adversary a budget of round(rate·n) node
@@ -93,6 +121,14 @@ func (m AdversarialModel) Inject(g *graph.Graph, rate float64, ws *graph.Workspa
 	f := int(math.Round(rate * float64(g.N())))
 	pat := m.Adv.Select(g, f, rng)
 	return g.RemoveVerticesInto(ws, pat.Nodes), pat.Count()
+}
+
+// Components implements Model. The adversary's search dwarfs building
+// the survivor, so it builds it and labels it.
+func (m AdversarialModel) Components(g *graph.Graph, rate float64, ws *graph.Workspace, rng *xrand.RNG) ([]int, int) {
+	sub, failed := m.Inject(g, rate, ws, rng)
+	_, sizes := sub.G.ComponentsInto(ws)
+	return sizes, failed
 }
 
 // Models returns the built-in fault models in canonical order (the

@@ -1,13 +1,19 @@
 package graph
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzBuilderInvariants feeds arbitrary byte strings through the
 // Builder → CSR pipeline and (on a derived mask) through Induce,
 // asserting the structural invariants the whole library leans on:
 // sorted strictly-increasing adjacency lists, edge symmetry, degree sum
 // = 2·M, and no self-loops — in both the graph and its induced
-// subgraphs.
+// subgraphs. It also checks the component counts that skip building the
+// survivor: the masked walk against Induce plus Components on the same
+// mask, and the edge pass against FilterEdgesInto plus ComponentsInto on
+// a drop set derived from the payload.
 func FuzzBuilderInvariants(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
@@ -80,6 +86,37 @@ func FuzzBuilderInvariants(f *testing.F) {
 		})
 		if parentKept != sub.G.M() {
 			t.Fatalf("induced M = %d, want %d kept parent edges", sub.G.M(), parentKept)
+		}
+
+		// Component sizes without the survivor, on one workspace.
+		ws := NewWorkspace()
+		_, want := sub.G.Components()
+		if got := g.InducedComponentSizesInto(ws, keep); !slices.Equal(got, want) {
+			t.Fatalf("masked walk sizes %v, want %v (Induce + Components)", got, want)
+		}
+		_, want = g.Components()
+		if got := g.InducedComponentSizesInto(ws, nil); !slices.Equal(got, want) {
+			t.Fatalf("unmasked walk sizes %v, want %v (Components)", got, want)
+		}
+		// Edge i (in ForEachEdge order) drops when bit i of the payload,
+		// read from its end, is set.
+		calls := 0
+		drop := func(u, v int) bool {
+			i := calls
+			calls++
+			return i/8 < len(payload) && payload[len(payload)-1-i/8]>>(i%8)&1 == 1
+		}
+		filtered, wantDropped := g.FilterEdgesInto(ws, drop)
+		_, labelled := filtered.G.ComponentsInto(ws)
+		want = slices.Clone(labelled)
+		calls = 0
+		got, dropped := g.FilteredComponentSizesInto(ws, drop)
+		if calls != g.M() {
+			t.Fatalf("edge pass called drop %d times, want once per edge (%d)", calls, g.M())
+		}
+		if dropped != wantDropped || !slices.Equal(got, want) {
+			t.Fatalf("edge pass sizes %v with %d dropped, want %v with %d (FilterEdgesInto + ComponentsInto)",
+				got, dropped, want, wantDropped)
 		}
 	})
 }

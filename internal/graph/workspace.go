@@ -2,10 +2,13 @@ package graph
 
 // This file implements the per-worker Workspace: reusable scratch memory
 // for the trial hot path of the sweep engine. A Monte-Carlo trial loop
-// (inject faults → induce the surviving subgraph → label components →
-// measure) used to allocate a fresh CSR, queue, and label array per
-// trial; with a Workspace, all of that memory is owned by the worker and
-// reused, so the steady-state trial path is (near-)zero-allocation.
+// (draw faults → count the faulted graph's components, or build the
+// surviving subgraph → measure) used to allocate a fresh CSR, queue, and
+// label array per trial; with a Workspace, all of that memory is owned
+// by the worker and reused, so the steady-state trial path is
+// (near-)zero-allocation. Measures that need only component sizes never
+// build the survivor: InducedComponentSizesInto walks the parent CSR
+// under a keep mask, FilteredComponentSizesInto unions the kept edges.
 //
 // Ownership rules (enforced by convention, documented in README):
 //
@@ -20,6 +23,12 @@ package graph
 //   - The allocating APIs (Induce, Components, BFSDistances, …) are thin
 //     wrappers that run the same code on a throwaway Workspace, so the
 //     returned slices are uniquely owned and safe to retain.
+
+import (
+	"slices"
+
+	"faultexp/internal/ufind"
+)
 
 // csrSlot is one reusable home for a workspace-built graph: the CSR
 // arrays plus the Graph/Sub headers returned to callers.
@@ -52,6 +61,7 @@ type Workspace struct {
 	cur   int
 
 	front frontierScratch // bitset-BFS state (see frontier.go)
+	dsu   ufind.DSU       // edge-fault component counting
 }
 
 // NewWorkspace returns an empty Workspace. The zero value is also valid;
@@ -245,8 +255,8 @@ func (g *Graph) reverseAdjIndex(v, u int) int32 {
 }
 
 // ComponentsInto is Components using ws-owned label/size/queue buffers.
-// The returned slices are valid until the next ComponentsInto (or
-// wrapper) call on ws.
+// The returned slices are valid until the next component call on ws
+// (this, InducedComponentSizesInto or FilteredComponentSizesInto).
 func (g *Graph) ComponentsInto(ws *Workspace) (labels []int32, sizes []int) {
 	n := g.N()
 	labels = grow32(ws.labels, n)
@@ -282,19 +292,34 @@ func (g *Graph) ComponentsInto(ws *Workspace) (labels []int32, sizes []int) {
 	return labels, sizes
 }
 
-// LargestComponentSizeInto returns the size of the largest connected
-// component without materializing labels or member lists — the
-// allocation-free core of the γ measurement.
-func (g *Graph) LargestComponentSizeInto(ws *Workspace) int {
+// InducedComponentSizesInto returns the component sizes of the
+// subgraph keep induces (a nil keep keeps every vertex) without building
+// it: a walk of g's own CSR that skips removed vertices. Sizes come in
+// ascending order of each component's smallest vertex — the order
+// ComponentsInto gives on InduceInto's result, whose vertex remap is
+// monotone. The slice is ws-owned and valid until the next component
+// call on ws.
+func (g *Graph) InducedComponentSizesInto(ws *Workspace, keep []bool) []int {
 	n := g.N()
+	if keep != nil && len(keep) != n {
+		panic("graph: Induce mask length mismatch")
+	}
 	ws.beginVisit(n)
+	// Stamp the removed vertices up front, so the walk tests one stamp
+	// per neighbour instead of a stamp and a mask bit.
+	for v, k := range keep {
+		if !k {
+			ws.mark(int32(v))
+		}
+	}
+	visited, epoch := ws.visited, ws.epoch
 	queue := ws.queue[:0]
-	best := 0
+	sizes := ws.sizes[:0]
 	for s := 0; s < n; s++ {
-		if ws.seen(int32(s)) {
+		if visited[s] == epoch {
 			continue
 		}
-		ws.mark(int32(s))
+		visited[s] = epoch
 		queue = append(queue[:0], int32(s))
 		count := 0
 		for len(queue) > 0 {
@@ -302,18 +327,54 @@ func (g *Graph) LargestComponentSizeInto(ws *Workspace) int {
 			queue = queue[:len(queue)-1]
 			count++
 			for _, w := range g.Neighbors(int(u)) {
-				if !ws.seen(w) {
-					ws.mark(w)
+				if visited[w] != epoch {
+					visited[w] = epoch
 					queue = append(queue, w)
 				}
 			}
 		}
-		if count > best {
-			best = count
-		}
+		sizes = append(sizes, count)
 	}
 	ws.queue = queue[:0]
-	return best
+	ws.sizes = sizes
+	return sizes
+}
+
+// FilteredComponentSizesInto returns the component sizes of the graph
+// FilterEdgesInto(ws, drop) would build, plus the number of dropped
+// edges, without building it: drop is called exactly once per
+// undirected edge in ForEachEdge order (FilterEdgesInto's contract),
+// each kept edge is unioned in the workspace's union–find, and the
+// sizes are read by ascending vertex — so they come in ascending order
+// of each component's smallest vertex, as ComponentsInto gives them.
+// The slice is ws-owned and valid until the next component call on ws.
+func (g *Graph) FilteredComponentSizesInto(ws *Workspace, drop func(u, v int) bool) ([]int, int) {
+	n := g.N()
+	d := &ws.dsu
+	d.Reset(n)
+	dropped := 0
+	for u := 0; u < n; u++ {
+		for _, w := range g.Neighbors(u) {
+			if int(w) <= u {
+				continue
+			}
+			if drop(u, int(w)) {
+				dropped++
+			} else {
+				d.Union(u, int(w))
+			}
+		}
+	}
+	ws.beginVisit(n)
+	sizes := ws.sizes[:0]
+	for v := 0; v < n; v++ {
+		if r := int32(d.Find(v)); !ws.seen(r) {
+			ws.mark(r)
+			sizes = append(sizes, d.ComponentSize(int(r)))
+		}
+	}
+	ws.sizes = sizes
+	return sizes, dropped
 }
 
 // GammaLargestInto is GammaLargest on workspace memory.
@@ -321,7 +382,7 @@ func (g *Graph) GammaLargestInto(ws *Workspace) float64 {
 	if g.N() == 0 {
 		return 0
 	}
-	return float64(g.LargestComponentSizeInto(ws)) / float64(g.N())
+	return float64(slices.Max(g.InducedComponentSizesInto(ws, nil))) / float64(g.N())
 }
 
 // BFSDistancesInto is BFSDistances into the ws-owned distance buffer;

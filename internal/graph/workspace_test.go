@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -133,19 +134,9 @@ func TestComponentsIntoMatchesComponents(t *testing.T) {
 			t.Fatalf("label[%d] = %d, want %d", v, gl[v], wl[v])
 		}
 	}
-	if got, want := sub.G.LargestComponentSizeInto(ws), maxOf(wsz); got != want {
-		t.Fatalf("LargestComponentSizeInto = %d, want %d", got, want)
+	if got := sub.G.InducedComponentSizesInto(ws, nil); !slices.Equal(got, wsz) {
+		t.Fatalf("InducedComponentSizesInto(nil) = %v, want %v", got, wsz)
 	}
-}
-
-func maxOf(xs []int) int {
-	best := 0
-	for _, x := range xs {
-		if x > best {
-			best = x
-		}
-	}
-	return best
 }
 
 // TestBFSDistancesIntoMatches checks the distance buffer path, and the
