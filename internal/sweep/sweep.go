@@ -26,9 +26,9 @@ import (
 // returned Sub lives in workspace memory — any later build on ws may
 // clobber it, and it must not outlive the enclosing trial.
 func ApplyFaultsWs(g *graph.Graph, model string, rate float64, ws *graph.Workspace, rng *xrand.RNG) (*graph.Sub, int, error) {
-	m, err := modelByName(model)
-	if err != nil {
-		return nil, 0, err
+	m, ok := faults.ModelByName(model)
+	if !ok {
+		return nil, 0, fmt.Errorf("sweep: unknown fault model %q", model)
 	}
 	sub, failed := m.Inject(g, rate, ws, rng)
 	return sub, failed, nil
@@ -42,20 +42,12 @@ func ApplyFaultsWs(g *graph.Graph, model string, rate float64, ws *graph.Workspa
 // fault step of the measures that read only component sizes. The sizes
 // live in workspace memory and must not outlive the enclosing trial.
 func FaultComponentsWs(g *graph.Graph, model string, rate float64, ws *graph.Workspace, rng *xrand.RNG) ([]int, int, error) {
-	m, err := modelByName(model)
-	if err != nil {
-		return nil, 0, err
+	m, ok := faults.ModelByName(model)
+	if !ok {
+		return nil, 0, fmt.Errorf("sweep: unknown fault model %q", model)
 	}
 	sizes, failed := m.Components(g, rate, ws, rng)
 	return sizes, failed, nil
-}
-
-func modelByName(model string) (faults.Model, error) {
-	m, ok := faults.ModelByName(model)
-	if !ok {
-		return nil, fmt.Errorf("sweep: unknown fault model %q", model)
-	}
-	return m, nil
 }
 
 // Result is one streamed output record: the cell's coordinates plus its

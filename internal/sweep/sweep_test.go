@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -567,6 +568,10 @@ func TestRunFlushesWriter(t *testing.T) {
 	}
 }
 
+// TestApplyFaultsModels checks both fault helpers on every model: the
+// survivor ApplyFaultsWs builds accounts for every fault, and
+// FaultComponentsWs, from the same seed, returns that survivor's
+// component sizes in ComponentsInto's order with the same fault count.
 func TestApplyFaultsModels(t *testing.T) {
 	g := graph.FromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
 	ws := graph.NewWorkspace()
@@ -574,6 +579,15 @@ func TestApplyFaultsModels(t *testing.T) {
 		sub, nf, err := ApplyFaultsWs(g, model, 0.5, ws, xrand.New(5))
 		if err != nil {
 			t.Fatalf("ApplyFaultsWs(%s): %v", model, err)
+		}
+		_, labelled := sub.G.ComponentsInto(ws)
+		want := slices.Clone(labelled)
+		sizes, cnf, err := FaultComponentsWs(g, model, 0.5, ws, xrand.New(5))
+		if err != nil {
+			t.Fatalf("FaultComponentsWs(%s): %v", model, err)
+		}
+		if cnf != nf || !slices.Equal(sizes, want) {
+			t.Errorf("%s: FaultComponentsWs gave %v with %d faults, want %v with %d", model, sizes, cnf, want, nf)
 		}
 		switch model {
 		case ModelIIDEdge:
@@ -591,5 +605,8 @@ func TestApplyFaultsModels(t *testing.T) {
 	}
 	if _, _, err := ApplyFaultsWs(g, "nope", 0.5, ws, xrand.New(5)); err == nil {
 		t.Error("unknown model accepted")
+	}
+	if _, _, err := FaultComponentsWs(g, "nope", 0.5, ws, xrand.New(5)); err == nil {
+		t.Error("unknown model accepted by FaultComponentsWs")
 	}
 }
