@@ -34,8 +34,8 @@ import (
 const (
 	// MaxVertices caps the vertex count of any family built through the
 	// registry (and the product of any ParseDimsBudget size token) at the
-	// default, exact-precision tier.
-	MaxVertices = 1 << 24
+	// default, exact-precision tier. It is the cap graph.Read enforces.
+	MaxVertices = graph.MaxVertices
 	// MaxEdges caps the (estimated) undirected edge count at the
 	// default tier.
 	MaxEdges = 1 << 27

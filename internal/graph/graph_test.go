@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -331,6 +333,13 @@ func TestReadErrors(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewBufferString("3 2\n0 1\n")); err == nil {
 		t.Fatal("truncated edge list should error")
+	}
+	// A header over the vertex cap (the 13-byte 3·10⁹ one, or one
+	// vertex over) must fail naming the cap, not allocate the CSR.
+	for _, in := range []string{"3000000000 0\n", fmt.Sprintf("%d 0\n", MaxVertices+1)} {
+		if _, err := Read(bytes.NewBufferString(in)); err == nil || !strings.Contains(err.Error(), "graph.MaxVertices") {
+			t.Fatalf("Read(%q): err = %v, want one naming graph.MaxVertices", in, err)
+		}
 	}
 }
 

@@ -28,6 +28,12 @@ func (g *Graph) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
+// MaxVertices caps the vertex count a graph file's header may declare,
+// so a corrupt header fails with an error instead of exhausting memory
+// in Build, and every id fits the int32 CSR. It is also the cap of
+// every default-tier family build (gen.MaxVertices).
+const MaxVertices = 1 << 24
+
 // Read parses a graph in the text edge-list format.
 func Read(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
@@ -37,6 +43,9 @@ func Read(r io.Reader) (*Graph, error) {
 	}
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("graph: invalid header n=%d m=%d", n, m)
+	}
+	if n > MaxVertices {
+		return nil, fmt.Errorf("graph: header asks for %d vertices, above the cap (graph.MaxVertices = %d)", n, MaxVertices)
 	}
 	b := NewBuilder(n)
 	for i := 0; i < m; i++ {
