@@ -3,14 +3,21 @@ package sweep
 // Fuzz targets for the parsers that read bytes from outside the
 // process: Load (a -spec file, a job POSTed to serve or the
 // coordinator), ScanResume (a -resume output file, a fleet store's shard
-// files) and CachedResult (a cache entry's payload). The invariant for
-// all three: an error or a valid state — never a panic, and never a
-// wrong spec or record accepted. They are seeded with the toy grid.
+// files), CachedResult (a cache entry's payload) and the token parsers
+// behind CLI flags and spec fields. The invariant for all of them: an
+// error or a valid state — never a panic, and never a wrong spec,
+// record or token accepted. The first three are seeded with the toy
+// grid.
 
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+
+	"faultexp/internal/gen"
 )
 
 // fuzzRecords runs the toy grid and returns its JSONL split into
@@ -144,6 +151,71 @@ func FuzzLoadSpec(f *testing.F) {
 				t.Fatalf("cells %d and %d share seed %d", prev, c.Index, c.Seed)
 			}
 			seen[c.Seed] = c.Index
+		}
+	})
+}
+
+// FuzzParseTokens feeds one token to every token parser: ParseFamily,
+// ParseShard, ParsePrecision, and gen.ParseDimsBudget on both tiers. A
+// token each accepts must give a valid value that parses back from its
+// String() form to itself: the family and shard pass Validate, the
+// precision is exact with K = 0 or sampled with K ≥ 1, and the dims are
+// each ≥ 1 with their product within the tier's vertex cap.
+func FuzzParseTokens(f *testing.F) {
+	for _, tok := range []string{
+		"torus:8x8", " chain:16:4 ", "smallworld:64x4:+6", "torus:8x8:2", "torus:", "nosuch:4",
+		"0/3", "2/3", "3/3", "-1/2", "+1/2", " 0/1",
+		"", "exact", "sampled:8", "sampled:0", "sampled:+5",
+		"8x8", "4096x4096", "4096x4097", "1x1x1x0", "100000x100000", "x",
+	} {
+		f.Add(tok)
+	}
+	f.Fuzz(func(t *testing.T, tok string) {
+		if fs, err := ParseFamily(tok); err == nil {
+			if err := fs.Validate(); err != nil {
+				t.Fatalf("ParseFamily(%q) = %+v fails Validate: %v", tok, fs, err)
+			}
+			if again, err := ParseFamily(fs.String()); err != nil || again != fs {
+				t.Fatalf("ParseFamily(%q) = %+v does not round-trip through %q: %+v, %v", tok, fs, fs.String(), again, err)
+			}
+		}
+		if sh, err := ParseShard(tok); err == nil {
+			if err := sh.Validate(); err != nil {
+				t.Fatalf("ParseShard(%q) = %+v fails Validate: %v", tok, sh, err)
+			}
+			if again, err := ParseShard(sh.String()); err != nil || again != sh {
+				t.Fatalf("ParseShard(%q) = %+v does not round-trip through %q: %+v, %v", tok, sh, sh.String(), again, err)
+			}
+		}
+		if p, err := ParsePrecision(tok); err == nil {
+			if p.Sampled != (p.K >= 1) || p.K < 0 {
+				t.Fatalf("ParsePrecision(%q) = %+v, want exact with K = 0 or sampled with K ≥ 1", tok, p)
+			}
+			if again, err := ParsePrecision(p.String()); err != nil || again != p {
+				t.Fatalf("ParsePrecision(%q) = %+v does not round-trip through %q: %+v, %v", tok, p, p.String(), again, err)
+			}
+		}
+		for _, b := range []gen.Budget{gen.DefaultBudget, gen.SampledBudget} {
+			dims, err := gen.ParseDimsBudget(tok, b)
+			if err != nil {
+				continue
+			}
+			total := int64(1)
+			parts := make([]string, len(dims))
+			for i, d := range dims {
+				if d < 1 {
+					t.Fatalf("ParseDimsBudget(%q) = %v has a factor below 1", tok, dims)
+				}
+				total *= int64(d)
+				if total > b.MaxV {
+					t.Fatalf("ParseDimsBudget(%q) = %v exceeds the cap %d", tok, dims, b.MaxV)
+				}
+				parts[i] = strconv.Itoa(d)
+			}
+			joined := strings.Join(parts, "x")
+			if again, err := gen.ParseDimsBudget(joined, b); err != nil || !slices.Equal(again, dims) {
+				t.Fatalf("ParseDimsBudget(%q) = %v does not round-trip through %q: %v, %v", tok, dims, joined, again, err)
+			}
 		}
 	})
 }
