@@ -23,45 +23,13 @@ func IsCompact(g *graph.Graph, set []int) bool {
 	if len(set) == 0 || len(set) >= n {
 		return false
 	}
-	inU := make([]bool, n)
-	for _, v := range set {
-		inU[v] = true
-	}
-	return maskSideConnected(g, inU, true) && maskSideConnected(g, inU, false)
-}
-
-// maskSideConnected checks connectivity of {v : inU[v] == side}.
-func maskSideConnected(g *graph.Graph, inU []bool, side bool) bool {
-	n := g.N()
-	start := -1
-	total := 0
-	for v := 0; v < n; v++ {
-		if inU[v] == side {
-			total++
-			if start < 0 {
-				start = v
-			}
-		}
-	}
-	if total == 0 {
+	var scr Scratch
+	inU := scr.ws.SetMask(n, set)
+	if _, sizes := g.ComponentsInto(&scr.ws, inU); len(sizes) != 1 {
 		return false
 	}
-	seen := make([]bool, n)
-	seen[start] = true
-	stack := []int{start}
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range g.Neighbors(u) {
-			if inU[w] == side && !seen[w] {
-				seen[w] = true
-				count++
-				stack = append(stack, int(w))
-			}
-		}
-	}
-	return count == total
+	_, sizes := scr.complementComponents(g, inU)
+	return len(sizes) == 1
 }
 
 // MaxEnumN bounds exhaustive compact-set enumeration (2^n subsets with a
@@ -131,27 +99,21 @@ func maskConnected(mask uint32, nbrMasks []uint32) bool {
 // points alias scr.out and are valid only until the next call on the
 // same scratch. Not safe for concurrent use.
 type Scratch struct {
-	inU      []bool
-	labels   []int32
-	sizes    []int
-	stack    []int
+	ws       graph.Workspace // the set mask and component labels
 	frontier []int
 	comp     []int
 	out      []int
 	eval     expansion.EvalScratch
 }
 
-// growMask returns scr.inU resized to n, all false.
-func (scr *Scratch) growMask(n int) []bool {
-	if cap(scr.inU) < n {
-		scr.inU = make([]bool, n)
+// complementComponents labels the components of g minus U, where inU
+// marks U: it flips inU in place into the complement's keep mask, so
+// U's members get label -1.
+func (scr *Scratch) complementComponents(g *graph.Graph, inU []bool) ([]int32, []int) {
+	for v, in := range inU {
+		inU[v] = !in
 	}
-	inU := scr.inU[:n]
-	for i := range inU {
-		inU[i] = false
-	}
-	scr.inU = inU
-	return inU
+	return g.ComponentsInto(&scr.ws, inU)
 }
 
 // Random grows a random connected set of roughly targetSize vertices and
@@ -171,10 +133,10 @@ func RandomScratch(g *graph.Graph, targetSize int, rng *xrand.RNG, scr *Scratch)
 	if n < 2 || targetSize < 1 || targetSize >= n {
 		return nil
 	}
-	if !connectedScratch(g, scr) {
+	if _, sizes := g.ComponentsInto(&scr.ws, nil); len(sizes) != 1 {
 		return nil
 	}
-	inU := scr.growMask(n) // also resets the connectivity marks
+	inU := scr.ws.SetMask(n, nil)
 	start := rng.Intn(n)
 	inU[start] = true
 	frontier := scr.frontier[:0]
@@ -204,100 +166,23 @@ func RandomScratch(g *graph.Graph, targetSize int, rng *xrand.RNG, scr *Scratch)
 	if size >= n {
 		return nil
 	}
-	// Absorb all complement components except the largest.
-	comp, sizes := complementComponentsScratch(g, inU, scr)
-	if len(sizes) > 1 {
-		largest := 0
-		for i, s := range sizes {
-			if s > sizes[largest] {
-				largest = i
-			}
+	// Absorb all complement components except the largest: the result
+	// is every vertex outside it.
+	labels, sizes := scr.complementComponents(g, inU)
+	largest := 0
+	for i, s := range sizes {
+		if s > sizes[largest] {
+			largest = i
 		}
-		for v := 0; v < n; v++ {
-			if !inU[v] && comp[v] != int32(largest) {
-				inU[v] = true
-				size++
-			}
-		}
-	}
-	if size >= n {
-		return nil
 	}
 	out := scr.out[:0]
-	for v := 0; v < n; v++ {
-		if inU[v] {
+	for v, l := range labels {
+		if l != int32(largest) {
 			out = append(out, v)
 		}
 	}
 	scr.out = out
 	return out
-}
-
-// connectedScratch is g.IsConnected() on scratch buffers (no draws, so
-// RandomScratch's rng sequence matches Random's).
-func connectedScratch(g *graph.Graph, scr *Scratch) bool {
-	n := g.N()
-	if n == 0 {
-		return false
-	}
-	seen := scr.growMask(n)
-	stack := append(scr.stack[:0], 0)
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range g.Neighbors(u) {
-			if !seen[w] {
-				seen[w] = true
-				count++
-				stack = append(stack, int(w))
-			}
-		}
-	}
-	scr.stack = stack[:0]
-	return count == n
-}
-
-// complementComponentsScratch labels the components of the subgraph
-// induced by the complement of inU, on scratch buffers. Vertices in U
-// get label -1.
-func complementComponentsScratch(g *graph.Graph, inU []bool, scr *Scratch) (labels []int32, sizes []int) {
-	n := g.N()
-	if cap(scr.labels) < n {
-		scr.labels = make([]int32, n)
-	}
-	labels = scr.labels[:n]
-	scr.labels = labels
-	for i := range labels {
-		labels[i] = -1
-	}
-	sizes = scr.sizes[:0]
-	stack := scr.stack[:0]
-	for s := 0; s < n; s++ {
-		if inU[s] || labels[s] >= 0 {
-			continue
-		}
-		id := int32(len(sizes))
-		labels[s] = id
-		stack = append(stack[:0], s)
-		count := 0
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			count++
-			for _, w := range g.Neighbors(u) {
-				if !inU[w] && labels[w] < 0 {
-					labels[w] = id
-					stack = append(stack, int(w))
-				}
-			}
-		}
-		sizes = append(sizes, count)
-	}
-	scr.sizes = sizes
-	scr.stack = stack[:0]
-	return labels, sizes
 }
 
 // CompactifyScratch implements Lemma 3.3: given a connected S ⊂ V with
@@ -308,21 +193,18 @@ func complementComponentsScratch(g *graph.Graph, inU []bool, scr *Scratch) (labe
 // scratch.
 func CompactifyScratch(g *graph.Graph, set []int, scr *Scratch) []int {
 	n := g.N()
-	inU := scr.growMask(n)
-	for _, v := range set {
-		inU[v] = true
-	}
-	labels, sizes := complementComponentsScratch(g, inU, scr)
+	labels, sizes := scr.complementComponents(g, scr.ws.SetMask(n, set))
 	if len(sizes) <= 1 {
 		scr.out = append(scr.out[:0], set...) // already compact
 		return scr.out
 	}
-	// Case 1: some complement component C has |C| ≥ n/2 → K = G ∖ C.
+	// Case 1: some complement component C has |C| ≥ n/2 → K = G ∖ C
+	// (S's members carry label -1, so they stay in K).
 	for id, sz := range sizes {
 		if 2*sz >= n {
 			out := scr.out[:0]
-			for v := 0; v < n; v++ {
-				if inU[v] || labels[v] != int32(id) {
+			for v, l := range labels {
+				if l != int32(id) {
 					out = append(out, v)
 				}
 			}

@@ -204,7 +204,7 @@ func randomConnectedSet(g *graph.Graph, targetSize int, rng *xrand.RNG) []int {
 func TestComplementComponents(t *testing.T) {
 	g := gen.Path(7)
 	inU := expansion.Mask(7, []int{3})
-	labels, sizes := complementComponentsScratch(g, inU, new(Scratch))
+	labels, sizes := new(Scratch).complementComponents(g, inU)
 	if len(sizes) != 2 {
 		t.Fatalf("complement of middle path node should have 2 components, got %d", len(sizes))
 	}

@@ -43,27 +43,16 @@ type Workspace struct {
 	// base with its own constant) is preserved without allocating RNGs.
 	sweepRNG, ballRNG, localRNG xrand.RNG
 
-	gws *graph.Workspace // private: induced-subgraph connectivity checks
-}
-
-// gw returns the private graph workspace, creating it on first use. It
-// is deliberately separate from any caller-owned graph.Workspace so the
-// finder's induced-subgraph builds can never clobber the caller's slot
-// ring.
-func (ws *Workspace) gw() *graph.Workspace {
-	if ws.gws == nil {
-		ws.gws = graph.NewWorkspace()
-	}
-	return ws.gws
+	gw graph.Workspace // private: set masks and component labels
 }
 
 // storeComponents materializes per-label member lists from a component
 // labeling into the workspace's counting-sort buffers: component i then
-// spans compArena[compOff[i]:compOff[i+1]], members ascending. When orig
-// is non-nil the members are mapped through it (subgraph → parent
-// coordinates). Copying out of the labeling matters: consider() may
-// itself run a components pass, clobbering the labels slice.
-func (ws *Workspace) storeComponents(labels []int32, sizes []int, orig []int32) {
+// spans compArena[compOff[i]:compOff[i+1]], members ascending; vertices
+// labelled -1 (outside the mask) are skipped. Copying out of the
+// labeling matters: consider() may itself run a components pass,
+// clobbering the labels slice.
+func (ws *Workspace) storeComponents(labels []int32, sizes []int) {
 	nc := len(sizes)
 	if cap(ws.compOff) < nc+1 {
 		ws.compOff = make([]int, nc+1)
@@ -79,12 +68,10 @@ func (ws *Workspace) storeComponents(labels []int32, sizes []int, orig []int32) 
 	}
 	arena := ws.compArena[:total]
 	for v, l := range labels {
-		x := v
-		if orig != nil {
-			x = int(orig[v])
+		if l >= 0 {
+			arena[off[l]] = v
+			off[l]++
 		}
-		arena[off[l]] = x
-		off[l]++
 	}
 	for i := nc; i > 0; i-- {
 		off[i] = off[i-1]
@@ -172,10 +159,10 @@ func FindBestWs(g *graph.Graph, mode Mode, maxSize int, connected bool, opt Opti
 	// size budget is a zero-quotient set (empty boundary), and the
 	// pruning loops rely on such sets never being missed — an adversary
 	// that disconnects a shard must see it culled deterministically.
-	if labels, sizes := g.ComponentsInto(ws.gw()); len(sizes) > 1 {
+	if labels, sizes := g.ComponentsInto(&ws.gw, nil); len(sizes) > 1 {
 		// Materialize before the consider loop: consider's connectivity
 		// check reruns a components pass on the same graph workspace.
-		ws.storeComponents(labels, sizes, nil)
+		ws.storeComponents(labels, sizes)
 		for i := range sizes {
 			f.consider(ws.component(i))
 		}
@@ -219,41 +206,23 @@ func FindBestWs(g *graph.Graph, mode Mode, maxSize int, connected bool, opt Opti
 // to the finder (for EdgeMode at least one component has quotient no
 // worse than the whole set).
 func bestComponentOfWs(g *graph.Graph, set []int, ws *Workspace, f *finder) {
-	gw := ws.gw()
-	keep := gw.Mask(g.N())
-	for i := range keep {
-		keep[i] = false
-	}
-	for _, v := range set {
-		keep[v] = true
-	}
-	sub := g.InduceInto(gw, keep)
-	labels, sizes := sub.G.ComponentsInto(gw)
+	labels, sizes := g.ComponentsInto(&ws.gw, ws.gw.SetMask(g.N(), set))
 	if len(sizes) <= 1 {
 		return
 	}
-	ws.storeComponents(labels, sizes, sub.Orig)
+	ws.storeComponents(labels, sizes)
 	for i := range sizes {
 		f.consider(ws.component(i))
 	}
 }
 
 // isConnectedSetWs reports whether set is non-empty and induces a
-// connected subgraph of g, building the induced subgraph in the
+// connected subgraph of g, labelling g under set's mask in the
 // workspace's private graph scratch.
 func isConnectedSetWs(g *graph.Graph, set []int, ws *Workspace) bool {
 	if len(set) <= 1 {
 		return len(set) == 1
 	}
-	gw := ws.gw()
-	keep := gw.Mask(g.N())
-	for i := range keep {
-		keep[i] = false
-	}
-	for _, v := range set {
-		keep[v] = true
-	}
-	sub := g.InduceInto(gw, keep)
-	_, sizes := sub.G.ComponentsInto(gw)
+	_, sizes := g.ComponentsInto(&ws.gw, ws.gw.SetMask(g.N(), set))
 	return len(sizes) == 1
 }

@@ -167,11 +167,8 @@ func setupPercolation(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xr
 	}
 	p := 1 - c.Rate
 	rec.Const("p_survive", p)
-	// The union–find scratch lives for the whole cell: after the first
-	// trial warms it, the trial path allocates nothing.
-	var scr perc.Scratch
 	return sweep.TrialRun{Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		rec.Observe("gamma", perc.GammaAtPScratch(g, mode, p, 1, rng, &scr))
+		rec.Observe("gamma", perc.GammaAtPWs(g, mode, p, 1, rng, ws))
 		return nil
 	}}, nil
 }

@@ -6,9 +6,13 @@ package faults
 // faulted subgraph's CSR — or only counts what it leaves — Components
 // returns the faulted graph's component sizes, which is all the
 // component-only measures (gamma, shatter, predictor, conjecture) read.
-// Every intermediate (keep masks, dropped-edge marks, union–find, the
-// surviving CSR) lives in a per-worker graph.Workspace, so the
-// steady-state trial path allocates nothing. The three built-in models
+// For the iid models Components builds no CSR: iid-node labels g under
+// its keep mask with graph's one component labeller (ComponentsInto),
+// iid-edge makes graph's one edge-fault pass
+// (FilteredComponentSizesInto). Every intermediate (keep masks, labels,
+// dropped-edge marks, union–find, the surviving CSR) lives in a
+// per-worker graph.Workspace, so the steady-state trial path allocates
+// nothing. The three built-in models
 // mirror the paper's fault regimes: iid node faults and iid edge faults
 // (§3) and the adversarial bottleneck attack (§2).
 
@@ -66,10 +70,11 @@ func (m IIDNodeModel) Inject(g *graph.Graph, rate float64, ws *graph.Workspace, 
 	return g.InduceInto(ws, keep), failed
 }
 
-// Components implements Model: it walks g under the keep mask.
+// Components implements Model: it labels g under the keep mask.
 func (m IIDNodeModel) Components(g *graph.Graph, rate float64, ws *graph.Workspace, rng *xrand.RNG) ([]int, int) {
 	keep, failed := m.draw(g, rate, ws, rng)
-	return g.InducedComponentSizesInto(ws, keep), failed
+	_, sizes := g.ComponentsInto(ws, keep)
+	return sizes, failed
 }
 
 // draw fills ws's keep mask with the survivors and returns it with the
@@ -127,7 +132,7 @@ func (m AdversarialModel) Inject(g *graph.Graph, rate float64, ws *graph.Workspa
 // the survivor, so it builds it and labels it.
 func (m AdversarialModel) Components(g *graph.Graph, rate float64, ws *graph.Workspace, rng *xrand.RNG) ([]int, int) {
 	sub, failed := m.Inject(g, rate, ws, rng)
-	_, sizes := sub.G.ComponentsInto(ws)
+	_, sizes := sub.G.ComponentsInto(ws, nil)
 	return sizes, failed
 }
 

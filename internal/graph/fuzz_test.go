@@ -10,10 +10,11 @@ import (
 // asserting the structural invariants the whole library leans on:
 // sorted strictly-increasing adjacency lists, edge symmetry, degree sum
 // = 2·M, and no self-loops — in both the graph and its induced
-// subgraphs. It also checks the component counts that skip building the
-// survivor: the masked walk against Induce plus Components on the same
-// mask, and the edge pass against FilterEdgesInto plus ComponentsInto on
-// a drop set derived from the payload.
+// subgraphs. It also checks the component passes that skip building the
+// survivor: the labeller under the mask against naiveComponents and,
+// label for label through Orig, against labelling the induced subgraph;
+// and the edge pass against FilterEdgesInto plus ComponentsInto on a
+// drop set derived from the payload.
 func FuzzBuilderInvariants(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
@@ -27,14 +28,11 @@ func FuzzBuilderInvariants(f *testing.F) {
 		n := int(data[0])%32 + 1
 		payload := data[1:]
 		b := NewBuilder(n)
-		type edge struct{ u, v int }
-		var added []edge
+		var added [][2]int
 		for i := 0; i+1 < len(payload); i += 2 {
 			u, v := int(payload[i])%n, int(payload[i+1])%n
 			b.AddEdge(u, v)
-			if u != v {
-				added = append(added, edge{u, v})
-			}
+			added = append(added, [2]int{u, v})
 		}
 		g := b.Build()
 		checkInvariants(t, "graph", g)
@@ -42,8 +40,8 @@ func FuzzBuilderInvariants(f *testing.F) {
 			t.Fatalf("N = %d, want %d", g.N(), n)
 		}
 		for _, e := range added {
-			if !g.HasEdge(e.u, e.v) || !g.HasEdge(e.v, e.u) {
-				t.Fatalf("added edge {%d,%d} missing", e.u, e.v)
+			if e[0] != e[1] && (!g.HasEdge(e[0], e[1]) || !g.HasEdge(e[1], e[0])) {
+				t.Fatalf("added edge {%d,%d} missing", e[0], e[1])
 			}
 		}
 
@@ -88,15 +86,23 @@ func FuzzBuilderInvariants(f *testing.F) {
 			t.Fatalf("induced M = %d, want %d kept parent edges", sub.G.M(), parentKept)
 		}
 
-		// Component sizes without the survivor, on one workspace.
+		// Components without the survivor, on one workspace.
 		ws := NewWorkspace()
-		_, want := sub.G.Components()
-		if got := g.InducedComponentSizesInto(ws, keep); !slices.Equal(got, want) {
-			t.Fatalf("masked walk sizes %v, want %v (Induce + Components)", got, want)
+		var gotL []int32
+		for _, mask := range [][]bool{nil, keep} {
+			wantL, wantS := naiveComponents(n, added, mask)
+			var gotS []int
+			gotL, gotS = g.ComponentsInto(ws, mask)
+			if !slices.Equal(gotL, wantL) || !slices.Equal(gotS, wantS) {
+				t.Fatalf("labeller under %v: labels %v sizes %v, want %v %v (naiveComponents)",
+					mask, gotL, gotS, wantL, wantS)
+			}
 		}
-		_, want = g.Components()
-		if got := g.InducedComponentSizesInto(ws, nil); !slices.Equal(got, want) {
-			t.Fatalf("unmasked walk sizes %v, want %v (Components)", got, want)
+		subL, _ := sub.G.Components()
+		for i, v := range sub.Orig {
+			if gotL[v] != subL[i] {
+				t.Fatalf("masked label[%d] = %d, want %d (Induce + Components, through Orig)", v, gotL[v], subL[i])
+			}
 		}
 		// Edge i (in ForEachEdge order) drops when bit i of the payload,
 		// read from its end, is set.
@@ -107,8 +113,8 @@ func FuzzBuilderInvariants(f *testing.F) {
 			return i/8 < len(payload) && payload[len(payload)-1-i/8]>>(i%8)&1 == 1
 		}
 		filtered, wantDropped := g.FilterEdgesInto(ws, drop)
-		_, labelled := filtered.G.ComponentsInto(ws)
-		want = slices.Clone(labelled)
+		_, labelled := filtered.G.ComponentsInto(ws, nil)
+		want := slices.Clone(labelled)
 		calls = 0
 		got, dropped := g.FilteredComponentSizesInto(ws, drop)
 		if calls != g.M() {

@@ -23,11 +23,8 @@ func (g *Graph) Induce(keep []bool) *Sub {
 
 // InduceVertices returns the subgraph induced by the given vertex set.
 func (g *Graph) InduceVertices(vs []int) *Sub {
-	keep := make([]bool, g.N())
-	for _, v := range vs {
-		keep[v] = true
-	}
-	return g.Induce(keep)
+	ws := NewWorkspace()
+	return g.InduceInto(ws, ws.SetMask(g.N(), vs))
 }
 
 // RemoveVertices returns the subgraph obtained by deleting the given

@@ -47,7 +47,7 @@ func (g *Graph) BFSDistances(src int) []int32 {
 // returns the labels together with the size of each component. Thin
 // wrapper over ComponentsInto on a throwaway Workspace.
 func (g *Graph) Components() (labels []int32, sizes []int) {
-	return g.ComponentsInto(NewWorkspace())
+	return g.ComponentsInto(NewWorkspace(), nil)
 }
 
 // IsConnected reports whether the graph is connected (the empty graph and

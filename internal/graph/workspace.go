@@ -7,8 +7,9 @@ package graph
 // label array per trial; with a Workspace, all of that memory is owned
 // by the worker and reused, so the steady-state trial path is
 // (near-)zero-allocation. Measures that need only component sizes never
-// build the survivor: InducedComponentSizesInto walks the parent CSR
-// under a keep mask, FilteredComponentSizesInto unions the kept edges.
+// build the survivor: ComponentsInto, the one component labeller, walks
+// the parent CSR under a keep mask, and FilteredComponentSizesInto
+// unions the kept edges.
 //
 // Ownership rules (enforced by convention, documented in README):
 //
@@ -45,8 +46,9 @@ type csrSlot struct {
 // buffers grow on demand and are retained across calls.
 type Workspace struct {
 	// visited is an epoch-stamped mark array: visited[i] == epoch means
-	// "marked in the current traversal", so clearing is O(1) (bump the
-	// epoch) instead of O(n) per trial.
+	// "marked in the current pass", so clearing is O(1) (bump the epoch)
+	// instead of O(n) per trial. FilterEdgesInto stamps dropped adjacency
+	// slots, FilteredComponentSizesInto the union–find roots it has read.
 	visited []uint32
 	epoch   uint32
 
@@ -86,6 +88,17 @@ func (ws *Workspace) Mask(n int) []bool {
 	}
 	ws.mask = ws.mask[:n]
 	return ws.mask
+}
+
+// SetMask is Mask(n) set true exactly on set's members: the keep mask
+// that labels or induces the subgraph on set.
+func (ws *Workspace) SetMask(n int, set []int) []bool {
+	keep := ws.Mask(n)
+	clear(keep)
+	for _, v := range set {
+		keep[v] = true
+	}
+	return keep
 }
 
 // beginVisit starts a new traversal over n vertices (or any index space
@@ -254,90 +267,63 @@ func (g *Graph) reverseAdjIndex(v, u int) int32 {
 	return lo
 }
 
-// ComponentsInto is Components using ws-owned label/size/queue buffers.
-// The returned slices are valid until the next component call on ws
-// (this, InducedComponentSizesInto or FilteredComponentSizesInto).
-func (g *Graph) ComponentsInto(ws *Workspace) (labels []int32, sizes []int) {
+// ComponentsInto is the one component labeller: it labels the
+// components of the subgraph keep induces (a nil keep keeps every
+// vertex) on g's own CSR, without building that subgraph. labels[v] is
+// v's component id, or -1 when keep drops v, and sizes[id] is that
+// component's size. Ids ascend with each component's smallest vertex —
+// the order it gives on InduceInto's result, whose vertex remap is
+// monotone. Both slices are ws-owned and valid until the next component
+// call on ws (this or FilteredComponentSizesInto).
+func (g *Graph) ComponentsInto(ws *Workspace, keep []bool) (labels []int32, sizes []int) {
 	n := g.N()
+	if keep != nil && len(keep) != n {
+		panic("graph: component mask length mismatch")
+	}
+	// Kept vertices start unseen and dropped ones at -1, so the walk
+	// tests one label per neighbour instead of a label and a mask bit.
+	const unseen = -2
 	labels = grow32(ws.labels, n)
 	ws.labels = labels
-	for i := range labels {
-		labels[i] = -1
+	if keep == nil {
+		for v := range labels {
+			labels[v] = unseen
+		}
+	} else {
+		for v, k := range keep {
+			l := int32(-1)
+			if k {
+				l = unseen
+			}
+			labels[v] = l
+		}
 	}
 	sizes = ws.sizes[:0]
-	queue := ws.queue[:0]
-	for s := 0; s < n; s++ {
-		if labels[s] >= 0 {
+	stack := ws.queue[:0]
+	for s := range labels {
+		if labels[s] != unseen {
 			continue
 		}
 		id := int32(len(sizes))
 		labels[s] = id
-		queue = append(queue[:0], int32(s))
+		stack = append(stack[:0], int32(s))
 		count := 0
-		for len(queue) > 0 {
-			u := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
 			count++
 			for _, w := range g.Neighbors(int(u)) {
-				if labels[w] < 0 {
+				if labels[w] == unseen {
 					labels[w] = id
-					queue = append(queue, w)
+					stack = append(stack, w)
 				}
 			}
 		}
 		sizes = append(sizes, count)
 	}
-	ws.queue = queue[:0]
+	ws.queue = stack[:0]
 	ws.sizes = sizes
 	return labels, sizes
-}
-
-// InducedComponentSizesInto returns the component sizes of the
-// subgraph keep induces (a nil keep keeps every vertex) without building
-// it: a walk of g's own CSR that skips removed vertices. Sizes come in
-// ascending order of each component's smallest vertex — the order
-// ComponentsInto gives on InduceInto's result, whose vertex remap is
-// monotone. The slice is ws-owned and valid until the next component
-// call on ws.
-func (g *Graph) InducedComponentSizesInto(ws *Workspace, keep []bool) []int {
-	n := g.N()
-	if keep != nil && len(keep) != n {
-		panic("graph: Induce mask length mismatch")
-	}
-	ws.beginVisit(n)
-	// Stamp the removed vertices up front, so the walk tests one stamp
-	// per neighbour instead of a stamp and a mask bit.
-	for v, k := range keep {
-		if !k {
-			ws.mark(int32(v))
-		}
-	}
-	visited, epoch := ws.visited, ws.epoch
-	queue := ws.queue[:0]
-	sizes := ws.sizes[:0]
-	for s := 0; s < n; s++ {
-		if visited[s] == epoch {
-			continue
-		}
-		visited[s] = epoch
-		queue = append(queue[:0], int32(s))
-		count := 0
-		for len(queue) > 0 {
-			u := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			count++
-			for _, w := range g.Neighbors(int(u)) {
-				if visited[w] != epoch {
-					visited[w] = epoch
-					queue = append(queue, w)
-				}
-			}
-		}
-		sizes = append(sizes, count)
-	}
-	ws.queue = queue[:0]
-	ws.sizes = sizes
-	return sizes
 }
 
 // FilteredComponentSizesInto returns the component sizes of the graph
@@ -382,7 +368,8 @@ func (g *Graph) GammaLargestInto(ws *Workspace) float64 {
 	if g.N() == 0 {
 		return 0
 	}
-	return float64(slices.Max(g.InducedComponentSizesInto(ws, nil))) / float64(g.N())
+	_, sizes := g.ComponentsInto(ws, nil)
+	return float64(slices.Max(sizes)) / float64(g.N())
 }
 
 // BFSDistancesInto is BFSDistances into the ws-owned distance buffer;
@@ -397,7 +384,7 @@ func (g *Graph) BFSDistancesInto(ws *Workspace, src int) []int32 {
 // (ties broken by lowest component id), composing provenance back to the
 // original graph, entirely in workspace memory.
 func (s *Sub) LargestComponentSubInto(ws *Workspace) *Sub {
-	labels, sizes := s.G.ComponentsInto(ws)
+	labels, sizes := s.G.ComponentsInto(ws, nil)
 	if len(sizes) == 0 {
 		return s.G.InduceInto(ws, ws.Mask(0))
 	}

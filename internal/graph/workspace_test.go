@@ -113,29 +113,33 @@ func TestFilterEdgesIntoMatchesRemoveEdges(t *testing.T) {
 	})
 }
 
-// TestComponentsIntoMatchesComponents checks labels/sizes equivalence on
-// a disconnected graph.
+// TestComponentsIntoMatchesComponents checks the masked labeller on
+// the parent against labelling the induced subgraph: the same sizes in
+// the same order, and each kept vertex's label equal to its subgraph
+// vertex's label, with dropped vertices at -1.
 func TestComponentsIntoMatchesComponents(t *testing.T) {
 	g := torusForTest(4)
-	sub := g.RemoveVertices([]int{0, 1, 2, 3, 5, 10})
+	removed := []int{0, 1, 2, 3, 5, 10}
+	sub := g.RemoveVertices(removed)
+	keep := make([]bool, g.N())
+	for _, v := range sub.Orig {
+		keep[v] = true
+	}
 	ws := NewWorkspace()
-	gl, gs := sub.G.ComponentsInto(ws)
+	gl, gs := g.ComponentsInto(ws, keep)
 	wl, wsz := sub.G.Components()
-	if len(gs) != len(wsz) {
-		t.Fatalf("%d components, want %d", len(gs), len(wsz))
+	if !slices.Equal(gs, wsz) {
+		t.Fatalf("sizes %v, want %v", gs, wsz)
 	}
-	for i := range wsz {
-		if gs[i] != wsz[i] {
-			t.Fatalf("component %d size %d, want %d", i, gs[i], wsz[i])
+	for i, v := range sub.Orig {
+		if gl[v] != wl[i] {
+			t.Fatalf("label[%d] = %d, want %d", v, gl[v], wl[i])
 		}
 	}
-	for v := range wl {
-		if gl[v] != wl[v] {
-			t.Fatalf("label[%d] = %d, want %d", v, gl[v], wl[v])
+	for _, v := range removed {
+		if gl[v] != -1 {
+			t.Fatalf("removed vertex %d has label %d, want -1", v, gl[v])
 		}
-	}
-	if got := sub.G.InducedComponentSizesInto(ws, nil); !slices.Equal(got, wsz) {
-		t.Fatalf("InducedComponentSizesInto(nil) = %v, want %v", got, wsz)
 	}
 }
 
@@ -219,10 +223,10 @@ func TestEmptyGraphWorkspacePaths(t *testing.T) {
 
 // TestEpochWrapClearsWholeStampArray pins the wrap-around reset of the
 // epoch-stamped marks. FilterEdgesInto stamps over the 2m adjacency
-// slots, a component walk over only the n vertices; a wrap during the
-// walk must clear every stamp, or the restarted epoch reaches the old
-// slot stamps and a later FilterEdgesInto that drops nothing loses the
-// edges they mark.
+// slots, FilteredComponentSizesInto over only the n vertices; a wrap
+// during the latter must clear every stamp, or the restarted epoch
+// reaches the old slot stamps and a later FilterEdgesInto that drops
+// nothing loses the edges they mark.
 func TestEpochWrapClearsWholeStampArray(t *testing.T) {
 	b := NewBuilder(8)
 	for v := 0; v < 8; v++ {
@@ -237,10 +241,11 @@ func TestEpochWrapClearsWholeStampArray(t *testing.T) {
 		}
 	}
 	ws.epoch = math.MaxUint32
-	if got := g.GammaLargestInto(ws); got != 1 {
-		t.Fatalf("gamma of the 8-cycle = %v, want 1", got)
+	dropNone := func(u, v int) bool { return false }
+	if sizes, dropped := g.FilteredComponentSizesInto(ws, dropNone); dropped != 0 || !slices.Equal(sizes, []int{8}) {
+		t.Fatalf("edge pass over the 8-cycle = %v with %d dropped, want [8] with 0", sizes, dropped)
 	}
-	sub, dropped := g.FilterEdgesInto(ws, func(u, v int) bool { return false })
+	sub, dropped := g.FilterEdgesInto(ws, dropNone)
 	if dropped != 0 || sub.G.M() != 8 {
 		t.Fatalf("dropping nothing after the wrap: %d dropped, m = %d; want 0, 8", dropped, sub.G.M())
 	}

@@ -13,7 +13,10 @@
 //
 //   - Direct Monte-Carlo estimation of γ(G^(p)) at a fixed p, used by
 //     the bisection-based critical-probability estimator where unbiased
-//     point estimates matter more than whole curves.
+//     point estimates matter more than whole curves, and by the sweep's
+//     percolation measure. Each realization runs on a graph.Workspace
+//     through package graph's component passes: the one labeller under
+//     the occupation mask for sites, the one edge-fault pass for bonds.
 package perc
 
 import (
@@ -123,72 +126,45 @@ func sweepBond(g *graph.Graph, acc []float64, rng *xrand.RNG) {
 
 // GammaAtP estimates E[γ(G^(p))] by trials independent realizations.
 func GammaAtP(g *graph.Graph, mode Mode, p float64, trials int, rng *xrand.RNG) float64 {
-	var scr Scratch
-	return GammaAtPScratch(g, mode, p, trials, rng, &scr)
+	return GammaAtPWs(g, mode, p, trials, rng, graph.NewWorkspace())
 }
 
-// Scratch holds the reusable state of a Monte-Carlo γ estimate: the
-// union–find structure and the occupation mask. A zero Scratch is ready
-// to use; after the first realization at a given size, further
-// realizations allocate nothing. Not safe for concurrent use.
-type Scratch struct {
-	dsu   ufind.DSU
-	alive []bool
-}
-
-// GammaAtPScratch is GammaAtP writing all intermediates into scr —
-// the percolation measure's steady-state trial path. The draw sequence
-// is identical to GammaAtP's, so estimates are bit-equal for the same
-// rng state.
-func GammaAtPScratch(g *graph.Graph, mode Mode, p float64, trials int, rng *xrand.RNG, scr *Scratch) float64 {
+// GammaAtPWs is GammaAtP on a caller-owned graph workspace — the
+// percolation measure's steady-state trial path: after the first
+// realization at a given size, further realizations allocate nothing.
+// The draw sequence is identical to GammaAtP's, so estimates are
+// bit-equal for the same rng state.
+func GammaAtPWs(g *graph.Graph, mode Mode, p float64, trials int, rng *xrand.RNG, ws *graph.Workspace) float64 {
 	sum := 0.0
 	for t := 0; t < trials; t++ {
-		sum += gammaOnce(g, mode, p, rng, scr)
+		sum += gammaOnce(g, mode, p, rng, ws)
 	}
 	return sum / float64(trials)
 }
 
-func gammaOnce(g *graph.Graph, mode Mode, p float64, rng *xrand.RNG, scr *Scratch) float64 {
+// gammaOnce draws one realization and returns its γ: a site draw per
+// vertex in ascending order, labelled under the occupation mask, or a
+// bond draw per edge in ForEachEdge order, through graph's edge pass.
+func gammaOnce(g *graph.Graph, mode Mode, p float64, rng *xrand.RNG, ws *graph.Workspace) float64 {
 	n := g.N()
 	if n == 0 {
 		return 0
 	}
-	d := &scr.dsu
-	switch mode {
-	case Site:
-		d.ResetInactive(n)
-		if cap(scr.alive) < n {
-			scr.alive = make([]bool, n)
+	var sizes []int
+	if mode == Site {
+		alive := ws.Mask(n)
+		for v := range alive {
+			alive[v] = rng.Bool(p)
 		}
-		alive := scr.alive[:n]
-		for v := 0; v < n; v++ {
-			if rng.Bool(p) {
-				alive[v] = true
-				d.Activate(v)
-			} else {
-				alive[v] = false
-			}
-		}
-		for v := 0; v < n; v++ {
-			if !alive[v] {
-				continue
-			}
-			for _, w := range g.Neighbors(v) {
-				if int(w) > v && alive[w] {
-					d.Union(v, int(w))
-				}
-			}
-		}
-		return d.Gamma()
-	default:
-		d.Reset(n)
-		g.ForEachEdge(func(u, v int) {
-			if rng.Bool(p) {
-				d.Union(u, v)
-			}
-		})
-		return d.Gamma()
+		_, sizes = g.ComponentsInto(ws, alive)
+	} else {
+		sizes, _ = g.FilteredComponentSizesInto(ws, func(u, v int) bool { return !rng.Bool(p) })
 	}
+	largest := 0
+	for _, s := range sizes {
+		largest = max(largest, s)
+	}
+	return float64(largest) / float64(n)
 }
 
 // CriticalP estimates the percolation threshold: the smallest p at which
@@ -215,9 +191,9 @@ func CriticalPFromCurve(c *Curve, target float64) float64 {
 // SurvivalStats summarizes γ over independent realizations at one p.
 func SurvivalStats(g *graph.Graph, mode Mode, p float64, trials int, rng *xrand.RNG) stats.Summary {
 	xs := make([]float64, trials)
-	var scr Scratch
+	ws := graph.NewWorkspace()
 	for t := range xs {
-		xs[t] = gammaOnce(g, mode, p, rng, &scr)
+		xs[t] = gammaOnce(g, mode, p, rng, ws)
 	}
 	return stats.Summarize(xs)
 }

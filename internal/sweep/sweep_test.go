@@ -580,7 +580,7 @@ func TestApplyFaultsModels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ApplyFaultsWs(%s): %v", model, err)
 		}
-		_, labelled := sub.G.ComponentsInto(ws)
+		_, labelled := sub.G.ComponentsInto(ws, nil)
 		want := slices.Clone(labelled)
 		sizes, cnf, err := FaultComponentsWs(g, model, 0.5, ws, xrand.New(5))
 		if err != nil {
