@@ -49,15 +49,10 @@ func Enumerate(g *graph.Graph, fn func(set []int) bool) {
 	if n < 2 {
 		return
 	}
-	masks := make([]uint32, n)
-	for v := 0; v < n; v++ {
-		for _, w := range g.Neighbors(v) {
-			masks[v] |= 1 << uint(w)
-		}
-	}
+	masks := expansion.NeighborMasks(g)
 	fullMask := uint32(1<<uint(n)) - 1
 	for s := uint32(1); s < fullMask; s++ {
-		if !maskConnected(s, masks) || !maskConnected(fullMask&^s, masks) {
+		if !expansion.MaskConnected(s, masks) || !expansion.MaskConnected(fullMask&^s, masks) {
 			continue
 		}
 		set := make([]int, 0, bits.OnesCount32(s))
@@ -70,27 +65,6 @@ func Enumerate(g *graph.Graph, fn func(set []int) bool) {
 			return
 		}
 	}
-}
-
-func maskConnected(mask uint32, nbrMasks []uint32) bool {
-	if mask == 0 {
-		return false
-	}
-	reached := mask & -mask
-	for {
-		frontier := reached
-		next := reached
-		for frontier != 0 {
-			v := bits.TrailingZeros32(frontier)
-			frontier &= frontier - 1
-			next |= nbrMasks[v] & mask
-		}
-		if next == reached {
-			break
-		}
-		reached = next
-	}
-	return reached == mask
 }
 
 // Scratch is reusable per-worker scratch for CompactifyScratch and

@@ -120,41 +120,6 @@ func (s *finderScratch) grow(n int) {
 	}
 }
 
-func exactSearch(g *graph.Graph, mode Mode, maxSize int, connected bool) (expansion.Result, bool) {
-	if mode == EdgeMode && connected {
-		r, _ := expansion.ExactMinConnectedEdgeQuotientBelow(g, maxSize, 1e18)
-		return r, len(r.Set) > 0
-	}
-	if mode == NodeMode && !connected {
-		r, _ := expansion.ExactMinNodeQuotientBelow(g, maxSize, 1e18)
-		return r, len(r.Set) > 0
-	}
-	// Remaining combinations fall back to the same DPs and filter.
-	if mode == NodeMode {
-		// connected node-mode: use edge DP's connected enumeration seed
-		// then evaluate node quotient via exhaustive scan of connected
-		// sets — reuse the connected-edge DP since the enumeration is
-		// identical; simplest correct approach: enumerate via ESU.
-		best := expansion.Result{}
-		have := false
-		for k := 1; k <= maxSize; k++ {
-			g.EnumerateConnectedSubgraphs(k, func(vs []int) bool {
-				r := expansion.Evaluate(g, vs)
-				if !have || r.NodeAlpha < best.NodeAlpha {
-					cp := append([]int(nil), vs...)
-					best = expansion.Evaluate(g, cp)
-					have = true
-				}
-				return true
-			})
-		}
-		return best, have
-	}
-	// EdgeMode, unconstrained.
-	re, _ := expansion.ExactMinEdgeQuotientBelow(g, maxSize, 1e18)
-	return re, len(re.Set) > 0
-}
-
 // sweepCandidates orders vertices by the Fiedler vector, evaluates every
 // prefix up to maxSize, and feeds the finder the best prefix and (for
 // the connected variant) each component of that prefix.

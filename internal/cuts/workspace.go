@@ -172,7 +172,7 @@ func FindBestWs(g *graph.Graph, mode Mode, maxSize int, connected bool, opt Opti
 	}
 
 	if n <= opt.ExactMaxN {
-		if r, ok := exactSearch(g, mode, maxSize, connected); ok {
+		if r, ok := expansion.ExactMin(g, maxSize, mode == EdgeMode, connected); ok {
 			f.consider(r.Set)
 		}
 	} else {

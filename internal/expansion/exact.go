@@ -3,7 +3,7 @@ package expansion
 // Exact global expansion minimisation by subset dynamic programming.
 // For every subset S of [0, n) in increasing mask order, the DP derives
 // the neighbourhood mask (for node expansion) or the cut size (for edge
-// expansion) of S from S minus its lowest bit in O(1)/O(deg) — a total of
+// expansion) of S from S minus its lowest bit in O(1) — a total of
 // O(2^n) work, practical to n ≈ 22. This provides ground truth for the
 // heuristic finders and for certifying Prune's behaviour on small
 // networks.
@@ -19,217 +19,110 @@ import (
 // beyond it the subset tables would exceed memory.
 const MaxExactN = 22
 
+// ExactMin is the one exact subset DP. It returns the subset U with
+// 1 ≤ |U| ≤ maxSize that minimises |Γ(U)|/|U|, or cut(U)/|U| when edge
+// is set, restricted to connected U when connected is set; ties go to
+// the first subset in increasing mask order. ok is false when no subset
+// qualifies (n == 0 or maxSize < 1). Panics if n > MaxExactN.
+func ExactMin(g *graph.Graph, maxSize int, edge, connected bool) (r Result, ok bool) {
+	n := g.N()
+	if n > MaxExactN {
+		panic(fmt.Sprintf("expansion: exact DP limited to n ≤ %d, got %d", MaxExactN, n))
+	}
+	if n == 0 || maxSize < 1 {
+		return Result{}, false
+	}
+	masks := NeighborMasks(g)
+	size := 1 << uint(n)
+	// tab[s] is s's neighbourhood mask (node) or its cut size (edge).
+	tab := make([]uint32, size)
+	bestNum, bestDen := -1, 1 // best ratio as fraction bestNum/bestDen
+	bestMask := uint32(0)
+	for s := 1; s < size; s++ {
+		v := bits.TrailingZeros32(uint32(s))
+		prev := s & (s - 1)
+		if edge {
+			// Adding v: gains deg(v) boundary edges minus 2 per
+			// neighbour already inside.
+			inside := bits.OnesCount32(masks[v] & uint32(prev))
+			tab[s] = tab[prev] + uint32(g.Degree(v)) - 2*uint32(inside)
+		} else {
+			tab[s] = tab[prev] | masks[v]
+		}
+		pc := bits.OnesCount32(uint32(s))
+		if pc > maxSize || connected && !MaskConnected(uint32(s), masks) {
+			continue
+		}
+		q := int(tab[s])
+		if !edge {
+			q = bits.OnesCount32(tab[s] &^ uint32(s))
+		}
+		// compare q/pc < bestNum/bestDen via cross-multiplication
+		if bestNum < 0 || q*bestDen < bestNum*pc {
+			bestNum, bestDen = q, pc
+			bestMask = uint32(s)
+		}
+	}
+	if bestNum < 0 {
+		return Result{}, false
+	}
+	return Evaluate(g, maskToSet(bestMask, n)), true
+}
+
 // ExactNodeExpansion computes the node expansion α = min over nonempty
 // U with |U| ≤ n/2 of |Γ(U)|/|U|, with an optimal witness. Panics if
 // n > MaxExactN or n < 2.
 func ExactNodeExpansion(g *graph.Graph) Result {
-	n := g.N()
-	if n < 2 {
-		panic("expansion: graph too small for expansion")
-	}
-	if n > MaxExactN {
-		panic(fmt.Sprintf("expansion: exact DP limited to n ≤ %d, got %d", MaxExactN, n))
-	}
-	masks := neighborMasks(g)
-	size := 1 << uint(n)
-	nbr := make([]uint32, size)
-	half := n / 2
-	bestNum, bestDen := -1, 1 // best ratio as fraction bestNum/bestDen
-	bestMask := uint32(0)
-	for s := 1; s < size; s++ {
-		low := s & -s
-		v := bits.TrailingZeros32(uint32(s))
-		nbr[s] = nbr[s^low] | masks[v]
-		pc := bits.OnesCount32(uint32(s))
-		if pc > half {
-			continue
-		}
-		bound := bits.OnesCount32(nbr[s] &^ uint32(s))
-		// compare bound/pc < bestNum/bestDen via cross-multiplication
-		if bestNum < 0 || bound*bestDen < bestNum*pc {
-			bestNum, bestDen = bound, pc
-			bestMask = uint32(s)
-		}
-	}
-	return Evaluate(g, maskToSet(bestMask, n))
+	return exactExpansion(g, false)
 }
 
 // ExactEdgeExpansion computes αe = min over U (both sides nonempty) of
 // cut(U)/min(|U|,|V\U|), with an optimal witness (returned as the small
 // side). Panics if n > MaxExactN or n < 2.
 func ExactEdgeExpansion(g *graph.Graph) Result {
-	n := g.N()
-	if n < 2 {
+	return exactExpansion(g, true)
+}
+
+func exactExpansion(g *graph.Graph, edge bool) Result {
+	if g.N() < 2 {
 		panic("expansion: graph too small for expansion")
 	}
-	if n > MaxExactN {
-		panic(fmt.Sprintf("expansion: exact DP limited to n ≤ %d, got %d", MaxExactN, n))
-	}
-	masks := neighborMasks(g)
-	size := 1 << uint(n)
-	cut := make([]int32, size)
-	half := n / 2
-	bestNum, bestDen := -1, 1
-	bestMask := uint32(0)
-	for s := 1; s < size; s++ {
-		low := s & -s
-		v := bits.TrailingZeros32(uint32(s))
-		prev := s ^ low
-		// Adding v: gains deg(v) boundary edges minus 2 per neighbor
-		// already inside.
-		inside := bits.OnesCount32(masks[v] & uint32(prev))
-		cut[s] = cut[prev] + int32(g.Degree(v)) - 2*int32(inside)
-		pc := bits.OnesCount32(uint32(s))
-		if pc > half {
-			continue
-		}
-		c := int(cut[s])
-		if bestNum < 0 || c*bestDen < bestNum*pc {
-			bestNum, bestDen = c, pc
-			bestMask = uint32(s)
-		}
-	}
-	return Evaluate(g, maskToSet(bestMask, n))
+	r, _ := ExactMin(g, g.N()/2, edge, false)
+	return r
 }
 
 // ExactMinNodeQuotientBelow searches for any subset U with |U| ≤ maxSize
 // and |Γ(U)|/|U| ≤ threshold, returning the *minimum-quotient* such set
 // if one exists. Used by Prune's exact mode.
 func ExactMinNodeQuotientBelow(g *graph.Graph, maxSize int, threshold float64) (Result, bool) {
-	n := g.N()
-	if n > MaxExactN {
-		panic(fmt.Sprintf("expansion: exact DP limited to n ≤ %d, got %d", MaxExactN, n))
-	}
-	if n == 0 || maxSize < 1 {
-		return Result{}, false
-	}
-	masks := neighborMasks(g)
-	size := 1 << uint(n)
-	nbr := make([]uint32, size)
-	bestNum, bestDen := -1, 1
-	bestMask := uint32(0)
-	for s := 1; s < size; s++ {
-		low := s & -s
-		v := bits.TrailingZeros32(uint32(s))
-		nbr[s] = nbr[s^low] | masks[v]
-		pc := bits.OnesCount32(uint32(s))
-		if pc > maxSize {
-			continue
-		}
-		bound := bits.OnesCount32(nbr[s] &^ uint32(s))
-		if bestNum < 0 || bound*bestDen < bestNum*pc {
-			bestNum, bestDen = bound, pc
-			bestMask = uint32(s)
-		}
-	}
-	if bestNum < 0 {
-		return Result{}, false
-	}
-	res := Evaluate(g, maskToSet(bestMask, n))
-	if res.NodeAlpha <= threshold {
-		return res, true
-	}
-	return res, false
+	r, ok := ExactMin(g, maxSize, false, false)
+	return r, ok && r.NodeAlpha <= threshold
 }
 
 // ExactMinEdgeQuotientBelow searches for any subset U with |U| ≤ maxSize
 // and cut(U)/|U| ≤ threshold, returning the minimum-quotient such set if
 // one exists.
 func ExactMinEdgeQuotientBelow(g *graph.Graph, maxSize int, threshold float64) (Result, bool) {
-	n := g.N()
-	if n > MaxExactN {
-		panic(fmt.Sprintf("expansion: exact DP limited to n ≤ %d, got %d", MaxExactN, n))
-	}
-	if n == 0 || maxSize < 1 {
-		return Result{}, false
-	}
-	masks := neighborMasks(g)
-	size := 1 << uint(n)
-	cut := make([]int32, size)
-	bestNum, bestDen := -1, 1
-	bestMask := uint32(0)
-	for s := 1; s < size; s++ {
-		low := s & -s
-		v := bits.TrailingZeros32(uint32(s))
-		prev := s ^ low
-		inside := bits.OnesCount32(masks[v] & uint32(prev))
-		cut[s] = cut[prev] + int32(g.Degree(v)) - 2*int32(inside)
-		pc := bits.OnesCount32(uint32(s))
-		if pc > maxSize {
-			continue
-		}
-		c := int(cut[s])
-		if bestNum < 0 || c*bestDen < bestNum*pc {
-			bestNum, bestDen = c, pc
-			bestMask = uint32(s)
-		}
-	}
-	if bestNum < 0 {
-		return Result{}, false
-	}
-	res := Evaluate(g, maskToSet(bestMask, n))
-	if res.EdgeAlpha <= threshold {
-		return res, true
-	}
-	return res, false
+	r, ok := ExactMin(g, maxSize, true, false)
+	return r, ok && r.EdgeAlpha <= threshold
 }
 
 // ExactMinConnectedEdgeQuotientBelow searches for a *connected* subset U
 // with |U| ≤ maxSize and cut(U)/|U| ≤ threshold (Prune2's predicate),
 // returning the minimum-quotient connected set if below threshold.
 func ExactMinConnectedEdgeQuotientBelow(g *graph.Graph, maxSize int, threshold float64) (Result, bool) {
-	n := g.N()
-	if n > MaxExactN {
-		panic(fmt.Sprintf("expansion: exact DP limited to n ≤ %d, got %d", MaxExactN, n))
-	}
-	if n == 0 || maxSize < 1 {
-		return Result{}, false
-	}
-	masks := neighborMasks(g)
-	size := 1 << uint(n)
-	cut := make([]int32, size)
-	// connected[s] via DP: s is connected iff s is a singleton or there
-	// exists v in s with (s minus v) connected and v adjacent to it.
-	// Cheaper equivalent: grow reachable set from lowest bit.
-	bestNum, bestDen := -1, 1
-	bestMask := uint32(0)
-	for s := 1; s < size; s++ {
-		low := s & -s
-		v := bits.TrailingZeros32(uint32(s))
-		prev := s ^ low
-		inside := bits.OnesCount32(masks[v] & uint32(prev))
-		cut[s] = cut[prev] + int32(g.Degree(v)) - 2*int32(inside)
-		pc := bits.OnesCount32(uint32(s))
-		if pc > maxSize {
-			continue
-		}
-		if !maskConnected(uint32(s), masks) {
-			continue
-		}
-		c := int(cut[s])
-		if bestNum < 0 || c*bestDen < bestNum*pc {
-			bestNum, bestDen = c, pc
-			bestMask = uint32(s)
-		}
-	}
-	if bestNum < 0 {
-		return Result{}, false
-	}
-	res := Evaluate(g, maskToSet(bestMask, n))
-	if res.EdgeAlpha <= threshold {
-		return res, true
-	}
-	return res, false
+	r, ok := ExactMin(g, maxSize, true, true)
+	return r, ok && r.EdgeAlpha <= threshold
 }
 
-// maskConnected reports whether the vertices of mask induce a connected
-// subgraph, by BFS over bitmasks.
-func maskConnected(mask uint32, nbrMasks []uint32) bool {
+// MaskConnected reports whether the vertices of mask induce a connected
+// subgraph, by BFS over bitmasks (nbrMasks from NeighborMasks). The
+// empty mask is not connected.
+func MaskConnected(mask uint32, nbrMasks []uint32) bool {
 	if mask == 0 {
 		return false
 	}
-	start := mask & -mask
-	reached := start
+	reached := mask & -mask
 	for {
 		frontier := reached
 		next := reached
@@ -246,7 +139,9 @@ func maskConnected(mask uint32, nbrMasks []uint32) bool {
 	return reached == mask
 }
 
-func neighborMasks(g *graph.Graph) []uint32 {
+// NeighborMasks returns each vertex's neighbourhood as a bitmask, for
+// graphs of at most 32 vertices.
+func NeighborMasks(g *graph.Graph) []uint32 {
 	n := g.N()
 	masks := make([]uint32, n)
 	for v := 0; v < n; v++ {

@@ -197,6 +197,46 @@ func TestExactThresholdSearches(t *testing.T) {
 	}
 }
 
+// TestExactMinConnectedMatchesEnumeration checks ExactMin's connected
+// minimum against a brute-force minimum over every connected set that
+// EnumerateConnectedSubgraphs (Wernicke's ESU) lists, in node and edge
+// mode, for every size bound, on random small graphs: the quotients
+// agree exactly and the witness is connected and within the bound.
+func TestExactMinConnectedMatchesEnumeration(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 30; trial++ {
+		n := 2 + r.Intn(10)
+		b := graph.NewBuilder(n)
+		for i := r.Intn(2*n + 1); i > 0; i-- {
+			b.AddEdge(r.Intn(n), r.Intn(n))
+		}
+		g := b.Build()
+		for _, edge := range []bool{false, true} {
+			quot := func(res Result) float64 {
+				if edge {
+					return res.EdgeAlpha
+				}
+				return res.NodeAlpha
+			}
+			want := math.Inf(1)
+			for maxSize := 1; maxSize <= n; maxSize++ {
+				g.EnumerateConnectedSubgraphs(maxSize, func(vs []int) bool {
+					want = math.Min(want, quot(Evaluate(g, vs)))
+					return true
+				})
+				got, ok := ExactMin(g, maxSize, edge, true)
+				if !ok || quot(got) != want {
+					t.Fatalf("trial %d (n=%d, edge=%v, maxSize=%d): ExactMin = %v (ok=%v), enumeration min = %v",
+						trial, n, edge, maxSize, quot(got), ok, want)
+				}
+				if got.Size > maxSize || !g.InduceVertices(got.Set).G.IsConnected() {
+					t.Fatalf("trial %d: witness %v is not a connected set of at most %d vertices", trial, got.Set, maxSize)
+				}
+			}
+		}
+	}
+}
+
 func TestMaskConnectedViaSearch(t *testing.T) {
 	// Two triangles, disconnected. Connected search with maxSize 3 must
 	// return one triangle (cut 0).
