@@ -556,6 +556,8 @@ func setupResidual(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xrand
 
 // setupLambda2 tracks the survivor's algebraic connectivity λ₂ (and its
 // Cheeger bounds) under faults — the spectral view of expansion decay.
+// Setup and every trial share one spectral.Scratch, so a warm trial
+// allocates nothing.
 func setupLambda2(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) (sweep.TrialRun, error) {
 	if c.Precision.Sampled {
 		return setupLambda2Sampled(g, c, ws, rng, rec)
@@ -563,7 +565,8 @@ func setupLambda2(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xrand.
 	if g.N() < 3 {
 		return sweep.TrialRun{}, fmt.Errorf("graph too small")
 	}
-	l0 := spectral.Lambda2(g, rng.Split())
+	scr := &spectral.Scratch{}
+	l0 := spectral.Lambda2Scratch(g, rng.Split(), scr)
 	rec.Const("lambda2_0", l0)
 	trial := func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
 		sub, _, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
@@ -574,7 +577,7 @@ func setupLambda2(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xrand.
 		if comp.G.N() < 3 {
 			return nil
 		}
-		l2 := spectral.Lambda2(comp.G, rng)
+		l2 := spectral.Lambda2Scratch(comp.G, rng, scr)
 		lo, up := spectral.CheegerBounds(l2)
 		rec.Observe("lambda2", l2)
 		rec.Observe("cheeger_lower", lo)

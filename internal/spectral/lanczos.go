@@ -11,16 +11,17 @@ import (
 	"math"
 )
 
-// The Lanczos iteration itself lives in scratch.go
-// (lanczosLargestScratch): the hot path threads caller-owned buffers
-// through every step, and the allocating entry point (Fiedler) runs the
-// same code on a throwaway Scratch.
+// The Lanczos iteration itself lives in scratch.go (lanczosScratch):
+// the hot path threads caller-owned buffers through every step, and the
+// allocating entry points (Fiedler, Lambda2) run the same code on a
+// throwaway Scratch.
 
 // tridiagLargestValue returns only the largest eigenvalue of the
 // symmetric tridiagonal matrix, skipping eigenvector accumulation — the
 // m×m rotation matrix tridiagLargestScratch accumulates dominates the
-// cost of a solve, and convergence checks never read the vector.
-// dScr/eScr are caller-owned scratch reused across checks.
+// cost of a solve, and neither the convergence checks nor
+// Lambda2Scratch read the vector. dScr/eScr are caller-owned scratch
+// reused across solves.
 func tridiagLargestValue(diag, off []float64, dScr, eScr *[]float64) float64 {
 	m := len(diag)
 	if m == 0 {
@@ -49,8 +50,11 @@ func tridiagLargestValue(diag, off []float64, dScr, eScr *[]float64) float64 {
 // tql2 diagonalizes a symmetric tridiagonal matrix in place using the QL
 // algorithm with implicit shifts (EISPACK tql2 / Numerical Recipes
 // tqli). d holds the diagonal, e the sub-diagonal in e[0..m-2]; on return
-// d holds eigenvalues and the columns of z the eigenvectors. A nil z
-// skips eigenvector accumulation (the tql1 variant): eigenvalues only.
+// d holds eigenvalues and z[j] the eigenvector of d[j]. z is the
+// transpose of EISPACK's rotation matrix — each eigenvector a contiguous
+// row, so every rotation sweeps two rows at stride 1 — and must start as
+// the identity. A nil z skips eigenvector accumulation (the tql1
+// variant): eigenvalues only.
 func tql2(d, e []float64, z [][]float64) {
 	m := len(d)
 	if m <= 1 {
@@ -101,10 +105,11 @@ func tql2(d, e []float64, z [][]float64) {
 				d[i+1] = g + p
 				g = c*r - b
 				if z != nil {
-					for k := 0; k < m; k++ {
-						f := z[k][i+1]
-						z[k][i+1] = s*z[k][i] + c*f
-						z[k][i] = c*z[k][i] - s*f
+					zi, zi1 := z[i], z[i+1][:len(z[i])]
+					for k := range zi {
+						f := zi1[k]
+						zi1[k] = s*zi[k] + c*f
+						zi[k] = c*zi[k] - s*f
 					}
 				}
 			}

@@ -1,12 +1,12 @@
 package spectral
 
-// Scratch-based Fiedler/Lanczos: FiedlerScratch and the Lanczos
-// iteration behind it keep every intermediate — the Laplacian scale
-// vector, the Krylov basis (a flat arena), the tridiagonal solves and
-// the Ritz vector — in caller-owned buffers, and Fiedler runs the same
-// code on a throwaway Scratch. The pruning hot path calls Fiedler once
-// per culling round, and the basis copies dominated its allocation
-// profile.
+// Scratch-based Fiedler/Lanczos: FiedlerScratch, Lambda2Scratch and the
+// Lanczos iteration behind them keep every intermediate — the Laplacian
+// scale vector, the Krylov basis (a flat arena), the tridiagonal solves
+// and the Ritz vector — in caller-owned buffers, and Fiedler and Lambda2
+// run the same code on a throwaway Scratch. The pruning hot path calls
+// Fiedler once per culling round, and the basis copies dominated its
+// allocation profile.
 
 import (
 	"math"
@@ -31,7 +31,7 @@ type Scratch struct {
 	basis      [][]float64
 	alphas     []float64
 	betas      []float64
-	dChk, eChk []float64 // eigenvalue-only convergence checks
+	dChk, eChk []float64 // eigenvalue-only solves: convergence checks, Lambda2Scratch
 	dFin, eFin []float64 // final tridiagonal solve
 	zArena     []float64
 	zRows      [][]float64
@@ -62,6 +62,51 @@ func FiedlerScratch(g *graph.Graph, maxIter int, rng *xrand.RNG, scr *Scratch) F
 		scr.x[0] = 0
 		return FiedlerResult{Lambda2: 0, Vector: scr.x}
 	}
+	iters := lanczosScratch(g, maxIter, rng, scr)
+	// The Ritz vector: the top eigenvector of the tridiagonal, combined
+	// over the Krylov basis.
+	m := len(scr.alphas)
+	ev, s := tridiagLargestScratch(scr.alphas, scr.betas[:m-1], scr)
+	x := growF(scr.x, n)
+	scr.x = x
+	for i := range x {
+		x[i] = 0
+	}
+	for i, b := range scr.basis {
+		axpy(s[i], b, x)
+	}
+	normalize(x)
+	for i := range x {
+		x[i] *= scr.invSqrt[i]
+	}
+	return FiedlerResult{Lambda2: math.Max(2-ev, 0), Vector: x, Iters: iters}
+}
+
+// Lambda2Scratch is the algebraic connectivity alone, on caller-owned
+// scratch: the same Lanczos run as FiedlerScratch with maxIter 0, so the
+// value is bit-identical to FiedlerScratch(g, 0, rng, scr).Lambda2 and
+// rng advances the same way, but the final solve finds only the largest
+// eigenvalue of the tridiagonal — no rotation matrix, no Ritz vector —
+// and a warm scratch makes it allocation-free.
+func Lambda2Scratch(g *graph.Graph, rng *xrand.RNG, scr *Scratch) float64 {
+	if g.N() <= 1 {
+		return 0
+	}
+	lanczosScratch(g, 0, rng, scr)
+	m := len(scr.alphas)
+	ev := tridiagLargestValue(scr.alphas, scr.betas[:m-1], &scr.dChk, &scr.eChk)
+	return math.Max(2-ev, 0)
+}
+
+// lanczosScratch runs at most maxIter Lanczos steps (maxIter ≤ 0: the
+// automatic budget) on the shifted normalized Laplacian of g
+// (Laplacian.ApplyShifted), n = g.N() ≥ 2, from a random start vector
+// orthogonal to the kernel vector D^{1/2}·1, and returns the number of
+// steps taken. It leaves in scr the Krylov basis (a flat arena) and the
+// tridiagonal's diagonal (alphas) and off-diagonal (betas), and reuses
+// every buffer from scr.
+func lanczosScratch(g *graph.Graph, maxIter int, rng *xrand.RNG, scr *Scratch) int {
+	n := g.N()
 	inv := growF(scr.invSqrt, n)
 	scr.invSqrt = inv
 	for v := 0; v < n; v++ {
@@ -85,34 +130,13 @@ func FiedlerScratch(g *graph.Graph, maxIter int, rng *xrand.RNG, scr *Scratch) F
 		if maxIter < 50 {
 			maxIter = 50
 		}
-		if maxIter > n {
-			maxIter = n
-		}
 	}
-	scr.deflate = append(scr.deflate[:0], kernel)
-	ev, vec, iters := lanczosLargestScratch(&scr.lap, n, maxIter, scr.deflate, rng, scr)
-	lambda2 := 2 - ev
-	if lambda2 < 0 {
-		lambda2 = 0
-	}
-	for i := range vec {
-		vec[i] *= inv[i]
-	}
-	return FiedlerResult{Lambda2: lambda2, Vector: vec, Iters: iters}
-}
-
-// lanczosLargestScratch runs at most maxIter Lanczos steps on the
-// shifted Laplacian operator (l.ApplyShifted) from a random start
-// vector orthogonal to deflate, and returns the largest Ritz value, its
-// unit Ritz vector and the number of steps taken. The Krylov basis is
-// stored in a flat arena and every vector buffer is reused from scr.
-func lanczosLargestScratch(l *Laplacian, n, maxIter int, deflate [][]float64, rng *xrand.RNG, scr *Scratch) (float64, []float64, int) {
 	if maxIter > n {
 		maxIter = n
 	}
-	if maxIter < 1 {
-		maxIter = 1
-	}
+	scr.deflate = append(scr.deflate[:0], kernel)
+	deflate := scr.deflate
+
 	v := growF(scr.v, n)
 	scr.v = v
 	for i := range v {
@@ -144,7 +168,7 @@ func lanczosLargestScratch(l *Laplacian, n, maxIter int, deflate [][]float64, rn
 		bk := arena[k*n : (k+1)*n : (k+1)*n]
 		copy(bk, v)
 		basis = append(basis, bk)
-		l.ApplyShifted(w, v)
+		scr.lap.ApplyShifted(w, v)
 		alpha := dot(w, v)
 		alphas = append(alphas, alpha)
 		axpy(-alpha, v, w)
@@ -170,24 +194,13 @@ func lanczosLargestScratch(l *Laplacian, n, maxIter int, deflate [][]float64, rn
 		}
 	}
 	scr.basis, scr.alphas, scr.betas = basis, alphas, betas
-	theta, s := tridiagLargestScratch(alphas, betas[:len(alphas)-1], scr)
-	x := growF(scr.x, n)
-	scr.x = x
-	for i := range x {
-		x[i] = 0
-	}
-	for i, b := range basis {
-		if i < len(s) {
-			axpy(s[i], b, x)
-		}
-	}
-	normalize(x)
-	return theta, x, iters
+	return iters
 }
 
 // tridiagLargestScratch returns the largest eigenvalue of the symmetric
-// tridiagonal matrix (diag, off) and its eigenvector, with the
-// eigenvector rotation matrix stored in a flat m×m arena from scr.
+// tridiagonal matrix (diag, off) and its eigenvector. The rotation
+// matrix lives in a flat m×m arena from scr, one eigenvector per row
+// (see tql2), so the eigenvector is a copy of one row.
 func tridiagLargestScratch(diag, off []float64, scr *Scratch) (float64, []float64) {
 	m := len(diag)
 	if m == 0 {
@@ -226,8 +239,6 @@ func tridiagLargestScratch(diag, off []float64, scr *Scratch) (float64, []float6
 	}
 	vec := growF(scr.ritz, m)
 	scr.ritz = vec
-	for i := 0; i < m; i++ {
-		vec[i] = z[i][best]
-	}
+	copy(vec, z[best])
 	return d[best], vec
 }

@@ -79,10 +79,11 @@ func Fiedler(g *graph.Graph, maxIter int, rng *xrand.RNG) FiedlerResult {
 	return FiedlerScratch(g, maxIter, rng, &Scratch{})
 }
 
-// Lambda2 is a convenience wrapper returning only the algebraic
-// connectivity of the normalized Laplacian.
+// Lambda2 returns only the algebraic connectivity of the normalized
+// Laplacian: Lambda2Scratch on a throwaway scratch, bit-identical to
+// Fiedler(g, 0, rng).Lambda2.
 func Lambda2(g *graph.Graph, rng *xrand.RNG) float64 {
-	return Fiedler(g, 0, rng).Lambda2
+	return Lambda2Scratch(g, rng, &Scratch{})
 }
 
 // Conductance computes the conductance φ(S) = cut(S) / min(vol S, vol S̄)
@@ -155,12 +156,39 @@ func axpy(alpha float64, x, y []float64) {
 }
 
 // orthogonalize removes from v its components along each (unit) basis
-// vector, twice for numerical robustness (classical Gram–Schmidt with
-// reorthogonalization).
+// vector, twice for numerical robustness: modified Gram–Schmidt (MGS)
+// with one reorthogonalization pass. It is MGS because each projection's
+// coefficient is the dot product with v as the previous projection left
+// it, so the 2k projections of both passes form one chain; each axpyDot
+// sweep applies projection j and sums projection j+1's coefficient,
+// 2k+1 sweeps over v in all.
+//
+// The fused chain is bit-identical to axpy(-dot(v, b), b, v) over the
+// basis twice, because every sum runs in index order and every
+// expression keeps the y + a*x and s + a*b shapes of axpy and dot, so
+// compilers that fuse multiply-adds (arm64, GOAMD64=v3) fuse both forms
+// alike. Keep both rules when touching axpyDot, dot or axpy.
 func orthogonalize(v []float64, basis [][]float64) {
-	for pass := 0; pass < 2; pass++ {
-		for _, b := range basis {
-			axpy(-dot(v, b), b, v)
-		}
+	k := len(basis)
+	if k == 0 {
+		return
 	}
+	c := dot(v, basis[0])
+	for j := 1; j < 2*k; j++ {
+		c = axpyDot(-c, basis[(j-1)%k], v, basis[j%k])
+	}
+	axpy(-c, basis[k-1], v)
+}
+
+// axpyDot computes y += a·x and returns the dot product of the updated
+// y with z, in one sweep: bit for bit axpy(a, x, y) followed by
+// dot(y, z).
+func axpyDot(a float64, x, y, z []float64) float64 {
+	x, z = x[:len(y)], z[:len(y)]
+	s := 0.0
+	for i := range y {
+		y[i] += a * x[i]
+		s += y[i] * z[i]
+	}
+	return s
 }
