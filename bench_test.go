@@ -201,6 +201,9 @@ func BenchmarkTrialPathPercolation(b *testing.B) {
 	benchTrialPath(b, "percolation", sweep.ModelIIDNode, 0.05)
 }
 func BenchmarkTrialPathSpan(b *testing.B) { benchTrialPath(b, "span", sweep.ModelIIDNode, 0.05) }
+func BenchmarkTrialPathLambda2(b *testing.B) {
+	benchTrialPath(b, "lambda2", sweep.ModelIIDNode, 0.05)
+}
 
 // BenchmarkTrialPathGammaBlocks is the blocked (trial-parallel) form of
 // the bare trial path: the same 64 trials driven through RunTrialsRange
