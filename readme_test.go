@@ -478,3 +478,35 @@ func TestREADMEDocumentsDistributedSweeps(t *testing.T) {
 		t.Error("README does not promise fleet/single-node byte identity")
 	}
 }
+
+// fuzzCommands returns, in order, the trimmed lines of path that run a
+// fuzz target: a `go test` command with a -fuzz flag.
+func fuzzCommands(t *testing.T, path string) []string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading %s: %v", path, err)
+	}
+	var out []string
+	for _, ln := range strings.Split(string(b), "\n") {
+		ln = strings.TrimSpace(ln)
+		if strings.HasPrefix(ln, "go test ") && strings.Contains(ln, " -fuzz ") {
+			out = append(out, ln)
+		}
+	}
+	return out
+}
+
+// TestREADMEFuzzCommandsMatchCI keeps README's list of fuzz-smoke
+// commands equal, line for line, to the commands CI's fuzz smoke step
+// runs, so a target added to CI cannot go undocumented.
+func TestREADMEFuzzCommandsMatchCI(t *testing.T) {
+	ci := fuzzCommands(t, ".github/workflows/ci.yml")
+	readme := fuzzCommands(t, "README.md")
+	if len(ci) == 0 {
+		t.Fatal("found no -fuzz commands in .github/workflows/ci.yml")
+	}
+	if strings.Join(readme, "\n") != strings.Join(ci, "\n") {
+		t.Errorf("README's fuzz commands:\n%s\nCI runs:\n%s", strings.Join(readme, "\n"), strings.Join(ci, "\n"))
+	}
+}
