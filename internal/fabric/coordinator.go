@@ -168,6 +168,9 @@ type coordJob struct {
 	cancelOnce sync.Once
 	cancelCh   chan struct{}
 	done       chan struct{}
+	// halt is the coordinator's shutdown: a job queued then never turns
+	// terminal (it resumes on the next start), so cancel stops waiting.
+	halt <-chan struct{}
 
 	mu          sync.Mutex
 	state       sweep.JobState
@@ -186,25 +189,53 @@ func (cj *coordJob) cancelRequested() bool {
 	}
 }
 
-// cancel requests the job stop draining at line boundaries. durable=
-// true also writes the store's cancelled marker so a restart doesn't
-// resurrect the job, and returns the error if that write fails; the
-// in-memory cancel happens either way.
-func (cj *coordJob) cancel(durable bool) error {
-	var err error
-	if durable {
-		err = cj.stored.MarkCancelled()
+// stop requests the job stop draining at line boundaries.
+func (cj *coordJob) stop() { cj.cancelOnce.Do(func() { close(cj.cancelCh) }) }
+
+// cancel writes the store's cancelled marker, so a restart doesn't
+// resurrect the job, and stops it, even when the marker write fails. A
+// job still queued cannot be admitted after stop (admit checks under
+// mu), so cancel waits for its immediate cancelled state.
+func (cj *coordJob) cancel() error {
+	err := cj.stored.MarkCancelled()
+	cj.stop()
+	cj.mu.Lock()
+	queued := cj.state == sweep.JobPending
+	cj.mu.Unlock()
+	if queued {
+		select {
+		case <-cj.done:
+		case <-cj.halt:
+		}
 	}
-	cj.cancelOnce.Do(func() { close(cj.cancelCh) })
-	return err
+	if err != nil {
+		return fmt.Errorf("cancelled %s, but a restart would resume it: %v", cj.id, err)
+	}
+	return nil
 }
 
-func (cj *coordJob) setState(s sweep.JobState) {
+// admit moves a job that got a dispatch slot to running, unless a
+// cancel came first.
+func (cj *coordJob) admit() bool {
 	cj.mu.Lock()
-	if !cj.state.Terminal() {
-		cj.state = s
+	defer cj.mu.Unlock()
+	if cj.cancelRequested() {
+		return false
 	}
-	cj.mu.Unlock()
+	cj.state = sweep.JobRunning
+	return true
+}
+
+func (cj *coordJob) jobState() sweep.JobState {
+	cj.mu.Lock()
+	defer cj.mu.Unlock()
+	return cj.state
+}
+
+// line returns merged cell i: shard i mod m's line i div m, exactly as
+// the worker produced (and the durable file holds) it.
+func (cj *coordJob) line(ctx context.Context, i int) ([]byte, bool) {
+	return cj.logs[i%cj.m].next(ctx, i/cj.m)
 }
 
 // finish moves the job to a terminal state exactly once, completing
@@ -280,7 +311,7 @@ func (cj *coordJob) complete() bool {
 	return true
 }
 
-func (cj *coordJob) view() CoordJobView {
+func (cj *coordJob) view(removed bool) any {
 	cj.mu.Lock()
 	state, errMsg := cj.state, cj.errMsg
 	workers := append([]string(nil), cj.shardWorker...)
@@ -294,6 +325,7 @@ func (cj *coordJob) view() CoordJobView {
 			CellsTotal: cj.cells,
 			Err:        errMsg,
 		},
+		Removed: removed,
 	}
 	for i := 0; i < cj.m; i++ {
 		v.Shards = append(v.Shards, ShardView{
@@ -312,12 +344,11 @@ type Coordinator struct {
 	cfg   CoordinatorConfig
 	store *Store
 	sem   chan struct{}
+	jobs  jobTable[*coordJob]
 
 	mu      sync.Mutex
 	workers []*workerRef
 	notify  chan struct{} // closed+replaced when dispatch capacity may have appeared
-	jobs    map[string]*coordJob
-	order   []string
 }
 
 // NewCoordinator opens the fleet registry and rebuilds every job from
@@ -335,8 +366,8 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 		store:  cfg.Store,
 		sem:    make(chan struct{}, cfg.MaxActive),
 		notify: make(chan struct{}),
-		jobs:   map[string]*coordJob{},
 	}
+	c.jobs.onRemove = c.store.Remove
 	for _, addr := range cfg.Workers {
 		cl := NewClient(addr)
 		c.workers = append(c.workers, &workerRef{base: cl.Base, client: cl, lastErr: "not probed yet"})
@@ -357,17 +388,14 @@ func (c *Coordinator) rebuild() error {
 	}
 	for _, sj := range stored {
 		cj, loadErr := c.buildJob(sj, false)
-		c.mu.Lock()
-		c.jobs[cj.id] = cj
-		c.order = append(c.order, cj.id)
-		c.mu.Unlock()
+		c.jobs.add(cj.id, cj)
 		switch {
 		case loadErr != nil:
 			cj.finish(sweep.JobFailed, loadErr)
 		case cj.complete():
 			cj.finish(sweep.JobDone, nil)
 		case sj.Cancelled():
-			cj.cancel(false)
+			cj.stop()
 			cj.finish(sweep.JobCancelled, nil)
 		case sj.Kernel != sweep.KernelVersion:
 			cj.finish(sweep.JobFailed, fmt.Errorf(
@@ -402,6 +430,7 @@ func (c *Coordinator) buildJob(sj *StoredJob, fresh bool) (*coordJob, error) {
 		files:       make([]*os.File, m),
 		cancelCh:    make(chan struct{}),
 		done:        make(chan struct{}),
+		halt:        c.ctx.Done(),
 		state:       sweep.JobPending,
 		shardWorker: make([]string, m),
 		maxBytes:    c.cfg.MaxResultBytes,
@@ -480,42 +509,9 @@ func (c *Coordinator) submit(spec *sweep.Spec, specJSON []byte) (*coordJob, erro
 		return nil, err
 	}
 	cj, _ := c.buildJob(sj, true)
-	c.mu.Lock()
-	c.jobs[cj.id] = cj
-	c.order = append(c.order, cj.id)
-	c.mu.Unlock()
+	c.jobs.add(cj.id, cj)
 	go c.runJob(cj)
 	return cj, nil
-}
-
-func (c *Coordinator) get(id string) (*coordJob, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cj, ok := c.jobs[id]
-	return cj, ok
-}
-
-func (c *Coordinator) list() []*coordJob {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*coordJob, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.jobs[id])
-	}
-	return out
-}
-
-func (c *Coordinator) removeJob(id string) {
-	c.mu.Lock()
-	delete(c.jobs, id)
-	kept := c.order[:0]
-	for _, o := range c.order {
-		if o != id {
-			kept = append(kept, o)
-		}
-	}
-	c.order = kept
-	c.mu.Unlock()
 }
 
 // signalLocked wakes every goroutine waiting for dispatch capacity.
@@ -693,11 +689,10 @@ func (c *Coordinator) runJob(cj *coordJob) {
 		cj.finish(sweep.JobCancelled, nil)
 		return
 	}
-	if cj.cancelRequested() {
+	if !cj.admit() {
 		cj.finish(sweep.JobCancelled, nil)
 		return
 	}
-	cj.setState(sweep.JobRunning)
 	for i := 0; i < cj.m; i++ {
 		f, err := os.OpenFile(cj.stored.ShardPath(i), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o666)
 		if err != nil {
@@ -939,14 +934,7 @@ func (c *Coordinator) health() CoordHealth {
 		MaxActive:     cap(c.sem),
 		Workers:       c.workerViews(),
 	}
-	for _, cj := range c.list() {
-		h.HeldJobs++
-		cj.mu.Lock()
-		if cj.state == sweep.JobRunning {
-			h.ActiveJobs++
-		}
-		cj.mu.Unlock()
-	}
+	h.HeldJobs, h.ActiveJobs = c.jobs.counts()
 	return h
 }
 

@@ -111,6 +111,18 @@ func waitTerminal(t *testing.T, base, id string) CoordJobView {
 	}
 }
 
+// waitState polls the job until it is in state.
+func waitState(t *testing.T, base, id string, state sweep.JobState) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for getJob(t, base, id).Snapshot.State != state {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never reached %s", id, state)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // checkDurableMatchesRef asserts the job's on-disk shard set merges to
 // exactly the single-node bytes — the `faultexp merge -dir` contract.
 func checkDurableMatchesRef(t *testing.T, jobDir, specJSON string, ref []byte) {
@@ -205,7 +217,10 @@ func (f *flakyWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // TestCoordinatorReassignsDeadWorker kills a worker after one streamed
 // record: the coordinator must mark it down, reassign its shard to the
 // survivor with ?skip=1 (resuming, not recomputing, the verified
-// prefix), and still produce byte-identical output.
+// prefix), and still produce byte-identical output. The job is
+// submitted only once both workers probe healthy, so acquire hands the
+// first shard to the first-listed least-loaded worker — the flaky one —
+// instead of letting the good worker drain both shards first.
 func TestCoordinatorReassignsDeadWorker(t *testing.T) {
 	ref := refBytes(t, workerSpecJSON)
 	flaky := &flakyWorker{inner: func() http.Handler {
@@ -217,7 +232,20 @@ func TestCoordinatorReassignsDeadWorker(t *testing.T) {
 	t.Cleanup(flakySrv.Close)
 	good := startWorker(t)
 	storeDir := t.TempDir()
-	_, srv := startCoordinator(t, storeDir, []string{flakySrv.URL, good.URL}, nil)
+	co, srv := startCoordinator(t, storeDir, []string{flakySrv.URL, good.URL}, nil)
+	deadline := time.Now().Add(10 * time.Second)
+	for ready := 0; ready < 2; {
+		ready = 0
+		for _, wv := range co.workerViews() {
+			if wv.Healthy && wv.KernelOK {
+				ready++
+			}
+		}
+		if ready < 2 && time.Now().After(deadline) {
+			t.Fatalf("only %d of 2 workers probed healthy: %+v", ready, co.workerViews())
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	v := submitSpec(t, srv.URL, workerSpecJSON)
 	got := readResults(t, srv.URL, v.ID)
@@ -469,6 +497,81 @@ func TestCoordinatorCancelReportsMarkerFailure(t *testing.T) {
 	}
 	if fin := waitTerminal(t, srv.URL, v.ID); fin.Snapshot.State != sweep.JobCancelled {
 		t.Fatalf("after a failed durable cancel: %s, want cancelled in memory", fin.Snapshot.State)
+	}
+}
+
+// TestCoordinatorCancelQueuedJobAcknowledgedImmediately: with one
+// dispatch slot and no workers, job A holds the slot (running, waiting
+// for workers) and job B queues as pending. DELETE on B must answer
+// with B already cancelled, as serve does, and B's results stream must
+// close empty.
+func TestCoordinatorCancelQueuedJobAcknowledgedImmediately(t *testing.T) {
+	_, srv := startCoordinator(t, t.TempDir(), nil, func(cfg *CoordinatorConfig) { cfg.MaxActive = 1 })
+	a := submitSpec(t, srv.URL, workerSpecJSON)
+	waitState(t, srv.URL, a.ID, sweep.JobRunning)
+	b := submitSpec(t, srv.URL, workerSpecJSON)
+	if s := getJob(t, srv.URL, b.ID).Snapshot.State; s != sweep.JobPending {
+		t.Fatalf("second job state = %q, want pending behind the 1-slot pool", s)
+	}
+
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs/"+b.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v CoordJobView
+	err = json.NewDecoder(resp.Body).Decode(&v)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding DELETE response: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || v.Snapshot.State != sweep.JobCancelled {
+		t.Fatalf("DELETE on a queued job = %d with state %q, want 200 cancelled", resp.StatusCode, v.Snapshot.State)
+	}
+	if got := readResults(t, srv.URL, b.ID); len(got) != 0 {
+		t.Errorf("cancelled queued job streamed %d bytes", len(got))
+	}
+	if s := getJob(t, srv.URL, a.ID).Snapshot.State; s != sweep.JobRunning {
+		t.Errorf("first job state after the queued DELETE = %q, want still running", s)
+	}
+}
+
+// TestCoordinatorCancelQueuedJobAfterShutdown: a job still queued when
+// the coordinator shuts down never turns terminal in memory (it resumes
+// on the next start), so a DELETE arriving then must answer at once,
+// with the durable marker written, rather than wait for a terminal
+// state.
+func TestCoordinatorCancelQueuedJobAfterShutdown(t *testing.T) {
+	storeDir := t.TempDir()
+	st, err := OpenStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, shutdown := context.WithCancel(context.Background())
+	defer shutdown()
+	co, err := NewCoordinator(ctx, CoordinatorConfig{Store: st, MaxActive: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(co.Handler())
+	defer func() {
+		if !t.Failed() { // Close would wait forever on a stuck DELETE
+			srv.Close()
+		}
+	}()
+	a := submitSpec(t, srv.URL, workerSpecJSON)
+	waitState(t, srv.URL, a.ID, sweep.JobRunning)
+	b := submitSpec(t, srv.URL, workerSpecJSON)
+	shutdown()
+	readResults(t, srv.URL, b.ID) // ends once shutdown has settled b's run
+
+	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer dcancel()
+	if err := NewClient(srv.URL).Delete(dctx, b.ID); err != nil {
+		t.Fatalf("DELETE on a job queued at shutdown: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(storeDir, b.ID, "cancelled")); err != nil {
+		t.Error("DELETE after shutdown left no durable cancelled marker")
 	}
 }
 

@@ -148,7 +148,7 @@ type servedJob struct {
 	cancelled  chan struct{}
 
 	// mu guards the admission/cancellation handshake between the pool
-	// runner (beginRun) and DELETE (requestCancel): exactly one of
+	// runner (beginRun) and DELETE (cancel): exactly one of
 	// "admitted to a slot" and "cancelled while queued" wins, so a
 	// queued job's DELETE can safely wait for the (immediate) terminal
 	// state instead of racing a Start it cannot see.
@@ -157,7 +157,9 @@ type servedJob struct {
 	cancelRequested bool
 }
 
-func (s *servedJob) cancel() {
+// stop cancels the job without waiting: a queued job leaves the queue,
+// a running one drains at a cell boundary.
+func (s *servedJob) stop() {
 	s.cancelOnce.Do(func() {
 		s.mu.Lock()
 		s.cancelRequested = true
@@ -167,20 +169,27 @@ func (s *servedJob) cancel() {
 	})
 }
 
-// requestCancel cancels the job and reports whether it was still queued
-// (never admitted to a pool slot). When queued=true the run goroutine
-// is guaranteed to take the pre-cancelled path — Start with a cancelled
-// job dispatches nothing — so the caller may block on job.Done() for a
-// prompt, acknowledged terminal state. sync.Once makes the ordering
-// sound for concurrent DELETEs: cancel() returns only after
-// cancelRequested is set, and beginRun checks it under mu.
-func (s *servedJob) requestCancel() (queued bool) {
-	s.cancel()
+// cancel stops the job, and when it was still queued (never admitted
+// to a pool slot) waits for its terminal state: the run goroutine is
+// then guaranteed to take the pre-cancelled path — Start with a
+// cancelled job dispatches nothing — so the wait is immediate.
+// sync.Once makes the ordering sound for concurrent DELETEs: stop
+// returns only after cancelRequested is set, and beginRun checks it
+// under mu.
+func (s *servedJob) cancel() error {
+	s.stop()
 	s.mu.Lock()
-	queued = !s.admitted
+	queued := !s.admitted
 	s.mu.Unlock()
-	return queued
+	if queued {
+		<-s.job.Done()
+	}
+	return nil
 }
+
+func (s *servedJob) jobState() sweep.JobState { return s.job.Snapshot().State }
+
+func (s *servedJob) line(ctx context.Context, i int) ([]byte, bool) { return s.log.next(ctx, i) }
 
 // beginRun claims the admission slot for a real run. It fails exactly
 // when a cancel was requested first — the queued-DELETE case — and the
@@ -222,14 +231,14 @@ type Config struct {
 // (the same surface, driven by a coordinator via the shard/skip query
 // parameters on POST /v1/jobs).
 type Server struct {
-	ctx context.Context
-	sem chan struct{}
-	cfg Config
+	ctx  context.Context
+	sem  chan struct{}
+	cfg  Config
+	jobs jobTable[*servedJob]
 
-	mu    sync.Mutex
-	jobs  map[string]*servedJob
-	order []string
-	seq   int
+	// mu serializes submit's room check, id and insert.
+	mu  sync.Mutex
+	seq int
 }
 
 // NewServer builds a Server whose jobs run under ctx (cancelling it
@@ -242,10 +251,9 @@ func NewServer(ctx context.Context, cfg Config) *Server {
 		cfg.MaxJobs = 64
 	}
 	return &Server{
-		ctx:  ctx,
-		sem:  make(chan struct{}, cfg.MaxActive),
-		cfg:  cfg,
-		jobs: map[string]*servedJob{},
+		ctx: ctx,
+		sem: make(chan struct{}, cfg.MaxActive),
+		cfg: cfg,
 	}
 }
 
@@ -260,13 +268,7 @@ func (m *Server) submit(spec *sweep.Spec, opts ...sweep.JobOption) (*servedJob, 
 		return nil, err
 	}
 	m.mu.Lock()
-	if len(m.jobs) >= m.cfg.MaxJobs {
-		// Make room by evicting finished jobs, oldest first; only when
-		// every held job is still queued or running is the store truly
-		// full.
-		m.evictTerminalLocked(len(m.jobs) - m.cfg.MaxJobs + 1)
-	}
-	if len(m.jobs) >= m.cfg.MaxJobs {
+	if !m.jobs.makeRoom(m.cfg.MaxJobs) {
 		m.mu.Unlock()
 		return nil, errTooManyJobs
 	}
@@ -278,47 +280,13 @@ func (m *Server) submit(spec *sweep.Spec, opts ...sweep.JobOption) (*servedJob, 
 		created:   time.Now(),
 		cancelled: make(chan struct{}),
 	}
-	m.jobs[sj.id] = sj
-	m.order = append(m.order, sj.id)
+	m.jobs.add(sj.id, sj)
 	m.mu.Unlock()
 	go m.run(sj)
 	return sj, nil
 }
 
 var errTooManyJobs = fmt.Errorf("job store full")
-
-// evictTerminalLocked drops up to n of the oldest terminal jobs (their
-// result logs with them). Active jobs are never evicted. Caller holds
-// m.mu.
-func (m *Server) evictTerminalLocked(n int) {
-	kept := m.order[:0]
-	for _, id := range m.order {
-		if n > 0 && m.jobs[id].job.Snapshot().State.Terminal() {
-			delete(m.jobs, id)
-			n--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	m.order = kept
-}
-
-// remove drops one job from the store (the DELETE-a-finished-job path).
-func (m *Server) remove(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.jobs[id]; !ok {
-		return
-	}
-	delete(m.jobs, id)
-	kept := m.order[:0]
-	for _, o := range m.order {
-		if o != id {
-			kept = append(kept, o)
-		}
-	}
-	m.order = kept
-}
 
 // run waits for a pool slot, executes the job, and completes its result
 // log. A job cancelled while queued (DELETE, or server shutdown) still
@@ -337,7 +305,7 @@ func (m *Server) run(sj *servedJob) {
 	}
 	if !acquired || !sj.beginRun() {
 		// Never got a slot, or was cancelled between queueing and
-		// admission (beginRun loses to requestCancel exactly once, under
+		// admission (beginRun loses to cancel exactly once, under
 		// the same lock): start pre-cancelled so Wait/Snapshot/streams
 		// all resolve through the ordinary cancelled terminal state —
 		// immediately, without computing anything.
@@ -351,28 +319,10 @@ func (m *Server) run(sj *servedJob) {
 	sj.log.finish()
 }
 
-func (m *Server) get(id string) (*servedJob, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sj, ok := m.jobs[id]
-	return sj, ok
-}
-
-// list returns the jobs in submission order.
-func (m *Server) list() []*servedJob {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*servedJob, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.jobs[id])
-	}
-	return out
-}
-
 // CancelAll is the shutdown path: every job drains at a cell boundary.
 func (m *Server) CancelAll() {
-	for _, sj := range m.list() {
-		sj.cancel()
+	for _, sj := range m.jobs.list() {
+		sj.stop()
 	}
 }
 
@@ -386,8 +336,8 @@ type JobView struct {
 	Removed bool `json:"removed,omitempty"`
 }
 
-func (s *servedJob) view() JobView {
-	return JobView{ID: s.id, Created: s.created, Snapshot: s.job.Snapshot()}
+func (s *servedJob) view(removed bool) any {
+	return JobView{ID: s.id, Created: s.created, Snapshot: s.job.Snapshot(), Removed: removed}
 }
 
 // Health is the GET /healthz body, on workers and the coordinator
@@ -427,14 +377,7 @@ func (m *Server) health() Health {
 		KernelVersion: sweep.KernelVersion,
 		MaxActive:     cap(m.sem),
 	}
-	m.mu.Lock()
-	h.HeldJobs = len(m.jobs)
-	for _, sj := range m.jobs {
-		if sj.job.Snapshot().State == sweep.JobRunning {
-			h.ActiveJobs++
-		}
-	}
-	m.mu.Unlock()
+	h.HeldJobs, h.ActiveJobs = m.jobs.counts()
 	return h
 }
 
@@ -442,11 +385,8 @@ func (m *Server) health() Health {
 func (m *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", m.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", m.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", m.handleGet)
-	mux.HandleFunc("GET /v1/jobs/{id}/results", m.handleResults)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", m.handleCancel)
 	mux.HandleFunc("GET /healthz", m.handleHealth)
+	m.jobs.register(mux)
 	return mux
 }
 
@@ -510,108 +450,5 @@ func (m *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+sj.id)
-	writeJSON(w, http.StatusCreated, sj.view())
-}
-
-func (m *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := m.list()
-	views := make([]JobView, len(jobs))
-	for i, sj := range jobs {
-		views[i] = sj.view()
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
-}
-
-func (m *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	sj, ok := m.get(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, sj.view())
-}
-
-// handleCancel: DELETE on a running job cancels it and returns at once
-// (the job object stays queryable so clients can watch the drain);
-// DELETE on a still-queued job cancels it immediately — no waiting for
-// pool admission — and the response already shows the cancelled
-// terminal state; DELETE on a job already in a terminal state removes
-// it from the store, freeing its result log — the explicit form of the
-// eviction submit performs when the store fills.
-func (m *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	sj, ok := m.get(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return
-	}
-	v := sj.view()
-	if v.Snapshot.State.Terminal() {
-		m.remove(sj.id)
-		v.Removed = true
-		writeJSON(w, http.StatusOK, v)
-		return
-	}
-	if sj.requestCancel() {
-		// The job never reached a pool slot, so it terminates without
-		// computing anything — await that (it is immediate) so the
-		// response acknowledges the cancellation instead of racing it
-		// with a stale "pending" snapshot.
-		<-sj.job.Done()
-	}
-	writeJSON(w, http.StatusOK, sj.view())
-}
-
-// handleResults streams the job's JSONL live: records already produced
-// flush immediately, later ones as the workers emit them, and the
-// response ends when the job reaches a terminal state. ?from=K skips
-// the first K records — the re-attach path for clients that lost a
-// stream (the records are deterministic, so the spliced stream is
-// byte-identical to an unbroken one).
-func (m *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	sj, ok := m.get(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return
-	}
-	from, ok := parseFrom(w, r)
-	if !ok {
-		return
-	}
-	streamLog(w, r, from, sj.log.next)
-}
-
-// parseFrom reads the ?from=K re-attach parameter, writing the error
-// response itself on a bad value.
-func parseFrom(w http.ResponseWriter, r *http.Request) (int, bool) {
-	tok := r.URL.Query().Get("from")
-	if tok == "" {
-		return 0, true
-	}
-	n, err := strconv.Atoi(tok)
-	if err != nil || n < 0 {
-		httpError(w, http.StatusBadRequest, "bad from=%q, want a cell index ≥ 0", tok)
-		return 0, false
-	}
-	return n, true
-}
-
-// streamLog follows a record stream from line `from` until next
-// reports its end, flushing each line as it lands. next blocks until
-// line i exists or the stream is over (ctx cancelled, run finished) —
-// resultLog.next for a serve job, the shard interleave for a fleet job.
-func streamLog(w http.ResponseWriter, r *http.Request, from int, next func(ctx context.Context, i int) ([]byte, bool)) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	for i := from; ; i++ {
-		line, ok := next(r.Context(), i)
-		if !ok {
-			return
-		}
-		if _, err := w.Write(line); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	writeJSON(w, http.StatusCreated, sj.view(false))
 }
