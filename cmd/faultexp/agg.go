@@ -17,7 +17,7 @@ import (
 	"faultexp/internal/sweep"
 )
 
-func cmdAgg(ctx context.Context, args []string) error {
+func cmdAgg(ctx context.Context, args []string) (err error) {
 	ctx, stop := signalContext(ctx)
 	defer stop()
 	fs := flag.NewFlagSet("agg", flag.ExitOnError)
@@ -76,28 +76,22 @@ func cmdAgg(ctx context.Context, args []string) error {
 	if *csvOut == "" && *jsonlOut == "" {
 		*csvOut = "-"
 	}
-	var closers []func() error
-	defer func() {
-		for _, c := range closers {
-			c()
-		}
-	}()
+	var outs outputs
+	defer outs.close(&err)
 	if *csvOut != "" {
-		w, cl, err := openOutput(*csvOut)
+		w, err := outs.open(*csvOut)
 		if err != nil {
 			return err
 		}
-		closers = append(closers, cl)
 		if err := agg.WriteCSV(w); err != nil {
 			return err
 		}
 	}
 	if *jsonlOut != "" {
-		w, cl, err := openOutput(*jsonlOut)
+		w, err := outs.open(*jsonlOut)
 		if err != nil {
 			return err
 		}
-		closers = append(closers, cl)
 		if err := agg.WriteJSONL(w); err != nil {
 			return err
 		}

@@ -140,17 +140,34 @@ func (c ctxReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
-// openOutput opens an output destination flag's value: "-" is stdout
-// (whose closer does nothing), anything else a created file.
-func openOutput(path string) (io.Writer, func() error, error) {
+// outputs collects the files a command writes so that it can close
+// them all and report a failed Close: a write the OS reports only at
+// close must not end in exit 0.
+type outputs []io.Closer
+
+// open opens an output destination flag's value: "-" is stdout, which
+// is never closed, and anything else a created file that close closes.
+func (o *outputs) open(path string) (io.Writer, error) {
 	if path == "-" {
-		return os.Stdout, func() error { return nil }, nil
+		return os.Stdout, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return f, f.Close, nil
+	*o = append(*o, f)
+	return f, nil
+}
+
+// close closes every collected file. A command defers it on its named
+// error result: a run that failed keeps its own error, and a run that
+// succeeded returns the first Close error.
+func (o *outputs) close(err *error) {
+	for _, c := range *o {
+		if cerr := c.Close(); cerr != nil && *err == nil {
+			*err = cerr
+		}
+	}
 }
 
 func usage() {
@@ -212,23 +229,23 @@ func graphFlags(fs *flag.FlagSet) func() (*graph.Graph, []int, error) {
 	}
 }
 
-func cmdGen(args []string) error {
+func cmdGen(args []string) (err error) {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	load := graphFlags(fs)
-	out := fs.String("out", "", "output file (default stdout)")
+	out := fs.String("out", "", `output file ("-" = stdout; default stdout)`)
 	fs.Parse(args)
 	g, _, err := load()
 	if err != nil {
 		return err
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if *out == "" {
+		*out = "-"
+	}
+	var outs outputs
+	defer outs.close(&err)
+	w, err := outs.open(*out)
+	if err != nil {
+		return err
 	}
 	return g.Write(w)
 }

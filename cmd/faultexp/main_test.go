@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -81,5 +83,53 @@ func TestOneOffCommandsRejectOutOfRangeFlags(t *testing.T) {
 		if !strings.Contains(err.Error(), c.flag) {
 			t.Errorf("%s %v: error %q does not name %s", c.name, c.args, err, c.flag)
 		}
+	}
+}
+
+// failingCloser is an output file whose Close reports a failed write.
+type failingCloser struct{ closes *int }
+
+func (f failingCloser) Close() error {
+	*f.closes++
+	return errors.New("close: no space left on device")
+}
+
+// TestOutputsCloseReportsFailure pins the output helper's contract, used
+// the way the commands use it (deferred on a named error result): every
+// collected file is closed, a successful run returns the first Close
+// error instead of exiting 0, a failed run keeps its own error, and
+// stdout is handed out but never closed.
+func TestOutputsCloseReportsFailure(t *testing.T) {
+	closes := 0
+	run := func(runErr error) (err error) {
+		outs := outputs{failingCloser{&closes}, failingCloser{&closes}}
+		defer outs.close(&err)
+		return runErr
+	}
+	if err := run(nil); err == nil || !strings.Contains(err.Error(), "no space left") {
+		t.Errorf("successful run with a failing Close returned %v, want the Close error", err)
+	}
+	if closes != 2 {
+		t.Errorf("%d of 2 files closed", closes)
+	}
+	runErr := errors.New("run failed")
+	if err := run(runErr); err != runErr {
+		t.Errorf("failed run returned %v, want its own error", err)
+	}
+
+	var outs outputs
+	if w, err := outs.open("-"); err != nil || w != io.Writer(os.Stdout) || len(outs) != 0 {
+		t.Errorf(`open("-") = %v, %v with %d collected, want stdout and nothing to close`, w, err, len(outs))
+	}
+	path := filepath.Join(t.TempDir(), "out.jsonl")
+	w, err := outs.open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.WriteString(w, "{}\n")
+	err = nil
+	outs.close(&err)
+	if b, rerr := os.ReadFile(path); err != nil || rerr != nil || string(b) != "{}\n" {
+		t.Errorf("file output: close err %v, read %q (%v)", err, b, rerr)
 	}
 }

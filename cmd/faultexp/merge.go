@@ -14,7 +14,7 @@ import (
 	"faultexp/internal/sweep"
 )
 
-func cmdMerge(ctx context.Context, args []string) error {
+func cmdMerge(ctx context.Context, args []string) (err error) {
 	ctx, stop := signalContext(ctx)
 	defer stop()
 	fs := flag.NewFlagSet("merge", flag.ExitOnError)
@@ -69,28 +69,20 @@ func cmdMerge(ctx context.Context, args []string) error {
 	if *jsonlOut == "" && *csvOut == "" {
 		*jsonlOut = "-"
 	}
-	var closers []func() error
-	defer func() {
-		for _, c := range closers {
-			c()
-		}
-	}()
+	var outs outputs
+	defer outs.close(&err)
 	var jsonlW io.Writer
 	if *jsonlOut != "" {
-		w, cl, err := openOutput(*jsonlOut)
-		if err != nil {
+		if jsonlW, err = outs.open(*jsonlOut); err != nil {
 			return err
 		}
-		closers = append(closers, cl)
-		jsonlW = w
 	}
 	var csvW sweep.Writer
 	if *csvOut != "" {
-		w, cl, err := openOutput(*csvOut)
+		w, err := outs.open(*csvOut)
 		if err != nil {
 			return err
 		}
-		closers = append(closers, cl)
 		csvW = sweep.NewCSV(w)
 	}
 

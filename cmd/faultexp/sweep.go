@@ -30,7 +30,7 @@ import (
 // mid-run.
 var sweepCellHook func(done, total int)
 
-func cmdSweep(ctx context.Context, args []string) error {
+func cmdSweep(ctx context.Context, args []string) (err error) {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	specFile := fs.String("spec", "", "JSON grid spec file (overrides the grid flags)")
 	families := fs.String("families", "", "comma list of family:size[:k], e.g. torus:8x8,hypercube:6,smallworld:256x4:25")
@@ -117,31 +117,25 @@ func cmdSweep(ctx context.Context, args []string) error {
 		*jsonlOut = "-"
 	}
 	var writers sweep.MultiWriter
-	var closers []func() error
-	defer func() {
-		for _, c := range closers {
-			c()
-		}
-	}()
+	var outs outputs
+	defer outs.close(&err)
 	switch {
 	case resumeFile != nil:
-		closers = append(closers, resumeFile.Close)
+		outs = append(outs, resumeFile)
 		writers = append(writers, sweep.NewJSONL(resumeFile))
 	default:
 		if *jsonlOut != "" {
-			w, cl, err := openOutput(*jsonlOut)
+			w, err := outs.open(*jsonlOut)
 			if err != nil {
 				return err
 			}
-			closers = append(closers, cl)
 			writers = append(writers, sweep.NewJSONL(w))
 		}
 		if *csvOut != "" {
-			w, cl, err := openOutput(*csvOut)
+			w, err := outs.open(*csvOut)
 			if err != nil {
 				return err
 			}
-			closers = append(closers, cl)
 			writers = append(writers, sweep.NewCSV(w))
 		}
 	}
