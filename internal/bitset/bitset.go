@@ -40,13 +40,6 @@ func (s *Set) Add(i int) {
 	s.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
 
-// Flip toggles element i and reports whether it is now present.
-func (s *Set) Flip(i int) bool {
-	s.check(i)
-	s.words[i/wordBits] ^= 1 << uint(i%wordBits)
-	return s.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
-}
-
 // Contains reports whether element i is present.
 func (s *Set) Contains(i int) bool {
 	if i < 0 || i >= s.n {
@@ -97,28 +90,6 @@ func (s *Set) Resize(n int) {
 	s.ClearAll()
 }
 
-// Fill adds every element of the universe.
-func (s *Set) Fill() {
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	s.trim()
-}
-
-// trim zeroes the bits beyond the universe in the last word.
-func (s *Set) trim() {
-	if r := s.n % wordBits; r != 0 && len(s.words) > 0 {
-		s.words[len(s.words)-1] &= (1 << uint(r)) - 1
-	}
-}
-
-// Clone returns an independent copy of s.
-func (s *Set) Clone() *Set {
-	w := make([]uint64, len(s.words))
-	copy(w, s.words)
-	return &Set{words: w, n: s.n}
-}
-
 func (s *Set) compat(t *Set) {
 	if s.n != t.n {
 		panic(fmt.Sprintf("bitset: capacity mismatch %d vs %d", s.n, t.n))
@@ -131,53 +102,6 @@ func (s *Set) Or(t *Set) {
 	for i, w := range t.words {
 		s.words[i] |= w
 	}
-}
-
-// And sets s to s ∩ t.
-func (s *Set) And(t *Set) {
-	s.compat(t)
-	for i, w := range t.words {
-		s.words[i] &= w
-	}
-}
-
-// Xor sets s to the symmetric difference of s and t.
-func (s *Set) Xor(t *Set) {
-	s.compat(t)
-	for i, w := range t.words {
-		s.words[i] ^= w
-	}
-}
-
-// Complement sets s to the complement of s within the universe.
-func (s *Set) Complement() {
-	for i := range s.words {
-		s.words[i] = ^s.words[i]
-	}
-	s.trim()
-}
-
-// Equal reports whether s and t contain exactly the same elements.
-func (s *Set) Equal(t *Set) bool {
-	if s.n != t.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != t.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// DifferenceCount returns |s \ t| without materializing the difference.
-func (s *Set) DifferenceCount(t *Set) int {
-	s.compat(t)
-	c := 0
-	for i, w := range t.words {
-		c += bits.OnesCount64(s.words[i] &^ w)
-	}
-	return c
 }
 
 // ForEach calls fn for every element of s in increasing order. If fn
@@ -246,24 +170,6 @@ func (s *Set) NextClear(i int) int {
 		}
 	}
 	return -1
-}
-
-// Range calls fn for every set element of [lo, hi) in increasing order,
-// skipping empty words; if fn returns false, iteration stops early.
-// It is ForEach restricted to a window, for callers that partition the
-// universe.
-func (s *Set) Range(lo, hi int, fn func(i int) bool) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > s.n {
-		hi = s.n
-	}
-	for i := s.NextSet(lo); i >= 0 && i < hi; i = s.NextSet(i + 1) {
-		if !fn(i) {
-			return
-		}
-	}
 }
 
 // Min returns the smallest element, or -1 if the set is empty.
