@@ -40,10 +40,6 @@ type Options struct {
 	// ExactMaxN: graphs with at most this many vertices use the exact
 	// subset DP. Default 16; hard cap expansion.MaxExactN.
 	ExactMaxN int
-	// Seeds: number of BFS-ball seed vertices. Default 2·log₂(n)+4.
-	Seeds int
-	// LocalSearch: number of greedy improvement passes. Default 3.
-	LocalSearch int
 	// RNG supplies randomness; required (the finder panics without it).
 	RNG *xrand.RNG
 
@@ -54,21 +50,12 @@ type Options struct {
 	DisableLocalSearch bool // skip greedy refinement
 }
 
-func (o Options) withDefaults(n int) Options {
+func (o Options) withDefaults() Options {
 	if o.ExactMaxN == 0 {
 		o.ExactMaxN = 16
 	}
 	if o.ExactMaxN > expansion.MaxExactN {
 		o.ExactMaxN = expansion.MaxExactN
-	}
-	if o.Seeds == 0 {
-		o.Seeds = 4
-		for s := n; s > 1; s >>= 1 {
-			o.Seeds += 2
-		}
-	}
-	if o.LocalSearch == 0 {
-		o.LocalSearch = 3
 	}
 	if o.RNG == nil {
 		panic("cuts: Options.RNG is required")
@@ -212,11 +199,14 @@ func bestPrefix(g *graph.Graph, ord []int, mode Mode, maxSize int, scr *finderSc
 	return bestK
 }
 
-// ballCandidates grows BFS balls from sampled seeds and evaluates each
-// prefix of the BFS order (always a connected set).
-func ballCandidates(g *graph.Graph, maxSize int, opt Options, rng *xrand.RNG, ws *Workspace, f *finder) {
+// ballCandidates grows BFS balls from 4 + 2⌊log₂ n⌋ sampled seeds and
+// evaluates each prefix of the BFS order (always a connected set).
+func ballCandidates(g *graph.Graph, maxSize int, rng *xrand.RNG, ws *Workspace, f *finder) {
 	n := g.N()
-	seeds := opt.Seeds
+	seeds := 4
+	for s := n; s > 1; s >>= 1 {
+		seeds += 2
+	}
 	if seeds > n {
 		seeds = n
 	}
@@ -347,6 +337,9 @@ func (s *liState) remove(v int) {
 		s.boundary++
 	}
 }
+
+// localSearchPasses is the number of greedy improvement passes.
+const localSearchPasses = 3
 
 // localImprove greedily moves single vertices in/out of the set while the
 // quotient improves, up to the given number of passes. The returned set

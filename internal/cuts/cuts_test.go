@@ -93,7 +93,6 @@ func TestHeuristicMatchesExactOnMediumMesh(t *testing.T) {
 
 func TestBallCandidatesConnected(t *testing.T) {
 	g := gen.Torus(8, 8)
-	o := opts(6).withDefaults(g.N())
 	ws := &Workspace{}
 	f := finder{g: g, mode: NodeMode, maxSize: 20, ws: ws}
 	seen := 0
@@ -106,7 +105,7 @@ func TestBallCandidatesConnected(t *testing.T) {
 			t.Fatalf("ball candidate %v not connected", set)
 		}
 	}
-	ballCandidates(g, 20, o, xrand.New(6), ws, &f)
+	ballCandidates(g, 20, xrand.New(6), ws, &f)
 	if seen == 0 {
 		t.Fatal("ball sweep produced no candidates")
 	}

@@ -19,7 +19,7 @@ func EstimateNodeExpansion(g *graph.Graph, opt Options) (expansion.Result, bool)
 // call on the same workspace.
 func EstimateNodeExpansionWs(g *graph.Graph, opt Options, ws *Workspace) (expansion.Result, bool) {
 	n := g.N()
-	opt = opt.withDefaults(n)
+	opt = opt.withDefaults()
 	r, ok := FindBestWs(g, NodeMode, n/2, false, opt, ws)
 	if !ok {
 		return expansion.Result{}, false
@@ -41,7 +41,7 @@ func EstimateEdgeExpansion(g *graph.Graph, opt Options) (expansion.Result, bool)
 // call on the same workspace.
 func EstimateEdgeExpansionWs(g *graph.Graph, opt Options, ws *Workspace) (expansion.Result, bool) {
 	n := g.N()
-	opt = opt.withDefaults(n)
+	opt = opt.withDefaults()
 	r, ok := FindBestWs(g, EdgeMode, n/2, false, opt, ws)
 	if !ok {
 		return expansion.Result{}, false

@@ -151,7 +151,7 @@ func FindBestWs(g *graph.Graph, mode Mode, maxSize int, connected bool, opt Opti
 	if maxSize > n-1 {
 		maxSize = n - 1
 	}
-	opt = opt.withDefaults(n)
+	opt = opt.withDefaults()
 
 	f := finder{g: g, mode: mode, maxSize: maxSize, connected: connected, ws: ws}
 
@@ -188,14 +188,14 @@ func FindBestWs(g *graph.Graph, mode Mode, maxSize int, connected bool, opt Opti
 		}
 		if !opt.DisableBalls {
 			ws.ballRNG.Reseed(base ^ 0x5A5A5A5A5A5A5A5A)
-			ballCandidates(g, maxSize, opt, &ws.ballRNG, ws, &f)
+			ballCandidates(g, maxSize, &ws.ballRNG, ws, &f)
 		}
 		// Local search refinement of the incumbent (unconstrained mode
 		// only; connectivity-preserving moves are handled by the ball
 		// sweep supplying connected candidates).
 		if f.have && !connected && !opt.DisableLocalSearch {
 			ws.localRNG.Reseed(base ^ 0x3C3C3C3C3C3C3C3C)
-			improved := localImprove(g, f.best.Set, mode, maxSize, opt.LocalSearch, &ws.localRNG, ws)
+			improved := localImprove(g, f.best.Set, mode, maxSize, localSearchPasses, &ws.localRNG, ws)
 			f.consider(improved)
 		}
 	}
