@@ -6,17 +6,17 @@ package gen
 // flags and the sweep grid specs. Keeping the registry here (rather
 // than in cmd/faultexp) lets every layer — CLI, sweep engine, tests —
 // build identical graphs from the same spec, and mirrors the measure
-// (sweep.Register) and fault-model (faults.ModelByName)
-// registries: a new family is one RegisterFamily call away from every
-// grid axis.
+// (sweep.Register) and fault-model (faults.ModelByName) registries: a
+// family added here with register reaches every grid axis.
 //
-// Every registry entry is split into a plan (parse the size token and
-// estimate vertex/edge counts — no allocation proportional to the
-// graph) and a construct (actually build). The split is what makes
-// three things possible from one definition: budget-parametrized builds
-// (exact sweeps keep the OOM guard, sampled-precision sweeps get the
-// raised caps), dry-run memory estimates without building, and cap
-// errors that know which tier the caller is on.
+// Every registry entry is a plan: parse the size token and k once,
+// check the estimated vertex and edge counts against a budget (no
+// allocation proportional to the graph), and return a build closure
+// over the parsed values. One plan gives three things: budget-
+// parametrized builds (exact sweeps keep the OOM guard, sampled-
+// precision sweeps get the raised caps), dry-run memory estimates
+// without building, and cap errors that know which tier the caller is
+// on.
 
 import (
 	"fmt"
@@ -110,17 +110,20 @@ type Family interface {
 	Build(size string, k int, rng *xrand.RNG) (*graph.Graph, []int, error)
 }
 
-// familyDef is the concrete registry entry: a size/budget plan and a
-// construct, composed by Build.
+// buildFunc builds a planned graph, drawing from rng if the family is
+// randomized. The returned dims are the parsed lattice dimensions (nil
+// for non-lattice families).
+type buildFunc func(rng *xrand.RNG) (*graph.Graph, []int, error)
+
+// familyDef is the one implementation of Family: metadata plus a plan.
 type familyDef struct {
 	name, sizeSyntax, kUse, doc string
 
-	// plan parses size/k and returns the estimated vertex and edge
-	// counts and lattice dims, rejecting anything over budget b. It
-	// must not allocate proportionally to the graph.
-	plan func(size string, k int, b Budget) (n, m int64, dims []int, err error)
-	// construct builds the graph; only called after plan accepted.
-	construct func(size string, k int, rng *xrand.RNG) (*graph.Graph, []int, error)
+	// plan parses size and k once, rejects anything over budget b, and
+	// returns the estimated vertex and edge counts with a build closure
+	// over the parsed values. It must not allocate proportionally to
+	// the graph.
+	plan func(size string, k int, b Budget) (n, m int64, build buildFunc, err error)
 }
 
 func (f *familyDef) Name() string       { return f.name }
@@ -128,41 +131,31 @@ func (f *familyDef) SizeSyntax() string { return f.sizeSyntax }
 func (f *familyDef) KUse() string       { return f.kUse }
 func (f *familyDef) Doc() string        { return f.doc }
 func (f *familyDef) Build(size string, k int, rng *xrand.RNG) (*graph.Graph, []int, error) {
-	return f.BuildBudget(size, k, DefaultBudget, rng)
-}
-
-// BuildBudget is Build under an explicit cap pair: the sweep engine
-// passes SampledBudget for sampled-precision cells.
-func (f *familyDef) BuildBudget(size string, k int, b Budget, rng *xrand.RNG) (*graph.Graph, []int, error) {
-	if _, _, _, err := f.plan(size, k, b); err != nil {
-		return nil, nil, err
-	}
-	return f.construct(size, k, rng)
+	return FromFamily(f.name, size, k, rng)
 }
 
 var (
 	familyOrder []Family
-	familyIndex = map[string]Family{}
+	familyIndex = map[string]*familyDef{}
 )
 
-// RegisterFamily adds a family to the global registry; duplicate or
-// empty names panic (a wiring bug, mirroring sweep.Register).
-func RegisterFamily(f Family) {
-	name := f.Name()
-	if name == "" {
-		panic("gen: RegisterFamily with empty name")
+// register adds a family to the registry; a duplicate name panics (a
+// wiring bug, mirroring sweep.Register).
+func register(f *familyDef) {
+	if _, dup := familyIndex[f.name]; dup {
+		panic("gen: duplicate family " + f.name)
 	}
-	if _, dup := familyIndex[name]; dup {
-		panic("gen: duplicate family " + name)
-	}
-	familyIndex[name] = f
+	familyIndex[f.name] = f
 	familyOrder = append(familyOrder, f)
 }
 
-// FamilyByName resolves a registered family name.
+// FamilyByName resolves a registered family name; an unknown name gives
+// a nil Family.
 func FamilyByName(name string) (Family, bool) {
-	f, ok := familyIndex[name]
-	return f, ok
+	if f, ok := familyIndex[name]; ok {
+		return f, true
+	}
+	return nil, false
 }
 
 // Families returns the registered families in registration (canonical
@@ -211,18 +204,19 @@ func ParseDimsBudget(s string, b Budget) ([]int, error) {
 	return dims, nil
 }
 
-// checkBudget rejects a family instance whose estimated vertex or edge
-// count exceeds the build caps, naming the cap constant and — on the
-// default tier — pointing at the sampled-precision route.
-func checkBudget(family, size string, n, m int64, b Budget) error {
+// budgeted ends every plan: it rejects estimated vertex or edge counts
+// over b's caps, naming the cap constant and — on the default tier —
+// pointing at the sampled-precision route, and otherwise returns them
+// with build.
+func budgeted(family, size string, n, m int64, b Budget, build buildFunc) (int64, int64, buildFunc, error) {
 	vName, eName, hint := b.capNote()
 	if n > b.MaxV {
-		return fmt.Errorf("family %q size %q needs %d vertices (cap %s = %d)%s", family, size, n, vName, b.MaxV, hint)
+		return 0, 0, nil, fmt.Errorf("family %q size %q needs %d vertices (cap %s = %d)%s", family, size, n, vName, b.MaxV, hint)
 	}
 	if m > b.MaxE {
-		return fmt.Errorf("family %q size %q needs ~%d edges (cap %s = %d)%s", family, size, m, eName, b.MaxE, hint)
+		return 0, 0, nil, fmt.Errorf("family %q size %q needs ~%d edges (cap %s = %d)%s", family, size, m, eName, b.MaxE, hint)
 	}
-	return nil
+	return n, m, build, nil
 }
 
 // parseSingle parses the size token of a family that takes one integer,
@@ -255,27 +249,19 @@ func parsePair(family, size string, b Budget) (n, d int, err error) {
 
 // latticeFamily builds a mesh-style family whose size token is a full
 // dimension list.
-func latticeFamily(name, doc string, build func(dims ...int) *graph.Graph) Family {
+func latticeFamily(name, doc string, build func(dims ...int) *graph.Graph) *familyDef {
 	return &familyDef{
 		name: name, sizeSyntax: "L1xL2[x…]", doc: doc,
-		plan: func(size string, _ int, b Budget) (int64, int64, []int, error) {
+		plan: func(size string, _ int, b Budget) (int64, int64, buildFunc, error) {
 			dims, err := ParseDimsBudget(size, b)
 			if err != nil {
 				return 0, 0, nil, err
 			}
 			// ≤ len(dims) edges per vertex in a lattice.
-			n, m := prodDims(dims), prodDims(dims)*int64(len(dims))
-			if err := checkBudget(name, size, n, m, b); err != nil {
-				return 0, 0, nil, err
-			}
-			return n, m, dims, nil
-		},
-		construct: func(size string, _ int, _ *xrand.RNG) (*graph.Graph, []int, error) {
-			dims, err := ParseDimsBudget(size, estimateBudget)
-			if err != nil {
-				return nil, nil, err
-			}
-			return build(dims...), dims, nil
+			n := prodDims(dims)
+			return budgeted(name, size, n, n*int64(len(dims)), b, func(*xrand.RNG) (*graph.Graph, []int, error) {
+				return build(dims...), dims, nil
+			})
 		},
 	}
 }
@@ -289,32 +275,21 @@ func prodDims(dims []int) int64 {
 }
 
 // oneIntFamily builds a family whose size token is a single integer.
-// est (may be nil) maps the parsed size to estimated (vertices, edges)
-// for the budget check; sizes where the estimate itself would overflow
-// must be caught inside est by returning saturated values.
-func oneIntFamily(name, sizeSyntax, doc string, min int, est func(v int) (n, m int64), build func(v int) *graph.Graph) Family {
+// est maps the parsed size to estimated (vertices, edges) for the
+// budget check; sizes where the estimate itself would overflow must be
+// caught inside est by returning saturated values.
+func oneIntFamily(name, sizeSyntax, doc string, min int, est func(v int) (n, m int64), build func(v int) *graph.Graph) *familyDef {
 	return &familyDef{
 		name: name, sizeSyntax: sizeSyntax, doc: doc,
-		plan: func(size string, _ int, b Budget) (int64, int64, []int, error) {
+		plan: func(size string, _ int, b Budget) (int64, int64, buildFunc, error) {
 			v, err := parseSingle(name, size, min, b)
 			if err != nil {
 				return 0, 0, nil, err
 			}
-			n, m := int64(v), int64(v) // degenerate fallback when est is nil
-			if est != nil {
-				n, m = est(v)
-				if err := checkBudget(name, size, n, m, b); err != nil {
-					return 0, 0, nil, err
-				}
-			}
-			return n, m, nil, nil
-		},
-		construct: func(size string, _ int, _ *xrand.RNG) (*graph.Graph, []int, error) {
-			v, err := parseSingle(name, size, min, estimateBudget)
-			if err != nil {
-				return nil, nil, err
-			}
-			return build(v), nil, nil
+			n, m := est(v)
+			return budgeted(name, size, n, m, b, func(*xrand.RNG) (*graph.Graph, []int, error) {
+				return build(v), nil, nil
+			})
 		},
 	}
 }
@@ -334,32 +309,32 @@ func pow2Est(nm func(d int) (int64, int64)) func(int) (int64, int64) {
 func init() {
 	// The 14 seed families, in the order they have always been
 	// documented in the CLI help.
-	RegisterFamily(latticeFamily("mesh", "d-dimensional mesh with the given side lengths", Mesh))
-	RegisterFamily(latticeFamily("torus", "d-dimensional torus (mesh with wraparound edges)", Torus))
-	RegisterFamily(oneIntFamily("hypercube", "D", "D-dimensional hypercube on 2^D vertices", 1,
+	register(latticeFamily("mesh", "d-dimensional mesh with the given side lengths", Mesh))
+	register(latticeFamily("torus", "d-dimensional torus (mesh with wraparound edges)", Torus))
+	register(oneIntFamily("hypercube", "D", "D-dimensional hypercube on 2^D vertices", 1,
 		pow2Est(func(d int) (int64, int64) { return 1 << d, int64(d) << uint(d-1) }), Hypercube))
-	RegisterFamily(oneIntFamily("butterfly", "D", "unwrapped D-dimensional butterfly on (D+1)·2^D vertices", 1,
+	register(oneIntFamily("butterfly", "D", "unwrapped D-dimensional butterfly on (D+1)·2^D vertices", 1,
 		pow2Est(func(d int) (int64, int64) { return int64(d+1) << uint(d), int64(d) << uint(d+1) }), Butterfly))
-	RegisterFamily(oneIntFamily("wbutterfly", "D", "wrapped butterfly on D·2^D vertices (4-regular)", 1,
+	register(oneIntFamily("wbutterfly", "D", "wrapped butterfly on D·2^D vertices (4-regular)", 1,
 		pow2Est(func(d int) (int64, int64) { return int64(d) << uint(d), int64(d) << uint(d+1) }), WrappedButterfly))
-	RegisterFamily(oneIntFamily("ccc", "D", "cube-connected cycles on D·2^D vertices (degree 3)", 3,
+	register(oneIntFamily("ccc", "D", "cube-connected cycles on D·2^D vertices (degree 3)", 3,
 		pow2Est(func(d int) (int64, int64) { n := int64(d) << uint(d); return n, 3 * n / 2 }), CCC))
-	RegisterFamily(oneIntFamily("debruijn", "D", "binary de Bruijn graph on 2^D vertices", 1,
+	register(oneIntFamily("debruijn", "D", "binary de Bruijn graph on 2^D vertices", 1,
 		pow2Est(func(d int) (int64, int64) { return 1 << d, 1 << uint(d+1) }), DeBruijn))
-	RegisterFamily(oneIntFamily("shuffle", "D", "binary shuffle-exchange network on 2^D vertices", 1,
+	register(oneIntFamily("shuffle", "D", "binary shuffle-exchange network on 2^D vertices", 1,
 		pow2Est(func(d int) (int64, int64) { return 1 << d, 1 << uint(d+1) }), ShuffleExchange))
-	RegisterFamily(oneIntFamily("expander", "M", "Margulis–Gabber–Galil expander on M² vertices (8-regular)", 2,
+	register(oneIntFamily("expander", "M", "Margulis–Gabber–Galil expander on M² vertices (8-regular)", 2,
 		func(v int) (int64, int64) { n := int64(v) * int64(v); return n, 4 * n }, GabberGalil))
-	RegisterFamily(oneIntFamily("complete", "N", "complete graph K_N", 1,
+	register(oneIntFamily("complete", "N", "complete graph K_N", 1,
 		func(v int) (int64, int64) { n := int64(v); return n, n * (n - 1) / 2 }, Complete))
-	RegisterFamily(oneIntFamily("cycle", "N", "N-cycle", 1,
+	register(oneIntFamily("cycle", "N", "N-cycle", 1,
 		func(v int) (int64, int64) { return int64(v), int64(v) }, Cycle))
-	RegisterFamily(oneIntFamily("path", "N", "path graph on N vertices", 1,
+	register(oneIntFamily("path", "N", "path graph on N vertices", 1,
 		func(v int) (int64, int64) { return int64(v), int64(v) }, Path))
-	RegisterFamily(&familyDef{
+	register(&familyDef{
 		name: "rr", sizeSyntax: "NxD",
 		doc: "connected random D-regular graph on N vertices",
-		plan: func(size string, _ int, b Budget) (int64, int64, []int, error) {
+		plan: func(size string, _ int, b Budget) (int64, int64, buildFunc, error) {
 			n, d, err := parsePair("rr", size, b)
 			if err != nil {
 				return 0, 0, nil, err
@@ -370,25 +345,16 @@ func init() {
 			if d >= n || (d == 1 && n != 2) || n*d%2 != 0 {
 				return 0, 0, nil, fmt.Errorf("rr size %q infeasible: need 2 ≤ D < N with N·D even", size)
 			}
-			nn, mm := int64(n), int64(n)*int64(d)/2
-			if err := checkBudget("rr", size, nn, mm, b); err != nil {
-				return 0, 0, nil, err
-			}
-			return nn, mm, nil, nil
-		},
-		construct: func(size string, _ int, rng *xrand.RNG) (*graph.Graph, []int, error) {
-			n, d, err := parsePair("rr", size, estimateBudget)
-			if err != nil {
-				return nil, nil, err
-			}
-			return ConnectedRandomRegular(n, d, rng), nil, nil
+			return budgeted("rr", size, int64(n), int64(n)*int64(d)/2, b, func(rng *xrand.RNG) (*graph.Graph, []int, error) {
+				return ConnectedRandomRegular(n, d, rng), nil, nil
+			})
 		},
 	})
-	RegisterFamily(&familyDef{
+	register(&familyDef{
 		name: "chain", sizeSyntax: "M",
 		kUse: "chain length: internal vertices replacing each base-expander edge",
 		doc:  "Theorem 2.3 chain construction over an expander base of side M",
-		plan: func(size string, k int, b Budget) (int64, int64, []int, error) {
+		plan: func(size string, k int, b Budget) (int64, int64, buildFunc, error) {
 			v, err := parseSingle("chain", size, 2, b)
 			if err != nil {
 				return 0, 0, nil, err
@@ -400,36 +366,26 @@ func init() {
 			m0 := 4 * n0 // GabberGalil is ≤ 8-regular
 			// Check the base and the k multiplier separately so the
 			// m0·k product can never overflow int64 before the cap test.
-			if err := checkBudget("chain", size, n0, m0, b); err != nil {
+			if _, _, _, err := budgeted("chain", size, n0, m0, b, nil); err != nil {
 				return 0, 0, nil, err
 			}
 			if int64(k) > b.MaxE/m0 {
 				return 0, 0, nil, fmt.Errorf("family %q size %q with k=%d needs more than %d chain edges (cap %d)",
 					"chain", size, k, b.MaxE, b.MaxE)
 			}
-			n, m := n0+m0*int64(k), m0*int64(k+1)
-			if err := checkBudget("chain", size, n, m, b); err != nil {
-				return 0, 0, nil, err
-			}
-			return n, m, nil, nil
-		},
-		construct: func(size string, k int, _ *xrand.RNG) (*graph.Graph, []int, error) {
-			v, err := parseSingle("chain", size, 2, estimateBudget)
-			if err != nil {
-				return nil, nil, err
-			}
-			base := GabberGalil(v)
-			return ChainReplace(base, k).G, nil, nil
+			return budgeted("chain", size, n0+m0*int64(k), m0*int64(k+1), b, func(*xrand.RNG) (*graph.Graph, []int, error) {
+				return ChainReplace(GabberGalil(v), k).G, nil, nil
+			})
 		},
 	})
 
 	// Randomized families motivated by the related work (PAPERS.md):
 	// Erdős–Rényi graphs, Watts–Strogatz small worlds (Demichev et al.),
 	// and shortcut-augmented lattices (Hayashi & Matsukubo).
-	RegisterFamily(&familyDef{
+	register(&familyDef{
 		name: "gnp", sizeSyntax: "NxD",
 		doc: "Erdős–Rényi G(n,p) on N vertices at expected degree D (p = D/(N−1))",
-		plan: func(size string, _ int, b Budget) (int64, int64, []int, error) {
+		plan: func(size string, _ int, b Budget) (int64, int64, buildFunc, error) {
 			n, d, err := parsePair("gnp", size, b)
 			if err != nil {
 				return 0, 0, nil, err
@@ -437,25 +393,16 @@ func init() {
 			if n < 2 || d >= n {
 				return 0, 0, nil, fmt.Errorf("gnp size %q infeasible: need N ≥ 2 and D < N", size)
 			}
-			nn, mm := int64(n), int64(n)*int64(d)/2+1
-			if err := checkBudget("gnp", size, nn, mm, b); err != nil {
-				return 0, 0, nil, err
-			}
-			return nn, mm, nil, nil
-		},
-		construct: func(size string, _ int, rng *xrand.RNG) (*graph.Graph, []int, error) {
-			n, d, err := parsePair("gnp", size, estimateBudget)
-			if err != nil {
-				return nil, nil, err
-			}
-			return GNP(n, float64(d)/float64(n-1), rng), nil, nil
+			return budgeted("gnp", size, int64(n), int64(n)*int64(d)/2+1, b, func(rng *xrand.RNG) (*graph.Graph, []int, error) {
+				return GNP(n, float64(d)/float64(n-1), rng), nil, nil
+			})
 		},
 	})
-	RegisterFamily(&familyDef{
+	register(&familyDef{
 		name: "smallworld", sizeSyntax: "NxD",
 		kUse: "number of randomly rewired lattice edges (Watts–Strogatz)",
 		doc:  "Watts–Strogatz ring lattice C(N,D) with k edges randomly rewired",
-		plan: func(size string, k int, b Budget) (int64, int64, []int, error) {
+		plan: func(size string, k int, b Budget) (int64, int64, buildFunc, error) {
 			n, d, err := parsePair("smallworld", size, b)
 			if err != nil {
 				return 0, 0, nil, err
@@ -467,24 +414,16 @@ func init() {
 			if k < 0 || int64(k) > m {
 				return 0, 0, nil, fmt.Errorf("smallworld k=%d outside [0, %d] (the lattice's edge count)", k, m)
 			}
-			if err := checkBudget("smallworld", size, int64(n), m, b); err != nil {
-				return 0, 0, nil, err
-			}
-			return int64(n), m, nil, nil
-		},
-		construct: func(size string, k int, rng *xrand.RNG) (*graph.Graph, []int, error) {
-			n, d, err := parsePair("smallworld", size, estimateBudget)
-			if err != nil {
-				return nil, nil, err
-			}
-			return SmallWorld(n, d, k, rng), nil, nil
+			return budgeted("smallworld", size, int64(n), m, b, func(rng *xrand.RNG) (*graph.Graph, []int, error) {
+				return SmallWorld(n, d, k, rng), nil, nil
+			})
 		},
 	})
-	RegisterFamily(&familyDef{
+	register(&familyDef{
 		name: "shortcut", sizeSyntax: "L1xL2[x…]",
 		kUse: "number of random shortcut edges added to the mesh",
 		doc:  "mesh of the given side lengths plus k random shortcut edges",
-		plan: func(size string, k int, b Budget) (int64, int64, []int, error) {
+		plan: func(size string, k int, b Budget) (int64, int64, buildFunc, error) {
 			dims, err := ParseDimsBudget(size, b)
 			if err != nil {
 				return 0, 0, nil, err
@@ -493,28 +432,27 @@ func init() {
 				return 0, 0, nil, fmt.Errorf("shortcut k=%d outside [0, %d]", k, b.MaxE)
 			}
 			n := prodDims(dims)
-			m := n*int64(len(dims)) + int64(k)
-			if err := checkBudget("shortcut", size, n, m, b); err != nil {
-				return 0, 0, nil, err
-			}
-			return n, m, dims, nil
-		},
-		construct: func(size string, k int, rng *xrand.RNG) (*graph.Graph, []int, error) {
-			dims, err := ParseDimsBudget(size, estimateBudget)
-			if err != nil {
-				return nil, nil, err
-			}
-			n := prodDims(dims)
-			base := Mesh(dims...)
-			// Keep rejection sampling in Shortcut fast: require at least
-			// half the non-edges to stay free.
-			free := n*(n-1)/2 - int64(base.M())
-			if int64(k) > free/2 {
-				return nil, nil, fmt.Errorf("shortcut k=%d exceeds %d placeable shortcuts on %q", k, free/2, size)
-			}
-			return Shortcut(base, k, rng), dims, nil
+			return budgeted("shortcut", size, n, n*int64(len(dims))+int64(k), b, func(rng *xrand.RNG) (*graph.Graph, []int, error) {
+				base := Mesh(dims...)
+				// Keep rejection sampling in Shortcut fast: require at
+				// least half the non-edges to stay free.
+				free := n*(n-1)/2 - int64(base.M())
+				if int64(k) > free/2 {
+					return nil, nil, fmt.Errorf("shortcut k=%d exceeds %d placeable shortcuts on %q", k, free/2, size)
+				}
+				return Shortcut(base, k, rng), dims, nil
+			})
 		},
 	})
+}
+
+// planFamily looks the named family up and plans it under b.
+func planFamily(family, size string, k int, b Budget) (n, m int64, build buildFunc, err error) {
+	f, ok := familyIndex[family]
+	if !ok {
+		return 0, 0, nil, fmt.Errorf("unknown family %q (have %s)", family, strings.Join(FamilyNames(), ", "))
+	}
+	return f.plan(size, k, b)
 }
 
 // FromFamily builds a graph of the named family at the given size — a
@@ -529,22 +467,14 @@ func FromFamily(family, size string, k int, rng *xrand.RNG) (*graph.Graph, []int
 	return FromFamilyBudget(family, size, k, DefaultBudget, rng)
 }
 
-// FromFamilyBudget is FromFamily under an explicit budget. Families
-// registered from outside this package (non-familyDef implementations)
-// only support the default budget, since the Family interface has no
-// budget channel.
+// FromFamilyBudget is FromFamily under an explicit cap pair: the sweep
+// engine passes SampledBudget for sampled-precision cells.
 func FromFamilyBudget(family, size string, k int, b Budget, rng *xrand.RNG) (*graph.Graph, []int, error) {
-	f, ok := FamilyByName(family)
-	if !ok {
-		return nil, nil, fmt.Errorf("unknown family %q (have %s)", family, strings.Join(FamilyNames(), ", "))
+	_, _, build, err := planFamily(family, size, k, b)
+	if err != nil {
+		return nil, nil, err
 	}
-	if fd, ok := f.(*familyDef); ok {
-		return fd.BuildBudget(size, k, b, rng)
-	}
-	if b != DefaultBudget {
-		return nil, nil, fmt.Errorf("family %q does not support non-default build budgets", family)
-	}
-	return f.Build(size, k, rng)
+	return build(rng)
 }
 
 // EstimateFamily returns the estimated vertex and edge counts of the
@@ -554,15 +484,7 @@ func FromFamilyBudget(family, size string, k int, b Budget, rng *xrand.RNG) (*gr
 // DefaultBudget/SampledBudget themselves); size tokens that are
 // malformed or infeasible still error.
 func EstimateFamily(family, size string, k int) (n, m int64, err error) {
-	f, ok := FamilyByName(family)
-	if !ok {
-		return 0, 0, fmt.Errorf("unknown family %q (have %s)", family, strings.Join(FamilyNames(), ", "))
-	}
-	fd, ok := f.(*familyDef)
-	if !ok {
-		return 0, 0, fmt.Errorf("family %q (registered externally) has no size estimate", family)
-	}
-	n, m, _, err = fd.plan(size, k, estimateBudget)
+	n, m, _, err = planFamily(family, size, k, estimateBudget)
 	return n, m, err
 }
 
@@ -571,18 +493,8 @@ func EstimateFamily(family, size string, k int) (n, m int64, err error) {
 // size token fails here with the same error the real build would raise
 // — without building anything. This is the sweep engine's pre-flight
 // check before constructing graphs lazily mid-run: a spec-level error
-// surfaces before any output is written. Families registered from
-// outside this package have no plan; they return (0, 0, nil) and defer
-// any size errors to build time.
+// surfaces before any output is written.
 func EstimateFamilyBudget(family, size string, k int, b Budget) (n, m int64, err error) {
-	f, ok := FamilyByName(family)
-	if !ok {
-		return 0, 0, fmt.Errorf("unknown family %q (have %s)", family, strings.Join(FamilyNames(), ", "))
-	}
-	fd, ok := f.(*familyDef)
-	if !ok {
-		return 0, 0, nil
-	}
-	n, m, _, err = fd.plan(size, k, b)
+	n, m, _, err = planFamily(family, size, k, b)
 	return n, m, err
 }

@@ -143,8 +143,8 @@ func TestRegistryLookups(t *testing.T) {
 			t.Errorf("family %q not registered", want)
 		}
 	}
-	if _, ok := FamilyByName("nosuch"); ok {
-		t.Error("FamilyByName accepted an unknown name")
+	if f, ok := FamilyByName("nosuch"); ok || f != nil {
+		t.Errorf("FamilyByName(nosuch) = %v, %v; want a nil Family", f, ok)
 	}
 	kFamilies := map[string]bool{"chain": true, "smallworld": true, "shortcut": true}
 	for _, f := range Families() {
