@@ -42,10 +42,7 @@ func setupGamma(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xrand.RN
 	}
 	n := float64(g.N())
 	return sweep.TrialRun{Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sizes, nf, err := sweep.FaultComponentsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sizes, nf := c.FaultModel().Components(g, c.Rate, ws, rng)
 		rec.Observe("gamma", float64(largest(sizes))/n)
 		rec.Observe("faults", float64(nf))
 		return nil
@@ -95,10 +92,7 @@ func setupPruneCell(g *graph.Graph, c sweep.Cell, rng *xrand.RNG, rec *sweep.Rec
 	// aggregate cull counters are consumed, so Culled is discarded.
 	scratch := &core.Scratch{}
 	trial := func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, nf, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sub, nf := c.FaultModel().Inject(g, c.Rate, ws, rng)
 		rec.Observe("faults", float64(nf))
 		frac := 0.0
 		if sub.G.N() > 0 {
@@ -137,10 +131,7 @@ func setupSpan(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xrand.RNG
 	// sampler's Steiner tables, boundary masks and BFS queues are reused.
 	sws := span.NewWorkspace()
 	return sweep.TrialRun{Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, _, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sub, _ := c.FaultModel().Inject(g, c.Rate, ws, rng)
 		comp := sub.LargestComponentSubInto(ws)
 		rec.Observe("gamma", float64(comp.G.N())/n)
 		rec.Observe("sigma", span.SampledWs(comp.G, spanSamples, rng, sws).Sigma)

@@ -86,10 +86,7 @@ func setupShatter(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xrand.
 	}
 	n := float64(g.N())
 	return sweep.TrialRun{Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sizes, nf, err := sweep.FaultComponentsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sizes, nf := c.FaultModel().Components(g, c.Rate, ws, rng)
 		rec.Observe("faults", float64(nf))
 		frag := 0.0
 		for _, s := range sizes {
@@ -150,10 +147,7 @@ func setupDilation(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xrand
 	alphaE := measuredEdgeAlpha(g, rng.Split())
 	log2n := math.Log2(float64(g.N()))
 	trial := func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, _, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sub, _ := c.FaultModel().Inject(g, c.Rate, ws, rng)
 		if sub.G.N() == 0 {
 			return nil
 		}
@@ -203,10 +197,7 @@ func setupPredictor(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xran
 	rec.Const("pred_margin", pred-c.Rate)
 	n := float64(g.N())
 	return sweep.TrialRun{Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sizes, _, err := sweep.FaultComponentsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sizes, _ := c.FaultModel().Components(g, c.Rate, ws, rng)
 		rec.Observe("gamma", float64(largest(sizes))/n)
 		return nil
 	}}, nil
@@ -221,10 +212,7 @@ func setupCounting(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xrand
 	}
 	rec.Const("r", countingR)
 	trial := func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, _, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sub, _ := c.FaultModel().Inject(g, c.Rate, ws, rng)
 		comp := sub.LargestComponentSubInto(ws)
 		if comp.G.N() < countingR {
 			return nil
@@ -261,10 +249,7 @@ func setupLoadBalance(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xr
 	}
 	rec.Const("rounds_ideal", float64(ideal))
 	trial := func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, _, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sub, _ := c.FaultModel().Inject(g, c.Rate, ws, rng)
 		comp := sub.LargestComponentSubInto(ws)
 		h := comp.G
 		if h.N() < 2 {
@@ -307,10 +292,7 @@ func setupMultibutterfly(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng 
 	// Input row r is vertex r (level 0); output row r is vertex d·2^d+r.
 	newID := make([]int32, g.N())
 	return sweep.TrialRun{Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, nf, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sub, nf := c.FaultModel().Inject(g, c.Rate, ws, rng)
 		rec.Observe("faults", float64(nf))
 		rec.Observe("good_frac", wellConnectedInputFrac(sub, newID, rows, d, ws))
 		return nil
@@ -370,10 +352,7 @@ func setupDiameter(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xrand
 		return sweep.TrialRun{}, fmt.Errorf("empty graph")
 	}
 	trial := func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, _, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sub, _ := c.FaultModel().Inject(g, c.Rate, ws, rng)
 		comp := sub.LargestComponentSubInto(ws)
 		if comp.G.N() < 2 {
 			return nil
@@ -452,10 +431,7 @@ func setupRouting(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xrand.
 	idealCPP := ideal.CongestionPerPair()
 	rec.Const("congperpair_ideal", idealCPP)
 	trial := func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, _, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sub, _ := c.FaultModel().Inject(g, c.Rate, ws, rng)
 		comp := sub.LargestComponentSubInto(ws)
 		if comp.G.N() < 2 {
 			return nil
@@ -490,10 +466,7 @@ func setupUpfal(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xrand.RN
 	rec.Const("alpha", alpha)
 	n := float64(g.N())
 	return sweep.TrialRun{Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, _, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sub, _ := c.FaultModel().Inject(g, c.Rate, ws, rng)
 		if sub.G.N() == 0 {
 			return nil
 		}
@@ -525,10 +498,7 @@ func setupResidual(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xrand
 	rec.Const("alpha_edge_0", alphaE0)
 	n := float64(g.N())
 	trial := func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, _, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sub, _ := c.FaultModel().Inject(g, c.Rate, ws, rng)
 		comp := sub.LargestComponentSubInto(ws)
 		if comp.G.N() < 2 {
 			return nil
@@ -569,10 +539,7 @@ func setupLambda2(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xrand.
 	l0 := spectral.Lambda2Scratch(g, rng.Split(), scr)
 	rec.Const("lambda2_0", l0)
 	trial := func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, _, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sub, _ := c.FaultModel().Inject(g, c.Rate, ws, rng)
 		comp := sub.LargestComponentSubInto(ws)
 		if comp.G.N() < 3 {
 			return nil
@@ -618,10 +585,7 @@ func setupConjecture(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng *xra
 		rec.Const("above_pred", 0)
 	}
 	return sweep.TrialRun{Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sizes, _, err := sweep.FaultComponentsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sizes, _ := c.FaultModel().Components(g, c.Rate, ws, rng)
 		rec.Observe("gamma", float64(largest(sizes))/n)
 		return nil
 	}}, nil

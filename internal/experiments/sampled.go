@@ -44,10 +44,7 @@ func setupDiameterSampled(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng
 	}
 	k := c.Precision.K
 	trial := func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, _, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sub, _ := c.FaultModel().Inject(g, c.Rate, ws, rng)
 		comp := sub.LargestComponentSubInto(ws)
 		cn := comp.G.N()
 		if cn < 2 {
@@ -94,10 +91,7 @@ func setupLambda2Sampled(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng 
 	rec.Const("lambda2_0", base.Lambda2)
 	rec.Const("residual_0", base.Residual)
 	trial := func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, _, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sub, _ := c.FaultModel().Inject(g, c.Rate, ws, rng)
 		comp := sub.LargestComponentSubInto(ws)
 		if comp.G.N() < 3 {
 			return nil
@@ -137,10 +131,7 @@ func setupDilationSampled(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng
 	}
 	k := c.Precision.K
 	trial := func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
-		sub, _, err := sweep.ApplyFaultsWs(g, c.Model, c.Rate, ws, rng)
-		if err != nil {
-			return err
-		}
+		sub, _ := c.FaultModel().Inject(g, c.Rate, ws, rng)
 		comp := sub.LargestComponentSubInto(ws)
 		cn := comp.G.N()
 		if cn < 2 {

@@ -91,11 +91,16 @@ func runTrialBlock(g *graph.Graph, c Cell, ws *graph.Workspace, lo, hi int) (out
 			out.finish = nil
 		}
 	}()
+	// Validate refuses unknown measures and models before a job starts;
+	// these checks guard hand-built Cells in tests and tools, and let
+	// trial functions call c.FaultModel() unchecked.
 	setup, ok := LookupTrials(c.Measure)
 	if !ok {
-		// Validate refuses unknown measures before a job starts; this
-		// guards hand-built Cells in tests and tools.
 		out.errMsg = fmt.Sprintf("unknown measure %q", c.Measure)
+		return out
+	}
+	if c.FaultModel() == nil {
+		out.errMsg = fmt.Sprintf("sweep: unknown fault model %q", c.Model)
 		return out
 	}
 	run, err := setup(g, c, ws, xrand.New(c.Seed), rec)

@@ -408,6 +408,15 @@ type Cell struct {
 	TrialBlock int
 }
 
+// FaultModel returns the cell's fault model, or nil if its name does
+// not resolve. Validate refuses unknown models, and runTrialBlock
+// refuses a hand-built cell whose model is unknown, so a trial function
+// calls the result unchecked.
+func (c Cell) FaultModel() faults.Model {
+	m, _ := faults.ModelByName(c.Model)
+	return m
+}
+
 // rateToken renders a rate for seed keys and CSV cells; shortest
 // round-trip form, so 0.05 is always "0.05".
 func rateToken(r float64) string { return strconv.FormatFloat(r, 'g', -1, 64) }

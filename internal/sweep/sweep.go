@@ -1,54 +1,18 @@
 package sweep
 
-// This file holds the record side of the engine: the shared
-// fault-injection helpers, the streamed Result and its header
-// (newResult), and the metric filter every path ends in (finishResult).
+// This file holds the record side of the engine: the streamed Result
+// and its header (newResult), and the metric filter every path ends in
+// (finishResult).
 // The measure table and the trial loop live in trials.go, the coupled
 // rate-group loop in coupled.go; the run loop itself — expand, execute
 // on a bounded pool, stream in cell order — lives on the Job type
 // (job.go).
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
-
-	"faultexp/internal/faults"
-	"faultexp/internal/graph"
-	"faultexp/internal/xrand"
 )
-
-// ApplyFaultsWs injects one fault pattern of the given model at the
-// given rate into ws-owned buffers and returns the surviving subgraph
-// (with provenance) and the number of failed elements. For
-// ModelAdversarial the rate is the node budget as a fraction of n. The
-// returned Sub lives in workspace memory — any later build on ws may
-// clobber it, and it must not outlive the enclosing trial.
-func ApplyFaultsWs(g *graph.Graph, model string, rate float64, ws *graph.Workspace, rng *xrand.RNG) (*graph.Sub, int, error) {
-	m, ok := faults.ModelByName(model)
-	if !ok {
-		return nil, 0, fmt.Errorf("sweep: unknown fault model %q", model)
-	}
-	sub, failed := m.Inject(g, rate, ws, rng)
-	return sub, failed, nil
-}
-
-// FaultComponentsWs draws the fault pattern ApplyFaultsWs would and
-// returns the faulted graph's component sizes — in ascending order of
-// each component's smallest vertex, as ComponentsInto labels the
-// survivor — and the number of failed elements, without building the
-// survivor where the model allows (faults.Model.Components). It is the
-// fault step of the measures that read only component sizes. The sizes
-// live in workspace memory and must not outlive the enclosing trial.
-func FaultComponentsWs(g *graph.Graph, model string, rate float64, ws *graph.Workspace, rng *xrand.RNG) ([]int, int, error) {
-	m, ok := faults.ModelByName(model)
-	if !ok {
-		return nil, 0, fmt.Errorf("sweep: unknown fault model %q", model)
-	}
-	sizes, failed := m.Components(g, rate, ws, rng)
-	return sizes, failed, nil
-}
 
 // Result is one streamed output record: the cell's coordinates plus its
 // measured metrics. Field order (and sorted metric keys) make the JSON

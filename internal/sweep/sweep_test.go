@@ -568,26 +568,25 @@ func TestRunFlushesWriter(t *testing.T) {
 	}
 }
 
-// TestApplyFaultsModels checks both fault helpers on every model: the
-// survivor ApplyFaultsWs builds accounts for every fault, and
-// FaultComponentsWs, from the same seed, returns that survivor's
-// component sizes in ComponentsInto's order with the same fault count.
+// TestApplyFaultsModels checks every model through Cell.FaultModel: the
+// survivor Inject builds accounts for every fault, and Components, from
+// the same seed, returns that survivor's component sizes in
+// ComponentsInto's order with the same fault count. A cell whose model
+// does not resolve gets a nil model, and runTrialBlock refuses it.
 func TestApplyFaultsModels(t *testing.T) {
 	g := graph.FromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
 	ws := graph.NewWorkspace()
 	for _, model := range Models() {
-		sub, nf, err := ApplyFaultsWs(g, model, 0.5, ws, xrand.New(5))
-		if err != nil {
-			t.Fatalf("ApplyFaultsWs(%s): %v", model, err)
+		m := Cell{Model: model}.FaultModel()
+		if m == nil || m.Name() != model {
+			t.Fatalf("Cell{Model: %q}.FaultModel() = %v", model, m)
 		}
+		sub, nf := m.Inject(g, 0.5, ws, xrand.New(5))
 		_, labelled := sub.G.ComponentsInto(ws, nil)
 		want := slices.Clone(labelled)
-		sizes, cnf, err := FaultComponentsWs(g, model, 0.5, ws, xrand.New(5))
-		if err != nil {
-			t.Fatalf("FaultComponentsWs(%s): %v", model, err)
-		}
+		sizes, cnf := m.Components(g, 0.5, ws, xrand.New(5))
 		if cnf != nf || !slices.Equal(sizes, want) {
-			t.Errorf("%s: FaultComponentsWs gave %v with %d faults, want %v with %d", model, sizes, cnf, want, nf)
+			t.Errorf("%s: Components gave %v with %d faults, want %v with %d", model, sizes, cnf, want, nf)
 		}
 		switch model {
 		case ModelIIDEdge:
@@ -603,10 +602,13 @@ func TestApplyFaultsModels(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := ApplyFaultsWs(g, "nope", 0.5, ws, xrand.New(5)); err == nil {
-		t.Error("unknown model accepted")
+	bad := Cell{Measure: "toy", Model: "nope", Trials: 1}
+	if m := bad.FaultModel(); m != nil {
+		t.Errorf("unknown model resolved to %v", m)
 	}
-	if _, _, err := FaultComponentsWs(g, "nope", 0.5, ws, xrand.New(5)); err == nil {
-		t.Error("unknown model accepted by FaultComponentsWs")
+	out := runTrialBlock(g, bad, ws, 0, 1)
+	recorderPool.Put(out.rec)
+	if want := `sweep: unknown fault model "nope"`; out.errMsg != want {
+		t.Errorf("runTrialBlock on an unknown model: err %q, want %q", out.errMsg, want)
 	}
 }
