@@ -3,8 +3,9 @@ package sweep
 // Error-path coverage for MergeShards beyond the ordering/profile cases
 // in shard_test.go: a missing shard file, a duplicated record inside a
 // shard, shards run with another trial budget or block partition than
-// the spec, and a shard truncated mid-record (a torn write) — each must
-// be refused with a diagnostic, not merged into silently-wrong output.
+// the spec, and a shard truncated mid-record (a torn write), with and
+// without a spec — each must be refused with a diagnostic, not merged
+// into silently-wrong output.
 
 import (
 	"bytes"
@@ -147,5 +148,40 @@ func TestMergeShardsTruncatedMidRecord(t *testing.T) {
 	whole = whole[:strings.LastIndex(whole, "\n")+1]
 	if _, err := mergeStrings([]string{outs[0], whole, outs[2]}, nil); err == nil {
 		t.Error("merge accepted a shard missing its final record")
+	}
+}
+
+// TestMergeShardsRefusesTornRecordWithoutSpec: a killed `sweep -shard`
+// run leaves a torn final line. A merge with only a JSONL destination —
+// no spec, no structured writer — must refuse it rather than copy it
+// through as a record, and must still merge the intact shards
+// byte-identical to the unsharded run.
+func TestMergeShardsRefusesTornRecordWithoutSpec(t *testing.T) {
+	spec := toySpec()
+	spec.Families = spec.Families[:1] // 4 cells: shards 0/2 and 1/2 hold 2 each
+	var whole bytes.Buffer
+	if _, err := runSpec(spec, NewJSONL(&whole)); err != nil {
+		t.Fatalf("unsharded run: %v", err)
+	}
+	outs := make([]string, 2)
+	for i := range outs {
+		var buf bytes.Buffer
+		if _, err := runSpec(spec, NewJSONL(&buf), WithShard(Shard{Index: i, Count: 2})); err != nil {
+			t.Fatalf("run(shard %d/2): %v", i, err)
+		}
+		outs[i] = buf.String()
+	}
+	first, second, _ := strings.Cut(outs[0], "\n")
+	torn := first + "\n" + second[:50]
+	var got bytes.Buffer
+	if n, err := MergeShards([]io.Reader{strings.NewReader(torn), strings.NewReader(outs[1])}, &got, nil, nil); err == nil {
+		t.Fatalf("merge accepted a torn record: %d records\n%s", n, got.Bytes())
+	}
+	got.Reset()
+	if _, err := MergeShards([]io.Reader{strings.NewReader(outs[0]), strings.NewReader(outs[1])}, &got, nil, nil); err != nil {
+		t.Fatalf("merge of intact shards: %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), whole.Bytes()) {
+		t.Errorf("JSONL-only merge differs from the unsharded run:\n got %s\nwant %s", got.Bytes(), whole.Bytes())
 	}
 }

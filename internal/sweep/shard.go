@@ -178,10 +178,13 @@ func (s *shardStream) next() (line []byte, ok bool, err error) {
 // order — pass a CSV writer to produce the merged CSV. Returns the
 // number of merged records.
 //
-// Byte identity with the unsharded run holds for the JSONL output
-// because lines pass through untouched; for the CSV output because the
-// CSV encoding is a pure function of the decoded Result (fixed column
-// order, sorted metric keys, shortest-round-trip floats).
+// Every line is decoded before it is written, so a torn or non-JSON
+// line (what a killed shard run leaves) is refused even without a spec
+// or a structured writer. Byte identity with the unsharded run holds
+// for the JSONL output because lines pass through untouched; for the
+// CSV output because the CSV encoding is a pure function of the
+// decoded Result (fixed column order, sorted metric keys,
+// shortest-round-trip floats).
 //
 // The shard record counts are checked against the round-robin profile
 // (shard i holds cells i, i+m, i+2m, … — counts non-increasing across
@@ -231,6 +234,15 @@ func MergeShards(shards []io.Reader, jsonl io.Writer, w Writer, spec *Spec) (mer
 		if cells != nil && merged >= len(cells) {
 			return fmt.Errorf("sweep: shards hold more records than the spec's %d cells", len(cells))
 		}
+		var res Result
+		if err := json.Unmarshal(line, &res); err != nil {
+			return fmt.Errorf("sweep: shard %d record %d: %w", shard, merged, err)
+		}
+		if cells != nil {
+			if err := CheckRecord(&res, &cells[merged]); err != nil {
+				return fmt.Errorf("sweep: record %d (shard %d) %w", merged, shard, err)
+			}
+		}
 		if bw != nil {
 			if _, err := bw.Write(line); err != nil {
 				return fmt.Errorf("sweep: writing merged JSONL: %w", err)
@@ -239,20 +251,9 @@ func MergeShards(shards []io.Reader, jsonl io.Writer, w Writer, spec *Spec) (mer
 				return fmt.Errorf("sweep: writing merged JSONL: %w", err)
 			}
 		}
-		if w != nil || cells != nil {
-			var res Result
-			if err := json.Unmarshal(line, &res); err != nil {
-				return fmt.Errorf("sweep: shard %d record %d: %w", shard, merged, err)
-			}
-			if cells != nil {
-				if err := CheckRecord(&res, &cells[merged]); err != nil {
-					return fmt.Errorf("sweep: record %d (shard %d) %w", merged, shard, err)
-				}
-			}
-			if w != nil {
-				if err := w.Write(&res); err != nil {
-					return fmt.Errorf("sweep: writing merged record: %w", err)
-				}
+		if w != nil {
+			if err := w.Write(&res); err != nil {
+				return fmt.Errorf("sweep: writing merged record: %w", err)
 			}
 		}
 		merged++

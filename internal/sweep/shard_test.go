@@ -186,7 +186,7 @@ func TestMergeShardsRejectsBadInput(t *testing.T) {
 	}, &bytes.Buffer{}, nil, nil); err == nil {
 		t.Error("MergeShards accepted shards in the wrong order")
 	}
-	// Garbage JSON only matters when decoding for a structured writer.
+	// Garbage JSON is refused for a structured writer too.
 	if _, err := MergeShards([]io.Reader{strings.NewReader("not json\n")}, nil, NewCSV(&bytes.Buffer{}), nil); err == nil {
 		t.Error("MergeShards decoded garbage JSONL for the CSV writer")
 	}
