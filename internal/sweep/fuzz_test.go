@@ -3,15 +3,16 @@ package sweep
 // Fuzz targets for the parsers that read bytes from outside the
 // process: Load (a -spec file, a job POSTed to serve or the
 // coordinator), ScanResume (a -resume output file, a fleet store's shard
-// files), CachedResult (a cache entry's payload) and the token parsers
-// behind CLI flags and spec fields. The invariant for all of them: an
-// error or a valid state — never a panic, and never a wrong spec,
-// record or token accepted. The first three are seeded with the toy
-// grid.
+// files), CachedResult (a cache entry's payload), MergeShards (the shard
+// files `faultexp merge` reads) and the token parsers behind CLI flags
+// and spec fields. The invariant for all of them: an error or a valid
+// state — never a panic, and never a wrong spec, record or token
+// accepted. All but the token parsers are seeded with the toy grid.
 
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"slices"
 	"strconv"
 	"strings"
@@ -109,6 +110,63 @@ func FuzzCachedResult(f *testing.F) {
 		}
 		if err := CheckRecord(r, &c); err != nil {
 			t.Fatalf("accepted a foreign record: %v", err)
+		}
+	})
+}
+
+// FuzzMergeShards merges the toy grid's 3-way split with one shard
+// (picked by which) replaced by arbitrary bytes, once without and once
+// with the spec. A merge that succeeds must have written exactly the
+// records it counts, each a line that decodes as a Result and, given
+// the spec, passes CheckRecord against the cell at its position.
+func FuzzMergeShards(f *testing.F) {
+	spec := toySpec()
+	cells := spec.Cells()
+	const m = 3
+	shards := make([][]byte, m)
+	for i := range shards {
+		var buf bytes.Buffer
+		if _, err := runSpec(spec, NewJSONL(&buf), WithShard(Shard{Index: i, Count: m})); err != nil {
+			f.Fatal(err)
+		}
+		shards[i] = buf.Bytes()
+	}
+	last := bytes.LastIndexByte(shards[0][:len(shards[0])-1], '\n') + 1
+	f.Add(uint8(0), shards[0][:last+50]) // a killed shard run's torn tail
+	for i, sh := range shards {
+		f.Add(uint8(i), sh)
+	}
+	f.Add(uint8(1), shards[0])                                      // another shard's records
+	f.Add(uint8(2), shards[2][:bytes.IndexByte(shards[2], '\n')+1]) // cut to one record
+	f.Add(uint8(1), []byte{})                                       // an empty shard
+	f.Add(uint8(0), []byte("{}\nnull\n{}\n{}\n"))                   // records that decode to nothing
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		for _, s := range []*Spec{nil, spec} {
+			readers := make([]io.Reader, m)
+			for i := range readers {
+				readers[i] = bytes.NewReader(shards[i])
+			}
+			readers[int(which)%m] = bytes.NewReader(data)
+			var out bytes.Buffer
+			n, err := MergeShards(readers, &out, nil, s)
+			if err != nil {
+				continue
+			}
+			lines := bytes.SplitAfter(out.Bytes(), []byte("\n"))
+			if len(lines) != n+1 || len(lines[n]) != 0 {
+				t.Fatalf("merge reported %d records but wrote %d lines (last %q)", n, len(lines)-1, lines[len(lines)-1])
+			}
+			for i, line := range lines[:n] {
+				var r Result
+				if err := json.Unmarshal(line, &r); err != nil {
+					t.Fatalf("merged line %d is not a JSON record: %v", i, err)
+				}
+				if s != nil {
+					if err := CheckRecord(&r, &cells[i]); err != nil {
+						t.Fatalf("merged record %d %v", i, err)
+					}
+				}
+			}
 		}
 	})
 }
