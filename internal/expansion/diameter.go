@@ -35,16 +35,18 @@ func DiameterUpperBound(alpha float64, n int) int {
 }
 
 // ExactDiameter computes the exact diameter by all-source BFS — O(n·m),
-// intended for the experiment sizes (n up to a few thousand). Returns -1
-// for disconnected graphs and 0 for graphs with fewer than 2 vertices.
+// intended for the experiment sizes (n up to a few thousand). Every
+// source runs on one workspace. Returns -1 for disconnected graphs and 0
+// for graphs with fewer than 2 vertices.
 func ExactDiameter(g *graph.Graph) int {
 	n := g.N()
 	if n < 2 {
 		return 0
 	}
+	ws := graph.NewWorkspace()
 	diam := 0
 	for v := 0; v < n; v++ {
-		for _, d := range g.BFSDistances(v) {
+		for _, d := range g.BFSDistancesInto(ws, v) {
 			if d < 0 {
 				return -1
 			}

@@ -38,6 +38,21 @@ func TestExactDiameterDisconnected(t *testing.T) {
 	}
 }
 
+// TestExactDiameterOneWorkspace pins ExactDiameter to one workspace for
+// all n sources: a fresh workspace per BFS cost 4,001 allocations on a
+// 20×20 torus.
+func TestExactDiameterOneWorkspace(t *testing.T) {
+	g := gen.Torus(20, 20)
+	allocs := testing.AllocsPerRun(5, func() {
+		if d := ExactDiameter(g); d != 20 {
+			t.Fatalf("diameter = %d, want 20", d)
+		}
+	})
+	if allocs > 32 {
+		t.Errorf("ExactDiameter allocates %.0f times per call, want ≤ 32 (one workspace, not one per source)", allocs)
+	}
+}
+
 func TestDiameterUpperBoundKnownFamilies(t *testing.T) {
 	// The bound must hold with the *exact* expansion on exactly-solvable
 	// families.
