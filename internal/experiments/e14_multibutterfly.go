@@ -36,6 +36,11 @@ func E14() *harness.Experiment {
 			bfOutputs[r] = gen.ButterflyID(d, d, r)
 		}
 
+		// Scratch for wellConnectedInputs: both networks have (d+1)·2^d
+		// vertices.
+		newID := make([]int32, bf.N())
+		ws := graph.NewWorkspace()
+
 		budgets := []int{rows / 16, rows / 8, rows / 4}
 		tbl := stats.NewTable("E14: well-connected inputs after the level-1 pair attack",
 			"f", "inputs", "mbGood", "mbLost", "bfGood", "bfLost", "lost/f(mb)", "lost/f(bf)")
@@ -54,8 +59,8 @@ func E14() *harness.Experiment {
 			// level-1 neighbours, so the same budget barely scratches it
 			// — the Leighton–Maggs redundancy argument in action.
 			pat := levelOnePairFaults(rows, f)
-			mbGood := wellConnectedInputs(mb.G, mb.Inputs, mb.Outputs, pat)
-			bfGood := wellConnectedInputs(bf, bfInputs, bfOutputs, pat)
+			mbGood := wellConnectedInputs(mb.G.RemoveVertices(pat), mb.Inputs, mb.Outputs, newID, ws)
+			bfGood := wellConnectedInputs(bf.RemoveVertices(pat), bfInputs, bfOutputs, newID, ws)
 			mbLost := rows - mbGood
 			bfLost := rows - bfGood
 			if mbLost > f/2 {
@@ -98,53 +103,4 @@ func levelOnePairFaults(rows, f int) []int {
 		out[r] = 1*rows + r
 	}
 	return out
-}
-
-// wellConnectedInputs counts inputs that, after the faults are removed,
-// can still reach at least half of the surviving outputs.
-func wellConnectedInputs(g *graph.Graph, inputs, outputs []int, faultNodes []int) int {
-	dead := make([]bool, g.N())
-	for _, v := range faultNodes {
-		dead[v] = true
-	}
-	keep := make([]bool, g.N())
-	for i := range keep {
-		keep[i] = !dead[i]
-	}
-	sub := g.Induce(keep)
-	// Map survivors back: newID by scanning provenance.
-	newID := make([]int32, g.N())
-	for i := range newID {
-		newID[i] = -1
-	}
-	for id, ov := range sub.Orig {
-		newID[ov] = int32(id)
-	}
-	aliveOutputs := []int32{}
-	for _, o := range outputs {
-		if newID[o] >= 0 {
-			aliveOutputs = append(aliveOutputs, newID[o])
-		}
-	}
-	if len(aliveOutputs) == 0 {
-		return 0
-	}
-	need := (len(aliveOutputs) + 1) / 2
-	good := 0
-	for _, in := range inputs {
-		if newID[in] < 0 {
-			continue
-		}
-		dist := sub.G.BFSDistances(int(newID[in]))
-		reached := 0
-		for _, o := range aliveOutputs {
-			if dist[o] >= 0 {
-				reached++
-			}
-		}
-		if reached >= need {
-			good++
-		}
-	}
-	return good
 }

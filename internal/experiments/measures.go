@@ -290,19 +290,26 @@ func setupMultibutterfly(g *graph.Graph, c sweep.Cell, ws *graph.Workspace, rng 
 	rows := 1 << uint(d)
 	rec.Const("rows", float64(rows))
 	// Input row r is vertex r (level 0); output row r is vertex d·2^d+r.
+	inputs, outputs := make([]int, rows), make([]int, rows)
+	for r := range inputs {
+		inputs[r], outputs[r] = r, d*rows+r
+	}
 	newID := make([]int32, g.N())
 	return sweep.TrialRun{Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *sweep.Recorder) error {
 		sub, nf := c.FaultModel().Inject(g, c.Rate, ws, rng)
 		rec.Observe("faults", float64(nf))
-		rec.Observe("good_frac", wellConnectedInputFrac(sub, newID, rows, d, ws))
+		rec.Observe("good_frac", float64(wellConnectedInputs(sub, inputs, outputs, newID, ws))/float64(rows))
 		return nil
 	}}, nil
 }
 
-// wellConnectedInputFrac counts butterfly inputs that reach ≥ half of
-// the surviving outputs inside the faulted subgraph. newID is a
-// caller-owned scratch remap (original vertex → survivor id).
-func wellConnectedInputFrac(sub *graph.Sub, newID []int32, rows, d int, ws *graph.Workspace) float64 {
+// wellConnectedInputs counts the inputs that still reach at least half
+// of the surviving outputs inside the faulted subgraph sub — the
+// Leighton–Maggs quantity of E14 and the multibutterfly measure. inputs
+// and outputs are vertices of the fault-free graph; newID is caller
+// scratch with one entry per fault-free vertex (remapped to survivor
+// ids), and each input's BFS runs on ws.
+func wellConnectedInputs(sub *graph.Sub, inputs, outputs []int, newID []int32, ws *graph.Workspace) int {
 	for i := range newID {
 		newID[i] = -1
 	}
@@ -310,9 +317,8 @@ func wellConnectedInputFrac(sub *graph.Sub, newID []int32, rows, d int, ws *grap
 		newID[ov] = int32(id)
 	}
 	aliveOutputs := 0
-	outBase := d * rows
-	for r := 0; r < rows; r++ {
-		if newID[outBase+r] >= 0 {
+	for _, o := range outputs {
+		if newID[o] >= 0 {
 			aliveOutputs++
 		}
 	}
@@ -321,15 +327,14 @@ func wellConnectedInputFrac(sub *graph.Sub, newID []int32, rows, d int, ws *grap
 	}
 	need := (aliveOutputs + 1) / 2
 	good := 0
-	for r := 0; r < rows; r++ {
-		in := newID[r]
-		if in < 0 {
+	for _, in := range inputs {
+		if newID[in] < 0 {
 			continue
 		}
-		dist := sub.G.BFSDistancesInto(ws, int(in))
+		dist := sub.G.BFSDistancesInto(ws, int(newID[in]))
 		reached := 0
-		for o := 0; o < rows; o++ {
-			if id := newID[outBase+o]; id >= 0 && dist[id] >= 0 {
+		for _, o := range outputs {
+			if id := newID[o]; id >= 0 && dist[id] >= 0 {
 				reached++
 			}
 		}
@@ -337,7 +342,7 @@ func wellConnectedInputFrac(sub *graph.Sub, newID []int32, rows, d int, ws *grap
 			good++
 		}
 	}
-	return float64(good) / float64(rows)
+	return good
 }
 
 // setupDiameter is the E16 kernel: the survivor's exact diameter against
