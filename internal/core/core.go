@@ -42,9 +42,6 @@ type Options struct {
 	// Finder is passed through to the cut-finding layer. Finder.RNG is
 	// required.
 	Finder cuts.Options
-	// MaxIterations bounds the culling loop (0 = unbounded; the loop
-	// always terminates because each cull strictly shrinks the graph).
-	MaxIterations int
 	// Ws is the workspace each culling round builds G_{i+1} into; nil
 	// runs the rounds on a throwaway workspace. The returned Result.H
 	// lives in workspace memory, so with a caller-owned Ws it may be
@@ -146,10 +143,8 @@ func pruneLoop(gf *graph.Graph, threshold float64, opt Options, edgeMode bool) *
 		mode = cuts.EdgeMode
 		connected = true
 	}
+	// The loop terminates: each cull strictly shrinks the graph.
 	for {
-		if opt.MaxIterations > 0 && res.Iterations >= opt.MaxIterations {
-			break
-		}
 		n := cur.G.N()
 		if n < 2 {
 			break

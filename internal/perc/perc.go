@@ -187,13 +187,3 @@ func CriticalPFromCurve(c *Curve, target float64) float64 {
 	}
 	return 1
 }
-
-// SurvivalStats summarizes γ over independent realizations at one p.
-func SurvivalStats(g *graph.Graph, mode Mode, p float64, trials int, rng *xrand.RNG) stats.Summary {
-	xs := make([]float64, trials)
-	ws := graph.NewWorkspace()
-	for t := range xs {
-		xs[t] = gammaOnce(g, mode, p, rng, ws)
-	}
-	return stats.Summarize(xs)
-}

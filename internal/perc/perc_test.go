@@ -120,20 +120,6 @@ func TestCriticalPFromCurveAgrees(t *testing.T) {
 	}
 }
 
-func TestSurvivalStats(t *testing.T) {
-	g := gen.Torus(8, 8)
-	s := SurvivalStats(g, Site, 0.9, 20, xrand.New(29))
-	if s.N != 20 {
-		t.Fatalf("trials = %d", s.N)
-	}
-	if s.Mean < 0.6 || s.Mean > 1 {
-		t.Fatalf("γ at p=0.9 = %v, want near 1", s.Mean)
-	}
-	if s.Min < 0 || s.Max > 1 {
-		t.Fatal("γ out of [0,1]")
-	}
-}
-
 func TestChainGraphDisintegratesAtTheorem31Point(t *testing.T) {
 	// Theorem 3.1's shape: at survival probability 1 − 4lnδ/k, the
 	// chain-replaced expander loses its linear-sized component while the

@@ -52,16 +52,6 @@ func (r *RNG) Split() *RNG {
 	return &RNG{state: s ^ gamma}
 }
 
-// SplitN returns n independent generators derived from r, suitable for
-// handing to n parallel workers.
-func (r *RNG) SplitN(n int) []*RNG {
-	out := make([]*RNG, n)
-	for i := range out {
-		out[i] = r.Split()
-	}
-	return out
-}
-
 // Reseed resets the generator in place to the state New(seed) would
 // produce, without allocating — the trial loop's way of giving each
 // trial a fresh independent stream while reusing one RNG value.
@@ -236,47 +226,6 @@ func (r *RNG) SampleKInto(n, k int, buf []int, seen map[int]int) ([]int, map[int
 		seen[j] = vi
 	}
 	return out, seen
-}
-
-// Binomial returns a sample from Binomial(n, p).
-//
-// For small n·p it uses the waiting-time (geometric-jump) method, which is
-// O(np) expected; otherwise it falls back to explicit Bernoulli trials in
-// blocks. This is exact (no normal approximation), which matters for the
-// percolation threshold estimators that operate deep in distribution
-// tails.
-func (r *RNG) Binomial(n int, p float64) int {
-	switch {
-	case n <= 0 || p <= 0:
-		return 0
-	case p >= 1:
-		return n
-	}
-	if p > 0.5 {
-		return n - r.Binomial(n, 1-p)
-	}
-	mean := float64(n) * p
-	if mean < 32 {
-		// Geometric jumps: number of failures before each success.
-		lq := math.Log1p(-p)
-		count := 0
-		pos := 0
-		for {
-			jump := int(math.Floor(math.Log(1-r.Float64()) / lq))
-			pos += jump + 1
-			if pos > n {
-				return count
-			}
-			count++
-		}
-	}
-	c := 0
-	for i := 0; i < n; i++ {
-		if r.Float64() < p {
-			c++
-		}
-	}
-	return c
 }
 
 // Geometric returns the number of Bernoulli(p) failures before the first

@@ -41,26 +41,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestSplitNDeterministic(t *testing.T) {
-	mk := func() []uint64 {
-		r := New(99)
-		gs := r.SplitN(4)
-		out := make([]uint64, 0, 12)
-		for _, g := range gs {
-			for i := 0; i < 3; i++ {
-				out = append(out, g.Uint64())
-			}
-		}
-		return out
-	}
-	a, b := mk(), mk()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("SplitN streams not reproducible at %d", i)
-		}
-	}
-}
-
 func TestIntnBounds(t *testing.T) {
 	r := New(3)
 	for _, n := range []int{1, 2, 3, 7, 100, 1 << 20} {
@@ -164,41 +144,6 @@ func TestSampleKCoversUniformly(t *testing.T) {
 	}
 }
 
-func TestBinomialMoments(t *testing.T) {
-	r := New(31)
-	cases := []struct {
-		n int
-		p float64
-	}{{100, 0.01}, {100, 0.3}, {1000, 0.5}, {50, 0.9}, {10000, 0.001}}
-	const trials = 5000
-	for _, c := range cases {
-		sum := 0.0
-		for i := 0; i < trials; i++ {
-			v := r.Binomial(c.n, c.p)
-			if v < 0 || v > c.n {
-				t.Fatalf("Binomial(%d,%v) = %d out of range", c.n, c.p, v)
-			}
-			sum += float64(v)
-		}
-		mean := sum / trials
-		want := float64(c.n) * c.p
-		sd := math.Sqrt(float64(c.n) * c.p * (1 - c.p))
-		if math.Abs(mean-want) > 6*sd/math.Sqrt(trials)+1e-9 {
-			t.Errorf("Binomial(%d,%v): mean %v, want %v", c.n, c.p, mean, want)
-		}
-	}
-}
-
-func TestBinomialEdgeCases(t *testing.T) {
-	r := New(37)
-	if r.Binomial(10, 0) != 0 || r.Binomial(0, 0.5) != 0 {
-		t.Fatal("degenerate binomials should be 0")
-	}
-	if r.Binomial(10, 1) != 10 {
-		t.Fatal("Binomial(n, 1) should be n")
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	r := New(41)
 	const p, trials = 0.2, 50000
@@ -261,13 +206,6 @@ func BenchmarkIntn(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Intn(1000)
-	}
-}
-
-func BenchmarkBinomialSparse(b *testing.B) {
-	r := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = r.Binomial(1<<20, 1e-5)
 	}
 }
 
