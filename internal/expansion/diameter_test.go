@@ -38,9 +38,9 @@ func TestExactDiameterDisconnected(t *testing.T) {
 	}
 }
 
-// TestExactDiameterOneWorkspace pins ExactDiameter to one workspace for
-// all n sources: a fresh workspace per BFS cost 4,001 allocations on a
-// 20×20 torus.
+// TestExactDiameterOneWorkspace pins ExactDiameter's allocations: its
+// n = 400 sources share one workspace, so the count stays far below one
+// per source.
 func TestExactDiameterOneWorkspace(t *testing.T) {
 	g := gen.Torus(20, 20)
 	allocs := testing.AllocsPerRun(5, func() {
