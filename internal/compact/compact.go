@@ -77,7 +77,7 @@ type Scratch struct {
 	frontier []int
 	comp     []int
 	out      []int
-	eval     expansion.EvalScratch
+	set      expansion.Tracker
 }
 
 // complementComponents labels the components of g minus U, where inU
@@ -200,8 +200,8 @@ func CompactifyScratch(g *graph.Graph, set []int, scr *Scratch) []int {
 		}
 		scr.comp = comp
 		// cut(C)/|C| — the same value Evaluate's EdgeAlpha reports.
-		_, cut := expansion.CountsScratch(g, comp, &scr.eval)
-		q := float64(cut) / float64(len(comp))
+		scr.set.Reset(g, comp)
+		q := float64(scr.set.Cut()) / float64(len(comp))
 		if best < 0 || q < bestQ {
 			best = id
 			bestQ = q

@@ -80,31 +80,28 @@ func quotient(r expansion.Result, mode Mode) float64 {
 	return r.EdgeAlpha
 }
 
-// finderScratch is reusable per-FindBest scratch shared by every prefix
-// sweep in one search (Fiedler sweeps and all BFS-ball seeds), so the
-// candidate layers stop allocating per seed. Buffers are cleared at each
-// use site; nothing escapes a single FindBest call.
+// finderScratch is reusable per-FindBest scratch for the BFS-ball
+// orders, so the ball layer stops allocating per seed. seen is cleared
+// at each use; nothing escapes a single FindBest call.
 type finderScratch struct {
-	inU  []bool
-	cnt  []int
 	seen []bool
 	ord  []int
 }
 
 func (s *finderScratch) grow(n int) {
-	if cap(s.inU) < n {
-		s.inU = make([]bool, n)
-		s.cnt = make([]int, n)
+	if cap(s.seen) < n {
 		s.seen = make([]bool, n)
 	}
-	s.inU = s.inU[:n]
-	s.cnt = s.cnt[:n]
 	s.seen = s.seen[:n]
-	for i := 0; i < n; i++ {
-		s.inU[i] = false
-		s.cnt[i] = 0
-		s.seen[i] = false
+	clear(s.seen)
+}
+
+// setQuotient is the tracked set's quotient in the given mode.
+func setQuotient(t *expansion.Tracker, mode Mode) float64 {
+	if mode == NodeMode {
+		return float64(t.Boundary()) / float64(t.Size())
 	}
+	return float64(t.Cut()) / float64(t.Size())
 }
 
 // sweepCandidates orders vertices by the Fiedler vector, evaluates every
@@ -146,57 +143,36 @@ func sweepCandidates(g *graph.Graph, mode Mode, maxSize int, connected bool, rng
 				ord[i] = order[n-1-i]
 			}
 		}
-		if bestK := bestPrefix(g, ord, mode, maxSize, &ws.scr); bestK >= 0 {
-			set := ord[:bestK+1]
-			f.consider(set)
-			if connected {
-				bestComponentOfWs(g, set, ws, f)
-			}
+		node, edge := bestPrefixes(g, ord, maxSize, &ws.set)
+		k := node
+		if mode == EdgeMode {
+			k = edge
+		}
+		set := ord[:k]
+		f.consider(set)
+		if connected {
+			bestComponentOfWs(g, set, ws, f)
 		}
 	}
 }
 
-// bestPrefix scans prefixes of ord up to maxSize, maintaining boundary
-// and cut sizes incrementally, and returns the length-1 index of the
-// minimum-quotient prefix (-1 if none).
-func bestPrefix(g *graph.Graph, ord []int, mode Mode, maxSize int, scr *finderScratch) int {
-	n := g.N()
-	scr.grow(n)
-	inU, cnt := scr.inU, scr.cnt // #neighbors inside U, for every vertex
-	boundary := 0
-	cut := 0
-	bestK := -1
-	bestQ := 0.0
-	limit := maxSize
-	if limit > n-1 {
-		limit = n - 1
-	}
-	for k := 0; k < limit; k++ {
-		v := ord[k]
-		// add v
-		inside := cnt[v]
-		cut += g.Degree(v) - 2*inside
-		if inside > 0 {
-			boundary-- // v was a boundary vertex
+// bestPrefixes scans the prefixes of ord of at most maxSize and fewer
+// than n vertices on t and returns the lengths of the first
+// minimum-node-quotient and the first minimum-edge-quotient prefix
+// (both 0 only if there is no prefix to scan).
+func bestPrefixes(g *graph.Graph, ord []int, maxSize int, t *expansion.Tracker) (node, edge int) {
+	t.Reset(g, nil)
+	var nodeQ, edgeQ float64
+	for k, v := range ord[:min(len(ord), maxSize, g.N()-1)] {
+		t.Add(v)
+		if qn := setQuotient(t, NodeMode); node == 0 || qn < nodeQ {
+			node, nodeQ = k+1, qn
 		}
-		for _, w := range g.Neighbors(v) {
-			cnt[w]++
-			if !inU[w] && cnt[w] == 1 {
-				boundary++
-			}
-		}
-		inU[v] = true
-		var q float64
-		if mode == NodeMode {
-			q = float64(boundary) / float64(k+1)
-		} else {
-			q = float64(cut) / float64(k+1)
-		}
-		if bestK < 0 || q < bestQ {
-			bestK, bestQ = k, q
+		if qe := setQuotient(t, EdgeMode); edge == 0 || qe < edgeQ {
+			edge, edgeQ = k+1, qe
 		}
 	}
-	return bestK
+	return node, edge
 }
 
 // ballCandidates grows BFS balls from 4 + 2⌊log₂ n⌋ sampled seeds and
@@ -214,7 +190,11 @@ func ballCandidates(g *graph.Graph, maxSize int, rng *xrand.RNG, ws *Workspace, 
 	ws.seedBuf, ws.seedMap = sample, m
 	for _, s := range sample {
 		ord := bfsOrder(g, s, maxSize, &ws.scr)
-		bestPrefixBoth(g, ord, maxSize, &ws.scr, f)
+		node, edge := bestPrefixes(g, ord, maxSize, &ws.set)
+		f.consider(ord[:node])
+		if edge != node {
+			f.consider(ord[:edge])
+		}
 	}
 }
 
@@ -238,106 +218,6 @@ func bfsOrder(g *graph.Graph, src, limit int, scr *finderScratch) []int {
 	return order
 }
 
-// bestPrefixBoth finds the best node-quotient and best edge-quotient
-// prefixes of ord in one pass and feeds both to the finder.
-func bestPrefixBoth(g *graph.Graph, ord []int, maxSize int, scr *finderScratch, f *finder) {
-	n := g.N()
-	scr.grow(n) // clears inU/cnt left by the previous candidate order
-	inU, cnt := scr.inU, scr.cnt
-	boundary, cut := 0, 0
-	bestNodeK, bestEdgeK := -1, -1
-	bestNodeQ, bestEdgeQ := 0.0, 0.0
-	limit := len(ord)
-	if limit > maxSize {
-		limit = maxSize
-	}
-	if limit > n-1 {
-		limit = n - 1
-	}
-	for k := 0; k < limit; k++ {
-		v := ord[k]
-		inside := cnt[v]
-		cut += g.Degree(v) - 2*inside
-		if inside > 0 {
-			boundary--
-		}
-		for _, w := range g.Neighbors(v) {
-			cnt[w]++
-			if !inU[w] && cnt[w] == 1 {
-				boundary++
-			}
-		}
-		inU[v] = true
-		qn := float64(boundary) / float64(k+1)
-		qe := float64(cut) / float64(k+1)
-		if bestNodeK < 0 || qn < bestNodeQ {
-			bestNodeK, bestNodeQ = k, qn
-		}
-		if bestEdgeK < 0 || qe < bestEdgeQ {
-			bestEdgeK, bestEdgeQ = k, qe
-		}
-	}
-	if bestNodeK >= 0 {
-		f.consider(ord[:bestNodeK+1])
-	}
-	if bestEdgeK >= 0 && bestEdgeK != bestNodeK {
-		f.consider(ord[:bestEdgeK+1])
-	}
-}
-
-// liState carries the incremental cut/boundary bookkeeping of the local
-// search. Methods on a stack value replace the old per-call closures so
-// the refinement pass stays allocation-free.
-type liState struct {
-	g        *graph.Graph
-	mode     Mode
-	inU      []bool
-	cnt      []int // #neighbors inside U, for every vertex
-	size     int
-	cut      int
-	boundary int
-}
-
-func (s *liState) quot() float64 {
-	if s.size == 0 {
-		return 1e18
-	}
-	if s.mode == NodeMode {
-		return float64(s.boundary) / float64(s.size)
-	}
-	return float64(s.cut) / float64(s.size)
-}
-
-func (s *liState) add(v int) {
-	if s.cnt[v] > 0 {
-		s.boundary--
-	}
-	s.cut += s.g.Degree(v) - 2*s.cnt[v]
-	for _, w := range s.g.Neighbors(v) {
-		if !s.inU[w] && s.cnt[w] == 0 {
-			s.boundary++
-		}
-		s.cnt[w]++
-	}
-	s.inU[v] = true
-	s.size++
-}
-
-func (s *liState) remove(v int) {
-	s.inU[v] = false
-	s.size--
-	s.cut -= s.g.Degree(v) - 2*s.cnt[v]
-	for _, w := range s.g.Neighbors(v) {
-		s.cnt[w]--
-		if !s.inU[w] && s.cnt[w] == 0 {
-			s.boundary--
-		}
-	}
-	if s.cnt[v] > 0 {
-		s.boundary++
-	}
-}
-
 // localSearchPasses is the number of greedy improvement passes.
 const localSearchPasses = 3
 
@@ -346,53 +226,36 @@ const localSearchPasses = 3
 // aliases ws.localOut.
 func localImprove(g *graph.Graph, set []int, mode Mode, maxSize int, passes int, rng *xrand.RNG, ws *Workspace) []int {
 	n := g.N()
-	ws.scr.grow(n) // clears inU/cnt left by the candidate layers
-	st := liState{g: g, mode: mode, inU: ws.scr.inU, cnt: ws.scr.cnt, size: len(set)}
-	for _, v := range set {
-		st.inU[v] = true
-	}
-	for v := 0; v < n; v++ {
-		for _, w := range g.Neighbors(v) {
-			if st.inU[w] {
-				st.cnt[v]++
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		if st.inU[v] {
-			st.cut += g.Degree(v) - st.cnt[v]
-		} else if st.cnt[v] > 0 {
-			st.boundary++
-		}
-	}
+	t := &ws.set
+	t.Reset(g, set)
 
 	order := rng.PermInto(n, ws.perm)
 	ws.perm = order
 	for pass := 0; pass < passes; pass++ {
 		improved := false
-		cur := st.quot()
+		cur := setQuotient(t, mode)
 		for _, v := range order {
-			if st.inU[v] {
-				if st.size <= 1 {
+			if t.Contains(v) {
+				if t.Size() <= 1 {
 					continue
 				}
-				st.remove(v)
-				if q := st.quot(); q < cur {
+				t.Remove(v)
+				if q := setQuotient(t, mode); q < cur {
 					cur = q
 					improved = true
 				} else {
-					st.add(v)
+					t.Add(v)
 				}
 			} else {
-				if st.size >= maxSize || st.cnt[v] == 0 {
+				if t.Size() >= maxSize || !t.Touches(v) {
 					continue // only grow along the boundary
 				}
-				st.add(v)
-				if q := st.quot(); q < cur {
+				t.Add(v)
+				if q := setQuotient(t, mode); q < cur {
 					cur = q
 					improved = true
 				} else {
-					st.remove(v)
+					t.Remove(v)
 				}
 			}
 		}
@@ -402,7 +265,7 @@ func localImprove(g *graph.Graph, set []int, mode Mode, maxSize int, passes int,
 	}
 	out := ws.localOut[:0]
 	for v := 0; v < n; v++ {
-		if st.inU[v] {
+		if t.Contains(v) {
 			out = append(out, v)
 		}
 	}

@@ -22,7 +22,7 @@ import (
 type Workspace struct {
 	scr  finderScratch
 	spec spectral.Scratch
-	eval expansion.EvalScratch
+	set  expansion.Tracker // prefix scans, local search and consider
 
 	order   []int // Fiedler sweep order
 	rev     []int // reversed sweep order
@@ -112,30 +112,19 @@ func (f *finder) consider(set []int) {
 	if f.connected && !isConnectedSetWs(f.g, set, f.ws) {
 		return
 	}
-	b, c := expansion.CountsScratch(f.g, set, &f.ws.eval)
-	na := float64(b) / float64(len(set))
-	ea := float64(c) / float64(len(set))
-	q := na
-	if f.mode == EdgeMode {
-		q = ea
-	}
-	if f.have {
-		qb := f.best.NodeAlpha
-		if f.mode == EdgeMode {
-			qb = f.best.EdgeAlpha
-		}
-		if !(q < qb) {
-			return
-		}
+	t := &f.ws.set
+	t.Reset(f.g, set)
+	if f.have && !(setQuotient(t, f.mode) < quotient(f.best, f.mode)) {
+		return
 	}
 	f.ws.bestSet = append(f.ws.bestSet[:0], set...)
 	f.best = expansion.Result{
 		Set:       f.ws.bestSet,
 		Size:      len(set),
-		NodeAlpha: na,
-		EdgeAlpha: ea,
-		Boundary:  b,
-		CutEdges:  c,
+		NodeAlpha: setQuotient(t, NodeMode),
+		EdgeAlpha: setQuotient(t, EdgeMode),
+		Boundary:  t.Boundary(),
+		CutEdges:  t.Cut(),
 	}
 	f.have = true
 }

@@ -90,55 +90,6 @@ func NodeExpansionOf(g *graph.Graph, inU []bool) float64 {
 	return float64(BoundarySize(g, inU)) / float64(size)
 }
 
-// EvalScratch holds the reusable mark arrays of scratch-based witness
-// evaluation. The zero value is ready to use; arrays grow on demand and
-// every use restores them to all-false, so the steady-state path
-// allocates nothing. Not safe for concurrent use.
-type EvalScratch struct {
-	inU  []bool
-	seen []bool
-}
-
-func (s *EvalScratch) grow(n int) {
-	if cap(s.inU) < n {
-		s.inU = make([]bool, n)
-		s.seen = make([]bool, n)
-	}
-	s.inU = s.inU[:n]
-	s.seen = s.seen[:n]
-}
-
-// CountsScratch returns (|Γ(U)|, cut(U)) for the witness set using scr's
-// mark arrays, touching (and afterwards restoring) only the set and its
-// neighborhood — O(Σ deg) per call, independent of n once warm. The
-// counts are identical to BoundarySize and EdgeBoundarySize on the
-// equivalent mask.
-func CountsScratch(g *graph.Graph, set []int, scr *EvalScratch) (boundary, cutEdges int) {
-	scr.grow(g.N())
-	inU, seen := scr.inU, scr.seen
-	for _, v := range set {
-		inU[v] = true
-	}
-	for _, v := range set {
-		for _, w := range g.Neighbors(v) {
-			if !inU[w] {
-				cutEdges++
-				if !seen[w] {
-					seen[w] = true
-					boundary++
-				}
-			}
-		}
-	}
-	for _, v := range set {
-		inU[v] = false
-		for _, w := range g.Neighbors(v) {
-			seen[w] = false
-		}
-	}
-	return boundary, cutEdges
-}
-
 // Result describes a located cut: the witness set, its size, and its
 // expansion values.
 type Result struct {

@@ -207,30 +207,17 @@ func (BottleneckAdversary) Select(g *graph.Graph, f int, rng *xrand.RNG) Pattern
 // largest prefix whose boundary size is at most f.
 func bfsBallWithBoundaryBudget(g *graph.Graph, seed, f int) []int {
 	n := g.N()
-	inU := make([]bool, n)
-	cnt := make([]int, n)
-	boundary := 0
+	var ball expansion.Tracker
+	ball.Reset(g, nil)
 	order := []int{seed}
 	seen := make([]bool, n)
 	seen[seed] = true
-	var best []int
-	add := func(v int) {
-		if cnt[v] > 0 {
-			boundary--
-		}
-		for _, w := range g.Neighbors(v) {
-			if !inU[w] && cnt[w] == 0 {
-				boundary++
-			}
-			cnt[w]++
-		}
-		inU[v] = true
-	}
+	best := 0
 	for i := 0; i < len(order) && len(order) <= n/2; i++ {
 		v := order[i]
-		add(v)
-		if boundary <= f && i+1 <= n/2 {
-			best = append(best[:0], order[:i+1]...)
+		ball.Add(v)
+		if ball.Boundary() <= f {
+			best = i + 1
 		}
 		for _, w := range g.Neighbors(v) {
 			if !seen[w] {
@@ -239,7 +226,7 @@ func bfsBallWithBoundaryBudget(g *graph.Graph, seed, f int) []int {
 			}
 		}
 	}
-	return append([]int(nil), best...)
+	return order[:best]
 }
 
 // ChainCenterAdversary is the Theorem 2.3 attack on a chain-replaced
