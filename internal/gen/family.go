@@ -294,17 +294,21 @@ func oneIntFamily(name, sizeSyntax, doc string, min int, est func(v int) (n, m i
 	}
 }
 
-// pow2Est returns a budget estimator for exponent-sized families
-// (vertex and edge counts polynomial in 2^d), saturating for absurd
-// exponents instead of overflowing.
-func pow2Est(nm func(d int) (int64, int64)) func(int) (int64, int64) {
-	return func(d int) (int64, int64) {
-		if d > 32 {
+// saturating returns a budget estimator that reports 2^62 vertices and
+// edges, over every budget, for sizes above limit, where nm's int64
+// arithmetic could overflow.
+func saturating(limit int, nm func(v int) (int64, int64)) func(int) (int64, int64) {
+	return func(v int) (int64, int64) {
+		if v > limit {
 			return 1 << 62, 1 << 62
 		}
-		return nm(d)
+		return nm(v)
 	}
 }
+
+// expanderEst estimates GabberGalil(v), at most 8-regular on v²
+// vertices, for the expander family and the chain family's base.
+var expanderEst = saturating(1<<30, func(v int) (int64, int64) { n := int64(v) * int64(v); return n, 4 * n })
 
 func init() {
 	// The 14 seed families, in the order they have always been
@@ -312,21 +316,21 @@ func init() {
 	register(latticeFamily("mesh", "d-dimensional mesh with the given side lengths", Mesh))
 	register(latticeFamily("torus", "d-dimensional torus (mesh with wraparound edges)", Torus))
 	register(oneIntFamily("hypercube", "D", "D-dimensional hypercube on 2^D vertices", 1,
-		pow2Est(func(d int) (int64, int64) { return 1 << d, int64(d) << uint(d-1) }), Hypercube))
+		saturating(32, func(d int) (int64, int64) { return 1 << d, int64(d) << uint(d-1) }), Hypercube))
 	register(oneIntFamily("butterfly", "D", "unwrapped D-dimensional butterfly on (D+1)·2^D vertices", 1,
-		pow2Est(func(d int) (int64, int64) { return int64(d+1) << uint(d), int64(d) << uint(d+1) }), Butterfly))
+		saturating(32, func(d int) (int64, int64) { return int64(d+1) << uint(d), int64(d) << uint(d+1) }), Butterfly))
 	register(oneIntFamily("wbutterfly", "D", "wrapped butterfly on D·2^D vertices (4-regular)", 1,
-		pow2Est(func(d int) (int64, int64) { return int64(d) << uint(d), int64(d) << uint(d+1) }), WrappedButterfly))
+		saturating(32, func(d int) (int64, int64) { return int64(d) << uint(d), int64(d) << uint(d+1) }), WrappedButterfly))
 	register(oneIntFamily("ccc", "D", "cube-connected cycles on D·2^D vertices (degree 3)", 3,
-		pow2Est(func(d int) (int64, int64) { n := int64(d) << uint(d); return n, 3 * n / 2 }), CCC))
+		saturating(32, func(d int) (int64, int64) { n := int64(d) << uint(d); return n, 3 * n / 2 }), CCC))
 	register(oneIntFamily("debruijn", "D", "binary de Bruijn graph on 2^D vertices", 1,
-		pow2Est(func(d int) (int64, int64) { return 1 << d, 1 << uint(d+1) }), DeBruijn))
+		saturating(32, func(d int) (int64, int64) { return 1 << d, 1 << uint(d+1) }), DeBruijn))
 	register(oneIntFamily("shuffle", "D", "binary shuffle-exchange network on 2^D vertices", 1,
-		pow2Est(func(d int) (int64, int64) { return 1 << d, 1 << uint(d+1) }), ShuffleExchange))
+		saturating(32, func(d int) (int64, int64) { return 1 << d, 1 << uint(d+1) }), ShuffleExchange))
 	register(oneIntFamily("expander", "M", "Margulis–Gabber–Galil expander on M² vertices (8-regular)", 2,
-		func(v int) (int64, int64) { n := int64(v) * int64(v); return n, 4 * n }, GabberGalil))
+		expanderEst, GabberGalil))
 	register(oneIntFamily("complete", "N", "complete graph K_N", 1,
-		func(v int) (int64, int64) { n := int64(v); return n, n * (n - 1) / 2 }, Complete))
+		saturating(1<<31, func(v int) (int64, int64) { n := int64(v); return n, n * (n - 1) / 2 }), Complete))
 	register(oneIntFamily("cycle", "N", "N-cycle", 1,
 		func(v int) (int64, int64) { return int64(v), int64(v) }, Cycle))
 	register(oneIntFamily("path", "N", "path graph on N vertices", 1,
@@ -362,8 +366,7 @@ func init() {
 			if k < 1 {
 				return 0, 0, nil, fmt.Errorf("chain needs k ≥ 1, got %d", k)
 			}
-			n0 := int64(v) * int64(v)
-			m0 := 4 * n0 // GabberGalil is ≤ 8-regular
+			n0, m0 := expanderEst(v)
 			// Check the base and the k multiplier separately so the
 			// m0·k product can never overflow int64 before the cap test.
 			if _, _, _, err := budgeted("chain", size, n0, m0, b, nil); err != nil {

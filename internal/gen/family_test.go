@@ -247,6 +247,32 @@ func TestSizeCaps(t *testing.T) {
 // contract: for every randomized family, the same (size, k, seed)
 // yields a byte-identical edge list, and different seeds yield
 // different graphs.
+// TestEstimateSaturatesHugeSizes: the estimate bound lets a one-integer
+// size reach 2^40, and the families whose estimate squares it must
+// report such sizes as over the bound, not wrap around to a count that
+// fits (expander, complete) or divide by a wrapped zero (chain).
+func TestEstimateSaturatesHugeSizes(t *testing.T) {
+	for _, c := range []struct {
+		family, size string
+		k            int
+	}{
+		{"expander", "4294967296", 0},
+		{"complete", "4294967296", 0},
+		{"chain", "4294967296", 1},
+		{"expander", "1099511627776", 0},
+		{"complete", "1099511627776", 0},
+		{"chain", "1099511627776", 7},
+		{"hypercube", "40", 0},
+	} {
+		n, m, err := EstimateFamily(c.family, c.size, c.k)
+		if err == nil {
+			t.Errorf("EstimateFamily(%s, %s, %d) = (%d, %d), want an over-the-bound error", c.family, c.size, c.k, n, m)
+		} else if !strings.Contains(err.Error(), "needs") {
+			t.Errorf("EstimateFamily(%s, %s, %d): %v, want the budget error", c.family, c.size, c.k, err)
+		}
+	}
+}
+
 func TestRandomizedFamilyDeterminism(t *testing.T) {
 	cases := []struct {
 		family, size string
