@@ -76,8 +76,8 @@ func CellCacheKey(h *cache.Hasher, rateMode string, c Cell) cache.Key {
 // it is supposed to reproduce. ok=false (treat as a miss, recompute)
 // unless every check passes:
 //
-//   - the payload unmarshals as a Result whose identity fields match
-//     the cell exactly — seed, trials, trial block, family, size,
+//   - the payload unmarshals as a Result that passes CheckRecord
+//     against the cell — seed, trials, trial block, family, size,
 //     measure, model, rate, precision — so an entry can never masquer-
 //     ade as a different cell's record, whatever happened on disk;
 //   - the record carries no Err (error records are never cached: an
@@ -90,15 +90,7 @@ func CachedResult(payload []byte, c *Cell) (*Result, bool) {
 	if err := json.Unmarshal(payload, &r); err != nil {
 		return nil, false
 	}
-	wantPrec := ""
-	if c.Precision.Sampled {
-		wantPrec = c.Precision.String()
-	}
-	if r.Err != "" ||
-		r.Seed != c.Seed || r.Trials != c.Trials || r.TrialBlock != c.TrialBlock ||
-		r.Family != c.Family.Family || r.Size != c.Family.Size ||
-		r.Measure != c.Measure || r.Model != c.Model || r.Rate != c.Rate ||
-		r.Precision != wantPrec {
+	if r.Err != "" || CheckRecord(&r, c) != nil {
 		return nil, false
 	}
 	again, err := json.Marshal(&r)

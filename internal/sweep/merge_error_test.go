@@ -120,6 +120,22 @@ func TestMergeShardsRefusesTrialAndBlockMismatch(t *testing.T) {
 	}
 }
 
+// TestMergeShardsRefusesEditedIdentity: a shard record whose identity
+// field was edited, seed kept, is refused by the spec-backed merge.
+func TestMergeShardsRefusesEditedIdentity(t *testing.T) {
+	outs := mergeFixture(t, 3)
+	spec := multiModelSpec()
+	for _, e := range identityEdits {
+		edited := append([]string(nil), outs...)
+		edited[1] = string(editRecord(t, []byte(outs[1]), 2, e.edit))
+		if n, err := mergeStrings(edited, spec); err == nil {
+			t.Errorf("%s edited: merge wrote %d records", e.field, n)
+		} else if !strings.Contains(err.Error(), "has "+e.field) {
+			t.Errorf("%s edited: error %q does not name the field", e.field, err)
+		}
+	}
+}
+
 // TestMergeShardsTruncatedMidRecord: a shard whose final line was torn
 // mid-write (no trailing newline, half a JSON object). The spec-backed
 // merge refuses it at the decode; the torn line must never reach the

@@ -35,12 +35,14 @@ type ResumeState struct {
 
 // CheckRecord reports whether res is the record of cell c, returning
 // nil if it is and an error naming the first differing field if not.
-// The seed pins every semantic coordinate (family, measure, model,
-// rate, precision tier) but neither the trial budget nor the
-// trial-parallel block partition, and both change a record's bytes, so
-// all three are compared. This is the identity rule every consumer of
-// a record stream applies — resume, merge, and the fleet coordinator's
-// online check; the error leaves the record's position to the caller.
+// It compares every identity field: the seed; the trial budget and the
+// trial-parallel block partition, which the seed does not pin but which
+// change a record's bytes; and the family, size, measure, model, rate
+// and precision tier the seed was derived from, so a record whose
+// coordinates were edited is refused too. This is the identity rule
+// every consumer of a record stream applies — resume, merge, the cache
+// and the fleet coordinator's online check; the error leaves the
+// record's position to the caller.
 func CheckRecord(res *Result, c *Cell) error {
 	switch {
 	case res.Seed != c.Seed:
@@ -54,8 +56,26 @@ func CheckRecord(res *Result, c *Cell) error {
 		// Blocked stream merges differ from the serial fold in the last
 		// ulp, so the partition is part of the record's byte contract.
 		return fmt.Errorf("used trial blocks of %d, spec wants %d — serial and trial-parallel output do not splice", res.TrialBlock, c.TrialBlock)
+	case res.Family != c.Family.Family:
+		return edited("family", res.Family, c.Family.Family)
+	case res.Size != c.Family.Size:
+		return edited("size", res.Size, c.Family.Size)
+	case res.Measure != c.Measure:
+		return edited("measure", res.Measure, c.Measure)
+	case res.Model != c.Model:
+		return edited("model", res.Model, c.Model)
+	case res.Rate != c.Rate:
+		return edited("rate", rateToken(res.Rate), rateToken(c.Rate))
+	case res.Precision != c.recordPrecision():
+		return edited("precision", res.Precision, c.recordPrecision())
 	}
 	return nil
+}
+
+// edited is CheckRecord's error for an identity field that differs
+// while the seed matches: the record was altered after it was written.
+func edited(field, got, want string) error {
+	return fmt.Errorf("has %s %q with the seed of %s %q — the record was altered", field, got, field, want)
 }
 
 // ScanResume validates an existing JSONL output stream against the

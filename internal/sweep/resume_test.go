@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -91,6 +92,55 @@ func TestScanResumeRefusesMismatches(t *testing.T) {
 	shardRef, _ := resumeRef(t, Shard{Index: 1, Count: 3})
 	if _, err := ScanResume(bytes.NewReader(shardRef), toySpec().ShardCells(Shard{Index: 0, Count: 3})); err == nil {
 		t.Error("shard 1 output accepted against shard 0 sequence")
+	}
+}
+
+// identityEdits alter one identity field of a record and keep its
+// seed, trials and trial block: the records CheckRecord must refuse by
+// comparing the fields themselves.
+var identityEdits = []struct {
+	field string
+	edit  func(*Result)
+}{
+	{"family", func(r *Result) { r.Family = "mesh" }},
+	{"size", func(r *Result) { r.Size = "5x5" }},
+	{"measure", func(r *Result) { r.Measure = "shatter" }},
+	{"model", func(r *Result) { r.Model = ModelIIDEdge }},
+	{"rate", func(r *Result) { r.Rate = 0.25 }},
+	{"precision", func(r *Result) { r.Precision = "sampled:4" }},
+}
+
+// editRecord returns the JSONL stream with record i decoded, edited and
+// re-encoded in place.
+func editRecord(t *testing.T, stream []byte, i int, edit func(*Result)) []byte {
+	t.Helper()
+	lines := bytes.SplitAfter(stream, []byte("\n"))
+	var r Result
+	if err := json.Unmarshal(lines[i], &r); err != nil {
+		t.Fatal(err)
+	}
+	edit(&r)
+	b, err := json.Marshal(&r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines[i] = append(b, '\n')
+	return bytes.Join(lines, nil)
+}
+
+// TestScanResumeRefusesEditedIdentity: a record whose family, size,
+// measure, model, rate or precision was edited keeps its cell's seed,
+// so only a comparison of the field itself stops resume from counting
+// the cell complete.
+func TestScanResumeRefusesEditedIdentity(t *testing.T) {
+	ref, cells := resumeRef(t, Shard{})
+	for _, e := range identityEdits {
+		edited := editRecord(t, ref, 0, e.edit)
+		if st, err := ScanResume(bytes.NewReader(edited), cells); err == nil {
+			t.Errorf("%s edited: resume accepted %d records", e.field, st.Done)
+		} else if !strings.Contains(err.Error(), "record 0 has "+e.field) {
+			t.Errorf("%s edited: error %q does not name the field", e.field, err)
+		}
 	}
 }
 

@@ -417,6 +417,16 @@ func (c Cell) FaultModel() faults.Model {
 	return m
 }
 
+// recordPrecision is the precision field of the cell's record: the tier
+// for sampled cells, empty (omitted) for exact ones, so exact output
+// keeps its historical bytes.
+func (c Cell) recordPrecision() string {
+	if !c.Precision.Sampled {
+		return ""
+	}
+	return c.Precision.String()
+}
+
 // rateToken renders a rate for seed keys and CSV cells; shortest
 // round-trip form, so 0.05 is always "0.05".
 func rateToken(r float64) string { return strconv.FormatFloat(r, 'g', -1, 64) }

@@ -67,7 +67,7 @@ type Summary struct {
 // independent cell's blocks and each rate of a coupled group); metrics
 // or an error are filled in after.
 func newResult(c Cell, n, m int) *Result {
-	res := &Result{
+	return &Result{
 		Family:     c.Family.Family,
 		Size:       c.Family.Size,
 		N:          n,
@@ -77,12 +77,9 @@ func newResult(c Cell, n, m int) *Result {
 		Rate:       c.Rate,
 		Trials:     c.Trials,
 		Seed:       c.Seed,
+		Precision:  c.recordPrecision(),
 		TrialBlock: c.TrialBlock,
 	}
-	if c.Precision.Sampled {
-		res.Precision = c.Precision.String()
-	}
-	return res
 }
 
 // finishResult installs a metric map on a result (foldBlocks' last
