@@ -49,9 +49,10 @@ type measurePath struct {
 // 2 trials, so every cell folds 2 blocks), for measures with a coupled
 // implementation the coupled rate mode, the serial fold under iid-edge
 // faults for every measure that accepts them (all but agreement, whose
-// Byzantine parties are nodes), and the serial fold under the
-// adversarial model for the measures that count components without
-// building the survivor.
+// Byzantine parties are nodes), the serial fold under the adversarial
+// model for the measures that count components without building the
+// survivor, and the serial fold on the sampled tier (sampled:4) for
+// every sampled-capable measure.
 func measurePaths(measure string) []measurePath {
 	serial := specForMeasure(measure)
 	serial.Trials = 2
@@ -78,6 +79,12 @@ func measurePaths(measure string) []measurePath {
 		adv.Trials = 2
 		adv.Model = sweep.ModelAdversarial
 		paths = append(paths, measurePath{"adversarial", adv})
+	}
+	if sweep.SampledCapable(measure) {
+		sampled := specForMeasure(measure)
+		sampled.Trials = 2
+		sampled.Precision = "sampled:4"
+		paths = append(paths, measurePath{"sampled", sampled})
 	}
 	return paths
 }
