@@ -306,9 +306,14 @@ func saturating(limit int, nm func(v int) (int64, int64)) func(int) (int64, int6
 	}
 }
 
+// maxSquarable is ⌊√(2^63−1)⌋, the largest size whose square fits in
+// an int64.
+const maxSquarable = 3037000499
+
 // expanderEst estimates GabberGalil(v), at most 8-regular on v²
-// vertices, for the expander family and the chain family's base.
-var expanderEst = saturating(1<<30, func(v int) (int64, int64) { n := int64(v) * int64(v); return n, 4 * n })
+// vertices, for the expander family and the chain family's base; 4v² =
+// (2v)² fits while 2v ≤ maxSquarable.
+var expanderEst = saturating(maxSquarable/2, func(v int) (int64, int64) { n := int64(v) * int64(v); return n, 4 * n })
 
 func init() {
 	// The 14 seed families, in the order they have always been
@@ -330,7 +335,7 @@ func init() {
 	register(oneIntFamily("expander", "M", "Margulis–Gabber–Galil expander on M² vertices (8-regular)", 2,
 		expanderEst, GabberGalil))
 	register(oneIntFamily("complete", "N", "complete graph K_N", 1,
-		saturating(1<<31, func(v int) (int64, int64) { n := int64(v); return n, n * (n - 1) / 2 }), Complete))
+		saturating(maxSquarable, func(v int) (int64, int64) { n := int64(v); return n, n * (n - 1) / 2 }), Complete))
 	register(oneIntFamily("cycle", "N", "N-cycle", 1,
 		func(v int) (int64, int64) { return int64(v), int64(v) }, Cycle))
 	register(oneIntFamily("path", "N", "path graph on N vertices", 1,

@@ -271,6 +271,16 @@ func TestEstimateSaturatesHugeSizes(t *testing.T) {
 			t.Errorf("EstimateFamily(%s, %s, %d): %v, want the budget error", c.family, c.size, c.k, err)
 		}
 	}
+	// Up to the largest sizes whose counts fit in an int64, the error
+	// still names the exact count, not the saturated one.
+	for _, c := range []struct{ family, size, want string }{
+		{"expander", "1518500249", "needs 2305843006213062001 vertices"},
+		{"complete", "3037000499", "needs ~4611686013944624251 edges"},
+	} {
+		if _, _, err := EstimateFamily(c.family, c.size, 0); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("EstimateFamily(%s, %s): %v, want an error that %s", c.family, c.size, err, c.want)
+		}
+	}
 }
 
 func TestRandomizedFamilyDeterminism(t *testing.T) {
