@@ -47,7 +47,8 @@ type measurePath struct {
 // measurePaths lists the execution paths a measure's bytes are pinned
 // on: the serial trial fold, trial-parallel blocks (trial_block 1 with
 // 2 trials, so every cell folds 2 blocks), for measures with a coupled
-// implementation the coupled rate mode, the serial fold under iid-edge
+// implementation the coupled rate mode under iid-node and under iid-edge
+// faults (coupled-edge), the serial fold under iid-edge
 // faults for every measure that accepts them (all but agreement, whose
 // Byzantine parties are nodes), the serial fold under the adversarial
 // model for the measures that count components without building the
@@ -65,7 +66,11 @@ func measurePaths(measure string) []measurePath {
 		coupled := specForMeasure(measure)
 		coupled.Trials = 2
 		coupled.RateMode = sweep.RateModeCoupled
-		paths = append(paths, measurePath{"coupled", coupled})
+		coupledEdge := specForMeasure(measure)
+		coupledEdge.Trials = 2
+		coupledEdge.RateMode = sweep.RateModeCoupled
+		coupledEdge.Model = sweep.ModelIIDEdge
+		paths = append(paths, measurePath{"coupled", coupled}, measurePath{"coupled-edge", coupledEdge})
 	}
 	if measure != "agreement" {
 		edge := specForMeasure(measure)
