@@ -138,15 +138,11 @@ type CoordJobView struct {
 	Removed  bool           `json:"removed,omitempty"`
 }
 
-// CoordHealth is the coordinator's GET /healthz body.
+// CoordHealth is the coordinator's GET /healthz body: a worker's
+// fields, then the fleet.
 type CoordHealth struct {
-	Service       string       `json:"service"`
-	Version       string       `json:"version"`
-	KernelVersion string       `json:"kernel_version"`
-	MaxActive     int          `json:"max_active"`
-	ActiveJobs    int          `json:"active_jobs"`
-	HeldJobs      int          `json:"held_jobs"`
-	Workers       []WorkerView `json:"workers"`
+	Health
+	Workers []WorkerView `json:"workers"`
 }
 
 // coordJob is one job's in-memory state: per-shard line logs mirroring
@@ -164,13 +160,7 @@ type coordJob struct {
 	expected []int          // per-shard complete line counts
 	logs     []*resultLog   // per-shard line logs (merged stream reads these)
 	files    []*os.File     // per-shard durable append handles (while running)
-
-	cancelOnce sync.Once
-	cancelCh   chan struct{}
-	done       chan struct{}
-	// halt is the coordinator's shutdown: a job queued then never turns
-	// terminal (it resumes on the next start), so cancel stops waiting.
-	halt <-chan struct{}
+	adm      *admission
 
 	mu          sync.Mutex
 	state       sweep.JobState
@@ -180,50 +170,19 @@ type coordJob struct {
 	maxBytes    int64
 }
 
-func (cj *coordJob) cancelRequested() bool {
-	select {
-	case <-cj.cancelCh:
-		return true
-	default:
-		return false
-	}
-}
-
-// stop requests the job stop draining at line boundaries.
-func (cj *coordJob) stop() { cj.cancelOnce.Do(func() { close(cj.cancelCh) }) }
-
 // cancel writes the store's cancelled marker, so a restart doesn't
 // resurrect the job, and stops it, even when the marker write fails. A
-// job still queued cannot be admitted after stop (admit checks under
-// mu), so cancel waits for its immediate cancelled state.
+// job stopped while still queued (also one queued at shutdown) is never
+// admitted, so cancel settles it as cancelled itself.
 func (cj *coordJob) cancel() error {
 	err := cj.stored.MarkCancelled()
-	cj.stop()
-	cj.mu.Lock()
-	queued := cj.state == sweep.JobPending
-	cj.mu.Unlock()
-	if queued {
-		select {
-		case <-cj.done:
-		case <-cj.halt:
-		}
+	if cj.adm.stop() {
+		cj.finish(sweep.JobCancelled, nil)
 	}
 	if err != nil {
 		return fmt.Errorf("cancelled %s, but a restart would resume it: %v", cj.id, err)
 	}
 	return nil
-}
-
-// admit moves a job that got a dispatch slot to running, unless a
-// cancel came first.
-func (cj *coordJob) admit() bool {
-	cj.mu.Lock()
-	defer cj.mu.Unlock()
-	if cj.cancelRequested() {
-		return false
-	}
-	cj.state = sweep.JobRunning
-	return true
 }
 
 func (cj *coordJob) jobState() sweep.JobState {
@@ -251,10 +210,7 @@ func (cj *coordJob) finish(s sweep.JobState, err error) {
 		cj.errMsg = err.Error()
 	}
 	cj.mu.Unlock()
-	for _, l := range cj.logs {
-		l.finish()
-	}
-	close(cj.done)
+	cj.finishLogs()
 }
 
 func (cj *coordJob) setShardWorker(i int, base string) {
@@ -395,7 +351,6 @@ func (c *Coordinator) rebuild() error {
 		case cj.complete():
 			cj.finish(sweep.JobDone, nil)
 		case sj.Cancelled():
-			cj.stop()
 			cj.finish(sweep.JobCancelled, nil)
 		case sj.Kernel != sweep.KernelVersion:
 			cj.finish(sweep.JobFailed, fmt.Errorf(
@@ -428,9 +383,7 @@ func (c *Coordinator) buildJob(sj *StoredJob, fresh bool) (*coordJob, error) {
 		expected:    make([]int, m),
 		logs:        make([]*resultLog, m),
 		files:       make([]*os.File, m),
-		cancelCh:    make(chan struct{}),
-		done:        make(chan struct{}),
-		halt:        c.ctx.Done(),
+		adm:         newAdmission(),
 		state:       sweep.JobPending,
 		shardWorker: make([]string, m),
 		maxBytes:    c.cfg.MaxResultBytes,
@@ -628,7 +581,7 @@ func (c *Coordinator) acquire(cj *coordJob) (*workerRef, <-chan struct{}, error)
 		c.mu.Unlock()
 		select {
 		case <-wait:
-		case <-cj.cancelCh:
+		case <-cj.adm.stopped:
 			return nil, nil, errJobCancelled
 		case <-c.ctx.Done():
 			return nil, nil, c.ctx.Err()
@@ -669,30 +622,17 @@ func isPermanent(err error) bool {
 // ensure every shard file exists (a complete merge -dir set from the
 // first byte), run all shard tasks concurrently, settle the state.
 func (c *Coordinator) runJob(cj *coordJob) {
-	acquired := false
-	select {
-	case c.sem <- struct{}{}:
-		acquired = true
-	case <-cj.cancelCh:
-	case <-c.ctx.Done():
-	}
-	if acquired {
-		defer func() { <-c.sem }()
-	}
-	if !acquired {
-		if c.ctx.Err() != nil && !cj.cancelRequested() {
-			// Daemon shutdown: the job stays durable and resumes on the
-			// next start; just end any local streams.
-			cj.finishLogs()
-			return
-		}
-		cj.finish(sweep.JobCancelled, nil)
+	if !cj.adm.wait(c.ctx, c.sem) {
+		// Stopped while queued, which cancel settles, or shut down: the
+		// job stays durable and resumes on the next start. Either way,
+		// end any local streams.
+		cj.finishLogs()
 		return
 	}
-	if !cj.admit() {
-		cj.finish(sweep.JobCancelled, nil)
-		return
-	}
+	defer func() { <-c.sem }()
+	cj.mu.Lock()
+	cj.state = sweep.JobRunning
+	cj.mu.Unlock()
 	for i := 0; i < cj.m; i++ {
 		f, err := os.OpenFile(cj.stored.ShardPath(i), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o666)
 		if err != nil {
@@ -722,7 +662,7 @@ func (c *Coordinator) runJob(cj *coordJob) {
 		}(i)
 	}
 	wg.Wait()
-	if c.ctx.Err() != nil && !cj.cancelRequested() {
+	if c.ctx.Err() != nil && !cj.adm.isStopped() {
 		cj.finishLogs()
 		return
 	}
@@ -734,7 +674,7 @@ func (c *Coordinator) runJob(cj *coordJob) {
 		}
 	}
 	switch {
-	case cj.cancelRequested():
+	case cj.adm.isStopped():
 		cj.finish(sweep.JobCancelled, nil)
 	case firstErr != nil:
 		cj.finish(sweep.JobFailed, firstErr)
@@ -760,7 +700,7 @@ func (c *Coordinator) runShard(cj *coordJob, i int) error {
 	idle := 0
 	var lastErr error
 	for {
-		if cj.cancelRequested() {
+		if cj.adm.isStopped() {
 			return errJobCancelled
 		}
 		if err := c.ctx.Err(); err != nil {
@@ -784,7 +724,7 @@ func (c *Coordinator) runShard(cj *coordJob, i int) error {
 			cj.logs[i].finish()
 			return nil
 		}
-		if cj.cancelRequested() {
+		if cj.adm.isStopped() {
 			return errJobCancelled
 		}
 		if c.ctx.Err() != nil {
@@ -801,7 +741,7 @@ func (c *Coordinator) runShard(cj *coordJob, i int) error {
 		}
 		select {
 		case <-time.After(c.cfg.RetryDelay):
-		case <-cj.cancelCh:
+		case <-cj.adm.stopped:
 			return errJobCancelled
 		case <-c.ctx.Done():
 			return c.ctx.Err()
@@ -826,7 +766,7 @@ func (c *Coordinator) runShardAttempt(cj *coordJob, i int, w *workerRef, down <-
 		select {
 		case <-down:
 			cancel()
-		case <-cj.cancelCh:
+		case <-cj.adm.stopped:
 			cancel()
 		case <-stop:
 		case <-actx.Done():
@@ -892,7 +832,7 @@ func (c *Coordinator) runShardAttempt(cj *coordJob, i int, w *workerRef, down <-
 		// its connection) died mid-stream — treat it as down right away
 		// instead of waiting a health-check period. A cancelled job's
 		// aborted read proves nothing about the worker.
-		if !cj.cancelRequested() && c.ctx.Err() == nil {
+		if !cj.adm.isStopped() && c.ctx.Err() == nil {
 			c.markDown(w, fmt.Sprintf("stream died mid-shard: %v", err))
 		}
 		return fmt.Errorf("worker %s: shard %s stream died after %d records: %v", w.base, sh, skip+got, err)
@@ -924,18 +864,6 @@ func (c *Coordinator) markDownIfTransport(w *workerRef, err error) {
 		return
 	}
 	c.markDown(w, err.Error())
-}
-
-func (c *Coordinator) health() CoordHealth {
-	h := CoordHealth{
-		Service:       "faultexp-coordinator",
-		Version:       BuildVersion(),
-		KernelVersion: sweep.KernelVersion,
-		MaxActive:     cap(c.sem),
-		Workers:       c.workerViews(),
-	}
-	h.HeldJobs, h.ActiveJobs = c.jobs.counts()
-	return h
 }
 
 func (c *Coordinator) workerViews() []WorkerView {

@@ -26,7 +26,10 @@ func (c *Coordinator) Handler() http.Handler {
 }
 
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.health())
+	writeJSON(w, http.StatusOK, CoordHealth{
+		Health:  c.jobs.health("faultexp-coordinator", cap(c.sem)),
+		Workers: c.workerViews(),
+	})
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {

@@ -621,6 +621,52 @@ func TestCoordinatorHealthShape(t *testing.T) {
 	}
 }
 
+// TestCoordHealthJSONBytes pins the coordinator's /healthz bytes for a
+// fixed value: CoordHealth embeds a worker's Health, and the embedding
+// keeps the names and order of the fields the body had as one flat
+// struct.
+func TestCoordHealthJSONBytes(t *testing.T) {
+	h := CoordHealth{
+		Health: Health{Service: "faultexp-coordinator", Version: "devel", KernelVersion: "fx-kernels-v8",
+			MaxActive: 2, ActiveJobs: 1, HeldJobs: 3},
+		Workers: []WorkerView{
+			{URL: "http://127.0.0.1:1", Healthy: true, KernelVersion: "fx-kernels-v8", KernelOK: true, Version: "devel", Inflight: 1},
+			{URL: "http://127.0.0.1:2", Err: "not probed yet"},
+		},
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, h)
+	const want = `{
+  "service": "faultexp-coordinator",
+  "version": "devel",
+  "kernel_version": "fx-kernels-v8",
+  "max_active": 2,
+  "active_jobs": 1,
+  "held_jobs": 3,
+  "workers": [
+    {
+      "url": "http://127.0.0.1:1",
+      "healthy": true,
+      "kernel_version": "fx-kernels-v8",
+      "kernel_ok": true,
+      "version": "devel",
+      "inflight": 1
+    },
+    {
+      "url": "http://127.0.0.1:2",
+      "healthy": false,
+      "kernel_ok": false,
+      "inflight": 0,
+      "err": "not probed yet"
+    }
+  ]
+}
+`
+	if got := rec.Body.String(); got != want {
+		t.Errorf("/healthz body:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestCoordinatorMoreShardsThanWorkers: -shards above the fleet size
 // still completes (shards queue behind the per-worker inflight gate)
 // and stays byte-identical.

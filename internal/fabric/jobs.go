@@ -1,7 +1,9 @@
 package fabric
 
 // The job table: serve and worker hold their jobs in one, and so does
-// the coordinator, and the table serves the /v1 routes they share.
+// the coordinator, and the table serves the /v1 routes and the /healthz
+// fields they share. Every job waits for a slot of its daemon's pool
+// through one admission type.
 
 import (
 	"context"
@@ -25,6 +27,62 @@ type tableJob interface {
 	// cancel stops the job. A job still waiting for a slot is terminal
 	// when cancel returns; a running one drains afterwards.
 	cancel() error
+}
+
+// admission is a job's place in the queue for its daemon's pool of
+// -max-active slots: wait holds the job until it gets a slot, it is
+// stopped, or the daemon shuts down. Exactly one of "admitted" and
+// "stopped while queued" wins, under mu, so a job stopped while queued
+// never holds a slot.
+type admission struct {
+	stopped chan struct{} // closed by the first stop
+
+	mu       sync.Mutex
+	admitted bool
+}
+
+func newAdmission() *admission { return &admission{stopped: make(chan struct{})} }
+
+// wait blocks until the job takes a slot of pool, is stopped, or ctx
+// ends, and reports whether it was admitted. An admitted job gives its
+// slot back by receiving from pool when it ends.
+func (a *admission) wait(ctx context.Context, pool chan struct{}) bool {
+	select {
+	case pool <- struct{}{}:
+	case <-a.stopped:
+		return false
+	case <-ctx.Done():
+		return false
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.isStopped() {
+		<-pool
+		return false
+	}
+	a.admitted = true
+	return true
+}
+
+// stop stops the job and reports whether it was still queued: such a
+// job is never admitted, and its daemon settles it as cancelled. A
+// running job sees isStopped and drains.
+func (a *admission) stop() (queued bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !a.isStopped() {
+		close(a.stopped)
+	}
+	return !a.admitted
+}
+
+func (a *admission) isStopped() bool {
+	select {
+	case <-a.stopped:
+		return true
+	default:
+		return false
+	}
 }
 
 // jobTable holds a daemon's jobs in submission order. The zero value
@@ -91,17 +149,24 @@ func (t *jobTable[J]) makeRoom(limit int) bool {
 	return len(t.jobs) < limit
 }
 
-// counts returns how many jobs the table holds and how many of them
-// are running: /healthz's held_jobs and active_jobs.
-func (t *jobTable[J]) counts() (held, running int) {
+// health builds the /healthz fields every daemon shares: held_jobs
+// counts the jobs the table holds, active_jobs the running ones.
+func (t *jobTable[J]) health(service string, maxActive int) Health {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	h := Health{
+		Service:       service,
+		Version:       BuildVersion(),
+		KernelVersion: sweep.KernelVersion,
+		MaxActive:     maxActive,
+		HeldJobs:      len(t.jobs),
+	}
 	for _, j := range t.jobs {
 		if j.jobState() == sweep.JobRunning {
-			running++
+			h.ActiveJobs++
 		}
 	}
-	return len(t.jobs), running
+	return h
 }
 
 // register mounts the routes every daemon shares on mux.

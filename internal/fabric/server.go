@@ -136,52 +136,30 @@ func (l *resultLog) next(ctx context.Context, i int) (line []byte, ok bool) {
 	return nil, false
 }
 
-// servedJob is one submission: the Job, its result log, and a cancel
-// that also unblocks the queue wait if the job never got a slot.
+// servedJob is one submission: the Job, its result log, and its place
+// in the pool's admission queue.
 type servedJob struct {
 	id      string
 	job     *sweep.Job
 	log     *resultLog
 	created time.Time
-
-	cancelOnce sync.Once
-	cancelled  chan struct{}
-
-	// mu guards the admission/cancellation handshake between the pool
-	// runner (beginRun) and DELETE (cancel): exactly one of
-	// "admitted to a slot" and "cancelled while queued" wins, so a
-	// queued job's DELETE can safely wait for the (immediate) terminal
-	// state instead of racing a Start it cannot see.
-	mu              sync.Mutex
-	admitted        bool
-	cancelRequested bool
+	adm     *admission
 }
 
 // stop cancels the job without waiting: a queued job leaves the queue,
-// a running one drains at a cell boundary.
-func (s *servedJob) stop() {
-	s.cancelOnce.Do(func() {
-		s.mu.Lock()
-		s.cancelRequested = true
-		s.mu.Unlock()
-		close(s.cancelled)
-		s.job.Cancel()
-	})
+// a running one drains at a cell boundary. It reports whether the job
+// was still queued.
+func (s *servedJob) stop() (queued bool) {
+	queued = s.adm.stop()
+	s.job.Cancel()
+	return queued
 }
 
-// cancel stops the job, and when it was still queued (never admitted
-// to a pool slot) waits for its terminal state: the run goroutine is
-// then guaranteed to take the pre-cancelled path — Start with a
-// cancelled job dispatches nothing — so the wait is immediate.
-// sync.Once makes the ordering sound for concurrent DELETEs: stop
-// returns only after cancelRequested is set, and beginRun checks it
-// under mu.
+// cancel stops the job, and when it was still queued waits for its
+// terminal state: its run goroutine starts it pre-cancelled — Start
+// with a cancelled job dispatches nothing — so the wait is immediate.
 func (s *servedJob) cancel() error {
-	s.stop()
-	s.mu.Lock()
-	queued := !s.admitted
-	s.mu.Unlock()
-	if queued {
+	if s.stop() {
 		<-s.job.Done()
 	}
 	return nil
@@ -190,19 +168,6 @@ func (s *servedJob) cancel() error {
 func (s *servedJob) jobState() sweep.JobState { return s.job.Snapshot().State }
 
 func (s *servedJob) line(ctx context.Context, i int) ([]byte, bool) { return s.log.next(ctx, i) }
-
-// beginRun claims the admission slot for a real run. It fails exactly
-// when a cancel was requested first — the queued-DELETE case — and the
-// caller then starts the job pre-cancelled instead of executing it.
-func (s *servedJob) beginRun() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cancelRequested {
-		return false
-	}
-	s.admitted = true
-	return true
-}
 
 // Config sizes a Server.
 type Config struct {
@@ -274,11 +239,11 @@ func (m *Server) submit(spec *sweep.Spec, opts ...sweep.JobOption) (*servedJob, 
 	}
 	m.seq++
 	sj := &servedJob{
-		id:        fmt.Sprintf("job-%d", m.seq),
-		job:       job,
-		log:       log,
-		created:   time.Now(),
-		cancelled: make(chan struct{}),
+		id:      fmt.Sprintf("job-%d", m.seq),
+		job:     job,
+		log:     log,
+		created: time.Now(),
+		adm:     newAdmission(),
 	}
 	m.jobs.add(sj.id, sj)
 	m.mu.Unlock()
@@ -289,33 +254,19 @@ func (m *Server) submit(spec *sweep.Spec, opts ...sweep.JobOption) (*servedJob, 
 var errTooManyJobs = fmt.Errorf("job store full")
 
 // run waits for a pool slot, executes the job, and completes its result
-// log. A job cancelled while queued (DELETE, or server shutdown) still
-// passes through Start so it reaches the ordinary cancelled terminal
-// state and its streams close.
+// log. A job stopped while queued (DELETE, or server shutdown) still
+// passes through Start, pre-cancelled, so it reaches the ordinary
+// cancelled terminal state at once, computing nothing, and its streams
+// close.
 func (m *Server) run(sj *servedJob) {
-	acquired := false
-	select {
-	case m.sem <- struct{}{}:
-		acquired = true
-	case <-sj.cancelled:
-	case <-m.ctx.Done():
-	}
-	if acquired {
+	if sj.adm.wait(m.ctx, m.sem) {
 		defer func() { <-m.sem }()
-	}
-	if !acquired || !sj.beginRun() {
-		// Never got a slot, or was cancelled between queueing and
-		// admission (beginRun loses to cancel exactly once, under
-		// the same lock): start pre-cancelled so Wait/Snapshot/streams
-		// all resolve through the ordinary cancelled terminal state —
-		// immediately, without computing anything.
+	} else {
 		sj.job.Cancel()
 	}
-	if err := sj.job.Start(m.ctx); err != nil {
-		sj.log.finish()
-		return
+	if err := sj.job.Start(m.ctx); err == nil {
+		sj.job.Wait()
 	}
-	sj.job.Wait()
 	sj.log.finish()
 }
 
@@ -370,17 +321,6 @@ func BuildVersion() string {
 	return v
 }
 
-func (m *Server) health() Health {
-	h := Health{
-		Service:       "faultexp",
-		Version:       BuildVersion(),
-		KernelVersion: sweep.KernelVersion,
-		MaxActive:     cap(m.sem),
-	}
-	h.HeldJobs, h.ActiveJobs = m.jobs.counts()
-	return h
-}
-
 // Handler wires the /v1 routes plus /healthz.
 func (m *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -403,7 +343,7 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func (m *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, m.health())
+	writeJSON(w, http.StatusOK, m.jobs.health("faultexp", cap(m.sem)))
 }
 
 // handleSubmit accepts a grid spec and queues it. Two query parameters
