@@ -168,11 +168,11 @@ func setupShatterCoupled(g *graph.Graph, cells []sweep.Cell, ws *graph.Workspace
 }
 
 // setupResidualCoupled measures the surviving component's node and edge
-// expansion at every rate of one coupled realization. The union–find
-// tracks the largest component incrementally under node faults; the cut
-// finder itself (the dominant cost) necessarily runs per rate, drawing
-// from that rate's own measurement stream. Fault-free baselines are
-// measured once per group instead of once per rate cell.
+// expansion at every rate of one coupled realization: each rate's
+// survivor is built from the shared draws and restricted to its largest
+// component, and the cut finder (the dominant cost) runs per rate,
+// drawing from that rate's own measurement stream. Fault-free baselines
+// are measured once per group instead of once per rate cell.
 func setupResidualCoupled(g *graph.Graph, cells []sweep.Cell, ws *graph.Workspace, rng *xrand.RNG, recs []*sweep.Recorder) (sweep.CoupledRun, error) {
 	if g.N() < 2 {
 		return sweep.CoupledRun{}, fmt.Errorf("graph too small")
@@ -185,73 +185,42 @@ func setupResidualCoupled(g *graph.Graph, cells []sweep.Cell, ws *graph.Workspac
 	}
 	site := cells[0].Model == sweep.ModelIIDNode
 	n := g.N()
+	elements := n
+	if !site {
+		elements = g.M()
+	}
 	nn := float64(n)
 	cs := newCoupledSweep(cells)
 	var finder cuts.Workspace
-	var members []int
-	observeComp := func(ri int, comp *graph.Graph, mrng *xrand.RNG) {
-		na, ea := core.MeasureResidualWs(comp, mrng, &finder)
-		rec := recs[ri]
-		rec.Observe("alpha_node", na)
-		rec.Observe("alpha_edge", ea)
-		rec.Observe("gamma", float64(comp.N())/nn)
-	}
 	trial := func(t int, ws *graph.Workspace, crng *xrand.RNG, mrngs []*xrand.RNG, recs []*sweep.Recorder) error {
-		if site {
-			return cs.unionFind(g, crng, func(ri, _ int) error {
-				d := &cs.d
-				if d.Largest() < 2 {
-					return nil
-				}
-				// The largest component's members induce the survivor
-				// subgraph directly: node faults delete nodes, so every
-				// g-edge between two members survived.
-				root := -1
-				for v := 0; v < n; v++ {
-					if d.Active(v) && d.ComponentSize(v) == d.Largest() {
-						root = d.Find(v)
-						break
-					}
-				}
-				members = members[:0]
-				for v := 0; v < n; v++ {
-					if d.Active(v) && d.Find(v) == root {
-						members = append(members, v)
-					}
-				}
-				// Mask returns dirty memory — clear it, or leftover bits
-				// from whatever workspace history this worker carries
-				// leak into the survivor (visible as a byte diff across
-				// -workers values).
-				keep := ws.Mask(n)
-				for i := range keep {
-					keep[i] = false
-				}
-				for _, v := range members {
-					keep[v] = true
-				}
-				observeComp(ri, g.InduceInto(ws, keep).G, mrngs[ri])
-				return nil
-			})
-		}
-		// Edge faults: the survivor graph at each rate is g minus the
-		// failed edges, rebuilt from the shared draws (the cut finder
-		// needs the graph itself, so connectivity alone cannot carry the
-		// measurement). FilterEdgesInto visits edges in ForEachEdge
-		// order — the order the coupling draws were made in — so a
-		// running index aligns draw and edge.
-		return cs.run(g.M(), crng, func(int) {}, func(ri, _ int) error {
+		return cs.run(elements, crng, func(int) {}, func(ri, _ int) error {
 			r := cells[ri].Rate
-			ei := 0
-			sub, _ := g.FilterEdgesInto(ws, func(_, _ int) bool {
-				ei++
-				return cs.u[ei-1] < r
-			})
-			comp := sub.LargestComponentSubInto(ws)
-			if comp.G.N() < 2 {
+			var sub *graph.Sub
+			if site {
+				keep := ws.Mask(n)
+				for v := range keep {
+					keep[v] = cs.u[v] >= r
+				}
+				sub = g.InduceInto(ws, keep)
+			} else {
+				// FilterEdgesInto visits edges in ForEachEdge order — the
+				// order the coupling draws were made in — so a running
+				// index aligns draw and edge.
+				ei := 0
+				sub, _ = g.FilterEdgesInto(ws, func(_, _ int) bool {
+					ei++
+					return cs.u[ei-1] < r
+				})
+			}
+			comp := sub.LargestComponentSubInto(ws).G
+			if comp.N() < 2 {
 				return nil
 			}
-			observeComp(ri, comp.G, mrngs[ri])
+			na, ea := core.MeasureResidualWs(comp, mrngs[ri], &finder)
+			rec := recs[ri]
+			rec.Observe("alpha_node", na)
+			rec.Observe("alpha_edge", ea)
+			rec.Observe("gamma", float64(comp.N())/nn)
 			return nil
 		})
 	}
