@@ -800,9 +800,6 @@ func (c *Coordinator) runShardAttempt(cj *coordJob, i int, w *workerRef, down <-
 	got := 0
 	for sc.Scan() {
 		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
 		idx := skip + got
 		if idx >= cj.expected[i] {
 			return permErr("worker %s emitted more records than shard %s holds (%d) — determinism violation", w.base, sh, cj.expected[i])

@@ -10,6 +10,7 @@ package sweep
 // accepted. All but the token parsers are seeded with the toy grid.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -120,7 +121,8 @@ func FuzzCachedResult(f *testing.F) {
 
 // FuzzMergeShards merges the toy grid's 3-way split with one shard
 // (picked by which) replaced by arbitrary bytes, once without and once
-// with the spec. A merge that succeeds must have written exactly the
+// with the spec. A merge that succeeds must have merged every input
+// line (a blank line is refused, not skipped) and written exactly the
 // records it counts, each a line that decodes as a Result and, given
 // the spec, passes CheckRecord against the cell at its position.
 func FuzzMergeShards(f *testing.F) {
@@ -144,17 +146,30 @@ func FuzzMergeShards(f *testing.F) {
 	f.Add(uint8(2), shards[2][:bytes.IndexByte(shards[2], '\n')+1]) // cut to one record
 	f.Add(uint8(1), []byte{})                                       // an empty shard
 	f.Add(uint8(0), []byte("{}\nnull\n{}\n{}\n"))                   // records that decode to nothing
+	f.Add(uint8(0), append(slices.Clone(shards[0]), '\n'))          // a blank line after the last record
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		inputs := slices.Clone(shards)
+		inputs[int(which)%m] = data
+		inputLines := 0
+		for _, in := range inputs {
+			sc := bufio.NewScanner(bytes.NewReader(in))
+			sc.Buffer(nil, 64<<20)
+			for sc.Scan() {
+				inputLines++
+			}
+		}
 		for _, s := range []*Spec{nil, spec} {
 			readers := make([]io.Reader, m)
-			for i := range readers {
-				readers[i] = bytes.NewReader(shards[i])
+			for i, in := range inputs {
+				readers[i] = bytes.NewReader(in)
 			}
-			readers[int(which)%m] = bytes.NewReader(data)
 			var out bytes.Buffer
 			n, err := MergeShards(readers, &out, nil, s)
 			if err != nil {
 				continue
+			}
+			if n != inputLines {
+				t.Fatalf("merge reported %d records from %d input lines", n, inputLines)
 			}
 			lines := bytes.SplitAfter(out.Bytes(), []byte("\n"))
 			if len(lines) != n+1 || len(lines[n]) != 0 {

@@ -1,8 +1,8 @@
 package sweep
 
 // Error-path coverage for MergeShards beyond the ordering/profile cases
-// in shard_test.go: a missing shard file, a duplicated record inside a
-// shard, shards run with another trial budget or block partition than
+// in shard_test.go: a missing shard file, a blank line or a duplicated
+// record inside a shard, shards run with another trial budget or block partition than
 // the spec, and a shard truncated mid-record (a torn write), with and
 // without a spec — each must be refused with a diagnostic, not merged
 // into silently-wrong output.
@@ -64,6 +64,25 @@ func TestMergeShardsMissingShard(t *testing.T) {
 	// gap so a future profile change that closes it updates the docs.
 	if _, err := mergeStrings([]string{outs[0], outs[1]}, nil); err != nil {
 		t.Errorf("spec-less merge of an equal-length subset unexpectedly failed (%v) — update the -spec guidance if the profile now catches this", err)
+	}
+}
+
+// TestMergeShardsRefusesBlankLine: a blank line in a shard file is
+// refused as ScanResume refuses it, with and without the spec, whether
+// it trails the last record (one newline appended to a shard run's
+// output) or sits between two records.
+func TestMergeShardsRefusesBlankLine(t *testing.T) {
+	outs := mergeFixture(t, 3)
+	first, rest, _ := strings.Cut(outs[1], "\n")
+	for name, shards := range map[string][]string{
+		"trailing": {outs[0] + "\n", outs[1], outs[2]},
+		"interior": {outs[0], first + "\n\n" + rest, outs[2]},
+	} {
+		for _, spec := range []*Spec{nil, multiModelSpec()} {
+			if n, err := mergeStrings(shards, spec); err == nil {
+				t.Errorf("%s blank line (spec %v): merge accepted it and wrote %d records", name, spec != nil, n)
+			}
+		}
 	}
 }
 

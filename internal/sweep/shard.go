@@ -11,7 +11,6 @@ package sweep
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -146,23 +145,20 @@ func ShardFiles(dir string) ([]string, error) {
 	return paths, nil
 }
 
-// shardStream reads one shard's JSONL stream a line at a time, skipping
-// blank lines.
+// shardStream reads one shard's JSONL stream a line at a time.
 type shardStream struct {
 	sc   *bufio.Scanner
 	done bool
 }
 
-// next returns the shard's next non-blank line (valid until the next
-// call), or ok=false at EOF.
+// next returns the shard's next line (valid until the next call), or
+// ok=false at EOF. A blank line is a line like any other, so the merge
+// refuses it as ScanResume does.
 func (s *shardStream) next() (line []byte, ok bool, err error) {
 	if s.done {
 		return nil, false, nil
 	}
-	for s.sc.Scan() {
-		if len(bytes.TrimSpace(s.sc.Bytes())) == 0 {
-			continue
-		}
+	if s.sc.Scan() {
 		return s.sc.Bytes(), true, nil
 	}
 	s.done = true
@@ -179,8 +175,8 @@ func (s *shardStream) next() (line []byte, ok bool, err error) {
 // number of merged records.
 //
 // Every line is decoded before it is written, so a torn or non-JSON
-// line (what a killed shard run leaves) is refused even without a spec
-// or a structured writer. Byte identity with the unsharded run holds
+// line (what a killed shard run leaves) or a blank one is refused even
+// without a spec or a structured writer: ScanResume's rule. Byte identity with the unsharded run holds
 // for the JSONL output because lines pass through untouched; for the
 // CSV output because the CSV encoding is a pure function of the
 // decoded Result (fixed column order, sorted metric keys,
