@@ -10,6 +10,7 @@ package faults
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"faultexp/internal/cuts"
 	"faultexp/internal/expansion"
@@ -142,6 +143,24 @@ func (DegreeAdversary) Select(g *graph.Graph, f int, rng *xrand.RNG) Pattern {
 	return NewPattern(append([]int(nil), idx[:f]...))
 }
 
+// searchScratch is the adversaries' search state: the cut finder's
+// workspace, the BFS ball's buffers, and a graph workspace for masks,
+// induced fragments and component labels. faults.Model has no room for
+// per-worker scratch, so Select and SeparatorAttack borrow one from
+// searchPool for the length of a call.
+type searchScratch struct {
+	finder cuts.Workspace
+	gw     graph.Workspace
+	ball   expansion.Tracker
+	order  []int  // BFS order of the ball being grown
+	seen   []bool // BFS marks of the ball being grown
+	best   []int  // the best ball so far, copied out of order
+	seeds  []int
+	seedIx map[int]int
+}
+
+var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+
 // BottleneckAdversary finds a low-node-expansion set U (the graph's
 // bottleneck) and fails its neighbourhood Γ(U), disconnecting U from the
 // rest — the attack that makes Theorem 2.1's bound tight on bottlenecked
@@ -156,19 +175,21 @@ func (BottleneckAdversary) Select(g *graph.Graph, f int, rng *xrand.RNG) Pattern
 	if f <= 0 || g.N() < 2 {
 		return Pattern{}
 	}
+	sc := searchPool.Get().(*searchScratch)
+	defer searchPool.Put(sc)
 	// Find the set whose boundary fits the budget and maximizes the
 	// disconnected mass: scan the finder's best cut; if its boundary is
 	// larger than f, shrink via BFS-ball candidates.
 	opt := cuts.Options{RNG: rng}
-	best, ok := cuts.FindBest(g, cuts.NodeMode, g.N()/2, false, opt)
+	best, ok := cuts.FindBestWs(g, cuts.NodeMode, g.N()/2, false, opt, &sc.finder)
 	if !ok {
 		return ExactRandomNodes(g, f, rng)
 	}
-	inU := expansion.Mask(g.N(), best.Set)
+	inU := sc.gw.SetMask(g.N(), best.Set)
 	boundary := expansion.Boundary(g, inU)
 	if len(boundary) <= f {
 		// Spend the remaining budget on random nodes outside U∪Γ(U).
-		pat := append([]int(nil), boundary...)
+		pat := boundary
 		extra := f - len(boundary)
 		if extra > 0 {
 			taken := make(map[int]bool, len(pat))
@@ -190,33 +211,37 @@ func (BottleneckAdversary) Select(g *graph.Graph, f int, rng *xrand.RNG) Pattern
 	}
 	// Budget too small for the global bottleneck: cut off the largest
 	// BFS ball whose boundary fits.
-	bestBall := []int(nil)
-	for _, seed := range rng.SampleK(g.N(), min(8, g.N())) {
-		ball := bfsBallWithBoundaryBudget(g, seed, f)
-		if len(ball) > len(bestBall) {
-			bestBall = ball
+	sc.seeds, sc.seedIx = rng.SampleKInto(g.N(), min(8, g.N()), sc.seeds, sc.seedIx)
+	sc.best = sc.best[:0]
+	for _, seed := range sc.seeds {
+		if ball := bfsBallWithBoundaryBudget(g, seed, f, sc); len(ball) > len(sc.best) {
+			sc.best = append(sc.best[:0], ball...)
 		}
 	}
-	if bestBall == nil {
+	if len(sc.best) == 0 {
 		return ExactRandomNodes(g, f, rng)
 	}
-	return NewPattern(expansion.Boundary(g, expansion.Mask(g.N(), bestBall)))
+	return NewPattern(expansion.Boundary(g, sc.gw.SetMask(g.N(), sc.best)))
 }
 
-// bfsBallWithBoundaryBudget grows a BFS ball from seed and returns the
-// largest prefix whose boundary size is at most f.
-func bfsBallWithBoundaryBudget(g *graph.Graph, seed, f int) []int {
+// bfsBallWithBoundaryBudget grows a BFS ball from seed on sc's buffers
+// and returns the largest prefix whose boundary size is at most f. The
+// prefix aliases sc.order: the next call overwrites it.
+func bfsBallWithBoundaryBudget(g *graph.Graph, seed, f int, sc *searchScratch) []int {
 	n := g.N()
-	var ball expansion.Tracker
-	ball.Reset(g, nil)
-	order := []int{seed}
-	seen := make([]bool, n)
+	sc.ball.Reset(g, nil)
+	if cap(sc.seen) < n {
+		sc.seen = make([]bool, n)
+	}
+	seen := sc.seen[:n]
+	clear(seen)
+	order := append(sc.order[:0], seed)
 	seen[seed] = true
 	best := 0
 	for i := 0; i < len(order) && len(order) <= n/2; i++ {
 		v := order[i]
-		ball.Add(v)
-		if ball.Boundary() <= f {
+		sc.ball.Add(v)
+		if sc.ball.Boundary() <= f {
 			best = i + 1
 		}
 		for _, w := range g.Neighbors(v) {
@@ -226,6 +251,7 @@ func bfsBallWithBoundaryBudget(g *graph.Graph, seed, f int) []int {
 			}
 		}
 	}
+	sc.order = order
 	return order[:best]
 }
 

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -181,6 +182,37 @@ func TestSeparatorAttackUsesFewerFaultsOnWeakExpanders(t *testing.T) {
 	if pc.Count() >= pe.Count() {
 		t.Fatalf("cycle took %d faults, expander %d — expected cycle ≪ expander",
 			pc.Count(), pe.Count())
+	}
+}
+
+// TestBottleneckSelectReusesScratch: a warm Select on torus:16x16 with
+// budget 16 allocates little more than the pattern it returns (it ran
+// the cut finder and the ball growth on fresh buffers every call, at 187
+// allocations), and scratch left by Selects on other graphs does not
+// change its answer.
+func TestBottleneckSelectReusesScratch(t *testing.T) {
+	g := gen.Torus(16, 16)
+	other := []*graph.Graph{gen.Mesh(12, 12), gen.Cycle(40), gen.Hypercube(7)}
+	var want []Pattern
+	for seed := uint64(0); seed < 6; seed++ {
+		want = append(want, BottleneckAdversary{}.Select(g, 16, xrand.New(seed)))
+	}
+	for seed := uint64(0); seed < 6; seed++ {
+		BottleneckAdversary{}.Select(other[seed%3], 9, xrand.New(seed))
+		if got := (BottleneckAdversary{}).Select(g, 16, xrand.New(seed)); !slices.Equal(got.Nodes, want[seed].Nodes) {
+			t.Fatalf("seed %d: Select after a Select on another graph = %v, want %v", seed, got.Nodes, want[seed].Nodes)
+		}
+	}
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a share of the scratch put back")
+	}
+	seed := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		BottleneckAdversary{}.Select(g, 16, xrand.New(seed))
+	})
+	if allocs > 20 {
+		t.Errorf("warm Select averages %.1f allocations, want at most 20", allocs)
 	}
 }
 

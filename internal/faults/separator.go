@@ -23,17 +23,11 @@ func SeparatorAttack(g *graph.Graph, epsilon float64, rng *xrand.RNG) (Pattern, 
 	if limit < 1 {
 		limit = 1
 	}
+	sc := searchPool.Get().(*searchScratch)
+	defer searchPool.Put(sc)
 	var faulted []int
 	// Fragments are vertex lists in g's coordinates.
-	fragments := [][]int{}
-	{
-		labels, sizes := g.Components()
-		comps := make([][]int, len(sizes))
-		for v, l := range labels {
-			comps[l] = append(comps[l], v)
-		}
-		fragments = comps
-	}
+	fragments := appendComponents(nil, g, nil, &sc.gw)
 	opt := cuts.Options{RNG: rng}
 	for {
 		// Pick the largest fragment.
@@ -48,41 +42,47 @@ func SeparatorAttack(g *graph.Graph, epsilon float64, rng *xrand.RNG) (Pattern, 
 		}
 		frag := fragments[bi]
 		fragments = append(fragments[:bi], fragments[bi+1:]...)
-		sub := g.InduceVertices(frag)
+		sub := g.InduceInto(&sc.gw, sc.gw.SetMask(n, frag))
 		if sub.G.N() < 2 {
 			continue
 		}
 		// Minimum node-expansion set of the fragment, |U| ≤ |frag|/2.
-		best, ok := cuts.FindBest(sub.G, cuts.NodeMode, sub.G.N()/2, false, opt)
+		best, ok := cuts.FindBestWs(sub.G, cuts.NodeMode, sub.G.N()/2, false, opt, &sc.finder)
 		if !ok {
 			continue
 		}
-		inU := expansion.Mask(sub.G.N(), best.Set)
-		boundary := expansion.Boundary(sub.G, inU)
-		// Fault the boundary (in g coordinates).
+		boundary := expansion.Boundary(sub.G, expansion.Mask(sub.G.N(), best.Set))
+		// Fault the boundary (in g coordinates), then split the rest of
+		// the fragment into components: g's, under the fragment minus
+		// its boundary.
+		keep := sc.gw.SetMask(n, frag)
 		for _, b := range boundary {
-			faulted = append(faulted, int(sub.Orig[b]))
+			v := int(sub.Orig[b])
+			faulted = append(faulted, v)
+			keep[v] = false
 		}
-		// Split the remainder of the fragment into components.
-		keep := make([]bool, sub.G.N())
-		for i := range keep {
-			keep[i] = true
-		}
-		for _, b := range boundary {
-			keep[b] = false
-		}
-		rest := sub.G.Induce(keep)
-		labels, sizes := rest.G.Components()
-		comps := make([][]int, len(sizes))
-		for v, l := range labels {
-			orig := int(sub.Orig[rest.Orig[v]])
-			comps[l] = append(comps[l], orig)
-		}
-		fragments = append(fragments, comps...)
+		fragments = appendComponents(fragments, g, keep, &sc.gw)
 	}
 	sizes := make([]int, len(fragments))
 	for i, fr := range fragments {
 		sizes[i] = len(fr)
 	}
 	return NewPattern(faulted), sizes
+}
+
+// appendComponents appends g's components under keep (nil keeps every
+// vertex) to fragments as ascending vertex lists, in ComponentsInto's
+// order.
+func appendComponents(fragments [][]int, g *graph.Graph, keep []bool, ws *graph.Workspace) [][]int {
+	labels, sizes := g.ComponentsInto(ws, keep)
+	comps := make([][]int, len(sizes))
+	for i, size := range sizes {
+		comps[i] = make([]int, 0, size)
+	}
+	for v, l := range labels {
+		if l >= 0 {
+			comps[l] = append(comps[l], v)
+		}
+	}
+	return append(fragments, comps...)
 }
