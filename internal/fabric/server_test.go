@@ -34,7 +34,7 @@ const workerSpecJSON = `{
 
 // refBytes runs the spec in-process, single-node — the byte-identity
 // reference every fabric stream is compared against.
-func refBytes(t *testing.T, specJSON string) []byte {
+func refBytes(t testing.TB, specJSON string) []byte {
 	t.Helper()
 	spec := loadSpec(t, specJSON)
 	var buf bytes.Buffer

@@ -20,7 +20,7 @@ const storeSpecJSON = `{
   "seed": 42
 }`
 
-func loadSpec(t *testing.T, specJSON string) *sweep.Spec {
+func loadSpec(t testing.TB, specJSON string) *sweep.Spec {
 	t.Helper()
 	spec, err := sweep.Load(strings.NewReader(specJSON))
 	if err != nil {
