@@ -160,7 +160,7 @@ type coordJob struct {
 	expected []int          // per-shard complete line counts
 	logs     []*resultLog   // per-shard line logs (merged stream reads these)
 	files    []*os.File     // per-shard durable append handles (while running)
-	adm      *admission
+	adm      *admission     // the job's place in the dispatch queue
 
 	mu          sync.Mutex
 	state       sweep.JobState

@@ -152,15 +152,15 @@ func (t *jobTable[J]) makeRoom(limit int) bool {
 // health builds the /healthz fields every daemon shares: held_jobs
 // counts the jobs the table holds, active_jobs the running ones.
 func (t *jobTable[J]) health(service string, maxActive int) Health {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	h := Health{
 		Service:       service,
 		Version:       BuildVersion(),
 		KernelVersion: sweep.KernelVersion,
 		MaxActive:     maxActive,
-		HeldJobs:      len(t.jobs),
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	h.HeldJobs = len(t.jobs)
 	for _, j := range t.jobs {
 		if j.jobState() == sweep.JobRunning {
 			h.ActiveJobs++
