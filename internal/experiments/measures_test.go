@@ -48,7 +48,8 @@ type measurePath struct {
 // on: the serial trial fold, trial-parallel blocks (trial_block 1 with
 // 2 trials, so every cell folds 2 blocks), for measures with a coupled
 // implementation the coupled rate mode under iid-node and under iid-edge
-// faults (coupled-edge), the serial fold under iid-edge
+// faults (coupled-edge) and again on an unsorted axis deep enough to
+// fragment the torus (coupled-deep, coupled-deep-edge), the serial fold under iid-edge
 // faults for every measure that accepts them (all but agreement, whose
 // Byzantine parties are nodes), the serial fold under the adversarial
 // model for the measures that count components without building the
@@ -71,6 +72,20 @@ func measurePaths(measure string) []measurePath {
 		coupledEdge.RateMode = sweep.RateModeCoupled
 		coupledEdge.Model = sweep.ModelIIDEdge
 		paths = append(paths, measurePath{"coupled", coupled}, measurePath{"coupled-edge", coupledEdge})
+		// The grid's rates stay below torus:5x5's bond threshold, so the
+		// deep paths walk an unsorted axis that reaches past it and
+		// fragments the survivor.
+		for _, model := range []struct{ name, model string }{
+			{"coupled-deep", sweep.ModelIIDNode},
+			{"coupled-deep-edge", sweep.ModelIIDEdge},
+		} {
+			deep := specForMeasure(measure)
+			deep.Trials = 2
+			deep.RateMode = sweep.RateModeCoupled
+			deep.Model = model.model
+			deep.Rates = []float64{0.4, 0, 0.6, 0.2}
+			paths = append(paths, measurePath{model.name, deep})
+		}
 	}
 	if measure != "agreement" {
 		edge := specForMeasure(measure)
