@@ -5,13 +5,13 @@ package experiments
 // draws ONE uniform per element from the group's coupling stream; an
 // element survives at rate r iff its draw ≥ r — marginally the iid
 // fault law with failure probability r, but monotone across the rate
-// axis. Elements are sorted by draw
-// (largest first) and the rates walked from highest to lowest, so a
-// union–find structure activates each element exactly once for the
-// whole axis: percolation and shatter harvest every rate in one
-// O((n+m)·α(n)) incremental pass per trial, and residual shares one
-// fault realization (and one set of fault-free baselines) across the
-// axis instead of recomputing both per rate cell.
+// axis. The rates are walked from highest to lowest, and one counting
+// pass files every element into the band of the first rate its draw
+// clears, so a union–find structure activates each element exactly
+// once for the whole axis: percolation and shatter harvest every rate
+// in one O((n+m)·α(n)) incremental pass per trial, and residual shares
+// one fault realization (and one set of fault-free baselines) across
+// the axis instead of recomputing both per rate cell.
 
 import (
 	"fmt"
@@ -26,13 +26,16 @@ import (
 )
 
 // coupledSweep is the shared skeleton of one coupled trial: the rate
-// walk order (fixed per group), the per-trial element draws, and the
-// union–find the incremental passes run on.
+// walk order (fixed per group), the per-trial element draws and their
+// rate bands, and the union–find the incremental passes run on.
 type coupledSweep struct {
 	cells   []sweep.Cell
 	rateIdx []int      // rate positions, highest rate first (ties: grid order)
+	rates   []float64  // rates[j] = cells[rateIdx[j]].Rate: the walk's rates
 	u       []float64  // one uniform per element, drawn in element order
-	order   []int      // element indices, largest draw first
+	band    []int32    // band[e]: the first walk position whose rate u[e] clears
+	order   []int32    // elements grouped by band, element order within a band
+	bounds  []int32    // band j is order[bounds[j]:bounds[j+1]]
 	d       ufind.DSU  // the incremental pass's union–find over the vertices
 	edges   [][2]int32 // iid-edge groups: g.Edges(), in draw order (built on first use)
 }
@@ -51,49 +54,66 @@ func newCoupledSweep(cells []sweep.Cell) *coupledSweep {
 		}
 		return 0
 	})
+	cs.rates = make([]float64, len(cells))
+	for j, ri := range cs.rateIdx {
+		cs.rates[j] = cells[ri].Rate
+	}
+	// One band per walk position and one for the draws below every rate,
+	// each counted two slots up so that placement can shift it down.
+	cs.bounds = make([]int32, len(cells)+3)
 	return cs
 }
 
 // run executes one coupled trial: draw a uniform per element from crng
-// (element order — the contract that makes the draws shareable), sort
-// elements by draw descending, then walk the rates from highest to
-// lowest, activating every element whose draw clears the rate before
-// measuring. add(e) activates element e exactly once per trial;
-// measure(ri, alive) records at rate position ri with the first `alive`
-// sorted elements active.
+// (element order — the contract that makes the draws shareable), file
+// each element into band j, the first walk position (highest rate
+// first) whose rate its draw clears, or into the last band if it
+// clears none, then walk the positions, activating band j before
+// measuring position j. The elements active there are exactly
+// {e : u[e] ≥ rate}, whatever order they were added in. add(e)
+// activates element e at most once per trial; measure(ri, alive)
+// records at rate position ri with `alive` elements active.
 func (cs *coupledSweep) run(elements int, crng *xrand.RNG, add func(e int), measure func(ri, alive int) error) error {
 	if cap(cs.u) < elements {
 		cs.u = make([]float64, elements)
-		cs.order = make([]int, elements)
+		cs.band = make([]int32, elements)
+		cs.order = make([]int32, elements)
 	}
-	u, order := cs.u[:elements], cs.order[:elements]
-	for i := range u {
-		u[i] = crng.Float64()
-	}
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		switch {
-		case u[a] > u[b]:
-			return -1
-		case u[a] < u[b]:
-			return 1
-		case a < b:
-			return -1
-		case a > b:
-			return 1
+	u, band, order := cs.u[:elements], cs.band[:elements], cs.order[:elements]
+	rates, bounds := cs.rates, cs.bounds
+	clear(bounds)
+	for e := range u {
+		x := crng.Float64()
+		u[e] = x
+		// rates is non-increasing, so x ≥ rates[j] holds from the first
+		// such j on.
+		lo, hi := 0, len(rates)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if x >= rates[mid] {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
 		}
-		return 0
-	})
-	k := 0
-	for _, ri := range cs.rateIdx {
-		r := cs.cells[ri].Rate
-		for k < elements && u[order[k]] >= r {
-			add(order[k])
-			k++
+		band[e] = int32(lo)
+		bounds[lo+2]++
+	}
+	// After the prefix sum bounds[j+1] is where band j starts; placing
+	// band j's elements advances it to where band j ends, so band j ends
+	// up as order[bounds[j]:bounds[j+1]].
+	for j := 2; j < len(bounds); j++ {
+		bounds[j] += bounds[j-1]
+	}
+	for e, b := range band {
+		order[bounds[b+1]] = int32(e)
+		bounds[b+1]++
+	}
+	for j, ri := range cs.rateIdx {
+		for _, e := range order[bounds[j]:bounds[j+1]] {
+			add(int(e))
 		}
-		if err := measure(ri, k); err != nil {
+		if err := measure(ri, int(bounds[j+1])); err != nil {
 			return err
 		}
 	}

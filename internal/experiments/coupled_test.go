@@ -3,10 +3,12 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"faultexp/internal/sweep"
+	"faultexp/internal/xrand"
 )
 
 // coupledSpec is a small real grid in coupled rate mode: both iid models
@@ -155,5 +157,87 @@ func TestIndependentRateModeAliasesDefault(t *testing.T) {
 	ind.RateMode = sweep.RateModeIndependent
 	if got := runJSONL(t, ind, 2); !bytes.Equal(got, ref) {
 		t.Error(`"rate_mode": "independent" output differs from the default`)
+	}
+}
+
+// TestCoupledRunMatchesThresholds drives coupledSweep.run against its
+// definition on random rate axes: the draws are crng's, in element
+// order; the positions come highest rate first, each once; at each
+// position the elements added so far are exactly {e : u[e] ≥ rate},
+// each added at most once, and alive counts them. One sweep runs every
+// element count in turn, so its scratch is reused after growing and
+// shrinking.
+func TestCoupledRunMatchesThresholds(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for axis := 0; axis < 60; axis++ {
+		var cells []sweep.Cell
+		seen := map[float64]bool{}
+		pick := func(rate float64) {
+			if !seen[rate] {
+				seen[rate] = true
+				cells = append(cells, sweep.Cell{Rate: rate})
+			}
+		}
+		seeds := []uint64{r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64()}
+		if axis%2 == 0 {
+			pick(0)
+		}
+		if axis%3 == 0 {
+			pick(1)
+		}
+		if axis%4 == 1 {
+			// A rate equal to one of the first run's draws: that element
+			// must be active from this position on.
+			tie := xrand.New(seeds[0])
+			for k := r.Intn(1000); k > 0; k-- {
+				tie.Float64()
+			}
+			pick(tie.Float64())
+		}
+		for points := 1 + r.Intn(40); len(cells) < points; {
+			pick(r.Float64())
+		}
+		r.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
+		cs := newCoupledSweep(cells)
+		for i, elements := range []int{1000, 0, 1, 2} {
+			crng, draws := xrand.New(seeds[i]), xrand.New(seeds[i])
+			added := make([]int, elements)
+			visited := make([]bool, len(cells))
+			prev := 2.0
+			err := cs.run(elements, crng, func(e int) { added[e]++ }, func(ri, alive int) error {
+				rate := cells[ri].Rate
+				if visited[ri] || rate >= prev {
+					t.Fatalf("axis %d, %d elements: position %d (rate %v) visited after rate %v", axis, elements, ri, rate, prev)
+				}
+				visited[ri], prev = true, rate
+				want := 0
+				for e, n := range added {
+					if n > 1 {
+						t.Fatalf("axis %d, %d elements: element %d added %d times", axis, elements, e, n)
+					}
+					if (n == 1) != (cs.u[e] >= rate) {
+						t.Fatalf("axis %d, %d elements, rate %v: element %d (draw %v) added %d times", axis, elements, rate, e, cs.u[e], n)
+					}
+					want += n
+				}
+				if alive != want {
+					t.Fatalf("axis %d, %d elements, rate %v: alive %d, want %d", axis, elements, rate, alive, want)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ri, ok := range visited {
+				if !ok {
+					t.Fatalf("axis %d, %d elements: position %d never measured", axis, elements, ri)
+				}
+			}
+			for e := 0; e < elements; e++ {
+				if want := draws.Float64(); cs.u[e] != want {
+					t.Fatalf("axis %d, %d elements: u[%d] = %v, want crng's draw %v", axis, elements, e, cs.u[e], want)
+				}
+			}
+		}
 	}
 }
