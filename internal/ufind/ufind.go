@@ -101,12 +101,17 @@ func (d *DSU) Activate(i int) {
 
 // ActivateJoin occupies v and joins it to every already-occupied
 // element of nbrs (v's neighbours) — one step of a site-percolation
-// sweep.
+// sweep. v's root is carried from one union to the next, so each
+// occupied neighbour costs one Find.
 func (d *DSU) ActivateJoin(v int, nbrs []int32) {
 	d.Activate(v)
+	rv := int32(d.Find(v))
 	for _, w := range nbrs {
-		if d.active[w] {
-			d.Union(v, int(w))
+		if !d.active[w] {
+			continue
+		}
+		if rw := int32(d.Find(int(w))); rw != rv {
+			rv = d.link(rv, rw)
 		}
 	}
 }
@@ -131,6 +136,13 @@ func (d *DSU) Union(a, b int) bool {
 	if ra == rb {
 		return false
 	}
+	d.link(ra, rb)
+	return true
+}
+
+// link merges the components of the distinct roots ra and rb, the
+// smaller under the larger (ra on a tie), and returns the merged root.
+func (d *DSU) link(ra, rb int32) int32 {
 	if d.size[ra] < d.size[rb] {
 		ra, rb = rb, ra
 	}
@@ -142,7 +154,7 @@ func (d *DSU) Union(a, b int) bool {
 		d.largest = d.size[ra]
 	}
 	d.count--
-	return true
+	return ra
 }
 
 // Connected reports whether a and b are in the same component.

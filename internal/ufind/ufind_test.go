@@ -1,6 +1,7 @@
 package ufind
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -112,22 +113,80 @@ func TestAgainstReference(t *testing.T) {
 				}
 			}
 		}
-		// Largest component must match the reference histogram.
-		hist := map[int]int{}
-		for _, l := range ref {
-			hist[l]++
+		if err := checkCounts(d, ref, nil); err != "" {
+			t.Fatalf("trial %d: %s", trial, err)
 		}
-		want := 0
-		for _, c := range hist {
-			if c > want {
-				want = c
+	}
+}
+
+// checkCounts compares d's Largest, Components and SumSquares with the
+// components of the reference labelling over the active elements (all
+// of them when active is nil), returning a description of the first
+// mismatch or "".
+func checkCounts(d *DSU, label []int, active []bool) string {
+	sizes := map[int]int64{}
+	for v, l := range label {
+		if active == nil || active[v] {
+			sizes[l]++
+		}
+	}
+	var largest, sumSq int64
+	for _, s := range sizes {
+		largest = max(largest, s)
+		sumSq += s * s
+	}
+	switch {
+	case int64(d.Largest()) != largest:
+		return fmt.Sprintf("Largest=%d want %d", d.Largest(), largest)
+	case d.Components() != len(sizes):
+		return fmt.Sprintf("Components=%d want %d", d.Components(), len(sizes))
+	case d.SumSquares() != sumSq:
+		return fmt.Sprintf("SumSquares=%d want %d", d.SumSquares(), sumSq)
+	}
+	return ""
+}
+
+// TestActivateJoinAgainstReference runs random site sequences through
+// ActivateJoin on random multigraphs (self-loops included) and checks
+// the incremental counts after every activation against label
+// propagation over the edges between occupied sites. A site is now and
+// then occupied again, which must only join it to neighbours occupied
+// since.
+func TestActivateJoinAgainstReference(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Intn(60)
+		edges := make([][2]int, r.Intn(3*n))
+		adj := make([][]int32, n)
+		for i := range edges {
+			a, b := r.Intn(n), r.Intn(n)
+			edges[i] = [2]int{a, b}
+			adj[a] = append(adj[a], int32(b))
+			if a != b {
+				adj[b] = append(adj[b], int32(a))
 			}
 		}
-		if d.Largest() != want {
-			t.Fatalf("trial %d: Largest=%d want %d", trial, d.Largest(), want)
+		d := NewInactive(n)
+		active := make([]bool, n)
+		var seq []int
+		for _, v := range r.Perm(n) {
+			seq = append(seq, v)
+			if r.Intn(5) == 0 {
+				seq = append(seq, seq[r.Intn(len(seq))])
+			}
 		}
-		if d.Components() != len(hist) {
-			t.Fatalf("trial %d: Components=%d want %d", trial, d.Components(), len(hist))
+		for step, v := range seq {
+			d.ActivateJoin(v, adj[v])
+			active[v] = true
+			var live [][2]int
+			for _, e := range edges {
+				if active[e[0]] && active[e[1]] {
+					live = append(live, e)
+				}
+			}
+			if err := checkCounts(d, refComponents(n, live), active); err != "" {
+				t.Fatalf("trial %d, step %d (site %d): %s", trial, step, v, err)
+			}
 		}
 	}
 }
