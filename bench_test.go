@@ -205,6 +205,67 @@ func BenchmarkTrialPathLambda2(b *testing.B) {
 	benchTrialPath(b, "lambda2", sweep.ModelIIDNode, 0.05)
 }
 
+// benchCoupledTrialPath is the coupled form of the bare trial path: one
+// op = ONE coupled trial on torus:16x16 across an 8-rate axis, with a
+// warm workspace and recorders, seeded as the engine seeds a group —
+// what a coupled group pays per additional -trials.
+func benchCoupledTrialPath(b *testing.B, measure, model string) {
+	setup, ok := sweep.LookupCoupled(measure)
+	if !ok {
+		b.Fatalf("measure %s has no coupled implementation", measure)
+	}
+	spec := &sweep.Spec{
+		Families: []sweep.FamilySpec{{Family: "torus", Size: "16x16"}},
+		Measures: []string{measure},
+		Model:    model,
+		Rates:    []float64{0, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4},
+		Trials:   1,
+		Seed:     7,
+		RateMode: sweep.RateModeCoupled,
+	}
+	cells := spec.Cells()
+	f := cells[0].Family
+	g, _, err := gen.FromFamily("torus", "16x16", 0, xrand.New(sweep.GraphSeed(spec.Seed, f)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws := graph.NewWorkspace()
+	recs := make([]*sweep.Recorder, len(cells))
+	mrngs := make([]*xrand.RNG, len(cells))
+	for i := range cells {
+		recs[i] = sweep.NewRecorder()
+		mrngs[i] = xrand.New(0)
+	}
+	groupSeed := sweep.CoupledGroupSeed(spec.Seed, f, measure, model)
+	run, err := setup(g, cells, ws, xrand.New(xrand.SeedFor(groupSeed, "setup")), recs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	crng := xrand.New(0)
+	trial := func(t int) {
+		crng.Reseed(xrand.SeedAt(groupSeed, uint64(t)))
+		for ri, c := range cells {
+			mrngs[ri].Reseed(sweep.TrialSeed(c.Seed, t))
+		}
+		if err := run.Trial(t, ws, crng, mrngs, recs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	trial(0) // warm workspace buffers and recorder slots
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trial(i)
+	}
+}
+
+func BenchmarkTrialPathCoupledPercolation(b *testing.B) {
+	benchCoupledTrialPath(b, "percolation", sweep.ModelIIDNode)
+}
+func BenchmarkTrialPathCoupledShatterEdge(b *testing.B) {
+	benchCoupledTrialPath(b, "shatter", sweep.ModelIIDEdge)
+}
+
 // BenchmarkTrialPathGammaBlocks is the blocked (trial-parallel) form of
 // the bare trial path: the same 64 trials driven through RunTrialsRange
 // in 16-trial blocks — what one worker pays per block under
