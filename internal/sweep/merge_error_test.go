@@ -86,6 +86,28 @@ func TestMergeShardsRefusesBlankLine(t *testing.T) {
 	}
 }
 
+// TestMergeShardsNamesRecordInShard: a refused line is named by its
+// position in its own shard file, counted from 0 as resume counts it,
+// not by the merged output's count; a record refused at its cell also
+// keeps the merged cell index.
+func TestMergeShardsNamesRecordInShard(t *testing.T) {
+	outs := mergeFixture(t, 3)
+	first, rest, _ := strings.Cut(outs[0], "\n")
+	blank := []string{first + "\n\n" + rest, outs[1], outs[2]}
+	for _, spec := range []*Spec{nil, multiModelSpec()} {
+		_, err := mergeStrings(blank, spec)
+		if err == nil || !strings.Contains(err.Error(), "shard 0 record 1:") {
+			t.Errorf("blank second line of shard 0 (spec %v): error %v, want it named shard 0 record 1", spec != nil, err)
+		}
+	}
+	// Shard 1's first record repeated as its second: merged cell 4.
+	lines := strings.SplitAfter(outs[1], "\n")
+	dup := []string{outs[0], lines[0] + outs[1], outs[2]}
+	if _, err := mergeStrings(dup, multiModelSpec()); err == nil || !strings.Contains(err.Error(), "record 4 (shard 1 record 1) ") {
+		t.Errorf("repeated record at shard 1 record 1: error %v, want it named record 4 (shard 1 record 1)", err)
+	}
+}
+
 // TestMergeShardsDuplicateRecord: a record pasted twice into a shard
 // file (a botched manual repair) shifts every later record off its cell.
 func TestMergeShardsDuplicateRecord(t *testing.T) {

@@ -147,8 +147,9 @@ func ShardFiles(dir string) ([]string, error) {
 
 // shardStream reads one shard's JSONL stream a line at a time.
 type shardStream struct {
-	sc   *bufio.Scanner
-	done bool
+	sc    *bufio.Scanner
+	lines int // lines returned so far: the last one is record lines-1
+	done  bool
 }
 
 // next returns the shard's next line (valid until the next call), or
@@ -159,6 +160,7 @@ func (s *shardStream) next() (line []byte, ok bool, err error) {
 		return nil, false, nil
 	}
 	if s.sc.Scan() {
+		s.lines++
 		return s.sc.Bytes(), true, nil
 	}
 	s.done = true
@@ -226,17 +228,19 @@ func MergeShards(shards []io.Reader, jsonl io.Writer, w Writer, spec *Spec) (mer
 		}
 		return nil
 	}
-	emit := func(shard int, line []byte) error {
+	// emit merges line, record rec of shard (numbered from 0 within the
+	// shard, as ScanResume numbers a file's records).
+	emit := func(shard, rec int, line []byte) error {
 		if cells != nil && merged >= len(cells) {
 			return fmt.Errorf("sweep: shards hold more records than the spec's %d cells", len(cells))
 		}
 		var res Result
 		if err := json.Unmarshal(line, &res); err != nil {
-			return fmt.Errorf("sweep: shard %d record %d: %w", shard, merged, err)
+			return fmt.Errorf("sweep: shard %d record %d: %w", shard, rec, err)
 		}
 		if cells != nil {
 			if err := CheckRecord(&res, &cells[merged]); err != nil {
-				return fmt.Errorf("sweep: record %d (shard %d) %w", merged, shard, err)
+				return fmt.Errorf("sweep: record %d (shard %d record %d) %w", merged, shard, rec, err)
 			}
 		}
 		if bw != nil {
@@ -279,7 +283,7 @@ func MergeShards(shards []io.Reader, jsonl io.Writer, w Writer, spec *Spec) (mer
 					i, sawEOF, len(shards), len(shards)-1, len(shards))
 			}
 			sawLine = true
-			if err := emit(i, line); err != nil {
+			if err := emit(i, s.lines-1, line); err != nil {
 				return merged, err
 			}
 		}
