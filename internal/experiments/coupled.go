@@ -16,6 +16,7 @@ package experiments
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"faultexp/internal/core"
 	"faultexp/internal/cuts"
@@ -87,17 +88,9 @@ func (cs *coupledSweep) run(elements int, crng *xrand.RNG, add func(e int), meas
 		u[e] = x
 		// rates is non-increasing, so x ≥ rates[j] holds from the first
 		// such j on.
-		lo, hi := 0, len(rates)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if x >= rates[mid] {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		band[e] = int32(lo)
-		bounds[lo+2]++
+		b := sort.Search(len(rates), func(j int) bool { return x >= rates[j] })
+		band[e] = int32(b)
+		bounds[b+2]++
 	}
 	// After the prefix sum bounds[j+1] is where band j starts; placing
 	// band j's elements advances it to where band j ends, so band j ends
