@@ -122,3 +122,108 @@ func TestComponentsIntoMatchesBFSOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestFilteredComponentSizesIntoMatchesBFSOracle checks the edge pass
+// against naiveComponents over the edges it keeps: the sizes, their
+// order included, and the dropped count, and that drop saw exactly
+// ForEachEdge's (u, v) sequence. The graphs are n = 0, 1 and 2, a path
+// whose edges are added in reverse, a zigzag path (0, n−1, 1, n−2, …)
+// whose union order builds a parent chain of length n/2, a star,
+// complete:9, torus:5x7, and random multigraphs with parallel edges and
+// isolated vertices; each edge drops on a seeded bit at shares 0, 0.1,
+// 0.5, 0.9 and 1, on one reused workspace.
+func TestFilteredComponentSizesIntoMatchesBFSOracle(t *testing.T) {
+	type instance struct {
+		name  string
+		n     int
+		edges [][2]int
+	}
+	cases := []instance{
+		{"empty", 0, nil},
+		{"single", 1, nil},
+		{"pair", 2, [][2]int{{0, 1}}},
+		{"pair-edgeless", 2, nil},
+	}
+	var reversed, zigzag, star [][2]int
+	for v := 38; v >= 0; v-- {
+		reversed = append(reversed, [2]int{v, v + 1})
+	}
+	for i := 0; i+1 < 40; i++ {
+		at := func(i int) int {
+			if i%2 == 0 {
+				return i / 2
+			}
+			return 39 - i/2
+		}
+		zigzag = append(zigzag, [2]int{at(i), at(i + 1)})
+	}
+	for v := 1; v < 12; v++ {
+		star = append(star, [2]int{0, v})
+	}
+	var complete, torus [][2]int
+	for u := 0; u < 9; u++ {
+		for v := u + 1; v < 9; v++ {
+			complete = append(complete, [2]int{u, v})
+		}
+	}
+	for r := 0; r < 5; r++ {
+		for c := 0; c < 7; c++ {
+			torus = append(torus, [2]int{r*7 + c, ((r+1)%5)*7 + c}, [2]int{r*7 + c, r*7 + (c+1)%7})
+		}
+	}
+	cases = append(cases,
+		instance{"reversed-path40", 40, reversed},
+		instance{"zigzag-path40", 40, zigzag},
+		instance{"star12", 12, star},
+		instance{"complete9", 9, complete},
+		instance{"torus5x7", 35, torus},
+	)
+	r := rand.New(rand.NewSource(26))
+	for i := 0; i < 30; i++ {
+		// Edges touch only the first span vertices, so the rest are
+		// isolated, and some are added two or three times.
+		n := 1 + r.Intn(40)
+		span := 1 + r.Intn(n)
+		var edges [][2]int
+		for j := r.Intn(2*n + 1); j > 0; j-- {
+			e := [2]int{r.Intn(span), r.Intn(span)}
+			for k := 1 + r.Intn(3); k > 0; k-- {
+				edges = append(edges, e)
+			}
+		}
+		cases = append(cases, instance{"random-multigraph", n, edges})
+	}
+
+	ws := NewWorkspace()
+	for ci, c := range cases {
+		g := FromEdges(c.n, c.edges)
+		var order [][2]int
+		g.ForEachEdge(func(u, v int) { order = append(order, [2]int{u, v}) })
+		for _, share := range []float64{0, 0.1, 0.5, 0.9, 1} {
+			bits := make([]bool, len(order))
+			wantDropped := 0
+			var kept [][2]int
+			for i, e := range order {
+				bits[i] = r.Float64() < share
+				if bits[i] {
+					wantDropped++
+				} else {
+					kept = append(kept, e)
+				}
+			}
+			_, wantSizes := naiveComponents(c.n, kept, nil)
+			var seen [][2]int
+			gotSizes, dropped := g.FilteredComponentSizesInto(ws, func(u, v int) bool {
+				seen = append(seen, [2]int{u, v})
+				return len(seen) <= len(bits) && bits[len(seen)-1]
+			})
+			if !slices.Equal(seen, order) {
+				t.Fatalf("case %d (%s), share %v: drop saw %v, want ForEachEdge's %v", ci, c.name, share, seen, order)
+			}
+			if dropped != wantDropped || !slices.Equal(gotSizes, wantSizes) {
+				t.Fatalf("case %d (%s, n=%d), share %v: sizes %v with %d dropped, want %v with %d",
+					ci, c.name, c.n, share, gotSizes, dropped, wantSizes, wantDropped)
+			}
+		}
+	}
+}

@@ -222,30 +222,40 @@ func TestEmptyGraphWorkspacePaths(t *testing.T) {
 }
 
 // TestEpochWrapClearsWholeStampArray pins the wrap-around reset of the
-// epoch-stamped marks. FilterEdgesInto stamps over the 2m adjacency
-// slots, FilteredComponentSizesInto over only the n vertices; a wrap
-// during the latter must clear every stamp, or the restarted epoch
-// reaches the old slot stamps and a later FilterEdgesInto that drops
-// nothing loses the edges they mark.
+// epoch-stamped marks, which only FilterEdgesInto writes, over a graph's
+// 2m adjacency slots. A wrap during a pass over a graph with fewer slots
+// than an earlier pass stamped must clear every stamp, or the restarted
+// epoch reaches the old stamps past the small graph's slots, and a later
+// FilterEdgesInto on the larger graph that drops nothing loses the edges
+// they mark.
 func TestEpochWrapClearsWholeStampArray(t *testing.T) {
-	b := NewBuilder(8)
-	for v := 0; v < 8; v++ {
-		b.AddEdge(v, (v+1)%8)
+	cycle := func(n int) *Graph {
+		b := NewBuilder(n)
+		for v := 0; v < n; v++ {
+			b.AddEdge(v, (v+1)%n)
+		}
+		return b.Build()
 	}
-	g := b.Build()
+	large, small := cycle(8), cycle(4)
 	ws := NewWorkspace()
+	// {6,7} sits in slots 13 and 15 of the 8-cycle's 16; the 4-cycle has
+	// 8. Two passes leave those slots stamped with epochs 1 and 2, the
+	// two the wrap restarts at.
 	drop67 := func(u, v int) bool { return u == 6 && v == 7 }
 	for i := 0; i < 2; i++ {
-		if sub, dropped := g.FilterEdgesInto(ws, drop67); dropped != 1 || sub.G.M() != 7 {
+		if sub, dropped := large.FilterEdgesInto(ws, drop67); dropped != 1 || sub.G.M() != 7 {
 			t.Fatalf("dropping {6,7}: %d dropped, m = %d; want 1, 7", dropped, sub.G.M())
 		}
 	}
 	ws.epoch = math.MaxUint32
 	dropNone := func(u, v int) bool { return false }
-	if sizes, dropped := g.FilteredComponentSizesInto(ws, dropNone); dropped != 0 || !slices.Equal(sizes, []int{8}) {
-		t.Fatalf("edge pass over the 8-cycle = %v with %d dropped, want [8] with 0", sizes, dropped)
+	if sub, dropped := small.FilterEdgesInto(ws, dropNone); dropped != 0 || sub.G.M() != 4 {
+		t.Fatalf("wrapping on the 4-cycle: %d dropped, m = %d; want 0, 4", dropped, sub.G.M())
 	}
-	sub, dropped := g.FilterEdgesInto(ws, dropNone)
+	if ws.epoch != 1 {
+		t.Fatalf("epoch after the wrap = %d, want 1", ws.epoch)
+	}
+	sub, dropped := large.FilterEdgesInto(ws, dropNone)
 	if dropped != 0 || sub.G.M() != 8 {
 		t.Fatalf("dropping nothing after the wrap: %d dropped, m = %d; want 0, 8", dropped, sub.G.M())
 	}
