@@ -47,12 +47,13 @@ func NewInstance(g *graph.Graph, byz []int, pTrue float64, rng *xrand.RNG) *Inst
 	}
 	ones := 0
 	honest := 0
+	startTrue := xrand.NewBernoulli(pTrue)
 	for v := 0; v < n; v++ {
 		if inst.Byzantine[v] {
 			continue
 		}
 		honest++
-		if rng.Bool(pTrue) {
+		if startTrue.Next(rng) {
 			inst.Value[v] = true
 			ones++
 		}

@@ -62,8 +62,9 @@ func (p Pattern) Apply(g *graph.Graph) *graph.Sub {
 // single allocation.
 func IIDNodes(g *graph.Graph, prob float64, rng *xrand.RNG) Pattern {
 	nodes := make([]int, 0, expectedFaults(g.N(), prob))
+	fail := xrand.NewBernoulli(prob)
 	for v := 0; v < g.N(); v++ {
-		if rng.Bool(prob) {
+		if fail.Next(rng) {
 			nodes = append(nodes, v)
 		}
 	}

@@ -81,9 +81,10 @@ func (m IIDNodeModel) Components(g *graph.Graph, rate float64, ws *graph.Workspa
 // number of failed nodes.
 func (IIDNodeModel) draw(g *graph.Graph, rate float64, ws *graph.Workspace, rng *xrand.RNG) ([]bool, int) {
 	keep := ws.Mask(g.N())
+	fail := xrand.NewBernoulli(rate)
 	failed := 0
 	for v := range keep {
-		if rng.Bool(rate) {
+		if fail.Next(rng) {
 			keep[v] = false
 			failed++
 		} else {
@@ -103,12 +104,14 @@ func (IIDEdgeModel) Name() string { return ModelIIDEdge }
 
 // Inject implements Model.
 func (IIDEdgeModel) Inject(g *graph.Graph, rate float64, ws *graph.Workspace, rng *xrand.RNG) (*graph.Sub, int) {
-	return g.FilterEdgesInto(ws, func(u, v int) bool { return rng.Bool(rate) })
+	fail := xrand.NewBernoulli(rate)
+	return g.FilterEdgesInto(ws, func(u, v int) bool { return fail.Next(rng) })
 }
 
 // Components implements Model: it unions the kept edges in one pass.
 func (IIDEdgeModel) Components(g *graph.Graph, rate float64, ws *graph.Workspace, rng *xrand.RNG) ([]int, int) {
-	return g.FilteredComponentSizesInto(ws, func(u, v int) bool { return rng.Bool(rate) })
+	fail := xrand.NewBernoulli(rate)
+	return g.FilteredComponentSizesInto(ws, func(u, v int) bool { return fail.Next(rng) })
 }
 
 // AdversarialModel gives an adversary a budget of round(rate·n) node

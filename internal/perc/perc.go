@@ -150,15 +150,16 @@ func gammaOnce(g *graph.Graph, mode Mode, p float64, rng *xrand.RNG, ws *graph.W
 	if n == 0 {
 		return 0
 	}
+	open := xrand.NewBernoulli(p)
 	var sizes []int
 	if mode == Site {
 		alive := ws.Mask(n)
 		for v := range alive {
-			alive[v] = rng.Bool(p)
+			alive[v] = open.Next(rng)
 		}
 		_, sizes = g.ComponentsInto(ws, alive)
 	} else {
-		sizes, _ = g.FilteredComponentSizesInto(ws, func(u, v int) bool { return !rng.Bool(p) })
+		sizes, _ = g.FilteredComponentSizesInto(ws, func(u, v int) bool { return !open.Next(rng) })
 	}
 	largest := 0
 	for _, s := range sizes {

@@ -140,15 +140,44 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p.
+// Bool returns true with probability p: NewBernoulli(p).Next(r). Loops
+// that draw once per element at a fixed p build the Bernoulli once.
 func (r *RNG) Bool(p float64) bool {
-	if p <= 0 {
-		return false
+	return NewBernoulli(p).Next(r)
+}
+
+// Bernoulli draws true with a fixed probability p by one integer
+// comparison. Next takes x = Uint64()>>11, the integer Float64 scales by
+// 2^-53, and returns x < t for t = ⌈p·2^53⌉. Both sides of Float64's
+// x/2^53 < p scale by a power of two exactly, so this is the float rule
+// draw for draw: the same values and the same number of draws. p ≤ 0
+// and p ≥ 1 make no draw; a NaN p makes one draw that reads false.
+type Bernoulli struct {
+	t    uint64 // a draw x reads true when x < t
+	draw bool   // false when p ≤ 0 or p ≥ 1: Next draws nothing and returns t != 0
+}
+
+// NewBernoulli returns the Bernoulli draw with probability p.
+func NewBernoulli(p float64) Bernoulli {
+	switch {
+	case p <= 0:
+		return Bernoulli{}
+	case p >= 1:
+		return Bernoulli{t: 1 << 53}
+	case math.IsNaN(p):
+		// math.Ceil(NaN·2^53) converts to 1<<63 on amd64, which would
+		// read true on every draw.
+		return Bernoulli{draw: true}
 	}
-	if p >= 1 {
-		return true
+	return Bernoulli{t: uint64(math.Ceil(p * (1 << 53))), draw: true}
+}
+
+// Next returns the next draw from r.
+func (b Bernoulli) Next(r *RNG) bool {
+	if !b.draw {
+		return b.t != 0
 	}
-	return r.Float64() < p
+	return r.Uint64()>>11 < b.t
 }
 
 // Perm returns a uniform random permutation of [0, n).

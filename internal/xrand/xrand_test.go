@@ -262,3 +262,63 @@ func TestReseedMatchesNew(t *testing.T) {
 		t.Errorf("Reseed/SeedAt hot path allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestBernoulliMatchesFloatRule pins NewBernoulli(p).Next and Bool to
+// the float rule they replaced, written out here as the reference: no
+// draw for p ≤ 0 (false) or p ≥ 1 (true), else Float64() < p, one draw,
+// which for a NaN p reads false. For every p in a boundary list and 1000
+// random ones it checks the threshold itself, x = t−1 reading true and
+// x = t false under the float rule, and that Next and Bool give the
+// reference's values over 10^4 draws from one seed and leave the
+// generator in the same state.
+func TestBernoulliMatchesFloatRule(t *testing.T) {
+	reference := func(r *RNG, p float64) bool {
+		if p <= 0 {
+			return false
+		}
+		if p >= 1 {
+			return true
+		}
+		return r.Float64() < p
+	}
+	const two53 = 1 << 53
+	tiny := math.Ldexp(1, -53)
+	ps := []float64{
+		-1, math.Copysign(0, -1), 0, 5e-324,
+		math.Nextafter(tiny, 0), tiny, math.Nextafter(tiny, 1),
+		0.02, 0.05, 0.4, 1.0 / 3, 0.5, math.Nextafter(1, 0),
+		1, 2, math.Inf(1), math.NaN(),
+	}
+	pr := New(26)
+	for i := 0; i < 1000; i++ {
+		p := pr.Float64()
+		if i%2 == 1 {
+			p = math.Ldexp(p, -pr.Intn(64))
+		}
+		ps = append(ps, p)
+	}
+	for _, p := range ps {
+		b := NewBernoulli(p)
+		switch {
+		case math.IsNaN(p):
+			if !b.draw || b.t != 0 {
+				t.Fatalf("p=NaN: draw %v, threshold %d; want a draw that never reads true", b.draw, b.t)
+			}
+		case b.draw:
+			if b.t < 1 || b.t > two53 || !(float64(b.t-1)/two53 < p) || float64(b.t)/two53 < p {
+				t.Fatalf("p=%v: threshold %d is not where the float rule turns", p, b.t)
+			}
+		}
+		for _, draw := range []func(*RNG) bool{b.Next, func(r *RNG) bool { return r.Bool(p) }} {
+			got, want := New(99), New(99)
+			for i := 0; i < 10000; i++ {
+				if g, w := draw(got), reference(want, p); g != w {
+					t.Fatalf("p=%v draw %d: %v, float rule %v", p, i, g, w)
+				}
+			}
+			if got.state != want.state {
+				t.Fatalf("p=%v: generator state %#x after 10^4 draws, float rule leaves %#x", p, got.state, want.state)
+			}
+		}
+	}
+}
