@@ -168,3 +168,58 @@ func TestModelComponentsMatchesNaiveOracle(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkComponentKernels times the component kernels of the
+// cheap-cells grid on their own, one sub-benchmark per iid model: an op
+// runs Model.Components for 8 trials at each of the grid's 8 rates on
+// each of its six n = 1024 families, with a warm workspace, so
+// iid-node reads ComponentsInto and its Bernoulli draws and iid-edge
+// reads FilteredComponentSizesInto and its draws. The name stays clear
+// of the CI alloc gate's BenchmarkTrialPath pattern.
+func BenchmarkComponentKernels(b *testing.B) {
+	families := []struct {
+		name, size string
+		k          int
+	}{
+		{"torus", "32x32", 0},
+		{"hypercube", "10", 0},
+		{"expander", "32", 0},
+		{"rr", "1024x4", 0},
+		{"smallworld", "1024x4", 100},
+		{"debruijn", "10", 0},
+	}
+	rates := []float64{0, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4}
+	const trials = 8
+	var graphs []*graph.Graph
+	for i, f := range families {
+		g, _, err := gen.FromFamily(f.name, f.size, f.k, xrand.New(uint64(i+1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	for _, m := range []Model{IIDNodeModel{}, IIDEdgeModel{}} {
+		b.Run(m.Name(), func(b *testing.B) {
+			ws := graph.NewWorkspace()
+			rng := xrand.New(0)
+			op := func() {
+				seed := uint64(0)
+				for _, g := range graphs {
+					for _, rate := range rates {
+						for t := 0; t < trials; t++ {
+							rng.Reseed(xrand.SeedAt(7, seed))
+							seed++
+							m.Components(g, rate, ws, rng)
+						}
+					}
+				}
+			}
+			op() // warm the workspace
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
+	}
+}
