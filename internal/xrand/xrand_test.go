@@ -267,10 +267,11 @@ func TestReseedMatchesNew(t *testing.T) {
 // the float rule they replaced, written out here as the reference: no
 // draw for p ≤ 0 (false) or p ≥ 1 (true), else Float64() < p, one draw,
 // which for a NaN p reads false. For every p in a boundary list and 1000
-// random ones it checks the threshold itself, x = t−1 reading true and
-// x = t false under the float rule, and that Next and Bool give the
-// reference's values over 10^4 draws from one seed and leave the
-// generator in the same state.
+// random ones it checks the threshold itself: x = t−1 reads true and
+// x = t false, both under the float rule and through Next on a generator
+// steered to draw them. Then Next and Bool must give the reference's
+// values over 10^4 draws from one seed and leave the generator in the
+// same state.
 func TestBernoulliMatchesFloatRule(t *testing.T) {
 	reference := func(r *RNG, p float64) bool {
 		if p <= 0 {
@@ -305,8 +306,24 @@ func TestBernoulliMatchesFloatRule(t *testing.T) {
 				t.Fatalf("p=NaN: draw %v, threshold %d; want a draw that never reads true", b.draw, b.t)
 			}
 		case b.draw:
-			if b.t < 1 || b.t > two53 || !(float64(b.t-1)/two53 < p) || float64(b.t)/two53 < p {
-				t.Fatalf("p=%v: threshold %d is not where the float rule turns", p, b.t)
+			if b.t < 1 || b.t > two53 {
+				t.Fatalf("p=%v: threshold %d outside [1, 2^53]", p, b.t)
+			}
+			// Put the generator one step before a draw of x = t−1 and
+			// of x = t (low bits arbitrary): Next must read the first
+			// true and the second false, as the float rule does.
+			for _, x := range []uint64{b.t - 1, b.t} {
+				if x >= two53 {
+					continue
+				}
+				want := x == b.t-1
+				if float64(x)/two53 < p != want {
+					t.Fatalf("p=%v: the float rule reads x=%d as %v; threshold %d", p, x, !want, b.t)
+				}
+				r := &RNG{state: unmix64(x<<11|0x5a5) - gamma}
+				if got := b.Next(r); got != want {
+					t.Fatalf("p=%v: Next on x=%d = %v, want %v (threshold %d)", p, x, got, want, b.t)
+				}
 			}
 		}
 		for _, draw := range []func(*RNG) bool{b.Next, func(r *RNG) bool { return r.Bool(p) }} {
@@ -319,6 +336,38 @@ func TestBernoulliMatchesFloatRule(t *testing.T) {
 			if got.state != want.state {
 				t.Fatalf("p=%v: generator state %#x after 10^4 draws, float rule leaves %#x", p, got.state, want.state)
 			}
+		}
+	}
+}
+
+// unmix64 inverts mix64, so that a test can choose the next Uint64: a
+// generator with state unmix64(z) − gamma draws z.
+func unmix64(z uint64) uint64 {
+	unshift := func(y uint64, s uint) uint64 {
+		x := y
+		for k := s; k < 64; k += s {
+			x ^= y >> k
+		}
+		return x
+	}
+	inverse := func(m uint64) uint64 {
+		inv := m // correct to 3 bits for odd m; each Newton step doubles them
+		for i := 0; i < 5; i++ {
+			inv *= 2 - m*inv
+		}
+		return inv
+	}
+	z = unshift(z, 31) * inverse(mixM2)
+	z = unshift(z, 27) * inverse(mixM1)
+	return unshift(z, 30)
+}
+
+func TestUnmix64InvertsMix64(t *testing.T) {
+	r := New(5)
+	for i := 0; i < 1000; i++ {
+		z := r.Uint64()
+		if got := mix64(unmix64(z)); got != z {
+			t.Fatalf("mix64(unmix64(%#x)) = %#x", z, got)
 		}
 	}
 }
