@@ -148,14 +148,14 @@ func TestFilteredComponentSizesIntoMatchesBFSOracle(t *testing.T) {
 	for v := 38; v >= 0; v-- {
 		reversed = append(reversed, [2]int{v, v + 1})
 	}
-	for i := 0; i+1 < 40; i++ {
-		at := func(i int) int {
-			if i%2 == 0 {
-				return i / 2
-			}
-			return 39 - i/2
+	zigzagAt := func(i int) int {
+		if i%2 == 0 {
+			return i / 2
 		}
-		zigzag = append(zigzag, [2]int{at(i), at(i + 1)})
+		return 39 - i/2
+	}
+	for i := 0; i+1 < 40; i++ {
+		zigzag = append(zigzag, [2]int{zigzagAt(i), zigzagAt(i + 1)})
 	}
 	for v := 1; v < 12; v++ {
 		star = append(star, [2]int{0, v})
