@@ -1,16 +1,18 @@
 package harness
 
 // This file holds the one parallel-execution primitive: RunOrdered,
-// the ordered worker pool the sweep engine streams through. Results are
-// emitted in job-index order, incrementally, no matter how the
-// scheduler interleaves the workers — so output files are
-// byte-identical across worker counts.
+// the ordered worker pool the sweep engine streams through. Jobs are
+// dispatched in index order and their results emitted in index order,
+// incrementally, no matter how the scheduler interleaves the workers —
+// so output files are byte-identical across worker counts, and the
+// pool always computes the results it can emit next.
 //
 // Cancellation has a hard invariant: it stops the *dispatch* of new
 // jobs, never the emission of dispatched ones. Every index handed to a
-// worker runs to completion, and the emitted set is always an exact
-// contiguous prefix [0, d) of the job sequence — which is what lets a
-// cancelled sweep's output file serve as a valid -resume prefix.
+// worker runs to completion and is emitted, so the emitted set is
+// exactly the dispatched prefix [0, d) of the job sequence — which is
+// what lets a cancelled sweep's output file serve as a valid -resume
+// prefix that keeps every job it computed.
 
 import (
 	"context"
@@ -29,31 +31,16 @@ import (
 // ordered emit path makes any violation visible as a byte diff across
 // -workers values.
 //
-// order sets the dispatch order: order[k] is the k-th job index handed
-// to the pool, so a scheduler can dispatch expensive jobs first
-// (killing tail latency) while emit still runs in strictly increasing
-// *index* order — the dispatch permutation can therefore never change
-// the emitted bytes, only the wall clock. A nil order means identity
-// dispatch; a non-nil order must be a permutation of [0, n) (length
-// mismatches panic — a wiring bug, not a runtime condition). The serial
-// path (workers ≤ 1 or n == 1) ignores the permutation: nothing
-// overlaps, so index-order dispatch is both legal and strictly better
-// under cancellation (every completed job is emitted, none discarded).
-//
 // When ctx is cancelled, no further jobs are dispatched, but every job
 // already handed to a worker runs to completion — the pool drains at a
-// job boundary rather than tearing mid-job. The completed set is a
-// prefix of the *dispatch* sequence; the emitted set is the longest
-// contiguous index prefix [0, d) inside it, and completed jobs beyond d
-// are discarded. Returns ctx.Err() if cancellation prevented any job
-// from being dispatched, nil if all n jobs ran (even if ctx was
-// cancelled after the last dispatch).
-func RunOrdered[T any](ctx context.Context, n, workers int, order []int, run func(worker, i int) T, emit func(i int, v T)) error {
+// job boundary rather than tearing mid-job. Dispatch is in index order,
+// so the completed set is a contiguous prefix [0, d) and every job in
+// it is emitted; none is discarded. Returns ctx.Err() if cancellation
+// prevented any job from being dispatched, nil if all n jobs ran (even
+// if ctx was cancelled after the last dispatch).
+func RunOrdered[T any](ctx context.Context, n, workers int, run func(worker, i int) T, emit func(i int, v T)) error {
 	if n <= 0 {
 		return nil
-	}
-	if order != nil && len(order) != n {
-		panic("harness: dispatch order length does not match job count")
 	}
 	if workers <= 1 || n == 1 {
 		for i := 0; i < n; i++ {
@@ -70,11 +57,7 @@ func RunOrdered[T any](ctx context.Context, n, workers int, order []int, run fun
 		vals = make([]T, n)
 		next int
 	)
-	return parallelFor(ctx, n, workers, func(worker, k int) {
-		i := k
-		if order != nil {
-			i = order[k]
-		}
+	return parallelFor(ctx, n, workers, func(worker, i int) {
 		v := run(worker, i)
 		mu.Lock()
 		defer mu.Unlock()

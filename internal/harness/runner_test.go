@@ -3,19 +3,31 @@ package harness
 import (
 	"context"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestRunOrderedEmitsInOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0) + 2} {
 		const n = 50
+		// Scramble completion order without timing: each job waits for
+		// the next one in its window of w consecutive indices, so every
+		// window finishes in reverse index order. A window's last job
+		// waits for nothing, so the w workers can never all be blocked
+		// on an undispatched job (and at w = 1 nothing waits).
+		w := min(workers, n)
+		finished := make([]chan struct{}, n)
+		for i := range finished {
+			finished[i] = make(chan struct{})
+		}
 		var got []int
-		RunOrdered(context.Background(), n, workers, nil,
+		RunOrdered(context.Background(), n, workers,
 			func(_, i int) int {
-				// Scramble completion order: later jobs finish sooner.
-				time.Sleep(time.Duration((n-i)%7) * 100 * time.Microsecond)
+				if (i+1)%w != 0 && i+1 < n {
+					<-finished[i+1]
+				}
+				close(finished[i])
 				return i * 3
 			},
 			func(i, v int) {
@@ -38,40 +50,55 @@ func TestRunOrderedEmitsInOrder(t *testing.T) {
 func TestRunOrderedStreamsPrefixes(t *testing.T) {
 	// Job 0 finishes last; nothing may be emitted before it, and then
 	// everything arrives. This exercises the reorder buffer rather than
-	// a trivial run-then-dump.
-	const n = 8
-	release := make(chan struct{})
-	var emitted atomic.Int32
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		RunOrdered(context.Background(), n, 4, nil,
+	// a trivial run-then-dump. The last w−1 jobs are sentinels that hold
+	// their workers until job 0 has looked: once all of them have
+	// started, every worker but job 0's has handed back each earlier job
+	// it ran, so jobs 1 … n−w are done and offered for emission.
+	for _, workers := range []int{1, 2, 4} {
+		const n = 12
+		w := min(workers, n)
+		var sentinels sync.WaitGroup
+		sentinels.Add(w - 1)
+		looked := make(chan struct{})
+		var emitted atomic.Int32
+		var got []int
+		RunOrdered(context.Background(), n, workers,
 			func(_, i int) int {
-				if i == 0 {
-					<-release
+				switch {
+				case i == 0:
+					sentinels.Wait()
+					if g := emitted.Load(); g != 0 {
+						t.Errorf("workers=%d: emitted %d results before job 0 completed", workers, g)
+					}
+					close(looked)
+				case i > n-w:
+					sentinels.Done()
+					<-looked
 				}
 				return i
 			},
-			func(i, v int) { emitted.Add(1) })
-	}()
-	time.Sleep(20 * time.Millisecond)
-	if g := emitted.Load(); g != 0 {
-		t.Fatalf("emitted %d results before job 0 completed", g)
-	}
-	close(release)
-	<-done
-	if g := emitted.Load(); g != n {
-		t.Fatalf("emitted %d of %d after completion", g, n)
+			func(i, v int) {
+				emitted.Add(1)
+				got = append(got, i)
+			})
+		if len(got) != n {
+			t.Fatalf("workers=%d: emitted %d of %d after completion", workers, len(got), n)
+		}
+		for i, idx := range got {
+			if idx != i {
+				t.Fatalf("workers=%d: emission order %v not ascending at %d", workers, got[:i+1], i)
+			}
+		}
 	}
 }
 
 func TestRunOrderedZeroAndOne(t *testing.T) {
 	calls := 0
-	RunOrdered(context.Background(), 0, 4, nil, func(_, i int) int { return i }, func(i, v int) { calls++ })
+	RunOrdered(context.Background(), 0, 4, func(_, i int) int { return i }, func(i, v int) { calls++ })
 	if calls != 0 {
 		t.Fatalf("n=0 emitted %d", calls)
 	}
-	RunOrdered(context.Background(), 1, 4, nil, func(_, i int) int { return 9 }, func(i, v int) {
+	RunOrdered(context.Background(), 1, 4, func(_, i int) int { return 9 }, func(i, v int) {
 		if i != 0 || v != 9 {
 			t.Fatalf("n=1 emitted (%d,%d)", i, v)
 		}
@@ -86,19 +113,29 @@ func TestRunOrderedCtxCancelEmitsContiguousPrefix(t *testing.T) {
 	// Cancel mid-run and check the two drain invariants: emission stops
 	// at a job boundary, and the emitted set is an exact contiguous
 	// prefix [0, d) — dispatched jobs all finish and emit, undispatched
-	// jobs never run.
+	// jobs never run. Job 20 cancels only once jobs 21 … 20+w−1 are
+	// running, and they finish only after the cancel, so every worker
+	// holds a dispatched job when dispatch stops, and each of those must
+	// still be emitted.
 	for _, workers := range []int{1, 3, 8} {
 		const n = 200
+		w := min(workers, n)
 		ctx, cancel := context.WithCancel(context.Background())
+		var inFlight sync.WaitGroup
+		inFlight.Add(w - 1)
 		var got []int
 		var ran atomic.Int32
-		err := RunOrdered(ctx, n, workers, nil,
+		err := RunOrdered(ctx, n, workers,
 			func(_, i int) int {
 				ran.Add(1)
-				if i == 20 {
+				switch {
+				case i == 20:
+					inFlight.Wait()
 					cancel()
+				case i > 20 && i < 20+w:
+					inFlight.Done()
+					<-ctx.Done()
 				}
-				time.Sleep(50 * time.Microsecond)
 				return i
 			},
 			func(i, v int) {
@@ -114,8 +151,8 @@ func TestRunOrderedCtxCancelEmitsContiguousPrefix(t *testing.T) {
 		if len(got) >= n {
 			t.Fatalf("workers=%d: cancellation did not stop the run (%d jobs emitted)", workers, len(got))
 		}
-		if len(got) < 21 {
-			t.Fatalf("workers=%d: job 20 was dispatched but only %d jobs emitted", workers, len(got))
+		if len(got) < 20+w {
+			t.Fatalf("workers=%d: jobs 0…%d were dispatched but only %d emitted", workers, 20+w-1, len(got))
 		}
 		for i, idx := range got {
 			if idx != i {
@@ -131,7 +168,7 @@ func TestRunOrderedCtxCancelEmitsContiguousPrefix(t *testing.T) {
 func TestRunOrderedCtxUncancelledMatchesRunOrdered(t *testing.T) {
 	const n = 40
 	var got []int
-	if err := RunOrdered(context.Background(), n, 4, nil,
+	if err := RunOrdered(context.Background(), n, 4,
 		func(_, i int) int { return i * 2 },
 		func(i, v int) { got = append(got, v) }); err != nil {
 		t.Fatalf("RunOrdered: %v", err)
@@ -151,7 +188,7 @@ func TestRunOrderedCtxPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		calls := 0
-		err := RunOrdered(ctx, 10, workers, nil,
+		err := RunOrdered(ctx, 10, workers,
 			func(_, i int) int { return i },
 			func(i, v int) { calls++ })
 		if err == nil {
@@ -164,106 +201,34 @@ func TestRunOrderedCtxPreCancelled(t *testing.T) {
 }
 
 func TestParallelForWorkersCtxCancel(t *testing.T) {
+	// Jobs after 10 hold their workers until job 10 has cancelled, so
+	// dispatch cannot run far past the cancel, whatever the scheduler
+	// does.
+	const n = 500
 	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int32
-	err := parallelFor(ctx, 500, 4, func(worker, i int) {
-		if i == 10 {
+	var ran [n]atomic.Bool
+	err := parallelFor(ctx, n, 4, func(worker, i int) {
+		switch {
+		case i == 10:
 			cancel()
+		case i > 10:
+			<-ctx.Done()
 		}
-		ran.Add(1)
-		time.Sleep(20 * time.Microsecond)
+		ran[i].Store(true)
 	})
 	if err == nil {
 		t.Fatal("cancelled parallelFor returned nil")
 	}
-	if g := ran.Load(); g == 0 || g >= 500 {
-		t.Fatalf("ran %d of 500 jobs, want a proper nonempty prefix", g)
+	d := 0
+	for d < n && ran[d].Load() {
+		d++
 	}
-}
-
-func TestRunOrderedDispatchEmitsInIndexOrder(t *testing.T) {
-	// Dispatch in reverse (and a shuffled) order; emission must still be
-	// the ascending index sequence with the right values — the dispatch
-	// permutation is invisible in the output.
-	const n = 60
-	reverse := make([]int, n)
-	for i := range reverse {
-		reverse[i] = n - 1 - i
+	if d <= 10 || d >= n {
+		t.Fatalf("ran a prefix of %d of %d jobs, want one that covers job 10 and stops", d, n)
 	}
-	shuffled := make([]int, n)
-	for i := range shuffled {
-		shuffled[i] = (i*37 + 11) % n // 37 is coprime to 60: a permutation
-	}
-	for _, order := range [][]int{nil, reverse, shuffled} {
-		for _, workers := range []int{1, 2, 4} {
-			var got []int
-			err := RunOrdered(context.Background(), n, workers, order,
-				func(_, i int) int {
-					time.Sleep(time.Duration(i%5) * 50 * time.Microsecond)
-					return i * 7
-				},
-				func(i, v int) {
-					if v != i*7 {
-						t.Errorf("workers=%d: emit(%d) carried %d, want %d", workers, i, v, i*7)
-					}
-					got = append(got, i)
-				})
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			if len(got) != n {
-				t.Fatalf("workers=%d: emitted %d of %d", workers, len(got), n)
-			}
-			for i, idx := range got {
-				if idx != i {
-					t.Fatalf("workers=%d order=%v: emission not ascending at %d: %v", workers, order != nil, i, got[:i+1])
-				}
-			}
+	for i := d; i < n; i++ {
+		if ran[i].Load() {
+			t.Fatalf("ran jobs [0, %d) and job %d: the executed set has a hole", d, i)
 		}
 	}
-}
-
-func TestRunOrderedDispatchCancelStillContiguousPrefix(t *testing.T) {
-	// With reverse dispatch, cancellation completes a prefix of the
-	// DISPATCH order (high indices); the emitted set must still be a
-	// contiguous prefix of the INDEX order — possibly empty, never holed.
-	const n = 100
-	order := make([]int, n)
-	for i := range order {
-		order[i] = n - 1 - i
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var got []int
-	var ran atomic.Int32
-	err := RunOrdered(ctx, n, 4, order,
-		func(_, i int) int {
-			if ran.Add(1) == 30 {
-				cancel()
-			}
-			time.Sleep(50 * time.Microsecond)
-			return i
-		},
-		func(i, v int) { got = append(got, i) })
-	cancel()
-	if err == nil {
-		t.Fatal("cancelled run returned nil error")
-	}
-	for i, idx := range got {
-		if idx != i {
-			t.Fatalf("emitted set has a hole at %d: %v", i, got[:i+1])
-		}
-	}
-	if len(got) >= n {
-		t.Fatalf("cancellation did not stop the run (%d emitted)", len(got))
-	}
-}
-
-func TestRunOrderedDispatchBadOrderPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length-mismatched dispatch order did not panic")
-		}
-	}()
-	RunOrdered(context.Background(), 5, 2, []int{0, 1},
-		func(_, i int) int { return i }, func(int, int) {})
 }

@@ -21,9 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -381,9 +379,6 @@ type graphEntry struct {
 	fam    FamilySpec
 	budget gen.Budget
 	seed   uint64
-	// estN/estM are the plan-time size estimates (no build), feeding
-	// the unit cost scores.
-	estN, estM int64
 
 	refs atomic.Int64
 	once sync.Once
@@ -428,8 +423,6 @@ type unit struct {
 	fam *graphEntry
 	// fold gathers the blocks of a multi-block cell; nil otherwise.
 	fold *cellFold
-	// cost is the dispatch priority: UnitCost, or +Inf for a hit.
-	cost float64
 }
 
 // cellFold gathers one multi-block cell's blocks. Each block fills its
@@ -457,8 +450,8 @@ func (f *cellFold) add(b int, out *blockOut) []*blockOut {
 
 // run executes the job: probe the cache, plan every family up front
 // (fail before any output), build graphs lazily and ref-counted on the
-// pool, execute the units with cost-ordered dispatch, stream their
-// records to the writer in unit order, flush.
+// pool, execute the units in unit order, stream their records to the
+// writer in the same order, flush.
 func (j *Job) run(parent context.Context) {
 	// An internal cancel layer lets a mid-run failure — a graph build or
 	// a write — stop dispatch the way a user cancel does (drain, flush,
@@ -512,9 +505,8 @@ func (j *Job) run(parent context.Context) {
 	// Expand the cell sequence into units, cell-major, planning (not
 	// building) each distinct family at its first scheduled cell: a bad
 	// family spec — malformed size token, over-budget graph — still
-	// fails before any output is written, and the plan's size estimates
-	// price the dispatch order. Construction itself is deferred to first
-	// use on the pool. The graph seed is semantic (GraphSeed), so every
+	// fails before any output is written. Construction itself is
+	// deferred to first use on the pool. The graph seed is semantic (GraphSeed), so every
 	// shard that builds a family builds the identical instance. A warm
 	// run builds no graphs at all: GraphsTotal counts only families with
 	// at least one scheduled cell.
@@ -523,7 +515,7 @@ func (j *Job) run(parent context.Context) {
 	for s := 0; s < len(j.cells); s += per {
 		c := &j.cells[s]
 		if hits != nil && hits[s] != nil {
-			units = append(units, unit{cell: s, cost: math.Inf(1)})
+			units = append(units, unit{cell: s})
 			continue
 		}
 		key := c.Family.String()
@@ -536,12 +528,11 @@ func (j *Job) run(parent context.Context) {
 			if c.Precision.Sampled {
 				budget = gen.SampledBudget
 			}
-			n, m, err := gen.EstimateFamilyBudget(c.Family.Family, c.Family.Size, c.Family.K, budget)
-			if err != nil {
+			if _, _, err := gen.EstimateFamilyBudget(c.Family.Family, c.Family.Size, c.Family.K, budget); err != nil {
 				j.finish(stFailed, fmt.Errorf("sweep: building %s: %w", key, err))
 				return
 			}
-			e = &graphEntry{fam: c.Family, budget: budget, seed: GraphSeed(j.spec.Seed, c.Family), estN: n, estM: m}
+			e = &graphEntry{fam: c.Family, budget: budget, seed: GraphSeed(j.spec.Seed, c.Family)}
 			entries[key] = e
 		}
 		// A coupled group (TrialBlock 0) and a serial cell are one unit;
@@ -561,8 +552,7 @@ func (j *Job) run(parent context.Context) {
 			// Preset the ref counts before any dispatch: release() relies
 			// on refs only ever reaching zero after the final unit is done.
 			e.refs.Add(1)
-			units = append(units, unit{cell: s, lo: lo, hi: hi, fam: e, fold: fold,
-				cost: UnitCost(e.estN, e.estM, (hi-lo)*per, c.Precision)})
+			units = append(units, unit{cell: s, lo: lo, hi: hi, fam: e, fold: fold})
 		}
 	}
 	j.graphsTotal.Store(int64(len(entries)))
@@ -582,23 +572,6 @@ func (j *Job) run(parent context.Context) {
 	}
 	if workers < 1 {
 		workers = 1
-	}
-
-	// Cost-aware dispatch: hand the most expensive units to the pool
-	// first, after the hits, which cost nothing and unblock emission
-	// (stable sort — ties keep cell order, so same-family units stay
-	// contiguous and the in-flight graph set stays small). The
-	// permutation affects wall-clock only: RunOrdered emits in
-	// unit-index order regardless, so output bytes are untouched.
-	var order []int
-	if workers > 1 {
-		order = make([]int, len(units))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return units[order[a]].cost > units[order[b]].cost
-		})
 	}
 
 	// One private Workspace per worker goroutine (never shared, never
@@ -746,7 +719,7 @@ func (j *Job) run(parent context.Context) {
 		}
 	}
 
-	ctxErr := harness.RunOrdered(ctx, len(units), workers, order, runUnit, emit)
+	ctxErr := harness.RunOrdered(ctx, len(units), workers, runUnit, emit)
 	// Flush regardless of how the run ended: a cancelled job's prefix
 	// must be durable for -resume to pick up.
 	flushErr := j.cfg.w.Flush()

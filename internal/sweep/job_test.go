@@ -14,6 +14,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"faultexp/internal/graph"
+	"faultexp/internal/xrand"
 )
 
 // jobRef runs the toy grid uninterrupted through the Job API and returns
@@ -79,10 +82,10 @@ func TestJobCancelResumesByteIdentical(t *testing.T) {
 			}
 			sum, werr := j.Wait()
 			if werr == nil {
-				// Cost-ordered dispatch can hand every unit to the pool
-				// before the cancel lands; the drain contract then
-				// completes the run cleanly. The outcome must be the
-				// full run, byte-identical.
+				// The pool can hold every remaining unit before the
+				// cancel lands; the drain contract then completes the
+				// run cleanly. The outcome must be the full run,
+				// byte-identical.
 				if sum.Cells != len(cells) {
 					t.Fatalf("clean finish after cancel ran %d of %d cells", sum.Cells, len(cells))
 				}
@@ -352,4 +355,162 @@ func TestJobSnapshotConcurrent(t *testing.T) {
 		t.Fatalf("Wait: %v", err)
 	}
 	wg.Wait()
+}
+
+// gatedTrial, when set, runs at the start of every trial of the "gated"
+// measure with the trial's cell: the dispatch tests hold or cancel a
+// job from inside a trial through it. Tests set it before Start and
+// clear it after Wait, which orders both writes with the workers'
+// reads.
+var gatedTrial func(c Cell)
+
+func init() {
+	Register("gated", Measure{Trials: func(g *graph.Graph, c Cell, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) (TrialRun, error) {
+		return TrialRun{Trial: func(t int, ws *graph.Workspace, rng *xrand.RNG, rec *Recorder) error {
+			if gatedTrial != nil {
+				gatedTrial(c)
+			}
+			return observeDraw(t, ws, rng, rec)
+		}}, nil
+	}})
+}
+
+// dispatchSpec is a grid whose first family is its cheapest by
+// UnitCost: torus:4x4's four cells, then torus:16x16's. A pool that
+// dispatched the costliest units first would start on the second
+// family, whose records cannot be written before the first family's.
+// With trialParallel every trial is a block of its own.
+func dispatchSpec(t *testing.T, trialParallel bool) *Spec {
+	t.Helper()
+	s := &Spec{
+		Families: []FamilySpec{{Family: "torus", Size: "4x4"}, {Family: "torus", Size: "16x16"}},
+		Measures: []string{"gated"},
+		Models:   []string{ModelIIDNode},
+		Rates:    []float64{0, 0.1, 0.2, 0.3},
+		Trials:   4,
+		Seed:     17,
+	}
+	if trialParallel {
+		s.TrialParallel, s.TrialBlock = true, 1
+	}
+	p, err := s.Plan(Shard{})
+	if err != nil {
+		t.Fatalf("Plan: %v", err)
+	}
+	if fp := p.FamilyPlans; fp[0].CellCost >= fp[1].CellCost {
+		t.Fatalf("UnitCost ranks %s (%g) above %s (%g); the test needs the reverse", fp[0].Token, fp[0].CellCost, fp[1].Token, fp[1].CellCost)
+	}
+	return s
+}
+
+// isSecondFamily reports whether c belongs to dispatchSpec's second,
+// costlier family.
+func isSecondFamily(c Cell) bool { return c.Family.Size == "16x16" }
+
+// TestJobStreamsFromFirstCell: the pool computes units in cell order,
+// so the first record is written while the costlier second family is
+// still pending. Every second-family trial waits for that first record;
+// a pool that took the second family first would stall until the
+// deadline.
+func TestJobStreamsFromFirstCell(t *testing.T) {
+	for _, tp := range []bool{false, true} {
+		t.Run(fmt.Sprintf("trial_parallel=%v", tp), func(t *testing.T) {
+			spec := dispatchSpec(t, tp)
+			first := make(chan struct{})
+			var firstOnce, gaveUp sync.Once
+			deadline, stop := context.WithTimeout(context.Background(), 10*time.Second)
+			defer stop()
+			gatedTrial = func(c Cell) {
+				if !isSecondFamily(c) {
+					return
+				}
+				select {
+				case <-first:
+				case <-deadline.Done():
+					gaveUp.Do(func() { t.Error("a second-family trial waited 10 s for the first record") })
+				}
+			}
+			defer func() { gatedTrial = nil }()
+			j, err := NewJob(spec, WithWorkers(2), WithProgress(func(done, total int) {
+				firstOnce.Do(func() { close(first) })
+			}))
+			if err != nil {
+				t.Fatalf("NewJob: %v", err)
+			}
+			if err := j.Start(context.Background()); err != nil {
+				t.Fatalf("Start: %v", err)
+			}
+			if sum, err := j.Wait(); err != nil || sum.Cells != len(spec.Cells()) {
+				t.Fatalf("Wait = %d cells, %v; want %d, nil", sum.Cells, err, len(spec.Cells()))
+			}
+		})
+	}
+}
+
+// TestJobCancelKeepsComputedCells: the first second-family trial
+// cancels the job. Every first-family cell was dispatched before it, so
+// every one is written, and so is every other unit the pool had
+// started: serially nothing computed is lost, and trial-parallel loses
+// at most the finished blocks of the one cell that straddles the cut.
+// The output is a resume prefix that completes to the uninterrupted
+// bytes.
+func TestJobCancelKeepsComputedCells(t *testing.T) {
+	for _, tp := range []bool{false, true} {
+		t.Run(fmt.Sprintf("trial_parallel=%v", tp), func(t *testing.T) {
+			spec := dispatchSpec(t, tp)
+			cells := spec.Cells()
+			var ref bytes.Buffer
+			if _, err := runSpec(spec, NewJSONL(&ref), WithWorkers(2)); err != nil {
+				t.Fatalf("uninterrupted run: %v", err)
+			}
+
+			var buf bytes.Buffer
+			var j *Job
+			var once sync.Once
+			gatedTrial = func(c Cell) {
+				if isSecondFamily(c) {
+					once.Do(j.Cancel)
+				}
+			}
+			defer func() { gatedTrial = nil }()
+			j, err := NewJob(spec, WithWriter(NewJSONL(&buf)), WithWorkers(2))
+			if err != nil {
+				t.Fatalf("NewJob: %v", err)
+			}
+			if err := j.Start(context.Background()); err != nil {
+				t.Fatalf("Start: %v", err)
+			}
+			sum, werr := j.Wait()
+			gatedTrial = nil
+			if !errors.Is(werr, context.Canceled) {
+				t.Fatalf("Wait error %v does not wrap context.Canceled", werr)
+			}
+
+			s := j.Snapshot()
+			if s.CellsDone < len(spec.Rates) {
+				t.Errorf("cancel kept %d cells; all %d first-family cells were dispatched before it", s.CellsDone, len(spec.Rates))
+			}
+			excess := s.TrialsDone - int64(s.CellsDone*spec.Trials)
+			if !tp && excess != 0 {
+				t.Errorf("TrialsDone = %d with %d cells of %d trials written: a computed cell was discarded", s.TrialsDone, s.CellsDone, spec.Trials)
+			}
+			if tp && (excess < 0 || excess >= int64(spec.Trials)) {
+				t.Errorf("TrialsDone = %d with %d cells of %d trials written: %d trials discarded, want fewer than one cell's", s.TrialsDone, s.CellsDone, spec.Trials, excess)
+			}
+
+			st, err := ScanResume(bytes.NewReader(buf.Bytes()), cells)
+			if err != nil {
+				t.Fatalf("ScanResume rejected the cancelled output: %v", err)
+			}
+			if st.Done != sum.Cells || st.Truncated {
+				t.Fatalf("ScanResume: done=%d truncated=%v, want done=%d clean", st.Done, st.Truncated, sum.Cells)
+			}
+			if _, err := runSpec(spec, NewJSONL(&buf), WithSkipCells(st.Done), WithWorkers(2)); err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), ref.Bytes()) {
+				t.Errorf("interrupted+resumed output differs from the uninterrupted run:\n--- got ---\n%s--- want ---\n%s", buf.Bytes(), ref.Bytes())
+			}
+		})
+	}
 }
