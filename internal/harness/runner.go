@@ -42,15 +42,6 @@ func RunOrdered[T any](ctx context.Context, n, workers int, run func(worker, i i
 	if n <= 0 {
 		return nil
 	}
-	if workers <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			emit(i, run(0, i))
-		}
-		return nil
-	}
 	var (
 		mu   sync.Mutex
 		done = make([]bool, n)
