@@ -247,9 +247,8 @@ func printSweepPlan(spec *sweep.Spec, sh sweep.Shard, rcache *cache.Cache) error
 		if !fp.Fits {
 			fits = "OVER BUDGET"
 		}
-		// cost is the scheduler's per-cell dispatch score (UnitCost):
-		// relative execution weight, the number cost-aware dispatch sorts
-		// units by — not seconds.
+		// cost is one cell's estimated relative weight (UnitCost), for
+		// comparing families — not seconds.
 		fmt.Printf("  %-24s n=%-12d m<=%-12d peak~%-8s cost~%-8s %s\n",
 			fp.Token, fp.N, fp.M, humanBytes(fp.PeakBytes), humanCount(fp.CellCost), fits)
 	}

@@ -32,11 +32,12 @@ import (
 
 // UnitCost scores the relative execution cost of running trials trials
 // on a family with (estimated) n vertices and m edges at precision p —
-// the gen.EstimateFamily-derived score the job scheduler dispatches
-// largest-first and `sweep -dry-run` prints per cell. One trial of an
-// exact kernel walks the graph at least once (≈ n + 2m work); sampled
-// kernels repeat a linear-time pass k times. The score is relative: it
-// orders units, it does not predict seconds.
+// the gen.EstimateFamily-derived score `sweep -dry-run` prints per
+// family. One trial of an exact kernel walks the graph at least once
+// (≈ n + 2m work); sampled kernels repeat a linear-time pass k times.
+// The score is relative and blind to how a measure's cost depends on
+// the graph's shape: it sizes cells for a reader and does not predict
+// seconds.
 func UnitCost(n, m int64, trials int, p Precision) float64 {
 	per := float64(n) + 2*float64(m)
 	if p.Sampled {

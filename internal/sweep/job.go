@@ -13,8 +13,11 @@ package sweep
 // records are emitted in order (harness.RunOrdered), so the JSONL
 // output after a cancel is always the exact contiguous prefix of the
 // run's cell sequence — a valid `-resume` input that completes to bytes
-// identical to an uninterrupted run. Cache hits are units too: a job
-// cancelled before Start writes nothing, however warm its cache.
+// identical to an uninterrupted run. Units are dispatched in cell order,
+// so that prefix holds every cell the job computed, less the finished
+// blocks of the one trial-parallel cell a cancel cuts through. Cache
+// hits are units too: a job cancelled before Start writes nothing,
+// however warm its cache.
 
 import (
 	"context"
@@ -506,10 +509,10 @@ func (j *Job) run(parent context.Context) {
 	// building) each distinct family at its first scheduled cell: a bad
 	// family spec — malformed size token, over-budget graph — still
 	// fails before any output is written. Construction itself is
-	// deferred to first use on the pool. The graph seed is semantic (GraphSeed), so every
-	// shard that builds a family builds the identical instance. A warm
-	// run builds no graphs at all: GraphsTotal counts only families with
-	// at least one scheduled cell.
+	// deferred to first use on the pool. The graph seed is semantic
+	// (GraphSeed), so every shard that builds a family builds the
+	// identical instance. A warm run builds no graphs at all:
+	// GraphsTotal counts only families with at least one scheduled cell.
 	entries := map[string]*graphEntry{}
 	var units []unit
 	for s := 0; s < len(j.cells); s += per {

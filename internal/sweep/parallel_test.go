@@ -51,8 +51,8 @@ func runJobToBytes(t *testing.T, spec *Spec, workers int) []byte {
 
 // TestTrialParallelByteIdenticalAcrossWorkers is the tentpole guarantee
 // extended to trial blocks: the block partition — not the worker count,
-// not the dispatch order — fixes the fold order, so output bytes are
-// identical for any pool size.
+// not the order blocks finish in — fixes the fold order, so output bytes
+// are identical for any pool size.
 func TestTrialParallelByteIdenticalAcrossWorkers(t *testing.T) {
 	spec := trialParSpec()
 	ref := runJobToBytes(t, spec, 1)
@@ -325,8 +325,8 @@ func TestBlockCount(t *testing.T) {
 	}
 }
 
-// TestUnitCostOrdering: the dispatch score must grow with size, trial
-// count, and sample budget — the properties cost-aware dispatch needs.
+// TestUnitCostOrdering: the dry run's cost estimate must grow with
+// size, trial count, and sample budget.
 func TestUnitCostOrdering(t *testing.T) {
 	exact := Precision{}
 	sampled := Precision{Sampled: true, K: 8}

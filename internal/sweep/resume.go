@@ -182,10 +182,10 @@ type FamilyPlan struct {
 	// Fits reports whether the family passes the run's size budget
 	// (exact or sampled tier).
 	Fits bool
-	// CellCost is the scheduler's estimated cost score for ONE cell of
-	// this family (UnitCost at the run's trial budget and precision) —
-	// the number the cost-aware dispatcher sorts units by, surfaced so
-	// a dry run can predict wall-clock and explain dispatch order.
+	// CellCost is the estimated relative cost of ONE cell of this
+	// family (UnitCost at the run's trial budget and precision),
+	// surfaced so a dry run can compare the families' sizes; it is not
+	// seconds.
 	CellCost float64
 	// Err carries the estimate failure for families the registry
 	// cannot size without building (estimates then read zero).

@@ -1,7 +1,9 @@
 // Package ufind implements union–find (disjoint set union) with union by
-// size and path halving. It is the engine behind connected-component
-// computations and the Newman–Ziff percolation sweeps, where a single
-// sweep performs O(n + m) unions and finds.
+// size and path halving. It serves the incremental passes: the coupled
+// rate walk and the Newman–Ziff percolation sweeps, where a single sweep
+// performs O(n + m) unions and finds. One-shot component passes do not
+// use it: graph.ComponentsInto labels by DFS, and the iid-edge pass runs
+// Rem's union–find on its own parent array.
 //
 // Beyond the classic operations, the structure tracks the size of the
 // largest component and the number of live components incrementally,

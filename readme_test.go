@@ -303,8 +303,8 @@ func TestREADMEDocumentsRateModeAndKernelScratch(t *testing.T) {
 // TestREADMEDocumentsParallelismModel pins the trial-parallel surfaces
 // the README promises: the section itself, the spec fields and flags,
 // the block-merge determinism contract with its last-ulp caveat, the
-// lazy ref-counted graph lifecycle counters, and the cost-aware
-// dispatch story with its dry-run column.
+// lazy ref-counted graph lifecycle counters, cell-order dispatch with
+// its cancel guarantee, and the dry run's cost column.
 func TestREADMEDocumentsParallelismModel(t *testing.T) {
 	b, err := os.ReadFile("README.md")
 	if err != nil {
@@ -320,7 +320,8 @@ func TestREADMEDocumentsParallelismModel(t *testing.T) {
 		"one trial block covering `[0, trials)`",
 		"ref-counted",
 		"`graphs_built` / `graphs_total`",
-		"largest\nfirst",
+		"**Cell-order dispatch.**",
+		"straddles the cut",
 		"cost~", "sweep.UnitCost",
 	} {
 		if !strings.Contains(s, want) {
