@@ -1,13 +1,14 @@
 package main
 
 // The coordinator subcommand: the fleet-facing daemon. It exposes the
-// same /v1 job surface as serve, but executes each job by splitting
-// the grid into -shard i/m slices and dispatching them to worker
-// daemons (-workers), streaming back the merged interleave —
-// byte-identical to a single-node run. Every job is durable: its spec
-// and per-shard outputs live under -store, so a SIGKILLed coordinator
-// restarts with nothing lost and every unfinished job resuming from
-// its exact output prefix.
+// same /v1 job surface as serve, but executes each job by handing
+// contiguous chunks of the grid's cell order to worker daemons
+// (-workers) as their slots free up, streaming back the merged result
+// stream — byte-identical to a single-node run. Every job is durable:
+// its spec and its records, kept as -shards round-robin shard files,
+// live under -store, so a SIGKILLed coordinator restarts with nothing
+// lost and every unfinished job resuming from its exact output
+// prefixes.
 
 import (
 	"context"
@@ -26,14 +27,14 @@ import (
 func cmdCoordinator(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("coordinator", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8090", "listen address (host:port)")
-	workers := fs.String("workers", "", "comma-separated worker addresses (host:port or URLs); health-checked, kernel-version-matched, and fed shards as capacity frees")
+	workers := fs.String("workers", "", "comma-separated worker addresses (host:port or URLs); health-checked, kernel-version-matched, and sent chunks of each job's cell order as their slots free up")
 	storeDir := fs.String("store", "", "durable job store directory (required): per-job spec + append-only shard outputs, rebuilt on startup so a crash loses nothing")
 	maxActive := fs.Int("max-active", 2, "jobs dispatching concurrently; submissions beyond it queue as pending")
-	maxInflight := fs.Int("max-inflight", 1, "shards assigned to one worker at a time (fleet backpressure)")
-	shards := fs.Int("shards", 0, "shards per job (0 = one per worker); more shards than workers lets slices reassign finer on failure")
+	maxInflight := fs.Int("max-inflight", 1, "chunks running on one worker at a time (fleet backpressure); with the worker count it also sets the chunk size")
+	shards := fs.Int("shards", 0, "shard files per job in the store (0 = one per worker); sets the store layout only, not how work is dispatched")
 	maxResultBytes := fs.Int64("max-result-bytes", 64<<20, "per-job cap on retained in-memory result bytes (0 = unlimited; durable files are never capped)")
-	healthInterval := fs.Duration("health-interval", 2*time.Second, "worker health-check period; a worker failing its check has its in-flight shards reassigned")
-	retryDelay := fs.Duration("retry-delay", 500*time.Millisecond, "pause before reassigning a failed shard attempt")
+	healthInterval := fs.Duration("health-interval", 2*time.Second, "worker health-check period; a worker failing its check has its running chunks aborted and their unreceived cells dispatched again")
+	retryDelay := fs.Duration("retry-delay", 500*time.Millisecond, "pause before a failed attempt's unreceived cells are dispatched again")
 	quiet := fs.Bool("quiet", false, "suppress the startup line on stderr")
 	fs.Parse(args)
 	if *storeDir == "" {

@@ -190,10 +190,10 @@ commands:
   serve       HTTP daemon over the sweep Job API: POST /v1/jobs, snapshot, stream, cancel
               (-cache DIR shares a result cache across jobs with single-flight dedup)
   worker      the serve surface enrolled in a fleet: advertises capacity and kernel
-              version on GET /healthz, runs shard slices a coordinator dispatches
-  coordinator fleet front-end: splits each job across -workers as -shard i/m slices,
-              health-checks and reassigns via resume, streams the merged interleave
-              byte-identical to single-node; -store makes every job survive SIGKILL
+              version on GET /healthz, runs the chunks a coordinator dispatches
+  coordinator fleet front-end: hands each job to -workers in chunks of its cell order,
+              health-checks and re-dispatches unreceived cells, streams the merged
+              result byte-identical to single-node; -store makes every job survive SIGKILL
   merge       reassemble 'sweep -shard i/m' JSONL outputs into the unsharded stream
               (-dir reads a complete shard-<i>-of-<m>.jsonl set, the job-store layout)
   agg         group sweep JSONL records and emit summary tables (CSV/JSONL) for plotting

@@ -111,8 +111,15 @@ func (c *Client) Health(ctx context.Context) (Health, error) {
 
 // Submit posts specJSON as a new job restricted to shard sh (the whole
 // grid when sh.Count ≤ 1), skipping the shard's first skip cells — the
-// resume path after a reassignment. Returns the worker's job id.
+// resume path of a shard. Returns the worker's job id.
 func (c *Client) Submit(ctx context.Context, specJSON []byte, sh sweep.Shard, skip int) (string, error) {
+	return c.SubmitLimit(ctx, specJSON, sh, skip, 0)
+}
+
+// SubmitLimit is Submit that runs only the limit cells after the skip
+// (?limit=; 0 sends none): how the coordinator dispatches one chunk of
+// a grid's cell order.
+func (c *Client) SubmitLimit(ctx context.Context, specJSON []byte, sh sweep.Shard, skip, limit int) (string, error) {
 	path := "/v1/jobs"
 	sep := "?"
 	if sh.Enabled() {
@@ -121,6 +128,10 @@ func (c *Client) Submit(ctx context.Context, specJSON []byte, sh sweep.Shard, sk
 	}
 	if skip > 0 {
 		path += sep + "skip=" + strconv.Itoa(skip)
+		sep = "&"
+	}
+	if limit > 0 {
+		path += sep + "limit=" + strconv.Itoa(limit)
 	}
 	var v JobView
 	if _, err := c.do(ctx, http.MethodPost, path, specJSON, http.StatusCreated, &v); err != nil {

@@ -1,26 +1,39 @@
 package fabric
 
 // The coordinator: accepts grid specs on the same /v1 job surface as
-// serve, splits each into round-robin `-shard i/m` slices, dispatches
-// the slices to a fleet of worker daemons, and streams a merged
-// interleave back to the client — byte-identical to a single-node run,
-// because a cell's bytes depend only on (grid seed, cell key) and the
-// round-robin interleave of complete shard streams IS the unsharded
-// cell order (the MergeShards discipline).
+// serve, hands each job's cell order to a fleet of worker daemons in
+// contiguous chunks, and streams a merged interleave back to the client
+// — byte-identical to a single-node run, because a cell's bytes depend
+// only on (grid seed, cell key), never on which worker computed it.
 //
-// Failure handling is resume, not redo: every line a worker streams is
-// appended (verbatim, verified) to the job's durable shard file, so
-// when a worker dies or straggles mid-shard the coordinator reassigns
-// the shard with ?skip=K — K being the verified prefix length — and
-// the replacement worker computes only the remainder. The same
+// Dispatch is self-scheduling: whenever a worker has a free slot, it
+// gets the job's next chunk, the lowest cells not yet stored or
+// dispatched, ⌈R / 2S⌉ of them for R such cells and S fleet slots
+// (workers × MaxInflight), sent as ?skip=lo&limit=n. This is the
+// factoring rule of Hummel, Schonberg & Flynn (CACM 35(8), 1992): the
+// first chunks are large, so few dispatches carry most cells, and the
+// last ones small, so no worker is left with a long tail while the
+// others idle.
+//
+// The store keeps each job as round-robin shard files: cell c is line
+// c div m of shard c mod m, so the round-robin interleave of complete
+// shard files IS the unsharded cell order (the MergeShards discipline).
+// Every record a worker streams is verified against its own cell and
+// appended, verbatim, to its shard file once that shard holds the
+// cells before it; until then it is held in memory.
+//
+// Failure handling is resume, not redo: a failed attempt keeps every
+// record it verified and returns only its unreceived cells to the free
+// pool, so a worker that dies or straggles mid-chunk costs a
+// re-dispatch, never the recomputation of a verified cell. The same
 // machinery makes the coordinator itself crash-safe: on startup every
 // job is rebuilt from its store directory, each shard file re-verified
-// with sweep.ScanResume (torn final lines truncated), and execution
-// resumes exactly where the prefixes end.
+// with sweep.ScanResume (torn final lines truncated), and the cells
+// past the verified prefixes are dispatched like a fresh job's.
 //
-// Backpressure is per-worker: at most MaxInflight shards are assigned
-// to one worker at a time, and a shard that cannot be placed waits for
-// capacity instead of piling requests onto a loaded fleet.
+// Backpressure is per-worker: at most MaxInflight chunks run on one
+// worker at a time, and the next chunk waits for a free slot instead of
+// piling requests onto a loaded fleet.
 
 import (
 	"bufio"
@@ -30,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -46,23 +60,26 @@ type CoordinatorConfig struct {
 	Store *Store
 	// MaxActive bounds jobs dispatching concurrently (default 2).
 	MaxActive int
-	// MaxInflight bounds the shards assigned to one worker at a time —
-	// the fleet-wide backpressure knob (default 1).
+	// MaxInflight bounds the chunks running on one worker at a time —
+	// the fleet-wide backpressure knob (default 1). With the fleet size
+	// it also sets the chunk size.
 	MaxInflight int
-	// Shards is the split per job; 0 means one shard per worker.
+	// Shards is the number of shard files a new job is stored in; 0
+	// means one per worker. It sets the store layout only: dispatch
+	// hands out chunks of the cell order whatever the count.
 	Shards int
 	// MaxResultBytes caps the retained in-memory result bytes per job
 	// (0 = unlimited); the durable files are not capped.
 	MaxResultBytes int64
 	// HealthInterval is the worker health-check period (default 2s).
 	HealthInterval time.Duration
-	// RetryDelay is the pause before reassigning a failed shard
-	// attempt (default 500ms).
+	// RetryDelay is the pause before a failed attempt's unreceived
+	// cells return to the free pool (default 500ms).
 	RetryDelay time.Duration
-	// MaxAttempts bounds consecutive shard attempts that make no
-	// progress before the job fails (default 5). Attempts that advance
-	// the prefix reset the count — a worker death mid-stream never
-	// burns the budget as long as someone, somewhere, computes cells.
+	// MaxAttempts bounds the job's consecutive attempts that deliver no
+	// record before it fails (default 5). An attempt that delivers any
+	// record resets the count — a worker death mid-stream never burns
+	// the budget as long as someone, somewhere, computes cells.
 	MaxAttempts int
 }
 
@@ -145,6 +162,13 @@ type CoordHealth struct {
 	Workers []WorkerView `json:"workers"`
 }
 
+// chunk is one dispatch: the cells [lo, hi) of the job's cell order,
+// run on one worker as ?skip=lo&limit=hi-lo. Its fields never change.
+type chunk struct {
+	lo, hi int
+	worker string
+}
+
 // coordJob is one job's in-memory state: per-shard line logs mirroring
 // the durable shard files, plus dispatch bookkeeping.
 type coordJob struct {
@@ -156,18 +180,33 @@ type coordJob struct {
 
 	m        int            // shard count
 	cells    int            // total grid cells
-	cellsBy  [][]sweep.Cell // per-shard cell sequences (what streams verify against)
+	cellsBy  [][]sweep.Cell // per-shard cell sequences (what records verify against)
 	expected []int          // per-shard complete line counts
 	logs     []*resultLog   // per-shard line logs (merged stream reads these)
 	files    []*os.File     // per-shard durable append handles (while running)
 	adm      *admission     // the job's place in the dispatch queue
 
-	mu          sync.Mutex
-	state       sweep.JobState
-	errMsg      string
-	shardWorker []string
-	bytes       int64
-	maxBytes    int64
+	mu       sync.Mutex
+	state    sweep.JobState
+	errMsg   string
+	bytes    int64
+	maxBytes int64
+	// Dispatch: free marks the nfree cells that are neither stored,
+	// received nor dispatched; chunks are the ones running on workers;
+	// running counts the attempts not yet settled, retry delays
+	// included; idle counts consecutive attempts that delivered no
+	// record. wake is closed and replaced when free or running changes.
+	free    []bool
+	nfree   int
+	chunks  []*chunk
+	running int
+	idle    int
+	wake    chan struct{}
+
+	// placeMu orders placement; held keeps each verified record whose
+	// shard does not yet hold the cells before it, by cell index.
+	placeMu sync.Mutex
+	held    map[int][]byte
 }
 
 // cancel writes the store's cancelled marker, so a restart doesn't
@@ -213,10 +252,11 @@ func (cj *coordJob) finish(s sweep.JobState, err error) {
 	cj.finishLogs()
 }
 
-func (cj *coordJob) setShardWorker(i int, base string) {
-	cj.mu.Lock()
-	cj.shardWorker[i] = base
-	cj.mu.Unlock()
+// fail settles the job as failed, then stops its dispatch and aborts
+// every running attempt, which all watch adm.stopped.
+func (cj *coordJob) fail(err error) {
+	cj.finish(sweep.JobFailed, err)
+	cj.adm.stop()
 }
 
 // appendShard verifies nothing (the caller already did); it accounts
@@ -243,6 +283,57 @@ func (cj *coordJob) appendShard(i int, line []byte) error {
 	return nil
 }
 
+// place stores the verified record of cell c. Cell c is line c div m
+// of shard c mod m, so it is appended once that shard holds exactly
+// c div m lines and held until then; each append releases the shard's
+// next held record.
+func (cj *coordJob) place(c int, line []byte) error {
+	cj.placeMu.Lock()
+	defer cj.placeMu.Unlock()
+	s := c % cj.m
+	if cj.logs[s].count() != c/cj.m {
+		cj.held[c] = bytes.Clone(line)
+		return nil
+	}
+	for {
+		if err := cj.appendShard(s, line); err != nil {
+			return err
+		}
+		c += cj.m
+		var ok bool
+		if line, ok = cj.held[c]; !ok {
+			return nil
+		}
+		delete(cj.held, c)
+	}
+}
+
+// takeChunk hands worker base the next chunk: the lowest free cell and
+// the free cells right after it, at most ⌈R / 2S⌉ cells for R free
+// cells and S fleet slots. The caller has seen free cells.
+func (cj *coordJob) takeChunk(slots int, base string) *chunk {
+	cj.mu.Lock()
+	defer cj.mu.Unlock()
+	lo := slices.Index(cj.free, true)
+	n := (cj.nfree + 2*slots - 1) / (2 * slots)
+	hi := lo
+	for hi < cj.cells && hi-lo < n && cj.free[hi] {
+		cj.free[hi] = false
+		hi++
+	}
+	cj.nfree -= hi - lo
+	ch := &chunk{lo: lo, hi: hi, worker: base}
+	cj.chunks = append(cj.chunks, ch)
+	cj.running++
+	return ch
+}
+
+// signalLocked wakes the job's dispatch loop. Caller holds cj.mu.
+func (cj *coordJob) signalLocked() {
+	close(cj.wake)
+	cj.wake = make(chan struct{})
+}
+
 // mergedDone is the contiguous merged prefix length: cell c lives on
 // shard c mod m at intra-shard index c div m, so the prefix ends at
 // the first cell whose shard hasn't reached it — min over shards of
@@ -267,10 +358,12 @@ func (cj *coordJob) complete() bool {
 	return true
 }
 
+// view reports, for each shard, the worker whose running chunk holds
+// the shard's next missing cell.
 func (cj *coordJob) view(removed bool) any {
 	cj.mu.Lock()
 	state, errMsg := cj.state, cj.errMsg
-	workers := append([]string(nil), cj.shardWorker...)
+	chunks := slices.Clone(cj.chunks)
 	cj.mu.Unlock()
 	v := CoordJobView{
 		ID:      cj.id,
@@ -284,11 +377,18 @@ func (cj *coordJob) view(removed bool) any {
 		Removed: removed,
 	}
 	for i := 0; i < cj.m; i++ {
+		lines := cj.logs[i].count()
+		next, worker := i+lines*cj.m, ""
+		for _, ch := range chunks {
+			if ch.lo <= next && next < ch.hi {
+				worker = ch.worker
+			}
+		}
 		v.Shards = append(v.Shards, ShardView{
 			Shard:    fmt.Sprintf("%d/%d", i, cj.m),
-			Lines:    cj.logs[i].count(),
+			Lines:    lines,
 			Expected: cj.expected[i],
-			Worker:   workers[i],
+			Worker:   worker,
 		})
 	}
 	return v
@@ -336,7 +436,8 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 }
 
 // rebuild loads every stored job back into memory and requeues the
-// unfinished ones.
+// unfinished ones; runJob dispatches the cells past their verified
+// prefixes.
 func (c *Coordinator) rebuild() error {
 	stored, err := c.store.Jobs()
 	if err != nil {
@@ -372,21 +473,22 @@ func (c *Coordinator) rebuild() error {
 func (c *Coordinator) buildJob(sj *StoredJob, fresh bool) (*coordJob, error) {
 	m := sj.Shards
 	cj := &coordJob{
-		id:          sj.ID,
-		stored:      sj,
-		spec:        sj.Spec,
-		specJSON:    sj.SpecJSON,
-		created:     sj.Created,
-		m:           m,
-		cells:       len(sj.Spec.Cells()),
-		cellsBy:     make([][]sweep.Cell, m),
-		expected:    make([]int, m),
-		logs:        make([]*resultLog, m),
-		files:       make([]*os.File, m),
-		adm:         newAdmission(),
-		state:       sweep.JobPending,
-		shardWorker: make([]string, m),
-		maxBytes:    c.cfg.MaxResultBytes,
+		id:       sj.ID,
+		stored:   sj,
+		spec:     sj.Spec,
+		specJSON: sj.SpecJSON,
+		created:  sj.Created,
+		m:        m,
+		cells:    len(sj.Spec.Cells()),
+		cellsBy:  make([][]sweep.Cell, m),
+		expected: make([]int, m),
+		logs:     make([]*resultLog, m),
+		files:    make([]*os.File, m),
+		adm:      newAdmission(),
+		state:    sweep.JobPending,
+		maxBytes: c.cfg.MaxResultBytes,
+		wake:     make(chan struct{}),
+		held:     map[int][]byte{},
 	}
 	for i := 0; i < m; i++ {
 		cj.cellsBy[i] = sj.Spec.ShardCells(sweep.Shard{Index: i, Count: m})
@@ -437,9 +539,9 @@ func (cj *coordJob) loadShardPrefix(i int) error {
 	return nil
 }
 
-// shardCountFor picks the split for a new job: the configured -shards,
-// else one per worker, never more than the grid has cells (extra
-// shards would only add empty files).
+// shardCountFor picks a new job's shard-file count: the configured
+// -shards, else one per worker, never more than the grid has cells
+// (extra shards would only add empty files).
 func (c *Coordinator) shardCountFor(spec *sweep.Spec) int {
 	m := c.cfg.Shards
 	if m < 1 {
@@ -620,7 +722,9 @@ func isPermanent(err error) bool {
 
 // runJob drives one job to a terminal state: wait for a dispatch slot,
 // ensure every shard file exists (a complete merge -dir set from the
-// first byte), run all shard tasks concurrently, settle the state.
+// first byte), then hand out chunks of the cell order, each to the next
+// worker with a free slot, until every cell is stored or the job stops,
+// and settle the state.
 func (c *Coordinator) runJob(cj *coordJob) {
 	if !cj.adm.wait(c.ctx, c.sem) {
 		// Stopped while queued, which cancel settles, or shut down: the
@@ -632,6 +736,15 @@ func (c *Coordinator) runJob(cj *coordJob) {
 	defer func() { <-c.sem }()
 	cj.mu.Lock()
 	cj.state = sweep.JobRunning
+	// A cell is free when its shard's verified prefix does not hold it:
+	// every cell of a fresh job, the cells past the prefixes of a
+	// rebuilt one.
+	cj.free = make([]bool, cj.cells)
+	for i := range cj.free {
+		if cj.free[i] = i/cj.m >= cj.logs[i%cj.m].count(); cj.free[i] {
+			cj.nfree++
+		}
+	}
 	cj.mu.Unlock()
 	for i := 0; i < cj.m; i++ {
 		f, err := os.OpenFile(cj.stored.ShardPath(i), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o666)
@@ -648,36 +761,35 @@ func (c *Coordinator) runJob(cj *coordJob) {
 			}
 		}
 	}()
-	errs := make([]error, cj.m)
+	slots := max(1, len(c.cfg.Workers)*c.cfg.MaxInflight)
 	var wg sync.WaitGroup
-	for i := 0; i < cj.m; i++ {
-		if cj.logs[i].count() == cj.expected[i] {
-			cj.logs[i].finish()
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.runShard(cj, i)
-		}(i)
-	}
-	wg.Wait()
-	if c.ctx.Err() != nil && !cj.adm.isStopped() {
-		cj.finishLogs()
-		return
-	}
-	var firstErr error
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, errJobCancelled) {
-			firstErr = err
+	for c.awaitFree(cj) {
+		// Slot first, then chunk: the chunk size counts the cells still
+		// free at dispatch time.
+		w, down, err := c.acquire(cj)
+		if err != nil {
 			break
 		}
+		if cj.adm.isStopped() {
+			// The job stopped while acquire waited: a cancel, or a failure
+			// whose attempt released the slot acquire got.
+			c.release(w)
+			break
+		}
+		ch := cj.takeChunk(slots, w.base)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.runChunk(cj, ch, w, down)
+		}()
 	}
+	wg.Wait()
 	switch {
 	case cj.adm.isStopped():
+		// Cancelled, unless a failure already settled the job.
 		cj.finish(sweep.JobCancelled, nil)
-	case firstErr != nil:
-		cj.finish(sweep.JobFailed, firstErr)
+	case c.ctx.Err() != nil:
+		cj.finishLogs()
 	default:
 		cj.finish(sweep.JobDone, nil)
 	}
@@ -691,73 +803,83 @@ func (cj *coordJob) finishLogs() {
 	}
 }
 
-// runShard owns one shard to completion: acquire a worker, stream the
-// remainder, and on any failure reassign — the resume skip advances
-// with every verified line, so even a fleet of flaky workers makes
-// monotonic progress. Attempts that advance nothing are bounded by
-// MaxAttempts.
-func (c *Coordinator) runShard(cj *coordJob, i int) error {
-	idle := 0
-	var lastErr error
+// awaitFree blocks until the job has free cells and reports true, or
+// reports false once nothing is left to dispatch: every cell has been
+// received, the job stopped, or the coordinator is shutting down.
+func (c *Coordinator) awaitFree(cj *coordJob) bool {
 	for {
-		if cj.adm.isStopped() {
-			return errJobCancelled
+		cj.mu.Lock()
+		nfree, running, wake := cj.nfree, cj.running, cj.wake
+		cj.mu.Unlock()
+		if cj.adm.isStopped() || c.ctx.Err() != nil {
+			return false
 		}
-		if err := c.ctx.Err(); err != nil {
-			return err
-		}
-		if cj.logs[i].count() == cj.expected[i] {
-			cj.logs[i].finish()
-			return nil
-		}
-		if idle >= c.cfg.MaxAttempts {
-			return fmt.Errorf("shard %d/%d stalled: %d consecutive attempts made no progress (last: %v)", i, cj.m, idle, lastErr)
-		}
-		w, down, err := c.acquire(cj)
-		if err != nil {
-			return err
-		}
-		before := cj.logs[i].count()
-		err = c.runShardAttempt(cj, i, w, down)
-		c.release(w)
-		if err == nil {
-			cj.logs[i].finish()
-			return nil
-		}
-		if cj.adm.isStopped() {
-			return errJobCancelled
-		}
-		if c.ctx.Err() != nil {
-			return c.ctx.Err()
-		}
-		if isPermanent(err) {
-			return err
-		}
-		lastErr = err
-		if cj.logs[i].count() > before {
-			idle = 0
-		} else {
-			idle++
+		if nfree > 0 || running == 0 {
+			return nfree > 0
 		}
 		select {
-		case <-time.After(c.cfg.RetryDelay):
+		case <-wake:
 		case <-cj.adm.stopped:
-			return errJobCancelled
 		case <-c.ctx.Done():
-			return c.ctx.Err()
 		}
 	}
 }
 
-// runShardAttempt runs one dispatch of shard i onto worker w: submit
-// with ?shard=i/m&skip=K, stream the results, verify every record
-// against its exact cell (seed + trial budget + block partition — the
-// ScanResume contract applied online), and append verified lines
-// durably. The attempt aborts the moment the job is cancelled or the
-// health checker declares the worker down.
-func (c *Coordinator) runShardAttempt(cj *coordJob, i int, w *workerRef, down <-chan struct{}) error {
-	sh := sweep.Shard{Index: i, Count: cj.m}
-	skip := cj.logs[i].count()
+// runChunk runs one attempt of chunk ch on worker w and settles it. The
+// job keeps every record the attempt verified. A permanent error fails
+// the job, and so does the MaxAttempts-th consecutive attempt that
+// delivered no record, in both cases before the worker slot goes back.
+// After any other failure the attempt keeps the slot for RetryDelay, so
+// a worker that keeps refusing is sent one chunk per delay rather than
+// every free chunk at once, then returns the chunk's unreceived cells
+// to the free pool.
+func (c *Coordinator) runChunk(cj *coordJob, ch *chunk, w *workerRef, down <-chan struct{}) {
+	got, err := c.chunkAttempt(cj, ch, w, down)
+	cj.mu.Lock()
+	cj.chunks = slices.DeleteFunc(cj.chunks, func(o *chunk) bool { return o == ch })
+	if got > 0 {
+		cj.idle = 0
+	} else {
+		cj.idle++
+	}
+	idle := cj.idle
+	cj.mu.Unlock()
+	if err != nil && !cj.adm.isStopped() && c.ctx.Err() == nil {
+		switch {
+		case isPermanent(err):
+			cj.fail(err)
+		case idle >= c.cfg.MaxAttempts:
+			cj.fail(fmt.Errorf("job %s stalled: %d consecutive attempts made no progress (last: %v)", cj.id, idle, err))
+		}
+	}
+	if err != nil {
+		select {
+		case <-time.After(c.cfg.RetryDelay):
+		case <-cj.adm.stopped:
+		case <-c.ctx.Done():
+		}
+	}
+	c.release(w)
+	cj.mu.Lock()
+	for i := ch.lo + got; i < ch.hi; i++ {
+		cj.free[i] = true
+	}
+	cj.nfree += ch.hi - ch.lo - got
+	cj.running--
+	cj.signalLocked()
+	cj.mu.Unlock()
+}
+
+// chunkAttempt runs chunk ch on worker w: submit with ?skip=lo&limit=n
+// over the unsharded cell order, stream the results, verify every
+// record against its own cell (seed + trial budget + block partition —
+// the ScanResume contract applied online), and place it. It stops
+// reading at the chunk's last record, so a worker that ignores ?limit=
+// is cut off there (the deferred DELETE cancels its job), and it aborts
+// the moment the job stops or the health checker declares the worker
+// down. got counts the records placed, a prefix of the chunk.
+func (c *Coordinator) chunkAttempt(cj *coordJob, ch *chunk, w *workerRef, down <-chan struct{}) (got int, err error) {
+	n := ch.hi - ch.lo
 	actx, cancel := context.WithCancel(c.ctx)
 	defer cancel()
 	stop := make(chan struct{})
@@ -773,10 +895,10 @@ func (c *Coordinator) runShardAttempt(cj *coordJob, i int, w *workerRef, down <-
 		}
 	}()
 
-	id, err := w.client.Submit(actx, cj.specJSON, sh, skip)
+	id, err := w.client.SubmitLimit(actx, cj.specJSON, sweep.Shard{}, ch.lo, n)
 	if err != nil {
 		c.markDownIfTransport(w, err)
-		return fmt.Errorf("submitting shard %s to %s: %w", sh, w.base, err)
+		return 0, fmt.Errorf("submitting cells [%d, %d) to %s: %w", ch.lo, ch.hi, w.base, err)
 	}
 	defer func() {
 		// Best-effort cleanup off the attempt context (which may be
@@ -786,70 +908,64 @@ func (c *Coordinator) runShardAttempt(cj *coordJob, i int, w *workerRef, down <-
 		defer dcancel()
 		w.client.Delete(dctx, id)
 	}()
-	cj.setShardWorker(i, w.base)
-	defer cj.setShardWorker(i, "")
 
 	body, err := w.client.Results(actx, id, 0)
 	if err != nil {
 		c.markDownIfTransport(w, err)
-		return fmt.Errorf("streaming shard %s from %s: %w", sh, w.base, err)
+		return 0, fmt.Errorf("streaming cells [%d, %d) from %s: %w", ch.lo, ch.hi, w.base, err)
 	}
 	defer body.Close()
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
-	got := 0
-	for sc.Scan() {
+	for got < n && sc.Scan() {
 		line := sc.Bytes()
-		idx := skip + got
-		if idx >= cj.expected[i] {
-			return permErr("worker %s emitted more records than shard %s holds (%d) — determinism violation", w.base, sh, cj.expected[i])
-		}
+		cell := ch.lo + got
 		var res sweep.Result
 		if err := json.Unmarshal(line, &res); err != nil {
 			// A torn trailing line from a dying connection, most likely:
-			// retryable, the verified prefix is untouched.
-			return fmt.Errorf("worker %s: shard %s record %d is malformed: %v", w.base, sh, idx, err)
+			// retryable, the verified records are kept.
+			return got, fmt.Errorf("worker %s: record %d is malformed: %v", w.base, cell, err)
 		}
-		want := cj.cellsBy[i][idx]
+		want := &cj.cellsBy[cell%cj.m][cell/cj.m]
 		if res.Err != "" && res.Seed != want.Seed {
 			// A worker-side stream-failure record (e.g. its own result
 			// cap): not cell output, don't persist it.
-			return fmt.Errorf("worker %s reported: %s", w.base, res.Err)
+			return got, fmt.Errorf("worker %s reported: %s", w.base, res.Err)
 		}
-		if err := sweep.CheckRecord(&res, &want); err != nil {
-			return permErr("worker %s: shard %s record %d %v", w.base, sh, idx, err)
+		if err := sweep.CheckRecord(&res, want); err != nil {
+			return got, permErr("worker %s: record %d %v", w.base, cell, err)
 		}
-		if err := cj.appendShard(i, line); err != nil {
-			return &permanentError{err}
+		if err := cj.place(cell, line); err != nil {
+			return got, &permanentError{err}
 		}
 		got++
+	}
+	if got == n {
+		return got, nil
 	}
 	if err := sc.Err(); err != nil {
 		// A read error with the job still wanted means the worker (or
 		// its connection) died mid-stream — treat it as down right away
-		// instead of waiting a health-check period. A cancelled job's
+		// instead of waiting a health-check period. A stopped job's
 		// aborted read proves nothing about the worker.
 		if !cj.adm.isStopped() && c.ctx.Err() == nil {
-			c.markDown(w, fmt.Sprintf("stream died mid-shard: %v", err))
+			c.markDown(w, fmt.Sprintf("stream died mid-chunk: %v", err))
 		}
-		return fmt.Errorf("worker %s: shard %s stream died after %d records: %v", w.base, sh, skip+got, err)
+		return got, fmt.Errorf("worker %s: stream of cells [%d, %d) died after %d records: %v", w.base, ch.lo, ch.hi, got, err)
 	}
-	if skip+got < cj.expected[i] {
-		// Clean EOF but short: the worker job ended early (cancelled or
-		// failed on its side). Ask it why if it still answers.
-		detail := ""
-		dctx, dcancel := context.WithTimeout(c.ctx, 2*time.Second)
-		if v, err := w.client.Job(dctx, id); err == nil {
-			detail = fmt.Sprintf(" (worker job %s", v.Snapshot.State)
-			if v.Snapshot.Err != "" {
-				detail += ": " + v.Snapshot.Err
-			}
-			detail += ")"
+	// Clean EOF but short: the worker job ended early (cancelled or
+	// failed on its side). Ask it why if it still answers.
+	detail := ""
+	dctx, dcancel := context.WithTimeout(c.ctx, 2*time.Second)
+	if v, err := w.client.Job(dctx, id); err == nil {
+		detail = fmt.Sprintf(" (worker job %s", v.Snapshot.State)
+		if v.Snapshot.Err != "" {
+			detail += ": " + v.Snapshot.Err
 		}
-		dcancel()
-		return fmt.Errorf("worker %s: shard %s stream ended at %d/%d records%s", w.base, sh, skip+got, cj.expected[i], detail)
+		detail += ")"
 	}
-	return nil
+	dcancel()
+	return got, fmt.Errorf("worker %s: stream of cells [%d, %d) ended after %d records%s", w.base, ch.lo, ch.hi, got, detail)
 }
 
 // markDownIfTransport marks the worker down on transport-level

@@ -10,7 +10,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -215,12 +218,13 @@ func (f *flakyWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // TestCoordinatorReassignsDeadWorker kills a worker after one streamed
-// record: the coordinator must mark it down, reassign its shard to the
-// survivor with ?skip=1 (resuming, not recomputing, the verified
-// prefix), and still produce byte-identical output. The job is
-// submitted only once both workers probe healthy, so acquire hands the
-// first shard to the first-listed least-loaded worker — the flaky one —
-// instead of letting the good worker drain both shards first.
+// record: the coordinator must mark it down, return the rest of its
+// chunk to the free cells, which the survivor then runs from cell 1
+// (resuming, not recomputing, the verified record), and still produce
+// byte-identical output. The job is submitted only once both workers
+// probe healthy, so acquire hands the first chunk to the first-listed
+// least-loaded worker — the flaky one — instead of letting the good
+// worker drain the job first.
 func TestCoordinatorReassignsDeadWorker(t *testing.T) {
 	ref := refBytes(t, workerSpecJSON)
 	flaky := &flakyWorker{inner: func() http.Handler {
@@ -264,7 +268,7 @@ func TestCoordinatorReassignsDeadWorker(t *testing.T) {
 
 // TestCoordinatorRefusesKernelSkewedWorker: a worker reporting a
 // different measurement-kernel stamp is alive but must never receive a
-// shard — its bytes could legitimately differ.
+// chunk — its bytes could legitimately differ.
 func TestCoordinatorRefusesKernelSkewedWorker(t *testing.T) {
 	var skewedPosts atomic.Int32
 	skewed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -304,9 +308,9 @@ func TestCoordinatorRefusesKernelSkewedWorker(t *testing.T) {
 // TestCoordinatorRestartResumesFromPrefix manufactures the durable
 // state a SIGKILLed coordinator leaves behind — partial shard files,
 // one with a torn final line — and checks a fresh coordinator rebuilds
-// the job, truncates the torn tail, resumes every shard from its exact
-// verified prefix, and ends byte-identical with no duplicated or
-// missing cells.
+// the job, truncates the torn tail, dispatches only the cells past each
+// shard's exact verified prefix, and ends byte-identical with no
+// duplicated or missing cells.
 func TestCoordinatorRestartResumesFromPrefix(t *testing.T) {
 	ref := refBytes(t, workerSpecJSON)
 	lines := bytes.SplitAfter(ref, []byte("\n")) // 24 lines + trailing ""
@@ -668,8 +672,8 @@ func TestCoordHealthJSONBytes(t *testing.T) {
 }
 
 // TestCoordinatorMoreShardsThanWorkers: -shards above the fleet size
-// still completes (shards queue behind the per-worker inflight gate)
-// and stays byte-identical.
+// only adds shard files (chunks queue behind the per-worker inflight
+// gate), and the job stays byte-identical.
 func TestCoordinatorMoreShardsThanWorkers(t *testing.T) {
 	ref := refBytes(t, workerSpecJSON)
 	good := startWorker(t)
@@ -714,6 +718,234 @@ func TestMergedDoneFormula(t *testing.T) {
 		}
 		if got := cj.mergedDone(); got != tc.want {
 			t.Errorf("counts %v: mergedDone = %d, want %d", tc.counts, got, tc.want)
+		}
+	}
+}
+
+// queryInt reads query parameter key as an int, 0 when absent.
+func queryInt(r *http.Request, key string) int {
+	n, _ := strconv.Atoi(r.URL.Query().Get(key))
+	return n
+}
+
+// chunkWorker wraps a real worker and records the (skip, limit) of
+// every job it is sent. When cutAt ≥ 0 it ends the first result stream
+// after cutAt records, cleanly, and then behaves normally; stripLimit
+// drops ?limit= from every submit, as a worker that predates it would.
+type chunkWorker struct {
+	inner      http.Handler
+	cutAt      int
+	stripLimit bool
+
+	mu    sync.Mutex
+	posts [][2]int
+	cut   bool
+}
+
+func newChunkWorker(t *testing.T, cutAt int, stripLimit bool) (*chunkWorker, string) {
+	t.Helper()
+	mgr := NewServer(context.Background(), Config{MaxActive: 2})
+	t.Cleanup(mgr.CancelAll)
+	cw := &chunkWorker{inner: mgr.Handler(), cutAt: cutAt, stripLimit: stripLimit}
+	srv := httptest.NewServer(cw)
+	t.Cleanup(srv.Close)
+	return cw, srv.URL
+}
+
+func (cw *chunkWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch {
+	case r.Method == http.MethodPost:
+		cw.mu.Lock()
+		cw.posts = append(cw.posts, [2]int{queryInt(r, "skip"), queryInt(r, "limit")})
+		cw.mu.Unlock()
+		if cw.stripLimit {
+			q := r.URL.Query()
+			q.Del("limit")
+			r.URL.RawQuery = q.Encode()
+		}
+	case r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/results") && cw.cutAt >= 0:
+		cw.mu.Lock()
+		first := !cw.cut
+		cw.cut = true
+		cw.mu.Unlock()
+		if first {
+			rec := httptest.NewRecorder()
+			cw.inner.ServeHTTP(rec, r)
+			lines := bytes.SplitAfter(rec.Body.Bytes(), []byte("\n"))
+			w.Write(bytes.Join(lines[:cw.cutAt], nil))
+			return
+		}
+	}
+	cw.inner.ServeHTTP(w, r)
+}
+
+func (cw *chunkWorker) received() [][2]int {
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	return slices.Clone(cw.posts)
+}
+
+// runFleetJob submits workerSpecJSON, reads the merged stream to its
+// end (which comes only once the job is terminal) and checks the job
+// ended done, byte-identical to a single-node run, with a durable shard
+// set that merges to the same bytes.
+func runFleetJob(t *testing.T, fleet []string, mut func(*CoordinatorConfig)) {
+	t.Helper()
+	ref := refBytes(t, workerSpecJSON)
+	storeDir := t.TempDir()
+	_, srv := startCoordinator(t, storeDir, fleet, mut)
+	v := submitSpec(t, srv.URL, workerSpecJSON)
+	if got := readResults(t, srv.URL, v.ID); !bytes.Equal(got, ref) {
+		t.Errorf("fleet stream differs from single-node run (%d vs %d bytes)", len(got), len(ref))
+	}
+	if fin := getJob(t, srv.URL, v.ID); fin.Snapshot.State != sweep.JobDone {
+		t.Fatalf("job ended %s: %s", fin.Snapshot.State, fin.Snapshot.Err)
+	}
+	checkDurableMatchesRef(t, filepath.Join(storeDir, v.ID), workerSpecJSON, ref)
+}
+
+// TestChunkPlanPinned pins the factoring plan: a fresh 24-cell job on
+// two single-slot workers is sent chunks of ⌈R / 4⌉ of its R free
+// cells, lowest cells first.
+func TestChunkPlanPinned(t *testing.T) {
+	a, aURL := newChunkWorker(t, -1, false)
+	b, bURL := newChunkWorker(t, -1, false)
+	runFleetJob(t, []string{aURL, bURL}, nil)
+	got := append(a.received(), b.received()...)
+	slices.SortFunc(got, func(x, y [2]int) int { return x[0] - y[0] })
+	want := [][2]int{{0, 6}, {6, 5}, {11, 4}, {15, 3}, {18, 2}, {20, 1}, {21, 1}, {22, 1}, {23, 1}}
+	if !slices.Equal(got, want) {
+		t.Errorf("workers received (skip, limit) %v, want %v", got, want)
+	}
+}
+
+// TestChunkCutPoints ends the first chunk's stream after K records for
+// every K the chunk allows. The job must still end byte-identical, and
+// the attempts after the first must cover exactly the cells from K on,
+// each once: a verified record is never computed again.
+func TestChunkCutPoints(t *testing.T) {
+	const first = 12 // ⌈24 / 2⌉ on one single-slot worker
+	for k := 0; k < first; k++ {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			cw, url := newChunkWorker(t, k, false)
+			runFleetJob(t, []string{url}, nil)
+			posts := cw.received()
+			if len(posts) < 2 || posts[0] != [2]int{0, first} {
+				t.Fatalf("worker received %v, want (0, %d) and then the rest", posts, first)
+			}
+			rest := posts[1:]
+			slices.SortFunc(rest, func(x, y [2]int) int { return x[0] - y[0] })
+			next := k
+			for _, p := range rest {
+				if p[0] != next || p[1] < 1 {
+					t.Fatalf("after a cut at %d the worker received %v, want chunks tiling cells %d..23", k, rest, k)
+				}
+				next += p[1]
+			}
+			if next != 24 {
+				t.Fatalf("after a cut at %d the worker received %v, which stop at cell %d", k, rest, next)
+			}
+		})
+	}
+}
+
+// TestChunkWorkerIgnoresLimit runs the fleet on workers that drop
+// ?limit=, as an older worker binary does: each attempt stops reading
+// at its chunk's last record, and the job is still byte-identical.
+func TestChunkWorkerIgnoresLimit(t *testing.T) {
+	_, aURL := newChunkWorker(t, -1, true)
+	_, bURL := newChunkWorker(t, -1, true)
+	runFleetJob(t, []string{aURL, bURL}, nil)
+}
+
+// seedBreaker wraps a worker and rewrites the seed of the first record
+// it streams, so that record fails CheckRecord.
+type seedBreaker struct {
+	inner http.Handler
+	posts atomic.Int32
+	done  atomic.Bool
+}
+
+func (sb *seedBreaker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost {
+		sb.posts.Add(1)
+	}
+	if r.Method != http.MethodGet || !strings.HasSuffix(r.URL.Path, "/results") || sb.done.Swap(true) {
+		sb.inner.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	sb.inner.ServeHTTP(rec, r)
+	body := rec.Body.Bytes()
+	nl := bytes.IndexByte(body, '\n')
+	var res sweep.Result
+	if err := json.Unmarshal(body[:nl], &res); err != nil {
+		panic(err)
+	}
+	res.Seed++
+	line, _ := json.Marshal(&res)
+	w.Write(append(append(line, '\n'), body[nl+1:]...))
+}
+
+// TestCoordinatorPermanentFailureStopsDispatch: a record that fails
+// verification fails the job at once, naming the record, and nothing
+// else is dispatched — the job's other cells never run.
+func TestCoordinatorPermanentFailureStopsDispatch(t *testing.T) {
+	mgr := NewServer(context.Background(), Config{MaxActive: 2})
+	t.Cleanup(mgr.CancelAll)
+	sb := &seedBreaker{inner: mgr.Handler()}
+	worker := httptest.NewServer(sb)
+	t.Cleanup(worker.Close)
+	_, srv := startCoordinator(t, t.TempDir(), []string{worker.URL}, func(cfg *CoordinatorConfig) {
+		cfg.MaxInflight = 1
+		cfg.Shards = 2
+	})
+	v := submitSpec(t, srv.URL, workerSpecJSON)
+	readResults(t, srv.URL, v.ID)
+	fin := getJob(t, srv.URL, v.ID)
+	if fin.Snapshot.State != sweep.JobFailed || !strings.Contains(fin.Snapshot.Err, "record 0 ") || !strings.Contains(fin.Snapshot.Err, "seed") {
+		t.Fatalf("job ended %s: %q, want failed naming record 0's seed", fin.Snapshot.State, fin.Snapshot.Err)
+	}
+	if n := sb.posts.Load(); n != 1 {
+		t.Errorf("worker received %d job submissions, want 1", n)
+	}
+}
+
+// TestDispatchPacesRefusingWorker: a worker that refuses submits with a
+// 5xx is sent its next chunk only after RetryDelay, as a shard was
+// retried before, so a short refusal spell does not spend the job's
+// attempt budget in a burst.
+func TestDispatchPacesRefusingWorker(t *testing.T) {
+	const delay = 50 * time.Millisecond
+	mgr := NewServer(context.Background(), Config{MaxActive: 2})
+	t.Cleanup(mgr.CancelAll)
+	var (
+		mu    sync.Mutex
+		posts []time.Time
+	)
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			mu.Lock()
+			posts = append(posts, time.Now())
+			n := len(posts)
+			mu.Unlock()
+			if n <= 2 {
+				httpError(w, http.StatusServiceUnavailable, "job store full")
+				return
+			}
+		}
+		mgr.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(worker.Close)
+	runFleetJob(t, []string{worker.URL}, func(cfg *CoordinatorConfig) {
+		cfg.RetryDelay = delay
+		cfg.MaxAttempts = 3
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 1; i <= 2; i++ {
+		if gap := posts[i].Sub(posts[i-1]); gap < delay {
+			t.Errorf("submit %d came %v after a refused one, want at least RetryDelay (%v)", i+1, gap, delay)
 		}
 	}
 }

@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"faultexp/internal/sweep"
@@ -85,6 +90,113 @@ func FuzzCoordinatorRebuild(f *testing.F) {
 		}
 		if disk, err := os.ReadFile(sj.ShardPath(i)); err != nil || !bytes.Equal(disk, kept) {
 			t.Fatalf("shard file holds %d bytes after the rebuild (%v), want its %d verified bytes", len(disk), err, len(kept))
+		}
+	})
+}
+
+// selectRecords is the worker protocol written out: the reference
+// records that ?shard=, ?skip= and ?limit= select, in stream order,
+// and whether the protocol accepts the three at all.
+func selectRecords(ref [][]byte, shard, skip, limit string) ([][]byte, bool) {
+	recs := ref
+	if shard != "" {
+		sh, err := sweep.ParseShard(shard)
+		if err != nil {
+			return nil, false
+		}
+		recs = nil
+		for c, r := range ref {
+			if c%sh.Count == sh.Index {
+				recs = append(recs, r)
+			}
+		}
+	}
+	lo, hi := 0, len(recs)
+	if skip != "" {
+		n, err := strconv.Atoi(skip)
+		if err != nil || n < 0 || n > hi {
+			return nil, false
+		}
+		lo = n
+	}
+	if limit != "" {
+		n, err := strconv.Atoi(limit)
+		if err != nil || n < 1 || n > hi-lo {
+			return nil, false
+		}
+		hi = lo + n
+	}
+	return recs[lo:hi], true
+}
+
+// checkRefusal fails t unless rec is a 4xx with an {"error": …} body.
+func checkRefusal(t *testing.T, rec *httptest.ResponseRecorder, what string) {
+	t.Helper()
+	var body struct {
+		Error string `json:"error"`
+	}
+	if rec.Code < 400 || rec.Code >= 500 || json.Unmarshal(rec.Body.Bytes(), &body) != nil || body.Error == "" {
+		t.Fatalf("%s answered %d %q, want a 4xx with an error body", what, rec.Code, rec.Body.Bytes())
+	}
+}
+
+// FuzzWorkerQuery posts the fabric test grid to a worker with arbitrary
+// shard, skip and limit parameters, then reads its results with an
+// arbitrary from. Each input must give either a 4xx with an
+// {"error": …} body, for exactly the inputs the protocol refuses, or
+// the reference records the four parameters select — never a panic or
+// a 5xx.
+func FuzzWorkerQuery(f *testing.F) {
+	ref := bytes.SplitAfter(refBytes(f, workerSpecJSON), []byte("\n"))
+	ref = ref[:len(ref)-1]
+	srv := NewServer(context.Background(), Config{MaxActive: 2})
+	f.Cleanup(srv.CancelAll)
+	h := srv.Handler()
+	f.Add("", "", "", "")
+	f.Add("1/3", "2", "", "")
+	f.Add("", "5", "7", "3")
+	f.Add("2/3", "1", "7", "")
+	f.Add("0/2", "12", "1", "")
+	f.Add("0/1", "0", "24", "24")
+	f.Add("", "23", "1", "0")
+	f.Add("", "", "0", "")
+	f.Add("3/3", "-1", "x", "-2")
+	f.Add("", "+3", "25", "99")
+	f.Fuzz(func(t *testing.T, shard, skip, limit, from string) {
+		q := url.Values{"shard": {shard}, "skip": {skip}, "limit": {limit}}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?"+q.Encode(), strings.NewReader(workerSpecJSON)))
+		want, ok := selectRecords(ref, shard, skip, limit)
+		if rec.Code != http.StatusCreated {
+			checkRefusal(t, rec, "POST "+q.Encode())
+			if ok {
+				t.Fatalf("POST %s refused a query the protocol accepts", q.Encode())
+			}
+			return
+		}
+		if !ok {
+			t.Fatalf("POST %s accepted a query the protocol refuses", q.Encode())
+		}
+		var v JobView
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+			t.Fatal(err)
+		}
+		defer h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodDelete, "/v1/jobs/"+v.ID, nil))
+		target := "/v1/jobs/" + v.ID + "/results?" + url.Values{"from": {from}}.Encode()
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		start := 0
+		if from != "" {
+			n, err := strconv.Atoi(from)
+			if err != nil || n < 0 {
+				checkRefusal(t, rec, "GET "+target)
+				return
+			}
+			start = min(n, len(want))
+		}
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), bytes.Join(want[start:], nil)) {
+			t.Fatalf("POST %s, GET %s answered %d with %d bytes, want the %d selected records from %d",
+				q.Encode(), target, rec.Code, rec.Body.Len(), len(want), start)
 		}
 	})
 }

@@ -1,9 +1,10 @@
 // Package fabric is the distributed sweep fabric: the HTTP job server
 // behind `faultexp serve` and `faultexp worker`, the client the
 // coordinator uses to drive workers, the durable on-disk job store,
-// and the coordinator itself — splitting a grid spec into `-shard i/m`
-// slices, dispatching them to a worker fleet, and streaming back a
-// merged result stream byte-identical to a single-node run.
+// and the coordinator itself — handing a grid spec's cell order to a
+// worker fleet in contiguous chunks, keeping the records in `-shard
+// i/m` shard files, and streaming back a merged result stream
+// byte-identical to a single-node run.
 //
 // The whole package leans on one invariant from internal/sweep: a
 // cell's bytes depend only on (grid seed, semantic cell key), never on
@@ -193,8 +194,8 @@ type Config struct {
 // sit in JobPending until a slot frees, FIFO by goroutine wakeup), and
 // at most MaxJobs are held in memory at all. It is the engine behind
 // both `faultexp serve` (a standalone daemon) and `faultexp worker`
-// (the same surface, driven by a coordinator via the shard/skip query
-// parameters on POST /v1/jobs).
+// (the same surface, driven by a coordinator via the shard/skip/limit
+// query parameters on POST /v1/jobs).
 type Server struct {
 	ctx  context.Context
 	sem  chan struct{}
@@ -346,15 +347,19 @@ func (m *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, m.jobs.health("faultexp", cap(m.sem)))
 }
 
-// handleSubmit accepts a grid spec and queues it. Two query parameters
-// form the worker protocol the coordinator speaks — they restrict the
-// run without touching the spec JSON (which stays the exact schema the
-// CLI -spec flag takes):
+// handleSubmit accepts a grid spec and queues it. Three query
+// parameters form the worker protocol — they restrict the run without
+// touching the spec JSON (which stays the exact schema the CLI -spec
+// flag takes):
 //
 //	?shard=i/m  run only round-robin shard i of m (sweep.WithShard)
-//	?skip=K     skip the first K cells of that shard — the resume path,
-//	            where K is the verified length of an earlier attempt's
-//	            streamed prefix (sweep.WithSkipCells)
+//	?skip=K     skip the first K cells of that shard (sweep.WithSkipCells)
+//	?limit=N    then run only the next N cells, N ≥ 1 and within the
+//	            run (sweep.WithCellLimit)
+//
+// The coordinator dispatches each chunk of a grid's cell order as
+// ?skip=lo&limit=n; ?shard= with ?skip= is the resume path of a
+// round-robin slice.
 func (m *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// sweep.Load applies the full spec contract: unknown fields, family
 	// registry, measures, models, rates, trials — same as -spec files.
@@ -379,6 +384,14 @@ func (m *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		opts = append(opts, sweep.WithSkipCells(n))
+	}
+	if tok := r.URL.Query().Get("limit"); tok != "" {
+		n, err := strconv.Atoi(tok)
+		if err != nil || n < 1 {
+			httpError(w, http.StatusBadRequest, "bad limit=%q, want a cell count ≥ 1", tok)
+			return
+		}
+		opts = append(opts, sweep.WithCellLimit(n))
 	}
 	sj, err := m.submit(spec, opts...)
 	if err == errTooManyJobs {

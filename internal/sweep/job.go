@@ -65,8 +65,8 @@ func (s JobState) Terminal() bool {
 // it owns. Reading one never blocks the workers.
 type Snapshot struct {
 	State JobState `json:"state"`
-	// CellsDone / CellsTotal count this run's (sharded, skip-adjusted)
-	// cell sequence; CellsDone includes resumed cells only through
+	// CellsDone / CellsTotal count this run's (sharded, skip-adjusted,
+	// limited) cell sequence; CellsDone includes resumed cells only through
 	// CellsSkipped, which records the verified prefix a resume skipped.
 	CellsDone    int `json:"cells_done"`
 	CellsTotal   int `json:"cells_total"`
@@ -111,6 +111,8 @@ type jobConfig struct {
 	workers  int
 	shard    Shard
 	skip     int
+	limit    int // WithCellLimit's n; meaningful only when limited
+	limited  bool
 	progress func(done, total int)
 	cache    *cache.Cache
 	flight   *cache.Flight
@@ -136,6 +138,14 @@ func WithShard(sh Shard) JobOption { return func(c *jobConfig) { c.shard = sh } 
 // the resume path: those records already sit in the output (verified by
 // ScanResume), so the job appends only the remainder.
 func WithSkipCells(n int) JobOption { return func(c *jobConfig) { c.skip = n } }
+
+// WithCellLimit runs only the n cells that follow the skip: the
+// (sharded) cell sequence's cells [skip, skip+n). n must be ≥ 1 and fit
+// the run. The coordinator dispatches one contiguous chunk of a grid's
+// cell order this way.
+func WithCellLimit(n int) JobOption {
+	return func(c *jobConfig) { c.limit, c.limited = n, true }
+}
 
 // WithProgress installs a callback invoked after each cell is emitted
 // (serialized with every other emit — keep it fast).
@@ -245,7 +255,7 @@ func NewJob(spec *Spec, opts ...JobOption) (*Job, error) {
 		if cfg.shard.Enabled() {
 			return nil, fmt.Errorf("sweep: coupled rate mode cannot shard (the whole rate axis is one unit of work)")
 		}
-		if cfg.skip != 0 {
+		if cfg.skip != 0 || cfg.limited {
 			return nil, fmt.Errorf("sweep: coupled rate mode cannot resume at cell granularity; rerun the grid")
 		}
 	}
@@ -253,10 +263,17 @@ func NewJob(spec *Spec, opts ...JobOption) (*Job, error) {
 	if cfg.skip < 0 || cfg.skip > len(cells) {
 		return nil, fmt.Errorf("sweep: skip of %d cells out of range (run has %d)", cfg.skip, len(cells))
 	}
+	cells = cells[cfg.skip:]
+	if cfg.limited {
+		if cfg.limit < 1 || cfg.limit > len(cells) {
+			return nil, fmt.Errorf("sweep: cell limit of %d out of range (run has %d cells after the skip)", cfg.limit, len(cells))
+		}
+		cells = cells[:cfg.limit]
+	}
 	return &Job{
 		spec:  spec,
 		cfg:   cfg,
-		cells: cells[cfg.skip:],
+		cells: cells,
 		done:  make(chan struct{}),
 	}, nil
 }
@@ -325,7 +342,7 @@ func (j *Job) Wait() (Summary, error) {
 // the select-friendly form of Wait.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Cells returns this job's (sharded, skip-adjusted) cell count.
+// Cells returns this job's (sharded, skip-adjusted, limited) cell count.
 func (j *Job) Cells() int { return len(j.cells) }
 
 // Snapshot returns a point-in-time view of the job without taking any

@@ -273,6 +273,55 @@ func TestJobBadGraphFails(t *testing.T) {
 	}
 }
 
+// TestJobCellLimit: WithCellLimit runs exactly the cells [skip,
+// skip+n) of the (sharded) cell sequence, byte-identical to those lines
+// of a full run, counts them as the run's total, and refuses a limit
+// that does not fit the run.
+func TestJobCellLimit(t *testing.T) {
+	full, _ := runToBytes(t, toySpec(), 2)
+	lines := bytes.SplitAfter(full, []byte("\n"))
+	lines = lines[:len(lines)-1]
+	for _, tc := range []struct {
+		sh          Shard
+		skip, limit int
+	}{
+		{Shard{}, 0, 1},
+		{Shard{}, 3, 5},
+		{Shard{}, 11, 1},
+		{Shard{Index: 1, Count: 3}, 1, 2},
+		{Shard{Index: 2, Count: 3}, 0, 4},
+	} {
+		var seq [][]byte
+		for c := range lines {
+			if !tc.sh.Enabled() || c%tc.sh.Count == tc.sh.Index {
+				seq = append(seq, lines[c])
+			}
+		}
+		var buf bytes.Buffer
+		j, err := NewJob(toySpec(), WithWriter(NewJSONL(&buf)), WithShard(tc.sh), WithSkipCells(tc.skip), WithCellLimit(tc.limit), WithWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if want := bytes.Join(seq[tc.skip:tc.skip+tc.limit], nil); !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("shard %v skip %d limit %d:\n%swant:\n%s", tc.sh, tc.skip, tc.limit, buf.Bytes(), want)
+		}
+		if s := j.Snapshot(); s.CellsTotal != tc.limit || s.CellsDone != tc.limit {
+			t.Errorf("shard %v skip %d limit %d: snapshot cells %d/%d", tc.sh, tc.skip, tc.limit, s.CellsDone, s.CellsTotal)
+		}
+	}
+	for _, tc := range []struct{ skip, limit int }{{0, 0}, {0, -1}, {0, 13}, {5, 8}, {12, 1}} {
+		if _, err := NewJob(toySpec(), WithSkipCells(tc.skip), WithCellLimit(tc.limit)); err == nil || !strings.Contains(err.Error(), "cell limit") {
+			t.Errorf("skip %d limit %d on 12 cells: err = %v, want a cell limit refusal", tc.skip, tc.limit, err)
+		}
+	}
+}
+
 func TestNewJobValidates(t *testing.T) {
 	bad := toySpec()
 	bad.Measures = []string{"nope"}
