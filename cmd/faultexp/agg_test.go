@@ -85,7 +85,8 @@ func TestAggCLI(t *testing.T) {
 // TestAggCLIStdin checks the no-args path reads records from stdin.
 func TestAggCLIStdin(t *testing.T) {
 	jsonl := `{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0,"trials":1,"seed":1,"metrics":{"v":3}}
-{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0,"trials":1,"seed":2,"metrics":{"v":5}}`
+{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0,"trials":1,"seed":2,"metrics":{"v":5}}
+`
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
@@ -113,5 +114,46 @@ func TestAggCLIStdin(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "x,v,2,4,") {
 		t.Errorf("stdin aggregation output:\n%s", buf.String())
+	}
+}
+
+// TestAggRefusesBlankAndTornLinesCLI: agg reads under the record rule
+// merge and resume apply, so the run's output with a blank line
+// appended, or with its final newline removed, is refused.
+func TestAggRefusesBlankAndTornLinesCLI(t *testing.T) {
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.jsonl")
+	if err := cmdSweep(context.Background(), resumeGridArgs("-jsonl", full)); err != nil {
+		t.Fatal(err)
+	}
+	out := readFile(t, full)
+	for name, content := range map[string][]byte{
+		"blank": append(bytes.Clone(out), '\n'),
+		"torn":  bytes.TrimSuffix(out, []byte("\n")),
+	} {
+		in := filepath.Join(dir, name+".jsonl")
+		if err := os.WriteFile(in, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmdAgg(context.Background(), []string{"-quiet", "-csv", filepath.Join(dir, "sum.csv"), in}); err == nil {
+			t.Errorf("agg accepted the run's output with a %s last line", name)
+		}
+	}
+}
+
+// TestAggNamesRecordInItsFileCLI: a refused line is named by its index
+// in its own input file, not by a count running across the files.
+func TestAggNamesRecordInItsFileCLI(t *testing.T) {
+	dir := t.TempDir()
+	full, bad := filepath.Join(dir, "full.jsonl"), filepath.Join(dir, "bad.jsonl")
+	if err := cmdSweep(context.Background(), resumeGridArgs("-jsonl", full)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, []byte("{bad\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := cmdAgg(context.Background(), []string{"-quiet", "-csv", filepath.Join(dir, "sum.csv"), full, bad})
+	if err == nil || !strings.Contains(err.Error(), "bad.jsonl: ") || !strings.Contains(err.Error(), "record 0: ") {
+		t.Errorf("agg full.jsonl bad.jsonl: %v, want bad.jsonl's record 0 named", err)
 	}
 }

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -623,5 +625,35 @@ func TestMergeDirCLI(t *testing.T) {
 	}
 	if err := cmdMerge(context.Background(), []string{"-quiet", "-dir", dir, "-jsonl", filepath.Join(dir, "x.jsonl")}); err == nil {
 		t.Error("cmdMerge -dir accepted an incomplete shard set")
+	}
+}
+
+// TestMergeRefusesTornShardCLI: a shard file whose final newline is
+// missing ends in a torn tail, even though that tail decodes. Resume
+// truncates it and re-runs its cell back to the shard's bytes; merge
+// cannot re-run it, so it refuses the file.
+func TestMergeRefusesTornShardCLI(t *testing.T) {
+	dir := t.TempDir()
+	grid := []string{"-families", "torus:4x4", "-measures", "gamma", "-model", "iid-node",
+		"-rates", "0,0.5", "-trials", "2", "-seed", "3", "-quiet"}
+	shards := []string{filepath.Join(dir, "s0.jsonl"), filepath.Join(dir, "s1.jsonl")}
+	for i, path := range shards {
+		if err := cmdSweep(context.Background(), slices.Concat(grid, []string{"-shard", fmt.Sprintf("%d/2", i), "-jsonl", path})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole := readFile(t, shards[0])
+	if err := os.WriteFile(shards[0], bytes.TrimSuffix(whole, []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := cmdMerge(context.Background(), slices.Concat([]string{"-quiet", "-jsonl", filepath.Join(dir, "m.jsonl")}, shards))
+	if !errors.Is(err, sweep.ErrTorn) {
+		t.Errorf("merge of a shard without its final newline: %v, want a torn-tail refusal", err)
+	}
+	if err := cmdSweep(context.Background(), slices.Concat(grid, []string{"-shard", "0/2", "-resume", shards[0]})); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, shards[0]); !bytes.Equal(got, whole) {
+		t.Errorf("resume left the torn shard as\n%s\nwant\n%s", got, whole)
 	}
 }

@@ -28,7 +28,7 @@ package fabric
 // re-dispatch, never the recomputation of a verified cell. The same
 // machinery makes the coordinator itself crash-safe: on startup every
 // job is rebuilt from its store directory, each shard file re-verified
-// with sweep.ScanResume (torn final lines truncated), and the cells
+// with sweep.RecordReader (torn final lines truncated), and the cells
 // past the verified prefixes are dispatched like a fresh job's.
 //
 // Backpressure is per-worker: at most MaxInflight chunks run on one
@@ -36,12 +36,11 @@ package fabric
 // piling requests onto a loaded fleet.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"sync"
@@ -117,6 +116,7 @@ type workerRef struct {
 	version  string
 	inflight int
 	lastErr  string
+	fails    int // consecutive failed attempts: acquire's tie-break
 	// down is non-nil while the worker is healthy and is closed on the
 	// healthy→down transition, so in-flight attempts streaming from a
 	// worker the health checker has declared dead abort immediately
@@ -260,39 +260,37 @@ func (cj *coordJob) fail(err error) {
 }
 
 // appendShard verifies nothing (the caller already did); it accounts
-// the retention cap, appends line+\n to the durable shard file in one
-// write (so a kill tears at most the final line, exactly what
-// ScanResume repairs), then publishes it to the in-memory log feeding
-// merged streams. Durable-first ordering means a line a client saw is
-// always on disk.
+// the retention cap, appends the line, newline included, to the durable
+// shard file in one write (so a kill tears at most the final line,
+// exactly what the store rebuild truncates), then publishes it to the
+// in-memory log feeding merged streams, which keeps line. Durable-first
+// ordering means a line a client saw is always on disk.
 func (cj *coordJob) appendShard(i int, line []byte) error {
-	b := make([]byte, 0, len(line)+1)
-	b = append(b, line...)
-	b = append(b, '\n')
 	cj.mu.Lock()
-	if cj.maxBytes > 0 && cj.bytes+int64(len(b)) > cj.maxBytes {
+	if cj.maxBytes > 0 && cj.bytes+int64(len(line)) > cj.maxBytes {
 		cj.mu.Unlock()
 		return fmt.Errorf("job %s exceeds the result retention cap (-max-result-bytes=%d)", cj.id, cj.maxBytes)
 	}
-	cj.bytes += int64(len(b))
+	cj.bytes += int64(len(line))
 	cj.mu.Unlock()
-	if _, err := cj.files[i].Write(b); err != nil {
+	if _, err := cj.files[i].Write(line); err != nil {
 		return fmt.Errorf("appending to %s: %w", cj.stored.ShardPath(i), err)
 	}
-	cj.logs[i].appendLine(b)
+	cj.logs[i].appendLine(line)
 	return nil
 }
 
-// place stores the verified record of cell c. Cell c is line c div m
-// of shard c mod m, so it is appended once that shard holds exactly
-// c div m lines and held until then; each append releases the shard's
-// next held record.
+// place stores the verified record of cell c, a line with its newline,
+// which place copies. Cell c is line c div m of shard c mod m, so it is
+// appended once that shard holds exactly c div m lines and held until
+// then; each append releases the shard's next held record.
 func (cj *coordJob) place(c int, line []byte) error {
+	line = bytes.Clone(line)
 	cj.placeMu.Lock()
 	defer cj.placeMu.Unlock()
 	s := c % cj.m
 	if cj.logs[s].count() != c/cj.m {
-		cj.held[c] = bytes.Clone(line)
+		cj.held[c] = line
 		return nil
 	}
 	for {
@@ -466,10 +464,10 @@ func (c *Coordinator) rebuild() error {
 
 // buildJob materializes a coordJob from its stored state. When resume
 // is wanted (existing jobs), each shard file is verified against its
-// cell sequence with sweep.ScanResume — a torn trailing line (the
-// mid-write kill signature) is truncated away — and the verified
-// prefix loaded into the shard log. The returned error marks the job
-// failed; the job object itself is always usable for views.
+// cell sequence with sweep.RecordReader — a torn tail (the mid-write
+// kill signature) is truncated away — and the verified prefix loaded
+// into the shard log. The returned error marks the job failed; the job
+// object itself is always usable for views.
 func (c *Coordinator) buildJob(sj *StoredJob, fresh bool) (*coordJob, error) {
 	m := sj.Shards
 	cj := &coordJob{
@@ -507,34 +505,29 @@ func (c *Coordinator) buildJob(sj *StoredJob, fresh bool) (*coordJob, error) {
 }
 
 // loadShardPrefix restores one shard's verified durable prefix into
-// its in-memory log, truncating any torn final line on disk.
+// its in-memory log in one streamed pass (the job is not shared yet, so
+// cj.bytes needs no lock) and truncates a torn tail on disk.
 func (cj *coordJob) loadShardPrefix(i int) error {
 	path := cj.stored.ShardPath(i)
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	st, err := sweep.ScanResume(bytes.NewReader(b), cj.cellsBy[i])
-	if err != nil {
-		return fmt.Errorf("shard %d/%d: %w", i, cj.m, err)
-	}
-	if int64(len(b)) != st.Offset {
-		if err := os.Truncate(path, st.Offset); err != nil {
-			return fmt.Errorf("truncating torn tail of %s: %w", path, err)
-		}
-	}
-	data := b[:st.Offset]
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		line := data[:nl+1]
-		data = data[nl+1:]
-		cj.mu.Lock()
+	defer f.Close()
+	rr := sweep.NewRecordReader(f, cj.cellsBy[i])
+	line, _, err := rr.Next()
+	for ; err == nil; line, _, err = rr.Next() {
 		cj.bytes += int64(len(line))
-		cj.mu.Unlock()
-		cj.logs[i].appendLine(line)
+		cj.logs[i].appendLine(bytes.Clone(line))
+	}
+	switch {
+	case errors.Is(err, sweep.ErrTorn):
+		return os.Truncate(path, rr.Offset)
+	case err != io.EOF:
+		return fmt.Errorf("shard %d/%d: %w", i, cj.m, err)
 	}
 	return nil
 }
@@ -659,16 +652,18 @@ func (c *Coordinator) markDown(w *workerRef, reason string) {
 }
 
 // acquire blocks until some healthy, kernel-matched worker has a free
-// in-flight slot (the backpressure gate), preferring the least loaded.
-// It returns the worker and a snapshot of its down channel for the
-// attempt watcher.
+// in-flight slot (the backpressure gate), preferring the least loaded,
+// then the one with the fewest consecutive failed attempts, so a worker
+// that refuses every submit loses ties to one that works. It returns
+// the worker and a snapshot of its down channel for the attempt watcher.
 func (c *Coordinator) acquire(cj *coordJob) (*workerRef, <-chan struct{}, error) {
 	for {
 		c.mu.Lock()
 		var best *workerRef
 		for _, w := range c.workers {
 			if w.healthy && w.kernelOK && w.inflight < c.cfg.MaxInflight {
-				if best == nil || w.inflight < best.inflight {
+				if best == nil || w.inflight < best.inflight ||
+					w.inflight == best.inflight && w.fails < best.fails {
 					best = w
 				}
 			}
@@ -835,6 +830,12 @@ func (c *Coordinator) awaitFree(cj *coordJob) bool {
 // to the free pool.
 func (c *Coordinator) runChunk(cj *coordJob, ch *chunk, w *workerRef, down <-chan struct{}) {
 	got, err := c.chunkAttempt(cj, ch, w, down)
+	c.mu.Lock()
+	w.fails++
+	if err == nil {
+		w.fails = 0
+	}
+	c.mu.Unlock()
 	cj.mu.Lock()
 	cj.chunks = slices.DeleteFunc(cj.chunks, func(o *chunk) bool { return o == ch })
 	if got > 0 {
@@ -915,43 +916,44 @@ func (c *Coordinator) chunkAttempt(cj *coordJob, ch *chunk, w *workerRef, down <
 		return 0, fmt.Errorf("streaming cells [%d, %d) from %s: %w", ch.lo, ch.hi, w.base, err)
 	}
 	defer body.Close()
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
-	for got < n && sc.Scan() {
-		line := sc.Bytes()
-		cell := ch.lo + got
-		var res sweep.Result
-		if err := json.Unmarshal(line, &res); err != nil {
-			// A torn trailing line from a dying connection, most likely:
-			// retryable, the verified records are kept.
-			return got, fmt.Errorf("worker %s: record %d is malformed: %v", w.base, cell, err)
+	rr := sweep.NewRecordReader(body, nil)
+	for ; got < n; got++ {
+		line, res, err := rr.Next()
+		if err == io.EOF {
+			break
 		}
+		if errors.Is(err, sweep.ErrTorn) || errors.Is(err, sweep.ErrMalformed) {
+			// A stream cut short inside a line, or a garbled line:
+			// retryable, the verified records are kept and the worker
+			// stays up.
+			return got, fmt.Errorf("worker %s: stream of cells [%d, %d): %v", w.base, ch.lo, ch.hi, err)
+		}
+		if err != nil {
+			// A read error with the job still wanted means the worker (or
+			// its connection) died mid-stream — treat it as down right
+			// away instead of waiting a health-check period. A stopped
+			// job's aborted read proves nothing about the worker.
+			if !cj.adm.isStopped() && c.ctx.Err() == nil {
+				c.markDown(w, fmt.Sprintf("stream died mid-chunk: %v", err))
+			}
+			return got, fmt.Errorf("worker %s: stream of cells [%d, %d) died after %d records: %v", w.base, ch.lo, ch.hi, got, err)
+		}
+		cell := ch.lo + got
 		want := &cj.cellsBy[cell%cj.m][cell/cj.m]
 		if res.Err != "" && res.Seed != want.Seed {
 			// A worker-side stream-failure record (e.g. its own result
 			// cap): not cell output, don't persist it.
 			return got, fmt.Errorf("worker %s reported: %s", w.base, res.Err)
 		}
-		if err := sweep.CheckRecord(&res, want); err != nil {
+		if err := sweep.CheckRecord(res, want); err != nil {
 			return got, permErr("worker %s: record %d %v", w.base, cell, err)
 		}
 		if err := cj.place(cell, line); err != nil {
 			return got, &permanentError{err}
 		}
-		got++
 	}
 	if got == n {
 		return got, nil
-	}
-	if err := sc.Err(); err != nil {
-		// A read error with the job still wanted means the worker (or
-		// its connection) died mid-stream — treat it as down right away
-		// instead of waiting a health-check period. A stopped job's
-		// aborted read proves nothing about the worker.
-		if !cj.adm.isStopped() && c.ctx.Err() == nil {
-			c.markDown(w, fmt.Sprintf("stream died mid-chunk: %v", err))
-		}
-		return got, fmt.Errorf("worker %s: stream of cells [%d, %d) died after %d records: %v", w.base, ch.lo, ch.hi, got, err)
 	}
 	// Clean EOF but short: the worker job ended early (cancelled or
 	// failed on its side). Ask it why if it still answers.

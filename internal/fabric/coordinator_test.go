@@ -217,6 +217,25 @@ func (f *flakyWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.inner.ServeHTTP(w, r)
 }
 
+// waitHealthy waits until n of the coordinator's workers have probed
+// healthy with a matching kernel.
+func waitHealthy(t *testing.T, co *Coordinator, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for ready := 0; ready < n; {
+		ready = 0
+		for _, wv := range co.workerViews() {
+			if wv.Healthy && wv.KernelOK {
+				ready++
+			}
+		}
+		if ready < n && time.Now().After(deadline) {
+			t.Fatalf("only %d of %d workers probed healthy: %+v", ready, n, co.workerViews())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestCoordinatorReassignsDeadWorker kills a worker after one streamed
 // record: the coordinator must mark it down, return the rest of its
 // chunk to the free cells, which the survivor then runs from cell 1
@@ -237,19 +256,7 @@ func TestCoordinatorReassignsDeadWorker(t *testing.T) {
 	good := startWorker(t)
 	storeDir := t.TempDir()
 	co, srv := startCoordinator(t, storeDir, []string{flakySrv.URL, good.URL}, nil)
-	deadline := time.Now().Add(10 * time.Second)
-	for ready := 0; ready < 2; {
-		ready = 0
-		for _, wv := range co.workerViews() {
-			if wv.Healthy && wv.KernelOK {
-				ready++
-			}
-		}
-		if ready < 2 && time.Now().After(deadline) {
-			t.Fatalf("only %d of 2 workers probed healthy: %+v", ready, co.workerViews())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitHealthy(t, co, 2)
 
 	v := submitSpec(t, srv.URL, workerSpecJSON)
 	got := readResults(t, srv.URL, v.ID)
@@ -947,5 +954,81 @@ func TestDispatchPacesRefusingWorker(t *testing.T) {
 		if gap := posts[i].Sub(posts[i-1]); gap < delay {
 			t.Errorf("submit %d came %v after a refused one, want at least RetryDelay (%v)", i+1, gap, delay)
 		}
+	}
+}
+
+// TestChunkTornStreamReturnsCell: a worker stream that ends inside a
+// line, here the first chunk's stream one byte short of its final
+// newline, is torn, not a record. The torn line's cell goes back to the
+// pool with the chunk's other unreceived cells, so the next submit
+// starts at that cell, and the job still ends byte-identical.
+func TestChunkTornStreamReturnsCell(t *testing.T) {
+	const first = 12 // ⌈24 / 2⌉ on one single-slot worker
+	mgr := NewServer(context.Background(), Config{MaxActive: 2})
+	t.Cleanup(mgr.CancelAll)
+	var (
+		mu    sync.Mutex
+		skips []int
+		torn  bool
+	)
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		tear := r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/results") && !torn
+		torn = torn || tear
+		if r.Method == http.MethodPost {
+			skips = append(skips, queryInt(r, "skip"))
+		}
+		mu.Unlock()
+		if !tear {
+			mgr.Handler().ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		mgr.Handler().ServeHTTP(rec, r)
+		w.Write(rec.Body.Bytes()[:rec.Body.Len()-1])
+	}))
+	t.Cleanup(worker.Close)
+	runFleetJob(t, []string{worker.URL}, nil)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(skips) < 2 || skips[0] != 0 || skips[1] != first-1 {
+		t.Errorf("worker was sent skips %v, want 0 and then %d, the torn line's cell", skips, first-1)
+	}
+}
+
+// TestDispatchAvoidsRefusingWorker: a worker that answers /healthz but
+// refuses every submit with a 503, listed before a good worker, loses
+// acquire's ties once it has failed, so the job's returned cells go to
+// the good worker and the job ends done instead of stalling after
+// MaxAttempts refusals while the good worker sits idle.
+func TestDispatchAvoidsRefusingWorker(t *testing.T) {
+	ref := refBytes(t, workerSpecJSON)
+	mgr := NewServer(context.Background(), Config{MaxActive: 2})
+	t.Cleanup(mgr.CancelAll)
+	var refused atomic.Int32
+	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			refused.Add(1)
+			httpError(w, http.StatusServiceUnavailable, "job store full")
+			return
+		}
+		mgr.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(refusing.Close)
+	co, srv := startCoordinator(t, t.TempDir(), []string{refusing.URL, startWorker(t).URL}, func(cfg *CoordinatorConfig) {
+		cfg.MaxAttempts = 5
+		cfg.RetryDelay = 20 * time.Millisecond
+	})
+	waitHealthy(t, co, 2)
+	v := submitSpec(t, srv.URL, workerSpecJSON)
+	got := readResults(t, srv.URL, v.ID)
+	if fin := getJob(t, srv.URL, v.ID); fin.Snapshot.State != sweep.JobDone {
+		t.Fatalf("job ended %s after %d refused submits: %s", fin.Snapshot.State, refused.Load(), fin.Snapshot.Err)
+	}
+	if !bytes.Equal(got, ref) {
+		t.Errorf("fleet stream differs from single-node run (%d vs %d bytes)", len(got), len(ref))
+	}
+	if refused.Load() == 0 {
+		t.Error("the refusing worker was never sent a chunk")
 	}
 }

@@ -15,8 +15,8 @@ package fabric
 // never a half-job. Nothing is fsynced: the store survives the death of
 // the process, not an OS crash or power loss. On startup the
 // coordinator rescans the root: each job's shard files are verified
-// record-by-record with sweep.ScanResume — which also truncates a torn
-// final line, the signature of a mid-write kill — and execution resumes
+// record-by-record with sweep.RecordReader — and a torn final line, the
+// signature of a mid-write kill, truncated — and execution resumes
 // exactly where each prefix ends. The shard files use the
 // sweep.ShardFileName naming, so a finished job directory is directly
 // consumable by `faultexp merge -dir`.

@@ -18,7 +18,6 @@ package sweep
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -188,27 +187,24 @@ func (a *Aggregator) Add(r *Result) error {
 	return nil
 }
 
-// AddJSONL streams a sweep JSONL output into the aggregation, skipping
-// blank lines. Record order only affects the (order-sensitive) P²
-// median estimate of groups larger than aggExactMedianCap; a fixed
-// input is therefore a fixed output.
+// AddJSONL streams a sweep JSONL output into the aggregation, read as
+// merge reads a shard (RecordReader). Record order only affects the
+// (order-sensitive) P² median estimate of groups larger than
+// aggExactMedianCap; a fixed input is therefore a fixed output.
 func (a *Aggregator) AddJSONL(r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+	rr := NewRecordReader(r, nil)
+	for {
+		_, res, err := rr.Next()
+		if err == io.EOF {
+			return nil
 		}
-		var res Result
-		if err := json.Unmarshal(line, &res); err != nil {
-			return fmt.Errorf("sweep: agg: record %d: %w", a.Records+a.Skipped, err)
+		if err != nil {
+			return fmt.Errorf("sweep: agg: %w", err)
 		}
-		if err := a.Add(&res); err != nil {
+		if err := a.Add(res); err != nil {
 			return err
 		}
 	}
-	return sc.Err()
 }
 
 // NumRows returns how many summary rows Rows would render, without

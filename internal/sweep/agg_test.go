@@ -87,7 +87,8 @@ func TestAggregatorMetricFilterAndGlobalGroup(t *testing.T) {
 func TestAggregatorSkipsErrorRecords(t *testing.T) {
 	jsonl := `{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0,"trials":1,"seed":1,"metrics":{"v":2}}
 {"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0,"trials":1,"seed":2,"err":"boom"}
-{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0.5,"trials":1,"seed":3,"metrics":{"v":6}}`
+{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0.5,"trials":1,"seed":3,"metrics":{"v":6}}
+`
 	a, _ := NewAggregator([]string{"measure"}, nil)
 	if err := a.AddJSONL(strings.NewReader(jsonl)); err != nil {
 		t.Fatal(err)

@@ -2,12 +2,13 @@ package sweep
 
 // Fuzz targets for the parsers that read bytes from outside the
 // process: Load (a -spec file, a job POSTed to serve or the
-// coordinator), ScanResume (a -resume output file, a fleet store's shard
-// files), CachedResult (a cache entry's payload), MergeShards (the shard
-// files `faultexp merge` reads) and the token parsers behind CLI flags
-// and spec fields. The invariant for all of them: an error or a valid
-// state — never a panic, and never a wrong spec, record or token
-// accepted. All but the token parsers are seeded with the toy grid.
+// coordinator), ScanResume (a -resume output file), CachedResult (a
+// cache entry's payload), MergeShards (the shard files `faultexp merge`
+// reads), the three record-stream readers side by side, and the token
+// parsers behind CLI flags and spec fields. The invariant for all of
+// them: an error or a valid state — never a panic, and never a wrong
+// spec, record or token accepted. All but the token parsers are seeded
+// with the toy grid.
 
 import (
 	"bufio"
@@ -186,6 +187,47 @@ func FuzzMergeShards(f *testing.F) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// FuzzRecordStreams feeds one byte string to the three readers of a
+// record stream: ScanResume against the toy grid's cells, MergeShards
+// as a single shard with no spec, and AddJSONL. They read under one
+// line rule, so merge and agg accept exactly the same inputs and count
+// the same records; an input resume reads to its end, with no torn
+// tail, merges and aggregates to its Done records; and an input whose
+// tail resume calls torn is refused by both.
+func FuzzRecordStreams(f *testing.F) {
+	recs := fuzzRecords(f)
+	cells := toySpec().Cells()
+	all := bytes.Join(recs, nil)
+	f.Add(all)
+	f.Add(all[:len(all)-1])                    // a torn tail that decodes
+	f.Add(append(slices.Clone(recs[0]), '\n')) // a blank line
+	f.Add(bytes.ReplaceAll(all, []byte("\n"), []byte("\r\n")))
+	f.Add([]byte("{}\nnull\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, resumeErr := ScanResume(bytes.NewReader(data), cells)
+		n, mergeErr := MergeShards([]io.Reader{bytes.NewReader(data)}, io.Discard, nil, nil)
+		agg, err := NewAggregator(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aggErr := agg.AddJSONL(bytes.NewReader(data))
+		if (mergeErr == nil) != (aggErr == nil) {
+			t.Fatalf("merge and agg disagree: merge error %v, agg error %v", mergeErr, aggErr)
+		}
+		if mergeErr == nil && n != agg.Records+agg.Skipped {
+			t.Fatalf("merge counted %d records, agg %d", n, agg.Records+agg.Skipped)
+		}
+		switch {
+		case resumeErr != nil:
+		case st.Truncated && mergeErr == nil:
+			t.Fatalf("resume found a torn tail at offset %d, and merge and agg accepted it", st.Offset)
+		case !st.Truncated && (mergeErr != nil || n != st.Done):
+			t.Fatalf("resume read %d records to the end; merge read %d (error %v)", st.Done, n, mergeErr)
 		}
 	})
 }

@@ -12,8 +12,7 @@ package sweep
 // `merge` unchanged.
 
 import (
-	"bufio"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -83,46 +82,24 @@ func edited(field, got, want string) error {
 // Spec.ShardCells) and returns how many leading cells are already
 // complete and where appending must start.
 //
-// The scan refuses mismatches rather than guessing: a record that
-// fails CheckRecord against its cell position means the file was
-// produced by a different spec, seed, shard, trial budget, or block
-// partition; a malformed record in the interior means corruption; more
-// records than cells means the wrong spec. Only a trailing line without
-// its newline — the signature of a killed write — is treated as
-// incomplete and marked for truncation.
+// The scan applies RecordReader's rule and refuses mismatches rather
+// than guessing: a record that fails CheckRecord against its cell
+// position means the file was produced by a different spec, seed,
+// shard, trial budget, or block partition; a malformed record means
+// corruption; more records than cells means the wrong spec. Only a torn
+// tail — the signature of a killed write — is treated as incomplete
+// and marked for truncation.
 func ScanResume(r io.Reader, cells []Cell) (ResumeState, error) {
-	br := bufio.NewReaderSize(r, 64*1024)
-	var st ResumeState
-	for {
-		line, err := br.ReadBytes('\n')
-		switch {
-		case err == nil:
-			// A complete, newline-terminated record. Decoding the raw
-			// line admits exactly JSON's whitespace around it — the rule
-			// merge and the fleet apply — and refuses a blank line.
-			var res Result
-			if json.Unmarshal(line, &res) != nil {
-				return st, fmt.Errorf("sweep: resume: record %d is malformed — output corrupt, refusing to resume", st.Done)
-			}
-			if st.Done >= len(cells) {
-				return st, fmt.Errorf("sweep: resume: output holds more than the run's %d cells — wrong spec or shard", len(cells))
-			}
-			if err := CheckRecord(&res, &cells[st.Done]); err != nil {
-				return st, fmt.Errorf("sweep: resume: record %d %w", st.Done, err)
-			}
-			st.Done++
-			st.Offset += int64(len(line))
-		case err == io.EOF:
-			// Trailing bytes with no newline: a mid-write kill. The
-			// partial record is re-run, not trusted.
-			if len(line) > 0 {
-				st.Truncated = true
-			}
-			return st, nil
-		default:
-			return st, fmt.Errorf("sweep: resume: reading existing output: %w", err)
-		}
+	rr := NewRecordReader(r, cells)
+	var err error
+	for err == nil {
+		_, _, err = rr.Next()
 	}
+	st := ResumeState{Done: rr.Index, Offset: rr.Offset, Truncated: errors.Is(err, ErrTorn)}
+	if err != io.EOF && !st.Truncated {
+		return st, fmt.Errorf("sweep: resume: %w — refusing to resume", err)
+	}
+	return st, nil
 }
 
 // ShardCells expands the grid and applies the shard's round-robin

@@ -11,7 +11,6 @@ package sweep
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -145,28 +144,6 @@ func ShardFiles(dir string) ([]string, error) {
 	return paths, nil
 }
 
-// shardStream reads one shard's JSONL stream a line at a time.
-type shardStream struct {
-	sc    *bufio.Scanner
-	lines int // lines returned so far: the last one is record lines-1
-	done  bool
-}
-
-// next returns the shard's next line (valid until the next call), or
-// ok=false at EOF. A blank line is a line like any other, so the merge
-// refuses it as ScanResume does.
-func (s *shardStream) next() (line []byte, ok bool, err error) {
-	if s.done {
-		return nil, false, nil
-	}
-	if s.sc.Scan() {
-		s.lines++
-		return s.sc.Bytes(), true, nil
-	}
-	s.done = true
-	return nil, false, s.sc.Err()
-}
-
 // MergeShards reassembles the output of a sharded sweep, streaming: it
 // holds one line per shard in memory, so multi-gigabyte grids merge in
 // O(shards) space. shards are the per-shard JSONL streams, given in
@@ -176,13 +153,13 @@ func (s *shardStream) next() (line []byte, ok bool, err error) {
 // order — pass a CSV writer to produce the merged CSV. Returns the
 // number of merged records.
 //
-// Every line is decoded before it is written, so a torn or non-JSON
-// line (what a killed shard run leaves) or a blank one is refused even
-// without a spec or a structured writer: ScanResume's rule. Byte identity with the unsharded run holds
-// for the JSONL output because lines pass through untouched; for the
-// CSV output because the CSV encoding is a pure function of the
-// decoded Result (fixed column order, sorted metric keys,
-// shortest-round-trip floats).
+// Every shard is read under RecordReader's rule, so a blank or non-JSON
+// line, or a torn tail (what a killed shard run leaves, which a merge
+// cannot re-run), is refused even without a spec or a structured
+// writer. Byte identity with the unsharded run holds for the JSONL
+// output because lines pass through untouched; for the CSV output
+// because the CSV encoding is a pure function of the decoded Result
+// (fixed column order, sorted metric keys, shortest-round-trip floats).
 //
 // The shard record counts are checked against the round-robin profile
 // (shard i holds cells i, i+m, i+2m, … — counts non-increasing across
@@ -195,7 +172,8 @@ func (s *shardStream) next() (line []byte, ok bool, err error) {
 // run with a different trial budget or block partition than the spec.
 // Output may be partially written when an error is returned.
 func MergeShards(shards []io.Reader, jsonl io.Writer, w Writer, spec *Spec) (merged int, err error) {
-	if len(shards) == 0 {
+	m := len(shards)
+	if m == 0 {
 		return 0, fmt.Errorf("sweep: merge needs at least one shard")
 	}
 	var cells []Cell
@@ -205,106 +183,66 @@ func MergeShards(shards []io.Reader, jsonl io.Writer, w Writer, spec *Spec) (mer
 		}
 		cells = spec.Cells()
 	}
-	streams := make([]*shardStream, len(shards))
+	streams := make([]*RecordReader, m)
 	for i, r := range shards {
-		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
-		streams[i] = &shardStream{sc: sc}
+		streams[i] = NewRecordReader(r, nil)
 	}
 	var bw *bufio.Writer
 	if jsonl != nil {
 		bw = bufio.NewWriter(jsonl)
 	}
-	flush := func() error {
-		if bw != nil {
-			if err := bw.Flush(); err != nil {
-				return fmt.Errorf("sweep: flushing merged JSONL: %w", err)
+	// Merged record k is record k div m of shard k mod m. The first shard
+	// to run dry ends the merge: round-robin counts are non-increasing
+	// across the file list, so every other shard must be dry at its next
+	// turn, or the files are truncated or misordered.
+	for ; ; merged++ {
+		s := merged % m
+		line, res, err := streams[s].Next()
+		if err == io.EOF {
+			for o := (s + 1) % m; o != s; o = (o + 1) % m {
+				if _, _, err := streams[o].Next(); err == nil {
+					return merged, fmt.Errorf("sweep: shard %d has more records than shard %d — shard files truncated or not in 0/%d..%d/%d order",
+						o, s, m, m-1, m)
+				} else if err != io.EOF {
+					return merged, fmt.Errorf("sweep: shard %d %w", o, err)
+				}
 			}
+			break
 		}
-		if w != nil {
-			if err := w.Flush(); err != nil {
-				return fmt.Errorf("sweep: flushing merged records: %w", err)
-			}
-		}
-		return nil
-	}
-	// emit merges line, record rec of shard (numbered from 0 within the
-	// shard, as ScanResume numbers a file's records).
-	emit := func(shard, rec int, line []byte) error {
-		if cells != nil && merged >= len(cells) {
-			return fmt.Errorf("sweep: shards hold more records than the spec's %d cells", len(cells))
-		}
-		var res Result
-		if err := json.Unmarshal(line, &res); err != nil {
-			return fmt.Errorf("sweep: shard %d record %d: %w", shard, rec, err)
+		if err != nil {
+			return merged, fmt.Errorf("sweep: shard %d %w", s, err)
 		}
 		if cells != nil {
-			if err := CheckRecord(&res, &cells[merged]); err != nil {
-				return fmt.Errorf("sweep: record %d (shard %d record %d) %w", merged, shard, rec, err)
+			if merged >= len(cells) {
+				return merged, fmt.Errorf("sweep: shards hold more records than the spec's %d cells", len(cells))
+			}
+			if err := CheckRecord(res, &cells[merged]); err != nil {
+				return merged, fmt.Errorf("sweep: record %d (shard %d record %d) %w", merged, s, merged/m, err)
 			}
 		}
 		if bw != nil {
 			if _, err := bw.Write(line); err != nil {
-				return fmt.Errorf("sweep: writing merged JSONL: %w", err)
-			}
-			if err := bw.WriteByte('\n'); err != nil {
-				return fmt.Errorf("sweep: writing merged JSONL: %w", err)
+				return merged, fmt.Errorf("sweep: writing merged JSONL: %w", err)
 			}
 		}
 		if w != nil {
-			if err := w.Write(&res); err != nil {
-				return fmt.Errorf("sweep: writing merged record: %w", err)
+			if err := w.Write(res); err != nil {
+				return merged, fmt.Errorf("sweep: writing merged record: %w", err)
 			}
-		}
-		merged++
-		return nil
-	}
-	for {
-		// One interleave round: a line from each shard in order. Once a
-		// shard is exhausted, every later shard must be exhausted too
-		// (round-robin counts are non-increasing), and after a partial
-		// round the merge is over — any shard still holding lines means
-		// the files are truncated or misordered.
-		sawEOF := -1
-		sawLine := false
-		for i, s := range streams {
-			line, ok, err := s.next()
-			if err != nil {
-				return merged, fmt.Errorf("sweep: reading shard %d: %w", i, err)
-			}
-			if !ok {
-				if sawEOF < 0 {
-					sawEOF = i
-				}
-				continue
-			}
-			if sawEOF >= 0 {
-				return merged, fmt.Errorf("sweep: shard %d has more records than shard %d — shard files truncated or not in 0/%d..%d/%d order",
-					i, sawEOF, len(shards), len(shards)-1, len(shards))
-			}
-			sawLine = true
-			if err := emit(i, s.lines-1, line); err != nil {
-				return merged, err
-			}
-		}
-		if !sawLine {
-			break
-		}
-		if sawEOF >= 0 {
-			// Partial final round: every shard must now be dry.
-			for i, s := range streams {
-				if _, ok, err := s.next(); err != nil {
-					return merged, fmt.Errorf("sweep: reading shard %d: %w", i, err)
-				} else if ok {
-					return merged, fmt.Errorf("sweep: shard %d has more records than shard %d — shard files truncated or not in 0/%d..%d/%d order",
-						i, sawEOF, len(shards), len(shards)-1, len(shards))
-				}
-			}
-			break
 		}
 	}
 	if cells != nil && merged != len(cells) {
 		return merged, fmt.Errorf("sweep: shards hold %d records but the spec expands to %d cells", merged, len(cells))
 	}
-	return merged, flush()
+	if bw != nil {
+		if err := bw.Flush(); err != nil {
+			return merged, fmt.Errorf("sweep: flushing merged JSONL: %w", err)
+		}
+	}
+	if w != nil {
+		if err := w.Flush(); err != nil {
+			return merged, fmt.Errorf("sweep: flushing merged records: %w", err)
+		}
+	}
+	return merged, nil
 }

@@ -117,6 +117,29 @@ func TestShardMergeByteIdentity(t *testing.T) {
 	}
 }
 
+// TestMergeShardsPassesCRLFThrough: merge writes every shard line byte
+// for byte, its '\r' included, so CRLF shard files merge to the CRLF
+// form of the unsharded run rather than to LF lines.
+func TestMergeShardsPassesCRLFThrough(t *testing.T) {
+	spec := multiModelSpec()
+	var whole bytes.Buffer
+	if _, err := runSpec(spec, NewJSONL(&whole)); err != nil {
+		t.Fatal(err)
+	}
+	crlf := func(s string) string { return strings.ReplaceAll(s, "\n", "\r\n") }
+	var readers []io.Reader
+	for _, out := range mergeFixture(t, 3) {
+		readers = append(readers, strings.NewReader(crlf(out)))
+	}
+	var got bytes.Buffer
+	if _, err := MergeShards(readers, &got, nil, spec); err != nil {
+		t.Fatal(err)
+	}
+	if want := crlf(whole.String()); got.String() != want {
+		t.Errorf("merge wrote %d bytes for the CRLF shards, want their %d bytes with every '\\r' kept", got.Len(), len(want))
+	}
+}
+
 // TestMergeShardsRejectsBadInput pins the merge's refusal modes: no
 // shards, out-of-order files, and truncated files.
 func TestMergeShardsRejectsBadInput(t *testing.T) {
