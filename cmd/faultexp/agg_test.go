@@ -84,8 +84,8 @@ func TestAggCLI(t *testing.T) {
 
 // TestAggCLIStdin checks the no-args path reads records from stdin.
 func TestAggCLIStdin(t *testing.T) {
-	jsonl := `{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0,"trials":1,"seed":1,"metrics":{"v":3}}
-{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0,"trials":1,"seed":2,"metrics":{"v":5}}
+	jsonl := `{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0,"trials":1,"seed":1,"kernel":"fx-kernels-v9","metrics":{"v":3}}
+{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0,"trials":1,"seed":2,"kernel":"fx-kernels-v9","metrics":{"v":5}}
 `
 	r, w, err := os.Pipe()
 	if err != nil {

@@ -364,6 +364,50 @@ func TestSweepResumeRefusals(t *testing.T) {
 	}
 }
 
+// TestSweepResumeRefusesOtherKernel: a -resume file whose leading
+// records were computed by another kernel generation, or carry no
+// stamp, must make the run exit non-zero and leave the file untouched,
+// not append this binary's records after them.
+func TestSweepResumeRefusesOtherKernel(t *testing.T) {
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.jsonl")
+	if err := cmdSweep(context.Background(), resumeGridArgs("-jsonl", full)); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(readFile(t, full), []byte("\n"))
+	for _, stamp := range []string{"fx-kernels-v0", ""} {
+		var old []byte
+		for _, ln := range lines[:2] {
+			var rec map[string]any
+			dec := json.NewDecoder(bytes.NewReader(ln))
+			dec.UseNumber() // keep the 64-bit seed exact
+			if err := dec.Decode(&rec); err != nil {
+				t.Fatal(err)
+			}
+			delete(rec, "kernel")
+			if stamp != "" {
+				rec["kernel"] = stamp
+			}
+			b, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old = append(append(old, b...), '\n')
+		}
+		path := filepath.Join(dir, "old.jsonl")
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := cmdSweep(context.Background(), resumeGridArgs("-resume", path))
+		if err == nil || !strings.Contains(err.Error(), "kernel stamp") || !strings.Contains(err.Error(), sweep.KernelVersion) {
+			t.Errorf("resume of records stamped %q = %v, want a refusal naming both stamps", stamp, err)
+		}
+		if got := readFile(t, path); !bytes.Equal(got, old) {
+			t.Errorf("refused resume of records stamped %q changed the file:\n%s", stamp, got)
+		}
+	}
+}
+
 // TestSweepDryRun pins the -dry-run plan output and that it executes
 // nothing.
 func TestSweepDryRun(t *testing.T) {

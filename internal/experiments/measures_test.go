@@ -35,8 +35,23 @@ func TestAdversarialSweepDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // measureDigestsPath holds one SHA-256 per (execution path, measure):
-// the output bytes every measure produced when the file was generated.
+// the output bytes every measure produced when the file was generated,
+// with each record's kernel stamp taken out (see measureBytes).
 const measureDigestsPath = "testdata/measure_digests.txt"
+
+// measureBytes returns a measure's JSONL output without the records'
+// kernel stamps, after checking that every record carries this binary's.
+// The stamp changes with every KernelVersion bump, and the sweep goldens
+// pin it; without it, a digest moves only when the measure's own bytes
+// do, so a bump's digest diff names the measures whose kernels moved.
+func measureBytes(t *testing.T, jsonl []byte) []byte {
+	t.Helper()
+	stamp := []byte(`,"kernel":"` + sweep.KernelVersion + `"`)
+	if got, want := bytes.Count(jsonl, stamp), bytes.Count(jsonl, []byte("\n")); got != want {
+		t.Fatalf("%d of %d records carry the kernel stamp %s", got, want, stamp)
+	}
+	return bytes.ReplaceAll(jsonl, stamp, nil)
+}
 
 // measurePath is one way the engine can execute a measure's grid.
 type measurePath struct {
@@ -134,7 +149,8 @@ func loadDigests(t *testing.T, path string) map[string]string {
 // TestEveryMeasureByteIdentical pins, for every registered measure and
 // every execution path, that (a) two runs of the same grid are
 // byte-identical, (b) the worker count does not leak into the bytes,
-// and (c) the bytes match the digest recorded in measureDigestsPath —
+// and (c) the bytes, kernel stamps aside, match the digest recorded in
+// measureDigestsPath —
 // the per-measure determinism contract the README advertises. This is
 // the regression net for new measures (one that draws randomness
 // outside the cell RNG, or reads workspace state across cells, fails
@@ -168,7 +184,7 @@ func TestEveryMeasureByteIdentical(t *testing.T) {
 					}
 				}
 				key := p.name + "/" + measure
-				sum := fmt.Sprintf("%x", sha256.Sum256(ref))
+				sum := fmt.Sprintf("%x", sha256.Sum256(measureBytes(t, ref)))
 				got = append(got, key+" "+sum)
 				if want[key] != sum {
 					t.Errorf("%s: output digest %s, want %q (%s)", key, sum, want[key], measureDigestsPath)

@@ -439,6 +439,35 @@ func TestCoordinatorRebuildTerminalStates(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRebuildRefusesOtherKernelRecords: a stored shard whose
+// records were computed by another kernel generation, here a complete
+// job from before an upgrade, fails its job on restart instead of
+// serving or extending the older records.
+func TestCoordinatorRebuildRefusesOtherKernelRecords(t *testing.T) {
+	ref := refBytes(t, workerSpecJSON)
+	old := bytes.ReplaceAll(ref, []byte(`"kernel":"`+sweep.KernelVersion+`"`), []byte(`"kernel":"fx-kernels-v0"`))
+	if bytes.Equal(old, ref) {
+		t.Fatal("reference records carry no kernel stamp")
+	}
+	storeDir := t.TempDir()
+	st, err := OpenStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj, err := st.Create(loadSpec(t, workerSpecJSON), []byte(workerSpecJSON), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(sj.ShardPath(0), old, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	_, srv := startCoordinator(t, storeDir, nil, nil)
+	v := waitTerminal(t, srv.URL, sj.ID)
+	if v.Snapshot.State != sweep.JobFailed || !strings.Contains(v.Snapshot.Err, `kernel stamp "fx-kernels-v0"`) {
+		t.Errorf("job with another generation's records rebuilt as %s: %s", v.Snapshot.State, v.Snapshot.Err)
+	}
+}
+
 // TestCoordinatorCancelIsDurable: DELETE on an active job writes the
 // store marker, so a restarted coordinator does not resurrect it; a
 // second DELETE removes the job and its directory.

@@ -73,7 +73,7 @@ func (l *resultLog) Write(r *sweep.Result) error {
 	}
 	if l.maxBytes > 0 && l.bytes+int64(len(b)) > l.maxBytes {
 		l.truncated = true
-		tail, _ := json.Marshal(&sweep.Result{Err: fmt.Sprintf("result stream truncated: output exceeds -max-result-bytes=%d", l.maxBytes)})
+		tail, _ := json.Marshal(&sweep.Result{Kernel: sweep.KernelVersion, Err: fmt.Sprintf("result stream truncated: output exceeds -max-result-bytes=%d", l.maxBytes)})
 		l.lines = append(l.lines, append(tail, '\n'))
 		l.cond.Broadcast()
 		return fmt.Errorf("fabric: result log over -max-result-bytes=%d", l.maxBytes)

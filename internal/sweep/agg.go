@@ -123,8 +123,9 @@ type Aggregator struct {
 	by      []string
 	want    map[string]bool // metric filter; nil = every metric
 	groups  map[string]*aggGroup
-	Records int // records aggregated
-	Skipped int // error records skipped
+	stamps  oneKernel // across every AddJSONL input
+	Records int       // records aggregated
+	Skipped int       // error records skipped
 }
 
 // NewAggregator returns an aggregator grouping by the given dimensions
@@ -188,15 +189,22 @@ func (a *Aggregator) Add(r *Result) error {
 }
 
 // AddJSONL streams a sweep JSONL output into the aggregation, read as
-// merge reads a shard (RecordReader). Record order only affects the
-// (order-sensitive) P² median estimate of groups larger than
-// aggExactMedianCap; a fixed input is therefore a fixed output.
+// merge reads its shards: RecordReader's rule, and every record of
+// every input carrying the first one's kernel stamp (oneKernel). Record
+// order only affects the (order-sensitive) P² median estimate of groups
+// larger than aggExactMedianCap; a fixed input is therefore a fixed
+// output.
 func (a *Aggregator) AddJSONL(r io.Reader) error {
 	rr := NewRecordReader(r, nil)
 	for {
 		_, res, err := rr.Next()
 		if err == io.EOF {
 			return nil
+		}
+		if err == nil {
+			if err = a.stamps.check(res); err != nil {
+				err = fmt.Errorf("record %d %w", rr.Index-1, err)
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("sweep: agg: %w", err)

@@ -5,6 +5,7 @@ import (
 
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -85,9 +86,9 @@ func TestAggregatorMetricFilterAndGlobalGroup(t *testing.T) {
 }
 
 func TestAggregatorSkipsErrorRecords(t *testing.T) {
-	jsonl := `{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0,"trials":1,"seed":1,"metrics":{"v":2}}
-{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0,"trials":1,"seed":2,"err":"boom"}
-{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0.5,"trials":1,"seed":3,"metrics":{"v":6}}
+	jsonl := `{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0,"trials":1,"seed":1,"kernel":"fx-kernels-v9","metrics":{"v":2}}
+{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0,"trials":1,"seed":2,"kernel":"fx-kernels-v9","err":"boom"}
+{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0.5,"trials":1,"seed":3,"kernel":"fx-kernels-v9","metrics":{"v":6}}
 `
 	a, _ := NewAggregator([]string{"measure"}, nil)
 	if err := a.AddJSONL(strings.NewReader(jsonl)); err != nil {
@@ -102,6 +103,29 @@ func TestAggregatorSkipsErrorRecords(t *testing.T) {
 	}
 	if math.Abs(rows[0].Std-math.Sqrt2*2) > 1e-12 {
 		t.Errorf("std %v, want 2√2", rows[0].Std)
+	}
+}
+
+// TestAggregatorRefusesMixedKernels: agg reads its inputs as merge
+// reads shards without a spec, so records of two kernel generations,
+// in one input or across two, are refused, and the error names the
+// record and both stamps.
+func TestAggregatorRefusesMixedKernels(t *testing.T) {
+	rec := func(seed int, kernel string) string {
+		return fmt.Sprintf(`{"family":"torus","size":"4x4","n":16,"m":32,"measure":"x","model":"iid-node","rate":0,"trials":1,"seed":%d%s,"metrics":{"v":1}}`+"\n", seed, kernel)
+	}
+	v9, v8 := `,"kernel":"fx-kernels-v9"`, `,"kernel":"fx-kernels-v8"`
+	a, _ := NewAggregator(nil, nil)
+	if err := a.AddJSONL(strings.NewReader(rec(1, v9) + rec(2, v9))); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AddJSONL(strings.NewReader(rec(3, v8))); err == nil ||
+		!strings.Contains(err.Error(), `record 0 has kernel stamp "fx-kernels-v8", the first record "fx-kernels-v9"`) {
+		t.Errorf("a second input from another generation = %v, want a refusal", err)
+	}
+	b, _ := NewAggregator(nil, nil)
+	if err := b.AddJSONL(strings.NewReader(rec(1, v9) + rec(2, ""))); err == nil || !strings.Contains(err.Error(), "record 1 has kernel stamp none") {
+		t.Errorf("an unstamped record after a stamped one = %v, want a refusal", err)
 	}
 }
 

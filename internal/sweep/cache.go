@@ -76,10 +76,12 @@ func CellCacheKey(h *cache.Hasher, rateMode string, c Cell) cache.Key {
 // it is supposed to reproduce. ok=false (treat as a miss, recompute)
 // unless every check passes:
 //
-//   - the payload unmarshals as a Result that passes CheckRecord
-//     against the cell — seed, trials, trial block, family, size,
-//     measure, model, rate, precision — so an entry can never masquer-
-//     ade as a different cell's record, whatever happened on disk;
+//   - the payload unmarshals as a Result that passes CheckRecord's
+//     identity checks against the cell — seed, trials, trial block,
+//     family, size, measure, model, rate, precision — so an entry can
+//     never masquerade as a different cell's record, whatever happened
+//     on disk (the kernel stamp is not compared again: the key already
+//     folds in KernelVersion, so only this generation finds the entry);
 //   - the record carries no Err (error records are never cached: an
 //     error may be environmental, and recomputing one is cheap);
 //   - re-marshaling the decoded Result reproduces the stored payload
@@ -90,7 +92,7 @@ func CachedResult(payload []byte, c *Cell) (*Result, bool) {
 	if err := json.Unmarshal(payload, &r); err != nil {
 		return nil, false
 	}
-	if r.Err != "" || CheckRecord(&r, c) != nil {
+	if r.Err != "" || checkCell(&r, c) != nil {
 		return nil, false
 	}
 	again, err := json.Marshal(&r)

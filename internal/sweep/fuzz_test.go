@@ -35,6 +35,12 @@ func fuzzRecords(f *testing.F) [][]byte {
 	return lines[:len(lines)-1]
 }
 
+// restamp returns records with this binary's kernel stamp replaced by
+// another generation's.
+func restamp(records []byte, kernel string) []byte {
+	return bytes.ReplaceAll(records, []byte(`"kernel":"`+KernelVersion+`"`), []byte(`"kernel":"`+kernel+`"`))
+}
+
 // FuzzScanResume scans arbitrary bytes against the toy grid's cells. On
 // a nil error the state must describe data exactly: data[:Offset] is
 // Done newline-terminated records, each the record of the cell at its
@@ -52,7 +58,8 @@ func FuzzScanResume(f *testing.F) {
 	f.Add(join(all, recs[0]))                   // more records than cells
 	f.Add(join(recs[0], []byte("\n"), recs[1])) // blank interior line
 	f.Add([]byte("{}\nnull\n"))
-	f.Add(join([]byte("\v"), recs[0])) // whitespace JSON does not allow
+	f.Add(join([]byte("\v"), recs[0]))                               // whitespace JSON does not allow
+	f.Add(join(recs[0], restamp(recs[1], "fx-kernels-v0"), recs[2])) // another kernel generation's record
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := ScanResume(bytes.NewReader(data), cells)
 		if err != nil {
@@ -148,6 +155,7 @@ func FuzzMergeShards(f *testing.F) {
 	f.Add(uint8(1), []byte{})                                       // an empty shard
 	f.Add(uint8(0), []byte("{}\nnull\n{}\n{}\n"))                   // records that decode to nothing
 	f.Add(uint8(0), append(slices.Clone(shards[0]), '\n'))          // a blank line after the last record
+	f.Add(uint8(1), restamp(shards[1], "fx-kernels-v0"))            // another kernel generation's records
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		inputs := slices.Clone(shards)
 		inputs[int(which)%m] = data
@@ -208,6 +216,7 @@ func FuzzRecordStreams(f *testing.F) {
 	f.Add(bytes.ReplaceAll(all, []byte("\n"), []byte("\r\n")))
 	f.Add([]byte("{}\nnull\n"))
 	f.Add([]byte{})
+	f.Add(bytes.Join([][]byte{recs[0], restamp(recs[1], "fx-kernels-v0")}, nil)) // two kernel generations
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, resumeErr := ScanResume(bytes.NewReader(data), cells)
 		n, mergeErr := MergeShards([]io.Reader{bytes.NewReader(data)}, io.Discard, nil, nil)

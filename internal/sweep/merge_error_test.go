@@ -177,6 +177,39 @@ func TestMergeShardsRefusesEditedIdentity(t *testing.T) {
 	}
 }
 
+// TestMergeShardsRefusesMixedKernels: shards of two kernel
+// generations never merge. With the spec, a record with another stamp
+// fails CheckRecord; without it, every record must carry the first
+// record's stamp. Shards that all carry one foreign stamp still merge
+// without the spec.
+func TestMergeShardsRefusesMixedKernels(t *testing.T) {
+	outs := mergeFixture(t, 3)
+	spec := multiModelSpec()
+	for _, stamp := range foreignStamps {
+		mixed := append([]string(nil), outs...)
+		mixed[1] = string(editRecord(t, []byte(outs[1]), 2, func(r *Result) { r.Kernel = stamp }))
+		for _, sp := range []*Spec{spec, nil} {
+			if n, err := mergeStrings(mixed, sp); err == nil {
+				t.Errorf("stamp %q (spec %v): merge wrote %d records", stamp, sp != nil, n)
+			} else if !strings.Contains(err.Error(), "record 7 (shard 1 record 2) has kernel stamp "+stampName(stamp)) {
+				t.Errorf("stamp %q (spec %v): error %q does not name the record and its stamp", stamp, sp != nil, err)
+			}
+		}
+		all := append([]string(nil), outs...)
+		for i := range all {
+			for k := 0; k < strings.Count(all[i], "\n"); k++ {
+				all[i] = string(editRecord(t, []byte(all[i]), k, func(r *Result) { r.Kernel = stamp }))
+			}
+		}
+		if _, err := mergeStrings(all, nil); err != nil {
+			t.Errorf("stamp %q on every record: merge without spec refused: %v", stamp, err)
+		}
+		if _, err := mergeStrings(all, spec); err == nil {
+			t.Errorf("stamp %q on every record: merge with spec accepted", stamp)
+		}
+	}
+}
+
 // TestMergeShardsTruncatedMidRecord: a shard whose final line was torn
 // mid-write (no trailing newline, half a JSON object). The spec-backed
 // merge refuses it at the decode; the torn line must never reach the

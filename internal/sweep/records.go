@@ -80,3 +80,24 @@ func (r *RecordReader) Next() ([]byte, *Result, error) {
 	r.Offset += int64(len(line))
 	return line, res, nil
 }
+
+// oneKernel is the rule for records read without a spec, across every
+// stream of one output (merge's shards, agg's inputs): each record must
+// carry the first record's kernel stamp, so records of two kernel
+// generations never mix. With a spec, CheckRecord pins the stamp to
+// this binary's instead.
+type oneKernel struct {
+	stamp string
+	seen  bool
+}
+
+func (k *oneKernel) check(res *Result) error {
+	if !k.seen {
+		k.stamp, k.seen = res.Kernel, true
+		return nil
+	}
+	if res.Kernel != k.stamp {
+		return fmt.Errorf("has kernel stamp %s, the first record %s — records of two kernel generations do not mix", stampName(res.Kernel), stampName(k.stamp))
+	}
+	return nil
+}

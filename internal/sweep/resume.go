@@ -32,17 +32,35 @@ type ResumeState struct {
 	Truncated bool
 }
 
-// CheckRecord reports whether res is the record of cell c, returning
-// nil if it is and an error naming the first differing field if not.
-// It compares every identity field: the seed; the trial budget and the
-// trial-parallel block partition, which the seed does not pin but which
-// change a record's bytes; and the family, size, measure, model, rate
-// and precision tier the seed was derived from, so a record whose
+// CheckRecord reports whether res is the record of cell c, computed by
+// this binary's kernels, returning nil if it is and an error naming the
+// first differing field if not. It compares the kernel stamp, since the
+// same cell computed by another kernel generation can differ in any
+// byte; then every identity field: the seed; the trial budget and the
+// trial-parallel block partition, which the seed does not pin but
+// which change a record's bytes; and the family, size, measure, model,
+// rate and precision tier the seed was derived from, so a record whose
 // coordinates were edited is refused too. This is the identity rule
-// every consumer of a record stream applies — resume, merge, the cache
-// and the fleet coordinator's online check; the error leaves the
-// record's position to the caller.
+// every consumer of a record stream applies — resume, merge and the
+// fleet coordinator's online check and store rebuild; the error leaves
+// the record's position to the caller.
 func CheckRecord(res *Result, c *Cell) error {
+	if res.Kernel != KernelVersion {
+		return fmt.Errorf("has kernel stamp %s, this binary runs %q — output of another kernel generation does not splice", stampName(res.Kernel), KernelVersion)
+	}
+	return checkCell(res, c)
+}
+
+// stampName renders a record's kernel stamp for an error message.
+func stampName(kernel string) string {
+	if kernel == "" {
+		return "none (written before records carried one)"
+	}
+	return fmt.Sprintf("%q", kernel)
+}
+
+// checkCell is CheckRecord without the kernel stamp.
+func checkCell(res *Result, c *Cell) error {
 	switch {
 	case res.Seed != c.Seed:
 		return fmt.Errorf("is %s/%s/%s rate %s seed %d, want seed %d — output from a different spec, seed, or shard, or shard files out of order",
@@ -85,7 +103,8 @@ func edited(field, got, want string) error {
 // The scan applies RecordReader's rule and refuses mismatches rather
 // than guessing: a record that fails CheckRecord against its cell
 // position means the file was produced by a different spec, seed,
-// shard, trial budget, or block partition; a malformed record means
+// shard, trial budget, block partition or kernel generation; a
+// malformed record means
 // corruption; more records than cells means the wrong spec. Only a torn
 // tail — the signature of a killed write — is treated as incomplete
 // and marked for truncation.

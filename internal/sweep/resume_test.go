@@ -144,6 +144,33 @@ func TestScanResumeRefusesEditedIdentity(t *testing.T) {
 	}
 }
 
+// foreignStamps are kernel stamps of other generations: an older
+// one, and none at all (records written before they carried one).
+var foreignStamps = []string{"fx-kernels-v0", ""}
+
+// TestScanResumeRefusesOtherKernel: records computed by another kernel
+// generation can differ from this binary's in any byte, so a file whose
+// leading records carry another stamp, or none, is refused, and the
+// error names both stamps.
+func TestScanResumeRefusesOtherKernel(t *testing.T) {
+	ref, cells := resumeRef(t, Shard{})
+	for _, stamp := range foreignStamps {
+		old := cutAt(ref, 2, 0)
+		for i := 0; i < 2; i++ {
+			old = editRecord(t, old, i, func(r *Result) { r.Kernel = stamp })
+		}
+		st, err := ScanResume(bytes.NewReader(old), cells)
+		if err == nil {
+			t.Errorf("stamp %q: resume accepted %d records", stamp, st.Done)
+			continue
+		}
+		want := stampName(stamp)
+		if !strings.Contains(err.Error(), "record 0 has kernel stamp "+want) || !strings.Contains(err.Error(), KernelVersion) {
+			t.Errorf("stamp %q: error %q does not name both stamps", stamp, err)
+		}
+	}
+}
+
 // TestResumeByteIdentity is the acceptance criterion: killing a run at
 // any cell boundary (with or without a partial trailing record) and
 // resuming with WithSkipCells produces output byte-identical to the

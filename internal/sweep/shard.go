@@ -167,9 +167,12 @@ func ShardFiles(dir string) ([]string, error) {
 // in the wrong order are refused. The profile check alone cannot catch
 // equal-length files swapped or an equal-length subset of the shards —
 // pass the grid spec (nil to skip) and the merge additionally checks
-// every record against its exact cell position (CheckRecord: seed,
-// trial budget, block partition), which catches both, as well as shards
-// run with a different trial budget or block partition than the spec.
+// every record against its exact cell position (CheckRecord: kernel
+// stamp, seed, trial budget, block partition), which catches both, as
+// well as shards run with a different trial budget or block partition
+// than the spec, or by another kernel generation than this binary's.
+// Without the spec, every record must carry the first record's kernel
+// stamp (oneKernel), so shards of two generations never merge.
 // Output may be partially written when an error is returned.
 func MergeShards(shards []io.Reader, jsonl io.Writer, w Writer, spec *Spec) (merged int, err error) {
 	m := len(shards)
@@ -195,6 +198,7 @@ func MergeShards(shards []io.Reader, jsonl io.Writer, w Writer, spec *Spec) (mer
 	// to run dry ends the merge: round-robin counts are non-increasing
 	// across the file list, so every other shard must be dry at its next
 	// turn, or the files are truncated or misordered.
+	var stamps oneKernel
 	for ; ; merged++ {
 		s := merged % m
 		line, res, err := streams[s].Next()
@@ -219,6 +223,8 @@ func MergeShards(shards []io.Reader, jsonl io.Writer, w Writer, spec *Spec) (mer
 			if err := CheckRecord(res, &cells[merged]); err != nil {
 				return merged, fmt.Errorf("sweep: record %d (shard %d record %d) %w", merged, s, merged/m, err)
 			}
+		} else if err := stamps.check(res); err != nil {
+			return merged, fmt.Errorf("sweep: record %d (shard %d record %d) %w", merged, s, merged/m, err)
 		}
 		if bw != nil {
 			if _, err := bw.Write(line); err != nil {

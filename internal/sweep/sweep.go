@@ -36,8 +36,12 @@ type Result struct {
 	// contract: serial and trial-parallel records never splice into
 	// one stream, since their _mean/_std bytes can differ in the last
 	// ulp.
-	TrialBlock int                `json:"trial_block,omitempty"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	TrialBlock int `json:"trial_block,omitempty"`
+	// Kernel is the KernelVersion of the binary that computed the
+	// record. Part of the resume contract: records of two kernel
+	// generations never splice into one stream (CheckRecord).
+	Kernel  string             `json:"kernel,omitempty"`
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// Nonfinite lists (comma-joined, sorted) the metric keys whose
 	// values were NaN/±Inf and therefore dropped from Metrics — a
 	// half-broken measure is visibly different from a clean one.
@@ -62,8 +66,8 @@ type Summary struct {
 	Errors int // cells whose Result carries an Err
 }
 
-// newResult builds a record's header — the cell's coordinates and the
-// graph's size — for foldBlocks, which renders every Result (an
+// newResult builds a record's header — the cell's coordinates, the
+// graph's size and the kernel stamp — for foldBlocks, which renders every Result (an
 // independent cell's blocks and each rate of a coupled group); metrics
 // or an error are filled in after.
 func newResult(c Cell, n, m int) *Result {
@@ -79,6 +83,7 @@ func newResult(c Cell, n, m int) *Result {
 		Seed:       c.Seed,
 		Precision:  c.recordPrecision(),
 		TrialBlock: c.TrialBlock,
+		Kernel:     KernelVersion,
 	}
 }
 
