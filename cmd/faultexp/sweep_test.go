@@ -375,7 +375,7 @@ func TestSweepResumeRefusesOtherKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := bytes.SplitAfter(readFile(t, full), []byte("\n"))
-	for _, stamp := range []string{"fx-kernels-v0", ""} {
+	for _, stamp := range []string{"fx-kernels-v8", ""} {
 		var old []byte
 		for _, ln := range lines[:2] {
 			var rec map[string]any

@@ -1,124 +1,156 @@
 package spectral
 
-// Lanczos iteration with full reorthogonalization for the largest
-// eigenpair of a symmetric operator, with optional deflation against
-// known eigenvectors. Full reorthogonalization costs O(k²n) but is
-// bulletproof against the "ghost eigenvalue" pathology of plain Lanczos,
-// which matters here because expansion estimates feed directly into
-// certified pruning bounds.
+// The tridiagonal side of the Lanczos solver. Lanczos reduces the
+// shifted Laplacian to a small symmetric tridiagonal T (diagonal a,
+// off-diagonal b, b[i] coupling a[i] and a[i+1]), and the solver only
+// ever needs T's largest eigenpair: the eigenvalue at every convergence
+// check and at the end, the eigenvector once, to form the Fiedler
+// vector. Both come from the LDLᵀ factorisation of T − xI, in O(m) per
+// factorisation: Sturm-count bisection finds the eigenvalue, and inverse
+// iteration just above it finds the eigenvector. The Lanczos iteration
+// itself lives in scratch.go (lanczosScratch).
 
-import (
-	"math"
-)
+import "math"
 
-// The Lanczos iteration itself lives in scratch.go (lanczosScratch):
-// the hot path threads caller-owned buffers through every step, and the
-// allocating entry points (Fiedler, Lambda2) run the same code on a
-// throwaway Scratch.
-
-// tridiagLargestValue returns only the largest eigenvalue of the
-// symmetric tridiagonal matrix, skipping eigenvector accumulation — the
-// m×m rotation matrix tridiagLargestScratch accumulates dominates the
-// cost of a solve, and neither the convergence checks nor
-// Lambda2Scratch read the vector. dScr/eScr are caller-owned scratch
-// reused across solves.
-func tridiagLargestValue(diag, off []float64, dScr, eScr *[]float64) float64 {
-	m := len(diag)
-	if m == 0 {
-		return 0
+// pivotFloor is the smallest magnitude a pivot of a Sturm count may
+// take, the safe minimum scaled by T's largest squared off-diagonal
+// (LAPACK's PIVMIN). A smaller pivot is replaced by −pivotFloor, so no
+// division overflows.
+func pivotFloor(b []float64) float64 {
+	bb := 1.0
+	for _, x := range b {
+		bb = math.Max(bb, x*x)
 	}
-	if cap(*dScr) < m {
-		*dScr = make([]float64, m)
-		*eScr = make([]float64, m)
-	}
-	d, e := (*dScr)[:m], (*eScr)[:m]
-	copy(d, diag)
-	for i := range e {
-		e[i] = 0
-	}
-	copy(e, off)
-	tql2(d, e, nil)
-	best := d[0]
-	for _, v := range d[1:] {
-		if v > best {
-			best = v
-		}
-	}
-	return best
+	return 0x1p-1022 * bb
 }
 
-// tql2 diagonalizes a symmetric tridiagonal matrix in place using the QL
-// algorithm with implicit shifts (EISPACK tql2 / Numerical Recipes
-// tqli). d holds the diagonal, e the sub-diagonal in e[0..m-2]; on return
-// d holds eigenvalues and z[j] the eigenvector of d[j]. z is the
-// transpose of EISPACK's rotation matrix — each eigenvector a contiguous
-// row, so every rotation sweeps two rows at stride 1 — and must start as
-// the identity. A nil z skips eigenvector accumulation (the tql1
-// variant): eigenvalues only.
-func tql2(d, e []float64, z [][]float64) {
-	m := len(d)
-	if m <= 1 {
-		return
+// allBelow reports whether every eigenvalue of T lies below x: whether
+// every pivot q_i = (a_i − x) − b_{i−1}²/q_{i−1} of the LDLᵀ
+// factorisation of T − xI is negative, which by Sylvester's law of
+// inertia means T − xI is negative definite. It is one Sturm count,
+// stopped at the first pivot that is not negative.
+func allBelow(a, b []float64, x, pivmin float64) bool {
+	q := a[0] - x
+	for i := 1; ; i++ {
+		if math.Abs(q) < pivmin {
+			q = -pivmin
+		}
+		if q >= 0 {
+			return false
+		}
+		if i == len(a) {
+			return true
+		}
+		q = (a[i] - x) - b[i-1]*b[i-1]/q
 	}
-	// shift e up: internal convention e[i] couples d[i] and d[i+1]
-	for l := 0; l < m; l++ {
-		iter := 0
-		for {
-			// Find small subdiagonal element.
-			var mIdx int
-			for mIdx = l; mIdx < m-1; mIdx++ {
-				dd := math.Abs(d[mIdx]) + math.Abs(d[mIdx+1])
-				if math.Abs(e[mIdx]) <= 1e-15*dd {
-					break
-				}
-			}
-			if mIdx == l {
+}
+
+// tridiagTop returns the largest eigenvalue of T by Sturm-count
+// bisection, and sigma, the end of the final bracket above it: a point
+// allBelow accepted, so every pivot of the LDLᵀ factorisation of
+// σI − T is positive (tridiagTopVector factorises there). The bracket
+// starts from T's Gershgorin interval. A finite lo, such as the previous
+// Ritz value (which by Cauchy interlacing bounds the largest eigenvalue
+// of a longer T from below), raises its lower end once one Sturm count
+// confirms it; the upper end then comes down to lo + rise (the previous
+// Ritz value's own rise), the step quadrupling until a Sturm count
+// confirms it. So while the Ritz value converges, bisection halves a
+// bracket about as wide as its last rise, not T's whole spectrum. It
+// stops when the bracket's ends are adjacent floats.
+// len(b) ≥ len(a) − 1 ≥ 0; b past len(a) − 1 is ignored.
+func tridiagTop(a, b []float64, lo, rise float64) (top, sigma float64) {
+	m := len(a)
+	b = b[:m-1]
+	gl, gu := math.Inf(1), math.Inf(-1)
+	for i, ai := range a {
+		r := 0.0
+		if i > 0 {
+			r += math.Abs(b[i-1])
+		}
+		if i < m-1 {
+			r += math.Abs(b[i])
+		}
+		gl = math.Min(gl, ai-r)
+		gu = math.Max(gu, ai+r)
+	}
+	pivmin := pivotFloor(b)
+	// Widen the Gershgorin interval by LAPACK's rounding allowance
+	// (dstebz), so that its ends hold under the computed Sturm counts.
+	slack := 2.1*0x1p-52*math.Max(math.Abs(gl), math.Abs(gu))*float64(m) + 4.2*pivmin
+	hi := gu + slack
+	if lo > gl-slack && lo < hi && !allBelow(a, b, lo, pivmin) {
+		for step := math.Max(rise, 0x1p-50*math.Abs(lo)); lo+step < hi; step *= 4 {
+			x := lo + step
+			if allBelow(a, b, x, pivmin) {
+				hi = x
 				break
 			}
-			if iter++; iter > 50 {
-				break // fail soft: eigenvalues are near-converged anyway
-			}
-			g := (d[l+1] - d[l]) / (2 * e[l])
-			r := math.Hypot(g, 1)
-			sg := r
-			if g < 0 {
-				sg = -r
-			}
-			g = d[mIdx] - d[l] + e[l]/(g+sg)
-			s, c := 1.0, 1.0
-			p := 0.0
-			for i := mIdx - 1; i >= l; i-- {
-				f := s * e[i]
-				b := c * e[i]
-				r = math.Hypot(f, g)
-				e[i+1] = r
-				if r == 0 {
-					d[i+1] -= p
-					e[mIdx] = 0
-					break
-				}
-				s = f / r
-				c = g / r
-				g = d[i+1] - p
-				r = (d[i]-g)*s + 2*c*b
-				p = s * r
-				d[i+1] = g + p
-				g = c*r - b
-				if z != nil {
-					zi, zi1 := z[i], z[i+1][:len(z[i])]
-					for k := range zi {
-						f := zi1[k]
-						zi1[k] = s*zi[k] + c*f
-						zi[k] = c*zi[k] - s*f
-					}
-				}
-			}
-			if r == 0 && mIdx-1 >= l {
-				continue
-			}
-			d[l] -= p
-			e[l] = g
-			e[mIdx] = 0
+			lo = x
 		}
+	} else {
+		lo = gl - slack
+	}
+	for {
+		mid := lo + (hi-lo)/2
+		if mid <= lo || mid >= hi {
+			break
+		}
+		if allBelow(a, b, mid, pivmin) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return lo + (hi-lo)/2, hi
+}
+
+// tridiagTopVector writes into x the unit eigenvector of T for its
+// largest eigenvalue, by inverse iteration at sigma (tridiagTop's upper
+// bracket end): σI − T is positive definite there, so its LDLᵀ
+// factorisation needs no pivoting, and since σ sits within an ulp or so
+// of the eigenvalue each solve multiplies the wanted component by far
+// more than any other. Three solves from the all-ones vector, each O(m),
+// leave x in the eigenvalue's invariant subspace to working precision
+// even when the next eigenvalue is close. A pivot below ε·‖T‖ is raised
+// to it, as LAPACK's inverse iteration (dlagts) does, so that a σ that
+// lands on the eigenvalue itself gives a large finite solve rather than
+// an overflow. d holds the pivots; x and d have length len(a).
+func tridiagTopVector(a, b []float64, sigma float64, x, d []float64) {
+	m := len(a)
+	if m == 1 {
+		x[0] = 1
+		return
+	}
+	b = b[:m-1]
+	tnorm := 0.0
+	for i, ai := range a {
+		r := math.Abs(ai)
+		if i > 0 {
+			r += math.Abs(b[i-1])
+		}
+		if i < m-1 {
+			r += math.Abs(b[i])
+		}
+		tnorm = math.Max(tnorm, r)
+	}
+	floor := 0x1p-52 * tnorm
+	d[0] = math.Max(sigma-a[0], floor)
+	for i := 1; i < m; i++ {
+		d[i] = math.Max((sigma-a[i])-b[i-1]*b[i-1]/d[i-1], floor)
+	}
+	for i := range x {
+		x[i] = 1
+	}
+	for solve := 0; solve < 3; solve++ {
+		// σI − T = L·D·Lᵀ with L unit lower bidiagonal, L[i+1][i] =
+		// −b[i]/d[i]: solve L·z = x, then D·Lᵀ·x = z.
+		for i := 1; i < m; i++ {
+			x[i] += b[i-1] / d[i-1] * x[i-1]
+		}
+		x[m-1] /= d[m-1]
+		for i := m - 2; i >= 0; i-- {
+			x[i] = x[i]/d[i] + b[i]/d[i]*x[i+1]
+		}
+		normalize(x)
 	}
 }

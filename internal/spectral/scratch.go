@@ -2,9 +2,9 @@ package spectral
 
 // Scratch-based Fiedler/Lanczos: FiedlerScratch, Lambda2Scratch and the
 // Lanczos iteration behind them keep every intermediate — the Laplacian
-// scale vector, the Krylov basis (a flat arena), the tridiagonal solves
-// and the Ritz vector — in caller-owned buffers, and Fiedler and Lambda2
-// run the same code on a throwaway Scratch. The pruning hot path calls
+// scale vector, the Krylov basis (a flat arena), the tridiagonal and the
+// Ritz vector — in caller-owned buffers, and Fiedler and Lambda2 run the
+// same code on a throwaway Scratch. The pruning hot path calls
 // Fiedler once per culling round, and the basis copies dominated its
 // allocation profile.
 
@@ -24,18 +24,13 @@ type Scratch struct {
 	lap     Laplacian
 	invSqrt []float64
 	kernel  []float64
-	deflate [][]float64
 
-	v, w, x    []float64
+	w, x       []float64
 	basisArena []float64
 	basis      [][]float64
 	alphas     []float64
 	betas      []float64
-	dChk, eChk []float64 // eigenvalue-only solves: convergence checks, Lambda2Scratch
-	dFin, eFin []float64 // final tridiagonal solve
-	zArena     []float64
-	zRows      [][]float64
-	ritz       []float64
+	ritz       []float64 // the tridiagonal's top eigenvector
 
 	resY, resLy []float64 // Lambda2BudgetScratch residual buffers
 }
@@ -62,11 +57,14 @@ func FiedlerScratch(g *graph.Graph, maxIter int, rng *xrand.RNG, scr *Scratch) F
 		scr.x[0] = 0
 		return FiedlerResult{Lambda2: 0, Vector: scr.x}
 	}
-	iters := lanczosScratch(g, maxIter, rng, scr)
+	iters, top, sigma := lanczosScratch(g, maxIter, rng, scr)
 	// The Ritz vector: the top eigenvector of the tridiagonal, combined
-	// over the Krylov basis.
+	// over the Krylov basis. The inverse iteration keeps its pivots in w,
+	// which the iteration no longer needs (m ≤ n).
 	m := len(scr.alphas)
-	ev, s := tridiagLargestScratch(scr.alphas, scr.betas[:m-1], scr)
+	s := growF(scr.ritz, m)
+	scr.ritz = s
+	tridiagTopVector(scr.alphas, scr.betas, sigma, s, scr.w[:m])
 	x := growF(scr.x, n)
 	scr.x = x
 	for i := range x {
@@ -79,33 +77,36 @@ func FiedlerScratch(g *graph.Graph, maxIter int, rng *xrand.RNG, scr *Scratch) F
 	for i := range x {
 		x[i] *= scr.invSqrt[i]
 	}
-	return FiedlerResult{Lambda2: math.Max(2-ev, 0), Vector: x, Iters: iters}
+	return FiedlerResult{Lambda2: math.Max(2-top, 0), Vector: x, Iters: iters}
 }
 
 // Lambda2Scratch is the algebraic connectivity alone, on caller-owned
 // scratch: the same Lanczos run as FiedlerScratch with maxIter 0, so the
 // value is bit-identical to FiedlerScratch(g, 0, rng, scr).Lambda2 and
-// rng advances the same way, but the final solve finds only the largest
-// eigenvalue of the tridiagonal — no rotation matrix, no Ritz vector —
-// and a warm scratch makes it allocation-free.
+// rng advances the same way, but it forms no Ritz vector, and a warm
+// scratch makes it allocation-free.
 func Lambda2Scratch(g *graph.Graph, rng *xrand.RNG, scr *Scratch) float64 {
 	if g.N() <= 1 {
 		return 0
 	}
-	lanczosScratch(g, 0, rng, scr)
-	m := len(scr.alphas)
-	ev := tridiagLargestValue(scr.alphas, scr.betas[:m-1], &scr.dChk, &scr.eChk)
-	return math.Max(2-ev, 0)
+	_, top, _ := lanczosScratch(g, 0, rng, scr)
+	return math.Max(2-top, 0)
 }
 
 // lanczosScratch runs at most maxIter Lanczos steps (maxIter ≤ 0: the
 // automatic budget) on the shifted normalized Laplacian of g
 // (Laplacian.ApplyShifted), n = g.N() ≥ 2, from a random start vector
-// orthogonal to the kernel vector D^{1/2}·1, and returns the number of
-// steps taken. It leaves in scr the Krylov basis (a flat arena) and the
-// tridiagonal's diagonal (alphas) and off-diagonal (betas), and reuses
-// every buffer from scr.
-func lanczosScratch(g *graph.Graph, maxIter int, rng *xrand.RNG, scr *Scratch) int {
+// orthogonal to the kernel vector D^{1/2}·1. It returns the number of
+// steps taken, the largest eigenvalue top of the final tridiagonal (the
+// Ritz value) and tridiagTop's bracket end sigma above it. It leaves in
+// scr the Krylov basis (a flat arena) and the tridiagonal's diagonal
+// (alphas) and off-diagonal (betas), and reuses every buffer from scr.
+//
+// Every 4 steps from the fifth on, it checks convergence: it stops once
+// the Ritz value moves by less than 1e-12 relative. Each check is one
+// bisection on the tridiagonal so far, bracketed by the previous check's
+// Ritz value and its rise (tridiagTop).
+func lanczosScratch(g *graph.Graph, maxIter int, rng *xrand.RNG, scr *Scratch) (iters int, top, sigma float64) {
 	n := g.N()
 	inv := growF(scr.invSqrt, n)
 	scr.invSqrt = inv
@@ -134,21 +135,22 @@ func lanczosScratch(g *graph.Graph, maxIter int, rng *xrand.RNG, scr *Scratch) i
 	if maxIter > n {
 		maxIter = n
 	}
-	scr.deflate = append(scr.deflate[:0], kernel)
-	deflate := scr.deflate
-
-	v := growF(scr.v, n)
-	scr.v = v
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	orthogonalize(v, deflate)
-	normalize(v)
 
 	if cap(scr.basisArena) < maxIter*n {
 		scr.basisArena = make([]float64, maxIter*n)
 	}
 	arena := scr.basisArena[:maxIter*n]
+	// The start vector goes straight into the basis's first slot, and
+	// each step writes the next vector into the slot after its own.
+	v := arena[:n]
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	nrm := math.Sqrt(reorthogonalize(v, dot(v, v), kernel, nil))
+	for i := range v {
+		v[i] /= nrm
+	}
+
 	if cap(scr.basis) < maxIter {
 		scr.basis = make([][]float64, 0, maxIter)
 	}
@@ -161,84 +163,48 @@ func lanczosScratch(g *graph.Graph, maxIter int, rng *xrand.RNG, scr *Scratch) i
 	w := growF(scr.w, n)
 	scr.w = w
 
-	prevRitz := math.Inf(-1)
-	iters := 0
+	prevRitz, rise := math.Inf(-1), 0.0
+	solved := false // top and sigma belong to the current tridiagonal
 	for k := 0; k < maxIter; k++ {
 		iters = k + 1
-		bk := arena[k*n : (k+1)*n : (k+1)*n]
-		copy(bk, v)
-		basis = append(basis, bk)
+		v := arena[k*n : (k+1)*n : (k+1)*n]
+		basis = append(basis, v)
 		scr.lap.ApplyShifted(w, v)
 		alpha := dot(w, v)
 		alphas = append(alphas, alpha)
-		axpy(-alpha, v, w)
+		// The recurrence's last sweep also sums ‖w‖², which tells
+		// reorthogonalize how much its pass cancelled.
+		var ww float64
 		if k > 0 {
-			axpy(-betas[k-1], basis[k-1], w)
+			axpy(-alpha, v, w)
+			ww = axpyDot(-betas[k-1], basis[k-1], w, w)
+		} else {
+			ww = axpyDot(-alpha, v, w, w)
 		}
-		orthogonalize(w, basis)
-		orthogonalize(w, deflate)
-		beta := norm(w)
+		beta := math.Sqrt(reorthogonalize(w, ww, kernel, basis))
+		solved = false
 		if k >= 4 && k%4 == 0 {
-			ritz := tridiagLargestValue(alphas, betas, &scr.dChk, &scr.eChk)
-			if math.Abs(ritz-prevRitz) < 1e-12*(1+math.Abs(ritz)) {
+			top, sigma = tridiagTop(alphas, betas, prevRitz, rise)
+			solved = true
+			if math.Abs(top-prevRitz) < 1e-12*(1+math.Abs(top)) {
 				break
 			}
-			prevRitz = ritz
+			prevRitz, rise = top, top-prevRitz
 		}
 		if beta < 1e-13 {
 			break
 		}
 		betas = append(betas, beta)
-		for i := range v {
-			v[i] = w[i] / beta
+		if k+1 < maxIter {
+			next := arena[(k+1)*n : (k+2)*n]
+			for i := range next {
+				next[i] = w[i] / beta
+			}
 		}
+	}
+	if !solved {
+		top, sigma = tridiagTop(alphas, betas, prevRitz, rise)
 	}
 	scr.basis, scr.alphas, scr.betas = basis, alphas, betas
-	return iters
-}
-
-// tridiagLargestScratch returns the largest eigenvalue of the symmetric
-// tridiagonal matrix (diag, off) and its eigenvector. The rotation
-// matrix lives in a flat m×m arena from scr, one eigenvector per row
-// (see tql2), so the eigenvector is a copy of one row.
-func tridiagLargestScratch(diag, off []float64, scr *Scratch) (float64, []float64) {
-	m := len(diag)
-	if m == 0 {
-		return 0, nil
-	}
-	d := growF(scr.dFin, m)
-	scr.dFin = d
-	copy(d, diag)
-	e := growF(scr.eFin, m)
-	scr.eFin = e
-	for i := range e {
-		e[i] = 0
-	}
-	copy(e, off)
-	if cap(scr.zArena) < m*m {
-		scr.zArena = make([]float64, m*m)
-	}
-	zArena := scr.zArena[:m*m]
-	for i := range zArena {
-		zArena[i] = 0
-	}
-	if cap(scr.zRows) < m {
-		scr.zRows = make([][]float64, m)
-	}
-	z := scr.zRows[:m]
-	for i := 0; i < m; i++ {
-		z[i] = zArena[i*m : (i+1)*m : (i+1)*m]
-		z[i][i] = 1
-	}
-	tql2(d, e, z)
-	best := 0
-	for i := 1; i < m; i++ {
-		if d[i] > d[best] {
-			best = i
-		}
-	}
-	vec := growF(scr.ritz, m)
-	scr.ritz = vec
-	copy(vec, z[best])
-	return d[best], vec
+	return iters, top, sigma
 }

@@ -1,10 +1,19 @@
 // Package spectral provides the eigenvalue machinery used to *estimate*
 // expansion on graphs too large for exact subset enumeration: matrix-free
-// normalized-Laplacian operators, a Lanczos solver with full
-// reorthogonalization for the algebraic connectivity λ₂, Fiedler vectors
-// for spectral sweep cuts, a dense Jacobi eigensolver used as a test
-// oracle, and the Cheeger inequalities that convert λ₂ into rigorous
-// two-sided bounds on conductance and edge expansion.
+// normalized-Laplacian operators, a Lanczos solver for the algebraic
+// connectivity λ₂ and its Fiedler vector (for spectral sweep cuts), a
+// dense Jacobi eigensolver used as a test oracle, and the Cheeger
+// inequalities that convert λ₂ into rigorous two-sided bounds on
+// conductance and edge expansion.
+//
+// The Lanczos solver keeps its Krylov basis orthogonal: every step
+// reorthogonalizes the new vector against the whole basis and the
+// Laplacian's kernel, with a second pass only when the first cancels
+// most of it. It reads the Ritz value off the small tridiagonal by
+// Sturm-count bisection and the Ritz vector by inverse iteration. The
+// Ritz value λ̂₂ is an upper bound on λ₂; it reaches λ₂ to working
+// precision when the iteration converges, and the 4√n step budget can
+// stop it short of that on large, slowly mixing graphs.
 //
 // Everything is implemented from scratch on float64 slices — the library
 // is stdlib-only by design.
@@ -155,29 +164,33 @@ func axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// orthogonalize removes from v its components along each (unit) basis
-// vector, twice for numerical robustness: modified Gram–Schmidt (MGS)
-// with one reorthogonalization pass. It is MGS because each projection's
-// coefficient is the dot product with v as the previous projection left
-// it, so the 2k projections of both passes form one chain; each axpyDot
-// sweep applies projection j and sums projection j+1's coefficient,
-// 2k+1 sweeps over v in all.
-//
-// The fused chain is bit-identical to axpy(-dot(v, b), b, v) over the
-// basis twice, because every sum runs in index order and every
-// expression keeps the y + a*x and s + a*b shapes of axpy and dot, so
-// compilers that fuse multiply-adds (arm64, GOAMD64=v3) fuse both forms
-// alike. Keep both rules when touching axpyDot, dot or axpy.
-func orthogonalize(v []float64, basis [][]float64) {
-	k := len(basis)
-	if k == 0 {
-		return
+// reorthogonalize removes from v its components along the unit kernel
+// vector and each (unit) basis vector, and returns ‖v‖² after; vv is
+// ‖v‖² before. It runs one modified Gram–Schmidt (MGS) pass, and a
+// second only when the first shrank ‖v‖ by more than √2: a pass that
+// cancels less than that leaves v orthogonal to the vectors to working
+// precision, and one that cancels more is repeated once, after which it
+// is ("twice is enough", Kahan; Parlett, The Symmetric Eigenvalue
+// Problem, §6.9).
+func reorthogonalize(v []float64, vv float64, kernel []float64, basis [][]float64) float64 {
+	after := mgsPass(v, kernel, basis)
+	if 2*after < vv {
+		after = mgsPass(v, kernel, basis)
 	}
-	c := dot(v, basis[0])
-	for j := 1; j < 2*k; j++ {
-		c = axpyDot(-c, basis[(j-1)%k], v, basis[j%k])
+	return after
+}
+
+// mgsPass is one MGS pass over the kernel vector, then the basis, and
+// returns ‖v‖² after it. Each projection's coefficient is the dot
+// product with v as the previous projection left it, so one axpyDot
+// sweep applies projection j and sums projection j+1's coefficient, and
+// the last sweep sums ‖v‖²: k+2 sweeps over v for k basis vectors.
+func mgsPass(v, kernel []float64, basis [][]float64) float64 {
+	c, prev := dot(v, kernel), kernel
+	for _, b := range basis {
+		c, prev = axpyDot(-c, prev, v, b), b
 	}
-	axpy(-c, basis[k-1], v)
+	return axpyDot(-c, prev, v, v)
 }
 
 // axpyDot computes y += a·x and returns the dot product of the updated

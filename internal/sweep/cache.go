@@ -40,7 +40,7 @@ import (
 // seed derivation, stats folds, or the Result JSON encoding. Stale
 // entries are then never found (their keys differ), so a version bump
 // costs one cold run, never a wrong byte.
-const KernelVersion = "fx-kernels-v8"
+const KernelVersion = "fx-kernels-v9"
 
 // CellCacheKey derives the content address of one cell's output record.
 // The hasher is caller-supplied so a loop over a grid reuses one buffer

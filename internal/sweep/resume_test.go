@@ -146,7 +146,7 @@ func TestScanResumeRefusesEditedIdentity(t *testing.T) {
 
 // foreignStamps are kernel stamps of other generations: an older
 // one, and none at all (records written before they carried one).
-var foreignStamps = []string{"fx-kernels-v0", ""}
+var foreignStamps = []string{"fx-kernels-v8", ""}
 
 // TestScanResumeRefusesOtherKernel: records computed by another kernel
 // generation can differ from this binary's in any byte, so a file whose
