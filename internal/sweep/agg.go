@@ -201,13 +201,11 @@ func (a *Aggregator) AddJSONL(r io.Reader) error {
 		if err == io.EOF {
 			return nil
 		}
-		if err == nil {
-			if err = a.stamps.check(res); err != nil {
-				err = fmt.Errorf("record %d %w", rr.Index-1, err)
-			}
-		}
 		if err != nil {
 			return fmt.Errorf("sweep: agg: %w", err)
+		}
+		if err := a.stamps.check(res); err != nil {
+			return fmt.Errorf("sweep: agg: record %d %w", rr.Index-1, err)
 		}
 		if err := a.Add(res); err != nil {
 			return err
