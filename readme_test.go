@@ -145,7 +145,8 @@ func TestREADMEAggDimsInSync(t *testing.T) {
 
 // TestREADMEDocumentsTrialStatsAndSubcommands pins the PR-4 surfaces
 // the README promises: the per-trial companion suffixes, the resume and
-// dry-run flags, and the agg subcommand with its summary columns.
+// dry-run flags, the agg subcommand with its summary columns, and the
+// records' kernel stamp.
 func TestREADMEDocumentsTrialStatsAndSubcommands(t *testing.T) {
 	b, err := os.ReadFile("README.md")
 	if err != nil {
@@ -155,7 +156,7 @@ func TestREADMEDocumentsTrialStatsAndSubcommands(t *testing.T) {
 	for _, want := range []string{
 		"`_mean`", "`_std`", "`_min`", "`_max`", // companion suffixes
 		"-resume", "-dry-run", "faultexp agg", "-by",
-		"`median`", "`nonfinite`",
+		"`median`", "`nonfinite`", "`kernel`",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("README does not document %s", want)
