@@ -11,8 +11,8 @@ import (
 
 // scratchCorpus returns random faulted graphs whose order grows, then
 // shrinks, then grows again, so a scratch reused across them sees its
-// buffers (basis arena, tridiagonal, rotation rows) both grow and hold
-// stale data from a larger previous run.
+// buffers (basis arena, tridiagonal, Ritz coefficients) both grow and
+// hold stale data from a larger previous run.
 func scratchCorpus() []*graph.Graph {
 	rng := xrand.New(11)
 	bases := []*graph.Graph{
@@ -116,8 +116,8 @@ func TestLambda2ScratchSmallAndDisconnected(t *testing.T) {
 // changes nothing: FiedlerScratch on one scratch carried across graphs
 // of growing and shrinking order returns the λ₂, iteration count and
 // Fiedler vector of a fresh scratch bit for bit — in particular the
-// row-major rotation matrix never reads a row left over from a larger
-// solve.
+// inverse iteration never reads a pivot or coefficient left over from a
+// larger solve.
 func TestFiedlerScratchReuseMatchesFresh(t *testing.T) {
 	var scr Scratch
 	for i, g := range scratchCorpus() {
