@@ -65,7 +65,7 @@ func tridiagCases() []tridiagCase {
 	cs = append(cs, tridiagCase{"tiny off-diagonals", a, b})
 	// Two copies of one block joined end to end (the second mirrored,
 	// so the matrix is persymmetric) through a weak coupling: the top
-	// eigenvalue splits into a pair about δ apart.
+	// eigenvalue splits into a pair closer than δ (here 2e-12 and 2e-13).
 	for _, delta := range []float64{1e-6, 1e-11} {
 		ba, bb := random(12)
 		a := append(append([]float64(nil), ba...), reversed(ba)...)
