@@ -3,12 +3,11 @@ package main
 // The coordinator subcommand: the fleet-facing daemon. It exposes the
 // same /v1 job surface as serve, but executes each job by handing
 // contiguous chunks of the grid's cell order to worker daemons
-// (-workers) as their slots free up, streaming back the merged result
-// stream — byte-identical to a single-node run. Every job is durable:
-// its spec and its records, kept as -shards round-robin shard files,
-// live under -store, so a SIGKILLed coordinator restarts with nothing
-// lost and every unfinished job resuming from its exact output
-// prefixes.
+// (-workers) as their slots free up, streaming back the records in
+// cell order — byte-identical to a single-node run. Every job is durable:
+// its spec and its records, kept in one file in cell order, live under
+// -store, so a SIGKILLed coordinator restarts with nothing lost and
+// every unfinished job resuming from its exact output prefix.
 
 import (
 	"context"
@@ -28,11 +27,10 @@ func cmdCoordinator(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("coordinator", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8090", "listen address (host:port)")
 	workers := fs.String("workers", "", "comma-separated worker addresses (host:port or URLs); health-checked, kernel-version-matched, and sent chunks of each job's cell order as their slots free up")
-	storeDir := fs.String("store", "", "durable job store directory (required): per-job spec + append-only shard outputs, rebuilt on startup so a crash loses nothing")
+	storeDir := fs.String("store", "", "durable job store directory (required): per-job spec + append-only record file in cell order, rebuilt on startup so a crash loses nothing")
 	maxActive := fs.Int("max-active", 2, "jobs dispatching concurrently; submissions beyond it queue as pending")
 	maxInflight := fs.Int("max-inflight", 1, "chunks running on one worker at a time (fleet backpressure); with the worker count it also sets the chunk size")
-	shards := fs.Int("shards", 0, "shard files per job in the store (0 = one per worker); sets the store layout only, not how work is dispatched")
-	maxResultBytes := fs.Int64("max-result-bytes", 64<<20, "per-job cap on retained in-memory result bytes (0 = unlimited; durable files are never capped)")
+	maxResultBytes := fs.Int64("max-result-bytes", 64<<20, "per-job cap on result bytes; a job whose next record would exceed it fails with a clear error, its record file ending at the last record under the cap (0 = unlimited)")
 	healthInterval := fs.Duration("health-interval", 2*time.Second, "worker health-check period; a worker failing its check has its running chunks aborted and their unreceived cells dispatched again")
 	retryDelay := fs.Duration("retry-delay", 500*time.Millisecond, "pause before a failed attempt's unreceived cells are dispatched again")
 	quiet := fs.Bool("quiet", false, "suppress the startup line on stderr")
@@ -42,6 +40,9 @@ func cmdCoordinator(ctx context.Context, args []string) error {
 	}
 	if *maxActive < 1 || *maxInflight < 1 {
 		return fmt.Errorf("coordinator: -max-active and -max-inflight must be ≥ 1")
+	}
+	if *maxResultBytes < 0 {
+		return fmt.Errorf("coordinator: -max-result-bytes must be ≥ 0 (0 = unlimited)")
 	}
 	var fleet []string
 	for _, tok := range strings.Split(*workers, ",") {
@@ -62,7 +63,6 @@ func cmdCoordinator(ctx context.Context, args []string) error {
 		Store:          store,
 		MaxActive:      *maxActive,
 		MaxInflight:    *maxInflight,
-		Shards:         *shards,
 		MaxResultBytes: *maxResultBytes,
 		HealthInterval: *healthInterval,
 		RetryDelay:     *retryDelay,

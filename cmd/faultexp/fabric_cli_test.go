@@ -173,6 +173,25 @@ func TestCoordinatorRequiresStore(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRejectsOutOfRangeFlags: each bound out of range is
+// refused before the coordinator starts, naming the flag. The context
+// is already cancelled, so a coordinator that did start would return
+// nil at once instead of serving.
+func TestCoordinatorRejectsOutOfRangeFlags(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct{ flag, value string }{
+		{"-max-active", "0"},
+		{"-max-inflight", "0"},
+		{"-max-result-bytes", "-1"},
+	} {
+		err := cmdCoordinator(ctx, []string{"-addr", "127.0.0.1:0", "-store", t.TempDir(), "-quiet", c.flag, c.value})
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("coordinator %s %s: %v, want an error naming %s", c.flag, c.value, err, c.flag)
+		}
+	}
+}
+
 func writeTestFile(t *testing.T, path, content string) {
 	t.Helper()
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {

@@ -192,10 +192,11 @@ commands:
   worker      the serve surface enrolled in a fleet: advertises capacity and kernel
               version on GET /healthz, runs the chunks a coordinator dispatches
   coordinator fleet front-end: hands each job to -workers in chunks of its cell order,
-              health-checks and re-dispatches unreceived cells, streams the merged
-              result byte-identical to single-node; -store makes every job survive SIGKILL
+              health-checks and re-dispatches unreceived cells, streams the records
+              byte-identical to single-node; -store makes every job survive SIGKILL
   merge       reassemble 'sweep -shard i/m' JSONL outputs into the unsharded stream
-              (-dir reads a complete shard-<i>-of-<m>.jsonl set, the job-store layout)
+              (-dir reads a complete shard-<i>-of-<m>.jsonl set, such as a job-store
+              directory, which holds shard-0-of-1.jsonl)
   agg         group sweep JSONL records and emit summary tables (CSV/JSONL) for plotting
   experiment  run a reproduction experiment (E1–E19) or "all"
   version     print module version, VCS revision, and toolchain (also: faultexp -version)

@@ -19,7 +19,7 @@ func cmdMerge(ctx context.Context, args []string) (err error) {
 	defer stop()
 	fs := flag.NewFlagSet("merge", flag.ExitOnError)
 	specFile := fs.String("spec", "", "JSON grid spec the shards were run with; verifies every record lands at its exact cell position")
-	dir := fs.String("dir", "", "directory holding a complete shard-<i>-of-<m>.jsonl set (the durable job store layout) — alternative to listing the shard files")
+	dir := fs.String("dir", "", "directory holding a complete shard-<i>-of-<m>.jsonl set (a coordinator job directory holds shard-0-of-1.jsonl) — alternative to listing the shard files")
 	jsonlOut := fs.String("jsonl", "", `merged JSONL output path ("-" = stdout; default stdout when -csv is unset)`)
 	csvOut := fs.String("csv", "", `merged CSV output path ("-" = stdout)`)
 	quiet := fs.Bool("quiet", false, "suppress the summary line on stderr")
@@ -42,8 +42,9 @@ func cmdMerge(ctx context.Context, args []string) (err error) {
 			return fmt.Errorf("merge: -dir and positional shard files are mutually exclusive")
 		}
 		// The discovery enforces a complete, single-split set in shard
-		// order — and the naming matches what the coordinator's durable
-		// job store writes, so `-dir store/job-N` merges a fabric job.
+		// order — and the coordinator's durable job store keeps each job
+		// as shard-0-of-1.jsonl, so `-dir store/job-N` merges a fabric
+		// job.
 		paths, err := sweep.ShardFiles(*dir)
 		if err != nil {
 			return err

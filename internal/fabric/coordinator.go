@@ -2,8 +2,8 @@ package fabric
 
 // The coordinator: accepts grid specs on the same /v1 job surface as
 // serve, hands each job's cell order to a fleet of worker daemons in
-// contiguous chunks, and streams a merged interleave back to the client
-// — byte-identical to a single-node run, because a cell's bytes depend
+// contiguous chunks, and streams the records back in cell order —
+// byte-identical to a single-node run, because a cell's bytes depend
 // only on (grid seed, cell key), never on which worker computed it.
 //
 // Dispatch is self-scheduling: whenever a worker has a free slot, it
@@ -15,21 +15,19 @@ package fabric
 // last ones small, so no worker is left with a long tail while the
 // others idle.
 //
-// The store keeps each job as round-robin shard files: cell c is line
-// c div m of shard c mod m, so the round-robin interleave of complete
-// shard files IS the unsharded cell order (the MergeShards discipline).
-// Every record a worker streams is verified against its own cell and
-// appended, verbatim, to its shard file once that shard holds the
-// cells before it; until then it is held in memory.
+// The store keeps each job as one record file in cell order, the bytes
+// a single-node `faultexp sweep` writes. Every record a worker streams
+// is verified against its own cell and appended, verbatim, once the
+// file holds every cell before it; until then it is held in memory.
 //
 // Failure handling is resume, not redo: a failed attempt keeps every
 // record it verified and returns only its unreceived cells to the free
 // pool, so a worker that dies or straggles mid-chunk costs a
 // re-dispatch, never the recomputation of a verified cell. The same
 // machinery makes the coordinator itself crash-safe: on startup every
-// job is rebuilt from its store directory, each shard file re-verified
-// with sweep.RecordReader (torn final lines truncated), and the cells
-// past the verified prefixes are dispatched like a fresh job's.
+// job is rebuilt from its store directory, its record file re-verified
+// with sweep.RecordReader (a torn final line truncated), and the cells
+// past the verified prefix are dispatched like a fresh job's.
 //
 // Backpressure is per-worker: at most MaxInflight chunks run on one
 // worker at a time, and the next chunk waits for a free slot instead of
@@ -63,12 +61,10 @@ type CoordinatorConfig struct {
 	// the fleet-wide backpressure knob (default 1). With the fleet size
 	// it also sets the chunk size.
 	MaxInflight int
-	// Shards is the number of shard files a new job is stored in; 0
-	// means one per worker. It sets the store layout only: dispatch
-	// hands out chunks of the cell order whatever the count.
-	Shards int
-	// MaxResultBytes caps the retained in-memory result bytes per job
-	// (0 = unlimited); the durable files are not capped.
+	// MaxResultBytes caps a job's result bytes (0 = unlimited). Every
+	// record is checked against it before it is stored, so a job whose
+	// next record would pass the cap fails, and its record file ends at
+	// the last record under the cap.
 	MaxResultBytes int64
 	// HealthInterval is the worker health-check period (default 2s).
 	HealthInterval time.Duration
@@ -135,7 +131,8 @@ type WorkerView struct {
 	Err           string `json:"err,omitempty"`
 }
 
-// ShardView is one shard's progress in a job view.
+// ShardView is the progress of a job's record file, shard "0/1", in a
+// job view.
 type ShardView struct {
 	Shard    string `json:"shard"`
 	Lines    int    `json:"lines"`
@@ -144,9 +141,9 @@ type ShardView struct {
 }
 
 // CoordJobView is the JSON shape of one coordinator job: the familiar
-// id/created/snapshot triple (snapshot.cells_done is the contiguous
-// merged prefix a results stream could deliver right now) plus
-// per-shard progress.
+// id/created/snapshot triple (snapshot.cells_done is the stored prefix
+// a results stream could deliver right now) plus a one-entry list with
+// the record file's progress.
 type CoordJobView struct {
 	ID       string         `json:"id"`
 	Created  time.Time      `json:"created"`
@@ -169,28 +166,24 @@ type chunk struct {
 	worker string
 }
 
-// coordJob is one job's in-memory state: per-shard line logs mirroring
-// the durable shard files, plus dispatch bookkeeping.
+// coordJob is one job's in-memory state: a line log mirroring the
+// durable record file, plus dispatch bookkeeping.
 type coordJob struct {
 	id       string
 	stored   *StoredJob
 	spec     *sweep.Spec
 	specJSON []byte
 	created  time.Time
-
-	m        int            // shard count
-	cells    int            // total grid cells
-	cellsBy  [][]sweep.Cell // per-shard cell sequences (what records verify against)
-	expected []int          // per-shard complete line counts
-	logs     []*resultLog   // per-shard line logs (merged stream reads these)
-	files    []*os.File     // per-shard durable append handles (while running)
-	adm      *admission     // the job's place in the dispatch queue
-
-	mu       sync.Mutex
-	state    sweep.JobState
-	errMsg   string
-	bytes    int64
 	maxBytes int64
+
+	cells []sweep.Cell // the grid's cells in order (what records verify against)
+	log   *resultLog   // the stored records, in cell order (results streams read it)
+	file  *os.File     // the durable append handle (while running)
+	adm   *admission   // the job's place in the dispatch queue
+
+	mu     sync.Mutex
+	state  sweep.JobState
+	errMsg string
 	// Dispatch: free marks the nfree cells that are neither stored,
 	// received nor dispatched; chunks are the ones running on workers;
 	// running counts the attempts not yet settled, retry delays
@@ -203,9 +196,11 @@ type coordJob struct {
 	idle    int
 	wake    chan struct{}
 
-	// placeMu orders placement; held keeps each verified record whose
-	// shard does not yet hold the cells before it, by cell index.
+	// placeMu orders placement and guards bytes, the stored records'
+	// size; held keeps each verified record that arrived before the
+	// cells ahead of it, by cell index.
 	placeMu sync.Mutex
+	bytes   int64
 	held    map[int][]byte
 }
 
@@ -230,14 +225,14 @@ func (cj *coordJob) jobState() sweep.JobState {
 	return cj.state
 }
 
-// line returns merged cell i: shard i mod m's line i div m, exactly as
-// the worker produced (and the durable file holds) it.
+// line returns cell i's record, exactly as the worker produced (and the
+// durable file holds) it.
 func (cj *coordJob) line(ctx context.Context, i int) ([]byte, bool) {
-	return cj.logs[i%cj.m].next(ctx, i/cj.m)
+	return cj.log.next(ctx, i)
 }
 
 // finish moves the job to a terminal state exactly once, completing
-// every shard log so merged streams end.
+// its log so results streams end.
 func (cj *coordJob) finish(s sweep.JobState, err error) {
 	cj.mu.Lock()
 	if cj.state.Terminal() {
@@ -249,7 +244,7 @@ func (cj *coordJob) finish(s sweep.JobState, err error) {
 		cj.errMsg = err.Error()
 	}
 	cj.mu.Unlock()
-	cj.finishLogs()
+	cj.log.finish()
 }
 
 // fail settles the job as failed, then stops its dispatch and aborts
@@ -259,45 +254,41 @@ func (cj *coordJob) fail(err error) {
 	cj.adm.stop()
 }
 
-// appendShard verifies nothing (the caller already did); it accounts
-// the retention cap, appends the line, newline included, to the durable
-// shard file in one write (so a kill tears at most the final line,
-// exactly what the store rebuild truncates), then publishes it to the
-// in-memory log feeding merged streams, which keeps line. Durable-first
-// ordering means a line a client saw is always on disk.
-func (cj *coordJob) appendShard(i int, line []byte) error {
-	cj.mu.Lock()
+// appendRecord verifies nothing (the caller already did); it checks the
+// result cap, appends the line, newline included, to the durable record
+// file in one write (so a kill tears at most the final line, exactly
+// what the store rebuild truncates), then publishes it to the in-memory
+// log feeding results streams, which keeps line. Durable-first ordering
+// means a line a client saw is always on disk. Caller holds placeMu.
+func (cj *coordJob) appendRecord(line []byte) error {
 	if cj.maxBytes > 0 && cj.bytes+int64(len(line)) > cj.maxBytes {
-		cj.mu.Unlock()
 		return fmt.Errorf("job %s exceeds the result retention cap (-max-result-bytes=%d)", cj.id, cj.maxBytes)
 	}
-	cj.bytes += int64(len(line))
-	cj.mu.Unlock()
-	if _, err := cj.files[i].Write(line); err != nil {
-		return fmt.Errorf("appending to %s: %w", cj.stored.ShardPath(i), err)
+	if _, err := cj.file.Write(line); err != nil {
+		return fmt.Errorf("appending to %s: %w", cj.stored.RecordPath(), err)
 	}
-	cj.logs[i].appendLine(line)
+	cj.bytes += int64(len(line))
+	cj.log.appendLine(line)
 	return nil
 }
 
 // place stores the verified record of cell c, a line with its newline,
-// which place copies. Cell c is line c div m of shard c mod m, so it is
-// appended once that shard holds exactly c div m lines and held until
-// then; each append releases the shard's next held record.
+// which place copies. The record is appended once the file holds
+// exactly c lines and held until then; each append releases the next
+// cell's held record.
 func (cj *coordJob) place(c int, line []byte) error {
 	line = bytes.Clone(line)
 	cj.placeMu.Lock()
 	defer cj.placeMu.Unlock()
-	s := c % cj.m
-	if cj.logs[s].count() != c/cj.m {
+	if cj.log.count() != c {
 		cj.held[c] = line
 		return nil
 	}
 	for {
-		if err := cj.appendShard(s, line); err != nil {
+		if err := cj.appendRecord(line); err != nil {
 			return err
 		}
-		c += cj.m
+		c++
 		var ok bool
 		if line, ok = cj.held[c]; !ok {
 			return nil
@@ -315,7 +306,7 @@ func (cj *coordJob) takeChunk(slots int, base string) *chunk {
 	lo := slices.Index(cj.free, true)
 	n := (cj.nfree + 2*slots - 1) / (2 * slots)
 	hi := lo
-	for hi < cj.cells && hi-lo < n && cj.free[hi] {
+	for hi < len(cj.cells) && hi-lo < n && cj.free[hi] {
 		cj.free[hi] = false
 		hi++
 	}
@@ -332,64 +323,31 @@ func (cj *coordJob) signalLocked() {
 	cj.wake = make(chan struct{})
 }
 
-// mergedDone is the contiguous merged prefix length: cell c lives on
-// shard c mod m at intra-shard index c div m, so the prefix ends at
-// the first cell whose shard hasn't reached it — min over shards of
-// (lines·m + shard index), capped at the grid size.
-func (cj *coordJob) mergedDone() int {
-	done := cj.cells
-	for s := 0; s < cj.m; s++ {
-		if v := cj.logs[s].count()*cj.m + s; v < done {
-			done = v
-		}
-	}
-	return done
-}
-
-// complete reports whether every shard holds its full line count.
-func (cj *coordJob) complete() bool {
-	for i := 0; i < cj.m; i++ {
-		if cj.logs[i].count() != cj.expected[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// view reports, for each shard, the worker whose running chunk holds
-// the shard's next missing cell.
+// view reports the worker whose running chunk holds the job's next
+// missing cell.
 func (cj *coordJob) view(removed bool) any {
 	cj.mu.Lock()
 	state, errMsg := cj.state, cj.errMsg
 	chunks := slices.Clone(cj.chunks)
 	cj.mu.Unlock()
-	v := CoordJobView{
+	done, worker := cj.log.count(), ""
+	for _, ch := range chunks {
+		if ch.lo <= done && done < ch.hi {
+			worker = ch.worker
+		}
+	}
+	return CoordJobView{
 		ID:      cj.id,
 		Created: cj.created,
 		Snapshot: sweep.Snapshot{
 			State:      state,
-			CellsDone:  cj.mergedDone(),
-			CellsTotal: cj.cells,
+			CellsDone:  done,
+			CellsTotal: len(cj.cells),
 			Err:        errMsg,
 		},
+		Shards:  []ShardView{{Shard: "0/1", Lines: done, Expected: len(cj.cells), Worker: worker}},
 		Removed: removed,
 	}
-	for i := 0; i < cj.m; i++ {
-		lines := cj.logs[i].count()
-		next, worker := i+lines*cj.m, ""
-		for _, ch := range chunks {
-			if ch.lo <= next && next < ch.hi {
-				worker = ch.worker
-			}
-		}
-		v.Shards = append(v.Shards, ShardView{
-			Shard:    fmt.Sprintf("%d/%d", i, cj.m),
-			Lines:    lines,
-			Expected: cj.expected[i],
-			Worker:   worker,
-		})
-	}
-	return v
 }
 
 // Coordinator owns the worker registry and every durable job.
@@ -408,8 +366,8 @@ type Coordinator struct {
 // NewCoordinator opens the fleet registry and rebuilds every job from
 // the durable store: complete jobs come back terminal with their
 // results streamable, cancelled jobs stay cancelled, and incomplete
-// jobs re-enter the dispatch queue with each shard resuming from its
-// verified prefix — the SIGKILL-loses-nothing property.
+// jobs re-enter the dispatch queue resuming from their verified
+// prefixes — the SIGKILL-loses-nothing property.
 func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -447,7 +405,7 @@ func (c *Coordinator) rebuild() error {
 		switch {
 		case loadErr != nil:
 			cj.finish(sweep.JobFailed, loadErr)
-		case cj.complete():
+		case cj.log.count() == len(cj.cells):
 			cj.finish(sweep.JobDone, nil)
 		case sj.Cancelled():
 			cj.finish(sweep.JobCancelled, nil)
@@ -463,52 +421,41 @@ func (c *Coordinator) rebuild() error {
 }
 
 // buildJob materializes a coordJob from its stored state. When resume
-// is wanted (existing jobs), each shard file is verified against its
-// cell sequence with sweep.RecordReader — a torn tail (the mid-write
-// kill signature) is truncated away — and the verified prefix loaded
-// into the shard log. The returned error marks the job failed; the job
+// is wanted (existing jobs), the record file is verified against the
+// cell order with sweep.RecordReader — a torn tail (the mid-write kill
+// signature) is truncated away — and the verified prefix loaded into
+// the log. A job stored as round-robin shard files is refused with its
+// files untouched. The returned error marks the job failed; the job
 // object itself is always usable for views.
 func (c *Coordinator) buildJob(sj *StoredJob, fresh bool) (*coordJob, error) {
-	m := sj.Shards
 	cj := &coordJob{
 		id:       sj.ID,
 		stored:   sj,
 		spec:     sj.Spec,
 		specJSON: sj.SpecJSON,
 		created:  sj.Created,
-		m:        m,
-		cells:    len(sj.Spec.Cells()),
-		cellsBy:  make([][]sweep.Cell, m),
-		expected: make([]int, m),
-		logs:     make([]*resultLog, m),
-		files:    make([]*os.File, m),
+		maxBytes: c.cfg.MaxResultBytes,
+		cells:    sj.Spec.Cells(),
+		log:      newResultLog(0),
 		adm:      newAdmission(),
 		state:    sweep.JobPending,
-		maxBytes: c.cfg.MaxResultBytes,
 		wake:     make(chan struct{}),
 		held:     map[int][]byte{},
 	}
-	for i := 0; i < m; i++ {
-		cj.cellsBy[i] = sj.Spec.ShardCells(sweep.Shard{Index: i, Count: m})
-		cj.expected[i] = len(cj.cellsBy[i])
-		cj.logs[i] = newResultLog(0)
-	}
-	if fresh {
+	switch {
+	case fresh:
 		return cj, nil
+	case sj.Shards != 1:
+		return cj, fmt.Errorf("job is stored as %d round-robin shard files, a layout this coordinator does not resume; `faultexp merge -dir %s` reads a complete set, or re-submit the spec", sj.Shards, sj.Dir)
 	}
-	for i := 0; i < m; i++ {
-		if err := cj.loadShardPrefix(i); err != nil {
-			return cj, err
-		}
-	}
-	return cj, nil
+	return cj, cj.loadPrefix()
 }
 
-// loadShardPrefix restores one shard's verified durable prefix into
-// its in-memory log in one streamed pass (the job is not shared yet, so
+// loadPrefix restores the record file's verified durable prefix into
+// the job's log in one streamed pass (the job is not shared yet, so
 // cj.bytes needs no lock) and truncates a torn tail on disk.
-func (cj *coordJob) loadShardPrefix(i int) error {
-	path := cj.stored.ShardPath(i)
+func (cj *coordJob) loadPrefix() error {
+	path := cj.stored.RecordPath()
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
@@ -517,42 +464,25 @@ func (cj *coordJob) loadShardPrefix(i int) error {
 		return err
 	}
 	defer f.Close()
-	rr := sweep.NewRecordReader(f, cj.cellsBy[i])
+	rr := sweep.NewRecordReader(f, cj.cells)
 	line, _, err := rr.Next()
 	for ; err == nil; line, _, err = rr.Next() {
 		cj.bytes += int64(len(line))
-		cj.logs[i].appendLine(bytes.Clone(line))
+		cj.log.appendLine(bytes.Clone(line))
 	}
 	switch {
 	case errors.Is(err, sweep.ErrTorn):
 		return os.Truncate(path, rr.Offset)
 	case err != io.EOF:
-		return fmt.Errorf("shard %d/%d: %w", i, cj.m, err)
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
-}
-
-// shardCountFor picks a new job's shard-file count: the configured
-// -shards, else one per worker, never more than the grid has cells
-// (extra shards would only add empty files).
-func (c *Coordinator) shardCountFor(spec *sweep.Spec) int {
-	m := c.cfg.Shards
-	if m < 1 {
-		m = len(c.cfg.Workers)
-	}
-	if m < 1 {
-		m = 1
-	}
-	if cells := len(spec.Cells()); cells > 0 && m > cells {
-		m = cells
-	}
-	return m
 }
 
 // submit durably registers a new job (spec on disk before the response
 // commits to an id) and queues it.
 func (c *Coordinator) submit(spec *sweep.Spec, specJSON []byte) (*coordJob, error) {
-	sj, err := c.store.Create(spec, specJSON, c.shardCountFor(spec))
+	sj, err := c.store.Create(spec, specJSON)
 	if err != nil {
 		return nil, err
 	}
@@ -716,8 +646,8 @@ func isPermanent(err error) bool {
 }
 
 // runJob drives one job to a terminal state: wait for a dispatch slot,
-// ensure every shard file exists (a complete merge -dir set from the
-// first byte), then hand out chunks of the cell order, each to the next
+// ensure the record file exists (a merge -dir input from the first
+// byte), then hand out chunks of the cell order, each to the next
 // worker with a free slot, until every cell is stored or the job stops,
 // and settle the state.
 func (c *Coordinator) runJob(cj *coordJob) {
@@ -725,37 +655,27 @@ func (c *Coordinator) runJob(cj *coordJob) {
 		// Stopped while queued, which cancel settles, or shut down: the
 		// job stays durable and resumes on the next start. Either way,
 		// end any local streams.
-		cj.finishLogs()
+		cj.log.finish()
 		return
 	}
 	defer func() { <-c.sem }()
 	cj.mu.Lock()
 	cj.state = sweep.JobRunning
-	// A cell is free when its shard's verified prefix does not hold it:
-	// every cell of a fresh job, the cells past the prefixes of a
-	// rebuilt one.
-	cj.free = make([]bool, cj.cells)
-	for i := range cj.free {
-		if cj.free[i] = i/cj.m >= cj.logs[i%cj.m].count(); cj.free[i] {
-			cj.nfree++
-		}
+	// The free cells are the ones past the verified prefix: every cell
+	// of a fresh job, the rest of a rebuilt one.
+	cj.free = make([]bool, len(cj.cells))
+	for i := cj.log.count(); i < len(cj.free); i++ {
+		cj.free[i] = true
+		cj.nfree++
 	}
 	cj.mu.Unlock()
-	for i := 0; i < cj.m; i++ {
-		f, err := os.OpenFile(cj.stored.ShardPath(i), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o666)
-		if err != nil {
-			cj.finish(sweep.JobFailed, err)
-			return
-		}
-		cj.files[i] = f
+	f, err := os.OpenFile(cj.stored.RecordPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o666)
+	if err != nil {
+		cj.finish(sweep.JobFailed, err)
+		return
 	}
-	defer func() {
-		for _, f := range cj.files {
-			if f != nil {
-				f.Close()
-			}
-		}
-	}()
+	cj.file = f
+	defer f.Close()
 	slots := max(1, len(c.cfg.Workers)*c.cfg.MaxInflight)
 	var wg sync.WaitGroup
 	for c.awaitFree(cj) {
@@ -784,17 +704,11 @@ func (c *Coordinator) runJob(cj *coordJob) {
 		// Cancelled, unless a failure already settled the job.
 		cj.finish(sweep.JobCancelled, nil)
 	case c.ctx.Err() != nil:
-		cj.finishLogs()
+		// Shutdown: end the log without settling a terminal state, as
+		// the job's real state lives on disk.
+		cj.log.finish()
 	default:
 		cj.finish(sweep.JobDone, nil)
-	}
-}
-
-// finishLogs ends every shard log without settling a terminal state —
-// the shutdown path, where the job's real state lives on disk.
-func (cj *coordJob) finishLogs() {
-	for _, l := range cj.logs {
-		l.finish()
 	}
 }
 
@@ -939,7 +853,7 @@ func (c *Coordinator) chunkAttempt(cj *coordJob, ch *chunk, w *workerRef, down <
 			return got, fmt.Errorf("worker %s: stream of cells [%d, %d) died after %d records: %v", w.base, ch.lo, ch.hi, got, err)
 		}
 		cell := ch.lo + got
-		want := &cj.cellsBy[cell%cj.m][cell/cj.m]
+		want := &cj.cells[cell]
 		if res.Err != "" && res.Seed != want.Seed {
 			// A worker-side stream-failure record (e.g. its own result
 			// cap): not cell output, don't persist it.

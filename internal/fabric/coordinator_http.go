@@ -3,9 +3,9 @@ package fabric
 // The coordinator's HTTP surface is serve's /v1 job API (the list,
 // get, results and DELETE routes are the shared job table's, jobs.go),
 // so any client of `faultexp serve` talks to a fleet unchanged. The one
-// deliberate difference: results are the merged interleave of every
-// shard, so the stream a client reads is byte-identical to a
-// single-node `faultexp sweep` of the same spec.
+// deliberate difference: results are the records the workers computed,
+// verified and stored in cell order, so the stream a client reads is
+// byte-identical to a single-node `faultexp sweep` of the same spec.
 
 import (
 	"bytes"

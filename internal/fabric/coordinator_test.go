@@ -126,8 +126,9 @@ func waitState(t *testing.T, base, id string, state sweep.JobState) {
 	}
 }
 
-// checkDurableMatchesRef asserts the job's on-disk shard set merges to
-// exactly the single-node bytes — the `faultexp merge -dir` contract.
+// checkDurableMatchesRef asserts the job directory's shard set, one
+// record file for a job this coordinator stores, merges to exactly the
+// single-node bytes — the `faultexp merge -dir` contract.
 func checkDurableMatchesRef(t *testing.T, jobDir, specJSON string, ref []byte) {
 	t.Helper()
 	paths, err := sweep.ShardFiles(jobDir)
@@ -154,7 +155,7 @@ func checkDurableMatchesRef(t *testing.T, jobDir, specJSON string, ref []byte) {
 
 // TestCoordinatorByteIdentityThreeWorkers is the tentpole guarantee: a
 // 3-worker fleet run streams bytes identical to a single-node run, and
-// the durable store holds a complete shard set merging to the same.
+// the durable store holds them as one record file, shard-0-of-1.jsonl.
 func TestCoordinatorByteIdentityThreeWorkers(t *testing.T) {
 	ref := refBytes(t, workerSpecJSON)
 	fleet := []string{startWorker(t).URL, startWorker(t).URL, startWorker(t).URL}
@@ -162,8 +163,8 @@ func TestCoordinatorByteIdentityThreeWorkers(t *testing.T) {
 	_, srv := startCoordinator(t, storeDir, fleet, nil)
 
 	v := submitSpec(t, srv.URL, workerSpecJSON)
-	if len(v.Shards) != 3 {
-		t.Fatalf("job split into %d shards, want one per worker (3)", len(v.Shards))
+	if len(v.Shards) != 1 || v.Shards[0].Shard != "0/1" || v.Shards[0].Expected != 24 {
+		t.Fatalf("job view shards = %+v, want the one record file 0/1 expecting 24 lines", v.Shards)
 	}
 	got := readResults(t, srv.URL, v.ID)
 	if !bytes.Equal(got, ref) {
@@ -176,7 +177,16 @@ func TestCoordinatorByteIdentityThreeWorkers(t *testing.T) {
 	if fin.Snapshot.CellsDone != fin.Snapshot.CellsTotal || fin.Snapshot.CellsTotal != 24 {
 		t.Errorf("cells %d/%d, want 24/24", fin.Snapshot.CellsDone, fin.Snapshot.CellsTotal)
 	}
-	checkDurableMatchesRef(t, filepath.Join(storeDir, v.ID), workerSpecJSON, ref)
+	paths, err := filepath.Glob(filepath.Join(storeDir, v.ID, "*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 1 || filepath.Base(paths[0]) != "shard-0-of-1.jsonl" {
+		t.Fatalf("job directory holds %v, want the one record file shard-0-of-1.jsonl", paths)
+	}
+	if b, err := os.ReadFile(paths[0]); err != nil || !bytes.Equal(b, ref) {
+		t.Errorf("record file differs from the single-node bytes (%d vs %d bytes, %v)", len(b), len(ref), err)
+	}
 
 	// Re-attach mid-stream: ?from=K returns exactly the suffix.
 	resp, err := http.Get(srv.URL + "/v1/jobs/" + v.ID + "/results?from=10")
@@ -261,7 +271,7 @@ func TestCoordinatorReassignsDeadWorker(t *testing.T) {
 	v := submitSpec(t, srv.URL, workerSpecJSON)
 	got := readResults(t, srv.URL, v.ID)
 	if !bytes.Equal(got, ref) {
-		t.Errorf("stream with a mid-shard worker death differs from single-node run (%d vs %d bytes)", len(got), len(ref))
+		t.Errorf("stream with a mid-chunk worker death differs from single-node run (%d vs %d bytes)", len(got), len(ref))
 	}
 	fin := waitTerminal(t, srv.URL, v.ID)
 	if fin.Snapshot.State != sweep.JobDone {
@@ -313,41 +323,30 @@ func TestCoordinatorRefusesKernelSkewedWorker(t *testing.T) {
 }
 
 // TestCoordinatorRestartResumesFromPrefix manufactures the durable
-// state a SIGKILLed coordinator leaves behind — partial shard files,
-// one with a torn final line — and checks a fresh coordinator rebuilds
-// the job, truncates the torn tail, dispatches only the cells past each
-// shard's exact verified prefix, and ends byte-identical with no
-// duplicated or missing cells.
+// state a SIGKILLed coordinator leaves behind — a record file with 5
+// complete records and a torn final line — and checks a fresh
+// coordinator rebuilds the job, truncates the torn tail, dispatches only
+// the cells past the exact verified prefix, and ends byte-identical
+// with no duplicated or missing cells.
 func TestCoordinatorRestartResumesFromPrefix(t *testing.T) {
 	ref := refBytes(t, workerSpecJSON)
 	lines := bytes.SplitAfter(ref, []byte("\n")) // 24 lines + trailing ""
-	spec := loadSpec(t, workerSpecJSON)
 	storeDir := t.TempDir()
 	st, err := OpenStore(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const m = 2
-	sj, err := st.Create(spec, []byte(workerSpecJSON), m)
+	sj, err := st.Create(loadSpec(t, workerSpecJSON), []byte(workerSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shard 0 got 3 complete lines plus a torn half-record (the
-	// mid-write kill signature); shard 1 got 1 line.
-	var sh0 bytes.Buffer
-	for c := 0; c < 6; c += m {
-		sh0.Write(lines[c])
-	}
-	sh0.WriteString(`{"family":"torn`)
-	if err := os.WriteFile(sj.ShardPath(0), sh0.Bytes(), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(sj.ShardPath(1), lines[1], 0o666); err != nil {
+	partial := append(bytes.Join(lines[:5], nil), `{"family":"torn`...)
+	if err := os.WriteFile(sj.RecordPath(), partial, 0o666); err != nil {
 		t.Fatal(err)
 	}
 
-	good := startWorker(t)
-	_, srv := startCoordinator(t, storeDir, []string{good.URL}, nil)
+	cw, url := newChunkWorker(t, -1, false)
+	_, srv := startCoordinator(t, storeDir, []string{url}, nil)
 	fin := waitTerminal(t, srv.URL, "job-1")
 	if fin.Snapshot.State != sweep.JobDone {
 		t.Fatalf("rebuilt job ended %s: %s", fin.Snapshot.State, fin.Snapshot.Err)
@@ -356,24 +355,36 @@ func TestCoordinatorRestartResumesFromPrefix(t *testing.T) {
 	if !bytes.Equal(got, ref) {
 		t.Error("resumed run differs from single-node bytes")
 	}
-	// MergeShards verifies every record lands at its exact cell: any
-	// duplicated, missing, or reordered cell fails here.
-	checkDurableMatchesRef(t, sj.Dir, workerSpecJSON, ref)
-	for i := 0; i < m; i++ {
-		b, err := os.ReadFile(sj.ShardPath(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := len(spec.ShardCells(sweep.Shard{Index: i, Count: m})); bytes.Count(b, []byte("\n")) != want {
-			t.Errorf("shard %d holds %d lines, want %d", i, bytes.Count(b, []byte("\n")), want)
-		}
+	// Any duplicated, missing, or reordered cell fails here.
+	if b, err := os.ReadFile(sj.RecordPath()); err != nil || !bytes.Equal(b, ref) {
+		t.Errorf("record file after the resume differs from the single-node bytes (%d vs %d bytes, %v)", len(b), len(ref), err)
+	}
+	if posts := cw.received(); len(posts) == 0 || posts[0][0] != 5 {
+		t.Errorf("worker received (skip, limit) %v, want the first chunk to start at cell 5", posts)
+	}
+}
+
+// rewriteMeta replaces from with to in the job's meta.json.
+func rewriteMeta(t *testing.T, sj *StoredJob, from, to string) {
+	t.Helper()
+	path := filepath.Join(sj.Dir, "meta.json")
+	mb, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(mb, []byte(from)) {
+		t.Fatalf("%s holds no %s", path, from)
+	}
+	if err := os.WriteFile(path, bytes.ReplaceAll(mb, []byte(from), []byte(to)), 0o666); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestCoordinatorRebuildTerminalStates: a complete job comes back done
-// (streamable with no fleet at all), a cancelled one stays cancelled,
-// and a job stored under a different kernel stamp fails instead of
-// splicing possibly-different bytes.
+// (streamable with no fleet at all), a cancelled one stays cancelled, a
+// job stored under a different kernel stamp fails instead of splicing
+// possibly-different bytes, and so does a job stored as round-robin
+// shard files, whose files stay as they were for `faultexp merge -dir`.
 func TestCoordinatorRebuildTerminalStates(t *testing.T) {
 	ref := refBytes(t, workerSpecJSON)
 	lines := bytes.SplitAfter(ref, []byte("\n"))
@@ -384,42 +395,43 @@ func TestCoordinatorRebuildTerminalStates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// job-1: complete, 2 shards.
-	sj1, err := st.Create(spec, []byte(workerSpecJSON), 2)
+	// job-1: complete.
+	sj1, err := st.Create(spec, []byte(workerSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sh0, sh1 bytes.Buffer
-	for c := 0; c < 24; c++ {
-		if c%2 == 0 {
-			sh0.Write(lines[c])
-		} else {
-			sh1.Write(lines[c])
-		}
+	if err := os.WriteFile(sj1.RecordPath(), ref, 0o666); err != nil {
+		t.Fatal(err)
 	}
-	os.WriteFile(sj1.ShardPath(0), sh0.Bytes(), 0o666)
-	os.WriteFile(sj1.ShardPath(1), sh1.Bytes(), 0o666)
 
 	// job-2: cancelled mid-run.
-	sj2, err := st.Create(spec, []byte(workerSpecJSON), 2)
+	sj2, err := st.Create(spec, []byte(workerSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sj2.MarkCancelled()
 
 	// job-3: stored under an older kernel stamp.
-	sj3, err := st.Create(spec, []byte(workerSpecJSON), 2)
+	sj3, err := st.Create(spec, []byte(workerSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	metaPath := filepath.Join(sj3.Dir, "meta.json")
-	mb, err := os.ReadFile(metaPath)
+	rewriteMeta(t, sj3, sweep.KernelVersion, "fx-kernels-v0")
+
+	// job-4: complete, stored as 2 round-robin shard files.
+	sj4, err := st.Create(spec, []byte(workerSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb = bytes.ReplaceAll(mb, []byte(sweep.KernelVersion), []byte("fx-kernels-v0"))
-	if err := os.WriteFile(metaPath, mb, 0o666); err != nil {
-		t.Fatal(err)
+	rewriteMeta(t, sj4, `"shards": 1`, `"shards": 2`)
+	shards := make([][]byte, 2)
+	for c, line := range lines {
+		shards[c%2] = append(shards[c%2], line...)
+	}
+	for i, b := range shards {
+		if err := os.WriteFile(filepath.Join(sj4.Dir, sweep.ShardFileName(sweep.Shard{Index: i, Count: 2})), b, 0o666); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// No workers: nothing here may need the fleet.
@@ -437,12 +449,26 @@ func TestCoordinatorRebuildTerminalStates(t *testing.T) {
 	if v3.Snapshot.State != sweep.JobFailed || !strings.Contains(v3.Snapshot.Err, "kernel stamp") {
 		t.Errorf("kernel-skewed job rebuilt as %s: %s", v3.Snapshot.State, v3.Snapshot.Err)
 	}
+	v4 := waitTerminal(t, srv.URL, "job-4")
+	if v4.Snapshot.State != sweep.JobFailed || !strings.Contains(v4.Snapshot.Err, "merge -dir") {
+		t.Errorf("2-shard job rebuilt as %s: %s", v4.Snapshot.State, v4.Snapshot.Err)
+	}
+	for i, want := range shards {
+		path := filepath.Join(sj4.Dir, sweep.ShardFileName(sweep.Shard{Index: i, Count: 2}))
+		if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, want) {
+			t.Errorf("%s changed on rebuild (%d bytes, want %d, %v)", path, len(b), len(want), err)
+		}
+	}
+	if _, err := os.Stat(sj4.RecordPath()); !os.IsNotExist(err) {
+		t.Errorf("the 2-shard job gained a record file on rebuild (%v)", err)
+	}
+	checkDurableMatchesRef(t, sj4.Dir, workerSpecJSON, ref)
 }
 
-// TestCoordinatorRebuildRefusesOtherKernelRecords: a stored shard whose
-// records were computed by another kernel generation, here a complete
-// job from before an upgrade, fails its job on restart instead of
-// serving or extending the older records.
+// TestCoordinatorRebuildRefusesOtherKernelRecords: a stored record file
+// whose records were computed by another kernel generation, here a
+// complete job from before an upgrade, fails its job on restart instead
+// of serving or extending the older records.
 func TestCoordinatorRebuildRefusesOtherKernelRecords(t *testing.T) {
 	ref := refBytes(t, workerSpecJSON)
 	old := bytes.ReplaceAll(ref, []byte(`"kernel":"`+sweep.KernelVersion+`"`), []byte(`"kernel":"fx-kernels-v0"`))
@@ -454,17 +480,43 @@ func TestCoordinatorRebuildRefusesOtherKernelRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sj, err := st.Create(loadSpec(t, workerSpecJSON), []byte(workerSpecJSON), 1)
+	sj, err := st.Create(loadSpec(t, workerSpecJSON), []byte(workerSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(sj.ShardPath(0), old, 0o666); err != nil {
+	if err := os.WriteFile(sj.RecordPath(), old, 0o666); err != nil {
 		t.Fatal(err)
 	}
 	_, srv := startCoordinator(t, storeDir, nil, nil)
 	v := waitTerminal(t, srv.URL, sj.ID)
 	if v.Snapshot.State != sweep.JobFailed || !strings.Contains(v.Snapshot.Err, `kernel stamp "fx-kernels-v0"`) {
 		t.Errorf("job with another generation's records rebuilt as %s: %s", v.Snapshot.State, v.Snapshot.Err)
+	}
+}
+
+// TestCoordinatorMaxResultBytes: a job whose next record would pass
+// MaxResultBytes fails naming -max-result-bytes, and its record file,
+// like its results stream, is exactly the single-node bytes of the
+// records under the cap.
+func TestCoordinatorMaxResultBytes(t *testing.T) {
+	ref := refBytes(t, workerSpecJSON)
+	lines := bytes.SplitAfter(ref, []byte("\n"))
+	prefix := bytes.Join(lines[:5], nil)
+	storeDir := t.TempDir()
+	_, srv := startCoordinator(t, storeDir, []string{startWorker(t).URL}, func(cfg *CoordinatorConfig) {
+		cfg.MaxResultBytes = int64(len(prefix) + len(lines[5]) - 1)
+	})
+	v := submitSpec(t, srv.URL, workerSpecJSON)
+	got := readResults(t, srv.URL, v.ID)
+	fin := getJob(t, srv.URL, v.ID)
+	if fin.Snapshot.State != sweep.JobFailed || !strings.Contains(fin.Snapshot.Err, "-max-result-bytes") {
+		t.Fatalf("capped job ended %s: %q, want failed naming -max-result-bytes", fin.Snapshot.State, fin.Snapshot.Err)
+	}
+	if !bytes.Equal(got, prefix) {
+		t.Errorf("capped job streamed %d bytes, want its first 5 records (%d bytes)", len(got), len(prefix))
+	}
+	if b, err := os.ReadFile(filepath.Join(storeDir, v.ID, "shard-0-of-1.jsonl")); err != nil || !bytes.Equal(b, prefix) {
+		t.Errorf("capped job's record file holds %d bytes (%v), want its first 5 records (%d bytes)", len(b), err, len(prefix))
 	}
 }
 
@@ -707,54 +759,50 @@ func TestCoordHealthJSONBytes(t *testing.T) {
 	}
 }
 
-// TestCoordinatorMoreShardsThanWorkers: -shards above the fleet size
-// only adds shard files (chunks queue behind the per-worker inflight
-// gate), and the job stays byte-identical.
-func TestCoordinatorMoreShardsThanWorkers(t *testing.T) {
-	ref := refBytes(t, workerSpecJSON)
-	good := startWorker(t)
-	storeDir := t.TempDir()
-	_, srv := startCoordinator(t, storeDir, []string{good.URL}, func(cfg *CoordinatorConfig) {
-		cfg.Shards = 5
-		cfg.MaxInflight = 2
-	})
-	v := submitSpec(t, srv.URL, workerSpecJSON)
-	if len(v.Shards) != 5 {
-		t.Fatalf("split into %d shards, want 5", len(v.Shards))
-	}
-	if got := readResults(t, srv.URL, v.ID); !bytes.Equal(got, ref) {
-		t.Error("5-shard single-worker stream differs from single-node run")
-	}
-	if fin := waitTerminal(t, srv.URL, v.ID); fin.Snapshot.State != sweep.JobDone {
-		t.Fatalf("job ended %s: %s", fin.Snapshot.State, fin.Snapshot.Err)
-	}
-	checkDurableMatchesRef(t, filepath.Join(storeDir, v.ID), workerSpecJSON, ref)
+// TestCoordinatorTwoChunksPerWorker: one worker with two in-flight
+// slots runs two chunks at once, so records of the later chunk can
+// arrive before the earlier chunk's are stored, and the job stays
+// byte-identical.
+func TestCoordinatorTwoChunksPerWorker(t *testing.T) {
+	runFleetJob(t, []string{startWorker(t).URL}, func(cfg *CoordinatorConfig) { cfg.MaxInflight = 2 })
 }
 
-func TestMergedDoneFormula(t *testing.T) {
-	// Pure-logic check of the contiguous-prefix formula on a 3-way
-	// split of 10 cells: shard s holds cells s, s+3, s+6, ...
-	cases := []struct {
-		counts []int
-		want   int
-	}{
-		{[]int{0, 0, 0}, 0},
-		{[]int{1, 0, 0}, 1},  // cell 0 done, cell 1 (shard 1) missing
-		{[]int{1, 1, 1}, 3},  // cells 0,1,2
-		{[]int{2, 1, 1}, 4},  // + cell 3
-		{[]int{4, 3, 3}, 10}, // complete
+// TestPlaceKeepsCellOrder places 10 records in scrambled order: each is
+// stored once every cell before it is, so the record file and the log
+// hold them in cell order, and the view's cells_done is the stored
+// prefix after every placement.
+func TestPlaceKeepsCellOrder(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "records.jsonl"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		cj := &coordJob{m: 3, cells: 10, logs: make([]*resultLog, 3)}
-		for s, n := range tc.counts {
-			cj.logs[s] = newResultLog(0)
-			for k := 0; k < n; k++ {
-				cj.logs[s].appendLine([]byte(fmt.Sprintf("line %d.%d\n", s, k)))
-			}
+	defer f.Close()
+	cj := &coordJob{cells: make([]sweep.Cell, 10), log: newResultLog(0), file: f, held: map[int][]byte{}}
+	var want bytes.Buffer
+	for c := range cj.cells {
+		fmt.Fprintf(&want, "cell %d\n", c)
+	}
+	order := []int{3, 1, 0, 2, 9, 5, 4, 8, 6, 7}
+	done := []int{0, 0, 2, 4, 4, 4, 6, 6, 7, 10}
+	for k, c := range order {
+		if err := cj.place(c, []byte(fmt.Sprintf("cell %d\n", c))); err != nil {
+			t.Fatal(err)
 		}
-		if got := cj.mergedDone(); got != tc.want {
-			t.Errorf("counts %v: mergedDone = %d, want %d", tc.counts, got, tc.want)
+		if got := cj.view(false).(CoordJobView).Snapshot.CellsDone; got != done[k] {
+			t.Errorf("after placing cells %v: cells_done = %d, want %d", order[:k+1], got, done[k])
 		}
+	}
+	b, err := os.ReadFile(f.Name())
+	if err != nil || !bytes.Equal(b, want.Bytes()) {
+		t.Errorf("record file holds %q (%v), want the cells in order", b, err)
+	}
+	var logged []byte
+	for i := range cj.cells {
+		line, _ := cj.line(context.Background(), i)
+		logged = append(logged, line...)
+	}
+	if !bytes.Equal(logged, want.Bytes()) {
+		t.Errorf("log holds %q, want the cells in order", logged)
 	}
 }
 
@@ -821,10 +869,10 @@ func (cw *chunkWorker) received() [][2]int {
 	return slices.Clone(cw.posts)
 }
 
-// runFleetJob submits workerSpecJSON, reads the merged stream to its
+// runFleetJob submits workerSpecJSON, reads the results stream to its
 // end (which comes only once the job is terminal) and checks the job
-// ended done, byte-identical to a single-node run, with a durable shard
-// set that merges to the same bytes.
+// ended done, byte-identical to a single-node run, with a durable record
+// file that merges to the same bytes.
 func runFleetJob(t *testing.T, fleet []string, mut func(*CoordinatorConfig)) {
 	t.Helper()
 	ref := refBytes(t, workerSpecJSON)
@@ -934,7 +982,6 @@ func TestCoordinatorPermanentFailureStopsDispatch(t *testing.T) {
 	t.Cleanup(worker.Close)
 	_, srv := startCoordinator(t, t.TempDir(), []string{worker.URL}, func(cfg *CoordinatorConfig) {
 		cfg.MaxInflight = 1
-		cfg.Shards = 2
 	})
 	v := submitSpec(t, srv.URL, workerSpecJSON)
 	readResults(t, srv.URL, v.ID)

@@ -15,41 +15,35 @@ import (
 	"faultexp/internal/sweep"
 )
 
-// FuzzCoordinatorRebuild stores one job of the fabric test grid, split
-// 2 ways, writes arbitrary bytes as one of its shard files (picked by
-// which), and rebuilds the store with a coordinator that has no
-// workers. NewCoordinator must neither panic nor fail. The job then
-// either failed with an error, or its shard log holds exactly the first
-// k complete lines of the bytes, each passing CheckRecord at its cell,
-// only a torn tail (no newline) followed them, and the file on disk is
-// cut to those k lines.
+// FuzzCoordinatorRebuild writes arbitrary bytes as the record file of
+// one stored job of the fabric test grid and rebuilds the store with a
+// coordinator that has no workers. NewCoordinator must neither panic
+// nor fail. The job then either failed with an error, or its log holds
+// exactly the first k complete lines of the bytes, each passing
+// CheckRecord at its cell, only a torn tail (no newline) followed them,
+// and the file on disk is cut to those k lines. The store and its job
+// are made once per fuzz process; each input rewrites the file.
 func FuzzCoordinatorRebuild(f *testing.F) {
-	const m = 2
-	spec := loadSpec(f, workerSpecJSON)
-	lines := bytes.SplitAfter(refBytes(f, workerSpecJSON), []byte("\n"))
-	shards := make([][]byte, m)
-	for c, line := range lines {
-		shards[c%m] = append(shards[c%m], line...)
+	ref := refBytes(f, workerSpecJSON)
+	lines := bytes.SplitAfter(ref, []byte("\n"))
+	five := bytes.Join(lines[:5], nil)
+	f.Add(ref)
+	f.Add(five)
+	f.Add(append(bytes.Clone(five), `{"family":"torn`...))          // a killed write's torn tail
+	f.Add(append(append(bytes.Clone(lines[0]), '\n'), lines[1]...)) // a blank interior line
+	f.Add(bytes.Join(lines[1:], nil))                               // records one cell off
+	f.Add([]byte("{}\nnull\n"))
+	f.Add([]byte{})
+	st, err := OpenStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
 	}
-	first := len(lines[1]) // shard 1's first record
-	f.Add(uint8(0), shards[0])
-	f.Add(uint8(1), shards[1])
-	f.Add(uint8(0), append(bytes.Clone(shards[0]), `{"family":"torn`...))                       // a killed write's torn tail
-	f.Add(uint8(1), append(append(bytes.Clone(shards[1][:first]), '\n'), shards[1][first:]...)) // a blank interior line
-	f.Add(uint8(0), shards[1])                                                                  // another shard's records
-	f.Add(uint8(1), []byte("{}\nnull\n"))
-	f.Add(uint8(0), []byte{})
-	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
-		st, err := OpenStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sj, err := st.Create(spec, []byte(workerSpecJSON), m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := int(which) % m
-		if err := os.WriteFile(sj.ShardPath(i), data, 0o666); err != nil {
+	sj, err := st.Create(loadSpec(f, workerSpecJSON), []byte(workerSpecJSON))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(sj.RecordPath(), data, 0o666); err != nil {
 			t.Fatal(err)
 		}
 		ctx, shutdown := context.WithCancel(context.Background())
@@ -60,36 +54,35 @@ func FuzzCoordinatorRebuild(f *testing.F) {
 		}
 		cj := co.jobs.list()[0]
 		// Shut down, and wait until the job's run, if one started, has
-		// created its shard files and ended its streams, so the store
-		// directory is left alone before it is removed.
+		// opened the record file and ended its log, so the run is done
+		// with the store before the next input rewrites the file or the
+		// fuzz process removes the store.
 		shutdown()
-		for _, l := range cj.logs {
-			l.next(context.Background(), l.count())
-		}
+		cj.log.next(context.Background(), cj.log.count())
 		if cj.jobState() == sweep.JobFailed {
 			if cj.view(false).(CoordJobView).Snapshot.Err == "" {
 				t.Fatal("the rebuilt job failed without an error")
 			}
 			return
 		}
-		k := cj.logs[i].count()
+		k := cj.log.count()
 		var kept []byte
 		for j := 0; j < k; j++ {
-			line, _ := cj.logs[i].next(context.Background(), j)
+			line, _ := cj.log.next(context.Background(), j)
 			kept = append(kept, line...)
 			var r sweep.Result
 			if err := json.Unmarshal(line, &r); err != nil {
-				t.Fatalf("shard log line %d is not a record: %v", j, err)
+				t.Fatalf("log line %d is not a record: %v", j, err)
 			}
-			if err := sweep.CheckRecord(&r, &cj.cellsBy[i][j]); err != nil {
-				t.Fatalf("shard log line %d %v", j, err)
+			if err := sweep.CheckRecord(&r, &cj.cells[j]); err != nil {
+				t.Fatalf("log line %d %v", j, err)
 			}
 		}
 		if !bytes.HasPrefix(data, kept) || bytes.IndexByte(data[len(kept):], '\n') >= 0 {
-			t.Fatalf("shard log holds %d lines that are not the file's complete lines", k)
+			t.Fatalf("log holds %d lines that are not the file's complete lines", k)
 		}
-		if disk, err := os.ReadFile(sj.ShardPath(i)); err != nil || !bytes.Equal(disk, kept) {
-			t.Fatalf("shard file holds %d bytes after the rebuild (%v), want its %d verified bytes", len(disk), err, len(kept))
+		if disk, err := os.ReadFile(sj.RecordPath()); err != nil || !bytes.Equal(disk, kept) {
+			t.Fatalf("record file holds %d bytes after the rebuild (%v), want its %d verified bytes", len(disk), err, len(kept))
 		}
 	})
 }

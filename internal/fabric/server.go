@@ -2,15 +2,15 @@
 // behind `faultexp serve` and `faultexp worker`, the client the
 // coordinator uses to drive workers, the durable on-disk job store,
 // and the coordinator itself — handing a grid spec's cell order to a
-// worker fleet in contiguous chunks, keeping the records in `-shard
-// i/m` shard files, and streaming back a merged result stream
-// byte-identical to a single-node run.
+// worker fleet in contiguous chunks, keeping each job's records in one
+// file in cell order, and streaming them back byte-identical to a
+// single-node run.
 //
 // The whole package leans on one invariant from internal/sweep: a
 // cell's bytes depend only on (grid seed, semantic cell key), never on
-// which process computed it or when. That makes shards mergeable by
-// pure interleave, any output prefix resumable (ScanResume), and a
-// fleet run bit-for-bit equal to a laptop run.
+// which process computed it or when. That makes any chunk of cells
+// computable on any worker, any output prefix resumable (ScanResume),
+// and a fleet run bit-for-bit equal to a laptop run.
 package fabric
 
 import (
@@ -31,8 +31,8 @@ import (
 // sweep.Writer that keeps every encoded JSONL line, plus a condition
 // variable so any number of HTTP readers can follow the stream live —
 // including readers that attach mid-run or re-attach with ?from= after
-// a dropped connection. The coordinator reuses it as the per-shard
-// line log (appendLine) feeding the merged stream.
+// a dropped connection. The coordinator reuses it as a job's line log
+// (appendLine), which holds the stored records in cell order.
 type resultLog struct {
 	mu    sync.Mutex
 	cond  *sync.Cond

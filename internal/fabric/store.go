@@ -4,22 +4,23 @@ package fabric
 // only, so a SIGKILLed coordinator loses nothing. Layout under the
 // store root:
 //
-//	job-<n>/meta.json               id, shard count, kernel stamp, created
-//	job-<n>/spec.json               the submitted grid spec, byte-verbatim
-//	job-<n>/shard-<i>-of-<m>.jsonl  shard i's streamed output (appended
-//	                                a whole line at a time)
-//	job-<n>/cancelled               marker: don't resume this job
+//	job-<n>/meta.json           id, shard count (1), kernel stamp, created
+//	job-<n>/spec.json           the submitted grid spec, byte-verbatim
+//	job-<n>/shard-0-of-1.jsonl  the job's records in cell order (appended
+//	                            a whole line at a time)
+//	job-<n>/cancelled           marker: don't resume this job
 //
 // Creation is atomic (write into a ".tmp-" dir, then rename), so a
 // coordinator killed mid-create leaves at worst an ignored temp dir,
 // never a half-job. Nothing is fsynced: the store survives the death of
 // the process, not an OS crash or power loss. On startup the
-// coordinator rescans the root: each job's shard files are verified
+// coordinator rescans the root: each job's record file is verified
 // record-by-record with sweep.RecordReader — and a torn final line, the
 // signature of a mid-write kill, truncated — and execution resumes
-// exactly where each prefix ends. The shard files use the
-// sweep.ShardFileName naming, so a finished job directory is directly
-// consumable by `faultexp merge -dir`.
+// exactly where the prefix ends. The record file holds the bytes a
+// single-node sweep writes, under the one-shard sweep.ShardFileName
+// name, so a job directory is directly consumable by `faultexp merge
+// -dir`.
 
 import (
 	"encoding/json"
@@ -64,8 +65,10 @@ type storedMeta struct {
 
 // StoredJob is one job's on-disk state.
 type StoredJob struct {
-	ID      string
-	Dir     string
+	ID  string
+	Dir string
+	// Shards is the shard count meta.json names: 1 for every job Create
+	// makes; a job stored as round-robin shard files names more.
 	Shards  int
 	Kernel  string
 	Created time.Time
@@ -75,9 +78,9 @@ type StoredJob struct {
 	SpecJSON []byte
 }
 
-// ShardPath returns the path of shard i's JSONL output file.
-func (j *StoredJob) ShardPath(i int) string {
-	return filepath.Join(j.Dir, sweep.ShardFileName(sweep.Shard{Index: i, Count: j.Shards}))
+// RecordPath returns the path of the job's record file.
+func (j *StoredJob) RecordPath() string {
+	return filepath.Join(j.Dir, sweep.ShardFileName(sweep.Shard{}))
 }
 
 func (j *StoredJob) cancelPath() string { return filepath.Join(j.Dir, "cancelled") }
@@ -110,10 +113,7 @@ func jobSeq(name string) (int, bool) {
 // meta are written into a temp dir and renamed into place, so the job
 // either exists completely or not at all. IDs continue the store's
 // sequence ("job-<n>"), surviving restarts. Safe for concurrent use.
-func (st *Store) Create(spec *sweep.Spec, specJSON []byte, shards int) (*StoredJob, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("fabric: job needs ≥ 1 shard, got %d", shards)
-	}
+func (st *Store) Create(spec *sweep.Spec, specJSON []byte) (*StoredJob, error) {
 	st.createMu.Lock()
 	defer st.createMu.Unlock()
 	entries, err := os.ReadDir(st.dir)
@@ -132,7 +132,7 @@ func (st *Store) Create(spec *sweep.Spec, specJSON []byte, shards int) (*StoredJ
 	if err != nil {
 		return nil, err
 	}
-	meta := storedMeta{ID: id, Shards: shards, KernelVersion: sweep.KernelVersion, Created: time.Now().UTC()}
+	meta := storedMeta{ID: id, Shards: 1, KernelVersion: sweep.KernelVersion, Created: time.Now().UTC()}
 	mb, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
 		return nil, err
@@ -151,7 +151,7 @@ func (st *Store) Create(spec *sweep.Spec, specJSON []byte, shards int) (*StoredJ
 		return nil, err
 	}
 	return &StoredJob{
-		ID: id, Dir: dst, Shards: shards, Kernel: meta.KernelVersion,
+		ID: id, Dir: dst, Shards: meta.Shards, Kernel: meta.KernelVersion,
 		Created: meta.Created, Spec: spec, SpecJSON: specJSON,
 	}, nil
 }

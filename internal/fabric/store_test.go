@@ -48,7 +48,7 @@ func TestStoreConcurrentCreate(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			start.Wait()
-			sj, err := st.Create(spec, []byte(storeSpecJSON), 1)
+			sj, err := st.Create(spec, []byte(storeSpecJSON))
 			if err == nil {
 				ids[i] = sj.ID
 			}
@@ -80,14 +80,14 @@ func TestStoreCreateLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := loadSpec(t, storeSpecJSON)
-	j1, err := st.Create(spec, []byte(storeSpecJSON), 3)
+	j1, err := st.Create(spec, []byte(storeSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j1.ID != "job-1" || j1.Shards != 3 || j1.Kernel != sweep.KernelVersion {
+	if j1.ID != "job-1" || j1.Shards != 1 || j1.Kernel != sweep.KernelVersion {
 		t.Fatalf("first job = %q shards=%d kernel=%q", j1.ID, j1.Shards, j1.Kernel)
 	}
-	j2, err := st.Create(spec, []byte(storeSpecJSON), 1)
+	j2, err := st.Create(spec, []byte(storeSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +109,11 @@ func TestStoreCreateLoadRoundTrip(t *testing.T) {
 	if got := len(jobs[0].Spec.Cells()); got != len(spec.Cells()) {
 		t.Errorf("reloaded spec has %d cells, want %d", got, len(spec.Cells()))
 	}
-	if base := filepath.Base(jobs[0].ShardPath(1)); base != "shard-1-of-3.jsonl" {
-		t.Errorf("ShardPath(1) = %q", base)
+	if jobs[0].Shards != 1 {
+		t.Errorf("reloaded job names %d shards, want 1", jobs[0].Shards)
+	}
+	if base := filepath.Base(jobs[0].RecordPath()); base != "shard-0-of-1.jsonl" {
+		t.Errorf("RecordPath() = %q", base)
 	}
 }
 
@@ -121,7 +124,7 @@ func TestStoreIDsContinueAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := loadSpec(t, storeSpecJSON)
-	if _, err := st.Create(spec, []byte(storeSpecJSON), 2); err != nil {
+	if _, err := st.Create(spec, []byte(storeSpecJSON)); err != nil {
 		t.Fatal(err)
 	}
 	// Reopen: the next id continues the on-disk sequence, so restarted
@@ -130,7 +133,7 @@ func TestStoreIDsContinueAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := st2.Create(spec, []byte(storeSpecJSON), 2)
+	j, err := st2.Create(spec, []byte(storeSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +148,7 @@ func TestStoreCancelMarkerAndRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := loadSpec(t, storeSpecJSON)
-	j, err := st.Create(spec, []byte(storeSpecJSON), 1)
+	j, err := st.Create(spec, []byte(storeSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}

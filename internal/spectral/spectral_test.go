@@ -197,9 +197,17 @@ func TestLaplacianApplyShiftedConsistent(t *testing.T) {
 	}
 }
 
+// TestJacobiEigenvectorsOrthonormal also pins that ExactSpectrum, which
+// skips the eigenvector rotations, returns JacobiEigen's values bit for
+// bit.
 func TestJacobiEigenvectorsOrthonormal(t *testing.T) {
 	g := gen.Mesh(3, 3)
 	vals, vecs := JacobiEigen(DenseNormalizedLaplacian(g))
+	for i, x := range ExactSpectrum(g) {
+		if math.Float64bits(x) != math.Float64bits(vals[i]) {
+			t.Fatalf("ExactSpectrum value %d = %v, JacobiEigen's = %v", i, x, vals[i])
+		}
+	}
 	n := len(vals)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {

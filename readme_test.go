@@ -452,11 +452,12 @@ func TestREADMEDocumentsDistributedSweeps(t *testing.T) {
 		"faultexp worker -addr",
 		"faultexp coordinator -addr",
 		"-workers", "-store",
-		"-shards", "-max-inflight", "-health-interval", "-retry-delay",
+		"-max-inflight", "-health-interval", "-retry-delay",
 		// The worker protocol.
 		"`?shard=i/m`", "`?skip=K`",
-		// The durable-store layout, path by path.
-		"meta.json", "spec.json", "shard-<i>-of-<m>.jsonl", "cancelled",
+		// The durable-store layout, path by path: one record file per
+		// job, in cell order.
+		"meta.json", "spec.json", "shard-0-of-1.jsonl", "every cell in order", "cancelled",
 		"temp dir + rename",
 		// Failure semantics.
 		"reassigned to surviving",
